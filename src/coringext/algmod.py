@@ -188,6 +188,8 @@ class Bimodule:
 
 def _first_diff(m1: Mat, m2: Mat, dims) -> Optional[tuple]:
     """Decode the first differing column as a multi-index over ``dims``."""
+    if m1 == m2:
+        return None
     for c in range(m1.cols):
         if m1.col(c) != m2.col(c):
             idx = []

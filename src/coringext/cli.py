@@ -278,6 +278,8 @@ def parse_workspace(text: str) -> Workspace:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError("$", "invalid JSON: nested too deeply")
     if not isinstance(data, dict):
         raise SchemaError("$", "expected a JSON object")
     ws = Workspace(parse_field(_expect(data, "field", "$")))
@@ -470,8 +472,8 @@ def run(argv=None, stdin=None, stdout=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    set_guards(args.max_dim or DEFAULT_MAX_DIM,
-               args.max_enum or DEFAULT_MAX_ENUM)
+    set_guards(DEFAULT_MAX_DIM if args.max_dim is None else args.max_dim,
+               DEFAULT_MAX_ENUM if args.max_enum is None else args.max_enum)
     command = args.command
     try:
         if args.workspace is not None:

@@ -66,6 +66,8 @@ def _mcc(alg: Algebra, m: RightModule, c: Bimodule) -> QuotientSpace:
 
 
 def _diff_witness(m1: Mat, m2: Mat) -> Optional[tuple]:
+    if m1 == m2:
+        return None
     for c in range(m1.cols):
         if m1.col(c) != m2.col(c):
             return (c,)

@@ -1,7 +1,10 @@
 """Deterministic exact linear algebra over prime fields and the rationals.
 
 Scalars are plain ints in ``range(p)`` for GF(p) and ``fractions.Fraction``
-for the rationals, so every computation in the library is exact.  All
+for the rationals, so every computation in the library is exact.  A matrix
+is stored as sparse rows, one ``{column: value}`` dict per row that never
+holds a zero, and every operation touches nonzeros only; the dense
+row-major ``entries`` tuple is derived from the rows on demand.  All
 echelon forms use lowest-index pivot selection, which makes every output
 canonical: two inputs with the same row space produce bit-identical
 results.
@@ -40,24 +43,50 @@ def current_max_enum() -> int:
     return _GUARDS["max_enum"]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below MAX_PRIME
+# (Sorenson and Webster, 2015).
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < MAX_PRIME."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Base field: GF(p) for a prime p, or the rationals (p is None)."""
+    """Base field: GF(p) for a prime p, or the rationals (p is None).
+
+    The modulus must be below ``MAX_PRIME`` (about 3.3e24), the bound up to
+    which the primality test is exact; larger moduli raise ValueError.
+    """
 
     p: Optional[int] = None
 
     def __post_init__(self):
+        if self.p is not None and self.p >= MAX_PRIME:
+            raise ValueError(f"modulus {self.p} exceeds the supported bound "
+                             f"{MAX_PRIME}")
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -80,6 +109,8 @@ class FieldSpec:
     def of(self, x) -> Union[int, Fraction]:
         """Coerce an int, Fraction or 'num/den' string into the field."""
         if self.p is not None:
+            if type(x) is int:
+                return x % self.p
             if isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")
@@ -135,21 +166,83 @@ GF3 = FieldSpec(3)
 QQ = FieldSpec(None)
 
 
-@dataclass(frozen=True)
+def _new(field: FieldSpec, rows: int, cols: int, data: tuple) -> "Mat":
+    """A Mat on sparse rows that hold no zeros, without validation."""
+    m = Mat.__new__(Mat)
+    m.field, m.rows, m.cols, m.sparse_rows = field, rows, cols, data
+    m._entries = m._hash = None
+    return m
+
+
+def _addmul(acc: dict, c, row: dict, p: Optional[int]) -> None:
+    """``acc += c * row`` in place, dropping the entries that cancel."""
+    get = acc.get
+    for k, x in row.items():
+        y = get(k, 0) + c * x
+        if p is not None:
+            y %= p
+        if y:
+            acc[k] = y
+        else:
+            del acc[k]
+
+
+def _scaled(row: dict, c, p: Optional[int]) -> dict:
+    if p is None:
+        return {k: c * x for k, x in row.items()}
+    return {k: c * x % p for k, x in row.items()}
+
+
 class Mat:
-    """Immutable dense matrix over a fixed field, row-major entries."""
+    """Immutable matrix over a fixed field, stored as sparse rows.
 
-    field: FieldSpec
-    rows: int
-    cols: int
-    entries: tuple
+    ``Mat(field, rows, cols, entries)`` takes dense row-major entries.
+    ``sparse_rows`` holds one ``{column: value}`` dict per row with no zero
+    values; the dicts are shared between matrices and must not be mutated.
+    ``entries`` is the dense row-major tuple, derived and cached.  Equal
+    matrices compare and hash equal however they were built.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    __slots__ = ("field", "rows", "cols", "sparse_rows", "_entries", "_hash")
+
+    def __init__(self, field: FieldSpec, rows: int, cols: int, entries):
+        if len(entries) != rows:
             raise DimensionMismatch("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
+        data = []
+        for r in entries:
+            if len(r) != cols:
                 raise DimensionMismatch("column count mismatch")
+            data.append({c: x for c, x in enumerate(r) if x})
+        self.field, self.rows, self.cols = field, rows, cols
+        self.sparse_rows = tuple(data)
+        self._entries = self._hash = None
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            z = self.field.zero
+            cols = range(self.cols)
+            self._entries = tuple(tuple(r.get(c, z) for c in cols)
+                                  for r in self.sparse_rows)
+        return self._entries
+
+    def __eq__(self, other):
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return self is other or (
+            self.rows == other.rows and self.cols == other.cols
+            and self.field == other.field
+            and self.sparse_rows == other.sparse_rows)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.field, self.rows, self.cols, tuple(
+                frozenset(r.items()) for r in self.sparse_rows)))
+        return self._hash
+
+    def __repr__(self):
+        return (f"Mat(field={self.field!r}, rows={self.rows!r}, "
+                f"cols={self.cols!r}, entries={self.entries!r})")
 
     # -- constructors ------------------------------------------------
 
@@ -160,16 +253,20 @@ class Mat:
         return Mat(field, len(ent), ncols, ent)
 
     @staticmethod
+    def from_sparse_rows(field: FieldSpec, rows: int, cols: int,
+                         data) -> "Mat":
+        """Matrix from ``{column: value}`` dicts of field elements."""
+        return _new(field, rows, cols,
+                    tuple({c: x for c, x in r.items() if x} for r in data))
+
+    @staticmethod
     def zero(field: FieldSpec, rows: int, cols: int) -> "Mat":
-        z = field.zero
-        return Mat(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return _new(field, rows, cols, ({},) * rows)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
-        z, o = field.zero, field.one
-        return Mat(field, n, n,
-                   tuple(tuple(o if i == j else z for j in range(n))
-                         for i in range(n)))
+        one = field.one
+        return _new(field, n, n, tuple({i: one} for i in range(n)))
 
     @staticmethod
     def column(field: FieldSpec, vec) -> "Mat":
@@ -182,9 +279,13 @@ class Mat:
     @staticmethod
     def from_cols(field: FieldSpec, cols) -> "Mat":
         nrows = len(cols[0]) if cols else 0
-        return Mat(field, nrows, len(cols),
-                   tuple(tuple(field.of(c[i]) for c in cols)
-                         for i in range(nrows)))
+        data = tuple({} for _ in range(nrows))
+        for j, c in enumerate(cols):
+            for i in range(nrows):
+                x = field.of(c[i])
+                if x:
+                    data[i][j] = x
+        return _new(field, nrows, len(cols), data)
 
     # -- basic algebra -----------------------------------------------
 
@@ -193,96 +294,100 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with "
                 f"{other.rows}x{other.cols}")
-        f = self.field
-        ocols = list(zip(*other.entries)) if other.entries else []
+        p = self.field.p
+        brows = other.sparse_rows
         out = []
-        for arow in self.entries:
-            out.append(tuple(
-                _dot(f, arow, bcol) for bcol in ocols))
-        return Mat(f, self.rows, other.cols, tuple(out))
+        for arow in self.sparse_rows:
+            acc = {}
+            get = acc.get
+            for j, a in arow.items():
+                for k, b in brows[j].items():
+                    acc[k] = get(k, 0) + a * b
+            if p is None:
+                out.append({k: x for k, x in acc.items() if x})
+            else:
+                out.append({k: x % p for k, x in acc.items() if x % p})
+        return _new(self.field, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        f = self.field
-        return Mat(f, self.rows, self.cols, tuple(
-            tuple(f.add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        f = self.field
-        return Mat(f, self.rows, self.cols, tuple(
-            tuple(f.sub(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Mat", c) -> "Mat":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatch("shape mismatch")
+        p = self.field.p
+        out = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            acc = dict(ra)
+            _addmul(acc, c, rb, p)
+            out.append(acc)
+        return _new(self.field, self.rows, self.cols, tuple(out))
 
     def __neg__(self) -> "Mat":
-        f = self.field
-        return Mat(f, self.rows, self.cols, tuple(
-            tuple(f.neg(a) for a in row) for row in self.entries))
+        return self.scale(-1)
 
     def scale(self, c) -> "Mat":
         f = self.field
         c = f.of(c)
-        return Mat(f, self.rows, self.cols, tuple(
-            tuple(f.mul(c, a) for a in row) for row in self.entries))
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch")
+        if not c:
+            return Mat.zero(f, self.rows, self.cols)
+        return _new(f, self.rows, self.cols, tuple(
+            _scaled(r, c, f.p) for r in self.sparse_rows))
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows,
-                   tuple(zip(*self.entries)) if self.entries
-                   else tuple(() for _ in range(self.cols)))
+        data = tuple({} for _ in range(self.cols))
+        for i, r in enumerate(self.sparse_rows):
+            for j, x in r.items():
+                data[j][i] = x
+        return _new(self.field, self.cols, self.rows, data)
 
     def apply(self, vec) -> tuple:
         """Apply to a column vector given as a tuple."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         f = self.field
-        return tuple(_dot(f, row, vec) for row in self.entries)
+        if f.p is None:
+            return tuple(sum((a * vec[c] for c, a in r.items()), f.zero)
+                         for r in self.sparse_rows)
+        return tuple(sum(a * vec[c] for c, a in r.items()) % f.p
+                     for r in self.sparse_rows)
 
     def col(self, j) -> tuple:
-        return tuple(row[j] for row in self.entries)
+        z = self.field.zero
+        return tuple(r.get(j, z) for r in self.sparse_rows)
 
     def row(self, i) -> tuple:
         return self.entries[i]
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; tensor product of maps in row-major indexing."""
-        f = self.field
+        p = self.field.p
+        oc = other.cols
         out = []
-        for r1 in self.entries:
-            for r2 in other.entries:
-                out.append(tuple(f.mul(a, b) for a in r1 for b in r2))
-        return Mat(f, self.rows * other.rows, self.cols * other.cols,
-                   tuple(out))
+        for r1 in self.sparse_rows:
+            for r2 in other.sparse_rows:
+                if p is None:
+                    out.append({c1 * oc + c2: a * b for c1, a in r1.items()
+                                for c2, b in r2.items()})
+                else:
+                    out.append({c1 * oc + c2: a * b % p
+                                for c1, a in r1.items()
+                                for c2, b in r2.items()})
+        return _new(self.field, self.rows * other.rows,
+                    self.cols * other.cols, tuple(out))
 
     def stack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise DimensionMismatch("column mismatch in stack")
-        return Mat(self.field, self.rows + other.rows, self.cols,
-                   self.entries + other.entries)
+        return _new(self.field, self.rows + other.rows, self.cols,
+                    self.sparse_rows + other.sparse_rows)
 
     @property
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.entries for x in row)
-
-
-def _dot(f: FieldSpec, u, v):
-    acc = f.zero
-    for a, b in zip(u, v):
-        if a != f.zero and b != f.zero:
-            acc = f.add(acc, f.mul(a, b))
-    return acc
-
-
-def kron_all(*mats: Mat) -> Mat:
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.kron(m)
-    return out
+        return not any(self.sparse_rows)
 
 
 # -- echelon forms ---------------------------------------------------
@@ -292,38 +397,57 @@ def rref(m: Mat):
     """Reduced row echelon form with lowest-index pivots.
 
     Returns ``(R, pivots)`` where R has its zero rows dropped, so R is the
-    canonical basis matrix of the row space of ``m``.
+    canonical basis matrix of the row space of ``m``.  The rows are added
+    one at a time to a basis kept in reduced form: a new row is cleared at
+    every pivot so far, its lowest column becomes a pivot, and that column
+    is cleared from the earlier rows.  A row's columns never lie below its
+    pivot, and the reduced echelon form of a row space is unique.
     """
     f = m.field
-    rows = [list(r) for r in m.entries]
-    pivots = []
-    prow = 0
-    for c in range(m.cols):
-        sel = None
-        for r in range(prow, len(rows)):
-            if rows[r][c] != f.zero:
-                sel = r
-                break
-        if sel is None:
+    p = f.p
+    piv = {}  # pivot column -> reduced row with a 1 there
+    holders = {}  # column -> pivot columns whose rows may hold it
+    for src in m.sparse_rows:
+        v = dict(src)
+        for c in [c for c in v if c in piv]:
+            _addmul(v, -v[c], piv[c], p)
+        if not v:
             continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        inv = f.inv(rows[prow][c])
-        rows[prow] = [f.mul(inv, x) for x in rows[prow]]
-        for r in range(len(rows)):
-            if r != prow and rows[r][c] != f.zero:
-                coef = rows[r][c]
-                rows[r] = [f.sub(x, f.mul(coef, y))
-                           for x, y in zip(rows[r], rows[prow])]
-        pivots.append(c)
-        prow += 1
-        if prow == len(rows):
+        c = min(v)
+        inv = f.inv(v[c])
+        if inv != 1:
+            v = _scaled(v, inv, p)
+        for pc in holders.pop(c, ()):
+            row = piv[pc]
+            if c in row:
+                _addmul(row, -row[c], v, p)
+                for k in v:
+                    holders.setdefault(k, set()).add(pc)
+        piv[c] = v
+        for k in v:
+            holders.setdefault(k, set()).add(c)
+        if len(piv) == m.cols:
             break
-    red = Mat(f, prow, m.cols, tuple(tuple(r) for r in rows[:prow]))
-    return red, tuple(pivots)
+    pivots = tuple(sorted(piv))
+    return _new(f, len(pivots), m.cols, tuple(piv[c] for c in pivots)), pivots
 
 
 def rank(m: Mat) -> int:
     return rref(m)[0].rows
+
+
+def _null_rows(red: Mat, pivots: tuple) -> tuple:
+    """Free columns of a reduced matrix and, for each free column fc, the
+    null vector with 1 at fc and -red[r][fc] at pivot ``pivots[r]``."""
+    f = red.field
+    pivset = set(pivots)
+    free = [c for c in range(red.cols) if c not in pivset]
+    vecs = {fc: {fc: f.one} for fc in free}
+    for pc, r in zip(pivots, red.sparse_rows):
+        for fc, x in r.items():
+            if fc != pc:
+                vecs[fc][pc] = f.neg(x)
+    return free, tuple(vecs[fc] for fc in free)
 
 
 def kernel(m: Mat) -> Mat:
@@ -332,19 +456,8 @@ def kernel(m: Mat) -> Mat:
     Rows are returned in reduced echelon form with lowest-index pivots; the
     empty kernel is a 0-row matrix with ``m.cols`` columns.
     """
-    f = m.field
-    red, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [f.zero] * m.cols
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.entries[r][fc])
-        basis.append(tuple(v))
-    ker = Mat(f, len(basis), m.cols, tuple(basis))
-    return rref(ker)[0]
+    free, vecs = _null_rows(*rref(m))
+    return rref(_new(m.field, len(free), m.cols, vecs))[0]
 
 
 def solve(m: Mat, target) -> Optional[tuple]:
@@ -356,14 +469,17 @@ def solve(m: Mat, target) -> Optional[tuple]:
     if len(target) != m.rows:
         raise DimensionMismatch("target length mismatch")
     f = m.field
-    aug = Mat(f, m.rows, m.cols + 1, tuple(
-        row + (f.of(t),) for row, t in zip(m.entries, target)))
-    red, pivots = rref(aug)
-    if m.cols in pivots:
+    n = m.cols
+    aug = []
+    for r, t in zip(m.sparse_rows, target):
+        t = f.of(t)
+        aug.append({**r, n: t} if t else r)
+    red, pivots = rref(_new(f, m.rows, n + 1, tuple(aug)))
+    if n in pivots:
         return None
-    x = [f.zero] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.entries[r][m.cols]
+    x = [f.zero] * n
+    for r, pc in zip(red.sparse_rows, pivots):
+        x[pc] = r.get(n, f.zero)
     return tuple(x)
 
 
@@ -378,10 +494,6 @@ def solve_matrix(m: Mat, rhs: Mat) -> Optional[Mat]:
     if not cols:
         return Mat.zero(m.field, m.cols, 0)
     return Mat.from_cols(m.field, cols)
-
-
-def in_row_space(m: Mat, vec) -> bool:
-    return solve(m.transpose(), vec) is not None
 
 
 @dataclass(frozen=True)
@@ -428,28 +540,12 @@ def quotient(field: FieldSpec, ambient_dim: int, relations: Mat,
         raise SizeLimit(f"ambient dimension {ambient_dim} exceeds {max_dim}")
     f = field
     red, pivots = rref(relations)
-    pivset = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivset]
-    quo_dim = len(free)
     # projection: kill each pivot coordinate using its relation row
-    proj_rows = []
-    for t, fc in enumerate(free):
-        row = [f.zero] * ambient_dim
-        row[fc] = f.one
-        for r, pc in enumerate(pivots):
-            row[pc] = f.neg(red.entries[r][fc])
-        proj_rows.append(tuple(row))
-    projection = Mat(f, quo_dim, ambient_dim, tuple(proj_rows))
-    sect_rows = []
-    for i in range(ambient_dim):
-        row = [f.zero] * quo_dim
-        if i in free:
-            row[free.index(i)] = f.one
-        sect_rows.append(tuple(row))
-    section = Mat(f, ambient_dim, quo_dim, tuple(sect_rows))
+    free, proj_rows = _null_rows(red, pivots)
+    quo_dim = len(free)
+    projection = _new(f, quo_dim, ambient_dim, proj_rows)
+    index = {fc: t for t, fc in enumerate(free)}
+    one = f.one
+    section = _new(f, ambient_dim, quo_dim, tuple(
+        {index[i]: one} if i in index else {} for i in range(ambient_dim)))
     return QuotientSpace(f, ambient_dim, red, quo_dim, projection, section)
-
-
-def descends(m: Mat, q: QuotientSpace) -> Optional[Mat]:
-    """Module-level alias for :meth:`QuotientSpace.descends`."""
-    return q.descends(m)

@@ -48,21 +48,18 @@ def balancing_rows(ract: Mat, lact: Mat, alg: Algebra) -> Mat:
     f = alg.field
     dx = ract.rows
     dy = lact.rows
+    rcols = ract.transpose().sparse_rows
+    lcols = lact.transpose().sparse_rows
     rows = []
     for i in range(dx):
         for j in range(alg.dim):
-            xa = ract.col(i * alg.dim + j)
+            xa = rcols[i * alg.dim + j]
             for k in range(dy):
-                ay = lact.col(j * dy + k)
-                row = [f.zero] * (dx * dy)
-                for m, c in enumerate(xa):
-                    if c != f.zero:
-                        row[m * dy + k] = f.add(row[m * dy + k], c)
-                for n, c in enumerate(ay):
-                    if c != f.zero:
-                        row[i * dy + n] = f.sub(row[i * dy + n], c)
-                rows.append(tuple(row))
-    return Mat(f, len(rows), dx * dy, tuple(rows))
+                row = {m * dy + k: c for m, c in xa.items()}
+                for n, c in lcols[j * dy + k].items():
+                    row[i * dy + n] = f.sub(row.get(i * dy + n, 0), c)
+                rows.append(row)
+    return Mat.from_sparse_rows(f, len(rows), dx * dy, rows)
 
 
 def balanced_quotient(field, dims, balancings,

@@ -16,7 +16,7 @@ from coringext.exactla import (GF2, GF3, QQ, FieldSpec, Mat, kernel,
 from coringext.algmod import (Bimodule, RightModule, enumerate_algebra_maps,
                               is_isomorphism, make_algebra_map, opposite,
                               right_regular)
-from coringext.coring import (check_comodule, cofree_comodule,
+from coringext.coring import (check_comodule, check_coring, cofree_comodule,
                               direct_sum_comodule, dual_ring,
                               regular_comodule)
 from coringext.constructions import (DualBasis, base_algebra,
@@ -298,3 +298,12 @@ def test_criterion_8_infrastructure():
     assert outs[0] == outs[1]
     _report(8, "rank-nullity and quotient identities hold on 100 seeded "
                "random matrices per field; CLI reports are byte-identical")
+
+
+def test_sweedler_unit_map_m2_gf2():
+    # the 16-dimensional Sweedler coring of k -> M_2(GF(2)), the first rung
+    # of the size ladder beyond the fixtures
+    c = sweedler_coring(unit_map(GF2, matrix_algebra_2(GF2)))
+    assert c.dim == 16
+    assert check_coring(c)
+    assert dual_ring(c).dim == 16

@@ -7,7 +7,8 @@ import pytest
 
 from coringext.errors import SchemaError, UnknownReference
 from coringext.cli import parse_workspace, run
-from coringext.exactla import GF2, Mat
+from coringext.exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM, GF2, Mat,
+                               set_guards)
 from coringext.fixtures import d2_algebra, sw_coring
 from coringext.coring import regular_comodule
 
@@ -100,6 +101,39 @@ class TestExitCodes:
              "--coring", "sw", "--algebra", "d2"], text)
         assert code == 3
         assert json.loads(out)["error"]["type"] == "SizeLimit"
+
+    def test_zero_max_dim_is_a_guard(self):
+        # GF(13) keeps this trivial coring out of every cached quotient
+        text = ws(field={"type": "Fp", "p": 13},
+                  k={"type": "algebra", "dim": 1, "mult": [[[1]]],
+                     "unit": [1]},
+                  t={"type": "trivial_coring", "algebra": "k"})
+        try:
+            code, out = run_cli(["--max-dim", "0", "check"], text)
+        finally:
+            set_guards(DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM)
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "SizeLimit"
+
+    def test_huge_prime_accepted(self):
+        code, out = run_cli(["check"], ws(
+            field={"type": "Fp", "p": 10 ** 18 + 3},
+            k={"type": "algebra", "dim": 1, "mult": [[[1]]], "unit": [1]}))
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    def test_prime_beyond_bound_rejected(self):
+        code, out = run_cli(["check"], ws(field={"type": "Fp",
+                                                 "p": 2 ** 89 - 1}))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "SchemaError" and err["path"] == "$.field.p"
+
+    def test_deeply_nested_json(self):
+        code, out = run_cli(["check"], "[" * 100000 + "]" * 100000)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "SchemaError" and err["path"] == "$"
 
     def test_unknown_object_in_command(self):
         code, out = run_cli(["dualring", "--coring", "nope"], MINIMAL)

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coringext.errors import (DimensionMismatch, NonFiniteField, SizeLimit)
-from coringext.exactla import (GF2, GF3, QQ, FieldSpec, Mat, kernel,
-                               quotient, rank, rref, solve, solve_matrix)
+from coringext.exactla import (GF2, GF3, MAX_PRIME, QQ, FieldSpec, Mat,
+                               kernel, quotient, rank, rref, solve,
+                               solve_matrix)
 
 FIELDS = [GF2, GF3, FieldSpec(5), QQ]
 
@@ -39,6 +40,12 @@ class TestField:
             FieldSpec(4)
         with pytest.raises(ValueError):
             FieldSpec(1)
+        # a strong pseudoprime to all 13 Miller-Rabin bases, at the bound
+        with pytest.raises(ValueError):
+            FieldSpec(MAX_PRIME)
+        assert FieldSpec(10 ** 18 + 3).p == 10 ** 18 + 3
+        with pytest.raises(ValueError):
+            FieldSpec((10 ** 9 + 7) * (10 ** 9 + 9))
 
     def test_arithmetic_gf3(self):
         f = GF3
