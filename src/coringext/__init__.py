@@ -15,8 +15,8 @@ from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
                      enumerate_algebra_maps, is_isomorphism, make_algebra,
                      make_algebra_map, make_bimodule, opposite,
                      regular_bimodule)
-from .tensorcat import (assoc_normalizer, balanced_quotient, cotensor,
-                        induced_map, tensor_k, tensor_over)
+from .tensorcat import (assoc_normalizer, balanced_quotient, induced_map,
+                        tensor_k, tensor_over)
 from .coring import (Comodule, Coring, DualRing, LeftComodule,
                      check_bicomodule, check_colinear, check_comodule,
                      check_coring, check_left_comodule, cofree_comodule,

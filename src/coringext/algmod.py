@@ -6,16 +6,16 @@ complete, so no randomized testing is needed in the core.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional
 
+from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch, SizeLimit
 from .exactla import FieldSpec, Mat, current_max_enum
 from .verdict import Failure, Verdict
 
 
-@dataclass(frozen=True)
+@frozen
 class Algebra:
     """Associative unital algebra: e_i e_j = sum_l mult[i][j][l] e_l."""
 
@@ -101,7 +101,7 @@ def check_algebra(a: Algebra) -> Verdict:
     return Verdict.accept()
 
 
-@dataclass(frozen=True)
+@frozen
 class AlgebraMap:
     """Candidate algebra map source -> target as a matrix on coordinates."""
 
@@ -151,7 +151,7 @@ def opposite(a: Algebra) -> Algebra:
 # -- modules ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class RightModule:
     """Right module: action as a map M (x) A -> M."""
 
@@ -160,7 +160,7 @@ class RightModule:
     act: Mat
 
 
-@dataclass(frozen=True)
+@frozen
 class LeftModule:
     """Left module: action as a map A (x) M -> M."""
 
@@ -169,7 +169,7 @@ class LeftModule:
     act: Mat
 
 
-@dataclass(frozen=True)
+@frozen
 class Bimodule:
     """(algL, algR)-bimodule with both actions stored as matrices."""
 

@@ -14,9 +14,9 @@ schema error, 3 size guard exceeded.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Dict
 
+from ._record import frozen
 from .errors import (AxiomViolation, CoringError, DimensionMismatch,
                      DualBasisInvalid, MiddleMismatch, NonFiniteField,
                      NotColinear, NotCoringMorphism, SchemaError, SizeLimit,
@@ -50,7 +50,7 @@ MATH_ERRORS = (AxiomViolation, NotCoringMorphism, NotColinear,
                DualBasisInvalid)
 
 
-@dataclass(frozen=True)
+@frozen
 class ColinearMap:
     source: Comodule
     target: Comodule
@@ -409,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="validate workspace objects")
-    c.add_argument("--all", action="store_true", default=True)
     c.add_argument("--object", default=None)
 
     c = sub.add_parser("dualring", help="structure constants of *C")

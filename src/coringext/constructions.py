@@ -3,13 +3,12 @@ corings, coalgebras over the base field, and the twisted convolution
 algebra of an entwining.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import List
 
+from ._record import frozen
 from .errors import (AxiomViolation, DimensionMismatch, DualBasisInvalid,
                      SizeLimit)
-from .exactla import FieldSpec, Mat, kernel, solve
+from .exactla import FieldSpec, Mat, kernel, memoised, solve
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
                      bimodule_from_actions, left_regular, make_algebra,
                      make_algebra_map, regular_bimodule, restrict_left,
@@ -21,7 +20,7 @@ from .tensorcat import tensor_over
 from .verdict import Verdict
 
 
-@lru_cache(maxsize=None)
+@memoised
 def base_algebra(field: FieldSpec) -> Algebra:
     """The base field as a one-dimensional algebra."""
     return make_algebra(field, 1, (((field.one,),),), (field.one,))
@@ -35,7 +34,7 @@ def trivial_coring(a: Algebra) -> Coring:
     return make_coring(a, regular_bimodule(a), delta_lift, ia)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def sweedler_space(iota: AlgebraMap) -> QuotientSpace:
     """The quotient A (x)_B A underlying the Sweedler coring of iota."""
     a = iota.target
@@ -45,7 +44,7 @@ def sweedler_space(iota: AlgebraMap) -> QuotientSpace:
     return t.q
 
 
-@lru_cache(maxsize=None)
+@memoised
 def sweedler_coring(iota: AlgebraMap) -> Coring:
     """Canonical Sweedler coring A (x)_B A of an algebra map iota: B -> A."""
     a = iota.target
@@ -80,7 +79,7 @@ def _descend_into(target_proj: Mat, amb_map: Mat, q: QuotientSpace):
 # -- coalgebras ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Coalgebra:
     """Coassociative counital coalgebra over the base field."""
 
@@ -136,7 +135,7 @@ def coalgebra_to_coring(c: Coalgebra) -> Coring:
 # -- comatrix corings ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class DualBasis:
     """Dual basis certificate for a right A-module Sigma.
 
@@ -260,7 +259,7 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
 # -- entwining structures --------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Entwining:
     """Entwining datum (A, C, psi) with psi: C (x) A -> A (x) C.
 
@@ -301,7 +300,7 @@ def flip_entwining(a: Algebra, c: Coalgebra) -> Entwining:
     return Entwining(a, c, Mat.from_cols(f, cols))
 
 
-@dataclass(frozen=True)
+@frozen
 class TwistedConvolution:
     """Hom_k(C, A) with the psi-twisted product, plus its identification
     with the left dual ring of the entwining coring."""

@@ -6,12 +6,11 @@ into the relevant balanced quotient, so no section-dependent choice of
 representatives ever leaks into a verdict.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional
 
+from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
-from .exactla import Mat, QuotientSpace, kernel, solve
+from .exactla import Mat, QuotientSpace, kernel, memoised, solve
 from .algmod import (Algebra, Bimodule, LeftModule, RightModule,
                      check_bimodule, make_algebra, regular_bimodule)
 from .tensorcat import (TensorOverAlg, balanced_quotient,
@@ -20,7 +19,7 @@ from .tensorcat import (TensorOverAlg, balanced_quotient,
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
+@frozen
 class Coring:
     """A-coring: (A,A)-bimodule C with coproduct lift and counit.
 
@@ -51,14 +50,14 @@ class Coring:
         return self.cc().proj @ self.delta_lift
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _triple(alg: Algebra, c: Bimodule) -> QuotientSpace:
     return balanced_quotient(
         alg.field, (c.dim, c.dim, c.dim),
         {0: (c.ract, c.lact, alg), 1: (c.ract, c.lact, alg)})
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _mcc(alg: Algebra, m: RightModule, c: Bimodule) -> QuotientSpace:
     return balanced_quotient(
         alg.field, (m.dim, c.dim, c.dim),
@@ -130,7 +129,7 @@ def make_coring(a: Algebra, c: Bimodule, delta_lift: Mat, eps: Mat) -> Coring:
 # -- comodules -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Comodule:
     """Right comodule: right A-module M with coaction lift M -> M (x)_k C."""
 
@@ -244,7 +243,7 @@ def check_colinear(f: Mat, m: Comodule, n: Comodule) -> Verdict:
 # -- left comodules --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class LeftComodule:
     """Left comodule: left A-module N with coaction lift N -> C (x)_k N."""
 
@@ -368,7 +367,7 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
 # -- dual ring -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class DualRing:
     """Left dual ring *C: left A-linear maps C -> A with convolution-type product."""
 
@@ -425,7 +424,7 @@ def dual_element(dr: DualRing, coords) -> Mat:
     return out
 
 
-@lru_cache(maxsize=None)
+@memoised
 def dual_ring(c: Coring) -> DualRing:
     """The left dual ring *C = Hom_{A-}(C, A) as a validated algebra."""
     basis = _left_linear_basis(c)

@@ -7,11 +7,9 @@ Sweedler coring of iota; a second map D -> B with a compatible descent
 structure on A itself pushes Desc(A|B) forward to Desc(B|D).
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
-
+from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
-from .exactla import Mat, QuotientSpace
+from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, RightModule, check_right_module,
                      left_regular, restrict_left, restrict_right,
                      right_regular)
@@ -22,7 +20,7 @@ from .tensorcat import balanced_quotient, tensor_over
 from .verdict import Verdict
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _ma_space(iota: AlgebraMap, m: RightModule) -> QuotientSpace:
     """M (x)_B A for a right A-module M restricted along iota."""
     a = iota.target
@@ -40,7 +38,7 @@ def _b_pair(iota: AlgebraMap):
     return ract, lact
 
 
-@dataclass(frozen=True)
+@frozen
 class DescentDatum:
     """Right A-module with a canonical lift of f: M -> M (x)_B A."""
 
@@ -79,7 +77,7 @@ def check_descent_datum(d: DescentDatum) -> Verdict:
     return Verdict.accept()
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _maa_space(iota: AlgebraMap, m: RightModule) -> QuotientSpace:
     a = iota.target
     b = iota.source
@@ -144,7 +142,7 @@ def comodule_to_descent(iota: AlgebraMap, m: Comodule) -> DescentDatum:
 # -- pushing descent data down a tower D -> B -> A ---------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Cor28Data:
     """Data for pushing Desc(A|B) to Desc(B|D).
 
@@ -173,7 +171,7 @@ def _d_pair_on_ab(data: Cor28Data):
     return ract, lact
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _aab_space(data: Cor28Data) -> QuotientSpace:
     a = data.iota_A.target
     b = data.iota_B.target

@@ -15,24 +15,42 @@ Tensor indices are flattened row-major, so ``kron`` realises the tensor
 product of maps.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
+from ._record import frozen
 from .errors import DimensionMismatch, NonFiniteField
 
 DEFAULT_MAX_DIM = 4096
 DEFAULT_MAX_ENUM = 2_000_000
 
 _GUARDS = {"max_dim": DEFAULT_MAX_DIM, "max_enum": DEFAULT_MAX_ENUM}
+_MEMOS = []
+
+
+def memoised(fn):
+    """``lru_cache(maxsize=None)`` whose results ``set_guards`` discards."""
+    cached = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(cached)
+    return cached
 
 
 def set_guards(max_dim=None, max_enum=None):
-    """Override the process-wide size guards (used by the CLI flags)."""
+    """Override the process-wide size guards (used by the CLI flags).
+
+    A change of either guard discards every memoised result: a result
+    computed under one guard would otherwise skip the check of the next.
+    """
+    new = dict(_GUARDS)
     if max_dim is not None:
-        _GUARDS["max_dim"] = max_dim
+        new["max_dim"] = max_dim
     if max_enum is not None:
-        _GUARDS["max_enum"] = max_enum
+        new["max_enum"] = max_enum
+    if new != _GUARDS:
+        _GUARDS.update(new)
+        for cached in _MEMOS:
+            cached.cache_clear()
 
 
 def current_max_dim() -> int:
@@ -73,7 +91,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class FieldSpec:
     """Base field: GF(p) for a prime p, or the rationals (p is None).
 
@@ -107,7 +125,13 @@ class FieldSpec:
         return 1 if self.p is not None else Fraction(1)
 
     def of(self, x) -> Union[int, Fraction]:
-        """Coerce an int, Fraction or 'num/den' string into the field."""
+        """Coerce an int, Fraction or string into the field.
+
+        A string is an integer, ``num/den`` or a plain decimal such as
+        ``-1.25``.  Exponent notation (``1e5``) is rejected: parsing it
+        would build the power of ten, so the time would grow with the
+        exponent rather than with the length of the input.
+        """
         if self.p is not None:
             if type(x) is int:
                 return x % self.p
@@ -122,6 +146,8 @@ class FieldSpec:
             return x % self.p
         if isinstance(x, bool):
             raise ValueError(f"bad scalar {x!r}")
+        if isinstance(x, str) and ("e" in x or "E" in x):
+            raise ValueError(f"exponent notation in scalar {x!r}")
         if isinstance(x, (int, str, Fraction)):
             return Fraction(x)
         raise ValueError(f"bad scalar {x!r} for the rationals")
@@ -496,7 +522,7 @@ def solve_matrix(m: Mat, rhs: Mat) -> Optional[Mat]:
     return Mat.from_cols(m.field, cols)
 
 
-@dataclass(frozen=True)
+@frozen
 class QuotientSpace:
     """Ambient space modulo the row space of ``relations``.
 

@@ -7,13 +7,12 @@ compatible right B-action and right D-coaction, and induces a functor
 from right C-comodules to right D-comodules.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import List
+from typing import List, Optional
 
+from ._record import frozen
 from .errors import (AxiomViolation, DimensionMismatch, MiddleMismatch,
                      NotColinear, NotCoringMorphism)
-from .exactla import Mat, QuotientSpace
+from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule,
                      check_right_module, make_algebra_map)
 from .coring import (Comodule, Coring, DualRing, check_bicomodule,
@@ -24,7 +23,7 @@ from .verdict import Verdict
 from ._search import enumerate_affine
 
 
-@dataclass(frozen=True)
+@frozen
 class Measuring:
     """Candidate measuring of a coring by an algebra: nu: C (x) B -> A."""
 
@@ -33,22 +32,49 @@ class Measuring:
     nu: Mat
 
 
-def check_measuring(m: Measuring) -> Verdict:
-    """Left A-linearity plus the unit and multiplicativity diagrams."""
-    c, b = m.coring, m.B
+@frozen
+class _MeasuringMaps:
+    """The maps in the measuring diagrams of a coring by an algebra that do
+    not involve nu, built once and shared by every candidate nu."""
+
+    ia: Mat
+    ib: Mat
+    ic: Mat
+    lact_b: Mat    # lact (x) B
+    unit_b: Mat    # C (x) unit of B
+    mult_b: Mat    # C (x) mult of B
+    ract_b: Mat    # ract (x) B
+    delta_bb: Mat  # delta_lift (x) B (x) B
+
+
+def _measuring_maps(c: Coring, b: Algebra) -> _MeasuringMaps:
     f = c.A.field
-    if m.nu.rows != c.A.dim or m.nu.cols != c.dim * b.dim:
-        raise DimensionMismatch("measuring has wrong shape")
-    ia = Mat.identity(f, c.A.dim)
     ib = Mat.identity(f, b.dim)
     ic = Mat.identity(f, c.dim)
-    if m.nu @ c.C.lact.kron(ib) != c.A.mult_mat @ ia.kron(m.nu):
+    return _MeasuringMaps(Mat.identity(f, c.A.dim), ib, ic,
+                          c.C.lact.kron(ib), ic.kron(b.unit_col),
+                          ic.kron(b.mult_mat), c.C.ract.kron(ib),
+                          c.delta_lift.kron(ib).kron(ib))
+
+
+def check_measuring(m: Measuring,
+                    maps: Optional[_MeasuringMaps] = None) -> Verdict:
+    """Left A-linearity plus the unit and multiplicativity diagrams.
+
+    ``maps`` is ``_measuring_maps(m.coring, m.B)``, passed by a sweep that
+    checks many candidates of one coring and algebra.
+    """
+    c, b, nu = m.coring, m.B, m.nu
+    if nu.rows != c.A.dim or nu.cols != c.dim * b.dim:
+        raise DimensionMismatch("measuring has wrong shape")
+    if maps is None:
+        maps = _measuring_maps(c, b)
+    if nu @ maps.lact_b != c.A.mult_mat @ maps.ia.kron(nu):
         return Verdict.reject("not-left-linear")
-    if m.nu @ ic.kron(b.unit_col) != c.eps:
+    if nu @ maps.unit_b != c.eps:
         return Verdict.reject("unit-diagram")
-    lhs = m.nu @ ic.kron(b.mult_mat)
-    rhs = m.nu @ c.C.ract.kron(ib) @ ic.kron(m.nu).kron(ib) @ \
-        c.delta_lift.kron(ib).kron(ib)
+    lhs = nu @ maps.mult_b
+    rhs = nu @ maps.ract_b @ maps.ic.kron(nu).kron(maps.ib) @ maps.delta_bb
     if lhs != rhs:
         return Verdict.reject("multiplication-diagram")
     return Verdict.accept()
@@ -69,13 +95,11 @@ def enumerate_measurings(c: Coring, b: Algebra,
     multiplicativity diagram.
     """
     f = c.A.field
-    ia = Mat.identity(f, c.A.dim)
-    ib = Mat.identity(f, b.dim)
-    ic = Mat.identity(f, c.dim)
+    maps = _measuring_maps(c, b)
 
     def residual(nu: Mat) -> Mat:
-        lin = nu @ c.C.lact.kron(ib) - c.A.mult_mat @ ia.kron(nu)
-        unit = nu @ ic.kron(b.unit_col) - c.eps
+        lin = nu @ maps.lact_b - c.A.mult_mat @ maps.ia.kron(nu)
+        unit = nu @ maps.unit_b - c.eps
         flat_lin = Mat(f, 1, lin.rows * lin.cols,
                        (tuple(x for row in lin.entries for x in row),))
         flat_unit = Mat(f, 1, unit.rows * unit.cols,
@@ -84,7 +108,7 @@ def enumerate_measurings(c: Coring, b: Algebra,
                    (flat_lin.entries[0] + flat_unit.entries[0],))
 
     def keep(nu: Mat) -> bool:
-        return bool(check_measuring(Measuring(c, b, nu)))
+        return bool(check_measuring(Measuring(c, b, nu), maps))
 
     shape = (c.A.dim, c.dim * b.dim)
     return [Measuring(c, b, nu)
@@ -170,7 +194,7 @@ def measuring_from_action(c: Coring, b: Algebra, ract_b: Mat) -> Measuring:
 # -- coring extensions -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CoringExtension:
     """D a right extension of C: right B-action and right D-coaction on C.
 
@@ -187,7 +211,7 @@ class CoringExtension:
         return _cd(self.d.A, self.ract, self.d.C)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _cd(b: Algebra, ract: Mat, dbim: Bimodule) -> QuotientSpace:
     return balanced_quotient(b.field, (ract.rows, dbim.dim),
                              {0: (ract, dbim.lact, b)})

@@ -1,16 +1,14 @@
 """Reserved named fixtures, materialized over any base field."""
 
-from functools import lru_cache
-
 from .errors import SchemaError
-from .exactla import FieldSpec
+from .exactla import FieldSpec, memoised
 from .algmod import Algebra, AlgebraMap, make_algebra, make_algebra_map
 from .coring import Coring
 from .constructions import (Coalgebra, base_algebra, coalgebra_to_coring,
                             group_coalgebra, sweedler_coring)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def d2_algebra(field: FieldSpec) -> Algebra:
     """k x k: two orthogonal idempotents, unit e1 + e2."""
     o, z = field.one, field.zero
@@ -18,7 +16,7 @@ def d2_algebra(field: FieldSpec) -> Algebra:
     return make_algebra(field, 2, mult, (o, o))
 
 
-@lru_cache(maxsize=None)
+@memoised
 def c2_group_algebra(field: FieldSpec) -> Algebra:
     """Group algebra k[C2]: basis 1, g with g^2 = 1."""
     o, z = field.one, field.zero
@@ -26,7 +24,7 @@ def c2_group_algebra(field: FieldSpec) -> Algebra:
     return make_algebra(field, 2, mult, (o, z))
 
 
-@lru_cache(maxsize=None)
+@memoised
 def matrix_algebra_2(field: FieldSpec) -> Algebra:
     """2 x 2 matrices over k, basis E11, E12, E21, E22 (row-major)."""
     f = field
@@ -44,25 +42,25 @@ def matrix_algebra_2(field: FieldSpec) -> Algebra:
     return make_algebra(f, 4, tuple(mult), (f.one, f.zero, f.zero, f.one))
 
 
-@lru_cache(maxsize=None)
+@memoised
 def unit_map(field: FieldSpec, a: Algebra) -> AlgebraMap:
     """The unique algebra map from the base field into a."""
     from .exactla import Mat
     return make_algebra_map(base_algebra(field), a, Mat.column(field, a.unit))
 
 
-@lru_cache(maxsize=None)
+@memoised
 def gc2_coalgebra(field: FieldSpec) -> Coalgebra:
     return group_coalgebra(field, 2)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def sw_coring(field: FieldSpec) -> Coring:
     """Sweedler coring of the unit map k -> (k x k)."""
     return sweedler_coring(unit_map(field, d2_algebra(field)))
 
 
-@lru_cache(maxsize=None)
+@memoised
 def gc2_coring(field: FieldSpec) -> Coring:
     return coalgebra_to_coring(gc2_coalgebra(field))
 
@@ -70,10 +68,6 @@ def gc2_coring(field: FieldSpec) -> Coring:
 ALGEBRA_FIXTURES = {
     "FIX.D2": d2_algebra,
     "FIX.BC2": c2_group_algebra,
-}
-
-COALGEBRA_FIXTURES = {
-    "FIX.GC2": gc2_coalgebra,
 }
 
 CORING_FIXTURES = {

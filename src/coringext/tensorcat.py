@@ -7,15 +7,13 @@ compared through the single-step quotient produced by
 :func:`assoc_normalizer`, which sidesteps coherence bookkeeping.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
-
+from ._record import frozen
 from .errors import DimensionMismatch
-from .exactla import Mat, QuotientSpace, quotient, rank
+from .exactla import Mat, QuotientSpace, memoised, quotient, rank
 from .algmod import Algebra, Bimodule, LeftModule, RightModule
 
 
-@dataclass(frozen=True)
+@frozen
 class TensorIndex:
     """Row-major pairing of basis indices: (i, j) -> i * dim_n + j."""
 
@@ -87,7 +85,7 @@ def balanced_quotient(field, dims, balancings,
     return quotient(field, ambient, rel, max_dim=max_dim)
 
 
-@dataclass(frozen=True)
+@frozen
 class TensorOverAlg:
     """M (x)_A N presented as a quotient of the k-tensor ambient space."""
 
@@ -108,7 +106,7 @@ class TensorOverAlg:
         return self.q.section
 
 
-@lru_cache(maxsize=None)
+@memoised
 def tensor_over(alg: Algebra, m: RightModule, n: LeftModule,
                 max_dim=None) -> TensorOverAlg:
     """Tensor product of a right and a left module over ``alg``."""
@@ -147,7 +145,7 @@ def left_action_on_quotient(t: TensorOverAlg, lact_m: Mat, algL: Algebra) -> Mat
     return t.proj @ lact_m.kron(i_n) @ il.kron(t.sect)
 
 
-@dataclass(frozen=True)
+@frozen
 class AssocNormalizer:
     """Both iterated quotients identified with the single-step quotient."""
 
@@ -158,7 +156,7 @@ class AssocNormalizer:
     from_right: Mat  # right iterated -> single, invertible
 
 
-@lru_cache(maxsize=None)
+@memoised
 def assoc_normalizer(alg: Algebra, m: RightModule, n: Bimodule,
                      p: LeftModule,
                      max_dim=None) -> AssocNormalizer:
@@ -207,13 +205,3 @@ def _check_iso(iso: Mat, single: QuotientSpace, iterated: QuotientSpace,
     if back @ iso != ident or iso @ back != ident:
         raise DimensionMismatch(
             f"{side} associativity normalizer triangle does not commute")
-
-
-def cotensor(m, n):
-    """Cotensor product of a right and a left comodule over one coring.
-
-    Returns the canonical basis (rows, echelonized) of
-    ker(rho^M (x) N - M (x) rho^N) inside M (x)_A N.
-    """
-    from .coring import cotensor_basis
-    return cotensor_basis(m, n)

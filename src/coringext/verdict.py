@@ -1,12 +1,12 @@
 """Pass/fail results with first-witness diagnostics."""
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import frozen
 from .errors import AxiomViolation
 
 
-@dataclass(frozen=True)
+@frozen
 class Failure:
     """A violated axiom together with the first witness basis tuple."""
 
@@ -14,7 +14,7 @@ class Failure:
     witness: tuple = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class Verdict:
     ok: bool
     failure: Optional[Failure] = None

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,30 @@ class TestExitCodes:
             set_guards(DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM)
         assert code == 3
         assert json.loads(out)["error"]["type"] == "SizeLimit"
+
+    def test_guard_independent_of_cache(self):
+        text = ws(sw={"fixture": "FIX.SW"})
+        try:
+            codes = [run_cli(argv, text)[0] for argv in (
+                ["--max-dim", "4", "dualring", "--coring", "sw"],
+                ["dualring", "--coring", "sw"],
+                ["--max-dim", "4", "dualring", "--coring", "sw"])]
+        finally:
+            set_guards(DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM)
+        assert codes == [3, 0, 3]
+
+    def test_exponent_scalar_rejected_quickly(self):
+        text = json.dumps({
+            "field": {"type": "Q"},
+            "objects": {"k": {"type": "algebra", "dim": 1,
+                              "mult": [[["1.5"]]], "unit": ["1e5000000"]}}})
+        t0 = time.perf_counter()
+        code, out = run_cli(["check"], text)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "SchemaError"
+        assert err["path"] == "$.objects.k.unit[0]"
 
     def test_huge_prime_accepted(self):
         code, out = run_cli(["check"], ws(

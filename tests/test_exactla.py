@@ -56,6 +56,11 @@ class TestField:
 
     def test_rationals(self):
         assert QQ.of("2/4") == Fraction(1, 2)
+        assert QQ.of("-1.25") == Fraction(-5, 4)
+        assert QQ.of("7") == Fraction(7)
+        for text in ("1e5000000", "2.5E-3"):
+            with pytest.raises(ValueError):
+                QQ.of(text)
         assert QQ.render(Fraction(-3, 6)) == "-1/2"
         assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
 
