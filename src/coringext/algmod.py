@@ -5,13 +5,13 @@ validated exhaustively on basis tuples: over a field these checks are
 complete, so no randomized testing is needed in the core.
 """
 
-import itertools
 from functools import cached_property
 from typing import List, Optional
 
 from ._record import frozen
-from .errors import AxiomViolation, DimensionMismatch, SizeLimit
-from .exactla import FieldSpec, Mat, current_max_enum
+from ._search import enumerate_affine
+from .errors import AxiomViolation, DimensionMismatch
+from .exactla import FieldSpec, Mat
 from .verdict import Failure, Verdict
 
 
@@ -186,17 +186,20 @@ class Bimodule:
         return RightModule(self.algR, self.dim, self.ract)
 
 
-def _first_diff(m1: Mat, m2: Mat, dims) -> Optional[tuple]:
-    """Decode the first differing column as a multi-index over ``dims``."""
+def _first_diff(m1: Mat, m2: Mat, dims=None) -> Optional[tuple]:
+    """The witness where two maps differ: their first differing column,
+    as ``(column,)`` or decoded as a row-major multi-index over ``dims``.
+    None if the maps agree."""
     if m1 == m2:
         return None
     for c in range(m1.cols):
         if m1.col(c) != m2.col(c):
+            if dims is None:
+                return (c,)
             idx = []
-            rem = c
             for d in reversed(dims):
-                idx.append(rem % d)
-                rem //= d
+                c, r = divmod(c, d)
+                idx.append(r)
             return tuple(reversed(idx))
     return None
 
@@ -307,33 +310,17 @@ def enumerate_algebra_maps(b: Algebra, a: Algebra,
                            max_enum=None) -> List[AlgebraMap]:
     """All algebra maps b -> a over a prime field, in lexicographic order.
 
-    Brute force over every linear map, filtered by the unit and
-    multiplicativity identities; the candidate sweep is ordered
-    lexicographically on row-major matrix entries with 0 < 1 < ... < p-1.
+    The unit law ``f(1) = 1`` is linear, so the sweep runs over its affine
+    solution space only and keeps the multiplicative candidates.  The
+    guard ``max_enum`` bounds that sweep: p to the power of the dimension
+    of the linear maps b -> a that vanish on the unit of b.  The maps are
+    ordered lexicographically on row-major matrix entries with
+    0 < 1 < ... < p-1.
     """
-    f = b.field
-    nvars = a.dim * b.dim
-    elems = tuple(f.elements())  # raises NonFiniteField over Q
-    if max_enum is None:
-        max_enum = current_max_enum()
-    total = len(elems) ** nvars
-    if total > max_enum:
-        raise SizeLimit(f"{total} candidates exceed the guard {max_enum}")
-    pairs = [(i, j, b.basis_product(i, j))
-             for i in range(b.dim) for j in range(b.dim)]
-    out = []
-    for flat in itertools.product(elems, repeat=nvars):
-        mat = Mat(f, a.dim, b.dim,
-                  tuple(flat[r * b.dim:(r + 1) * b.dim]
-                        for r in range(a.dim)))
-        if mat.apply(b.unit) != a.unit:
-            continue
-        ok = True
-        cols = [mat.col(j) for j in range(b.dim)]
-        for i, j, prod in pairs:
-            if mat.apply(prod) != a.product(cols[i], cols[j]):
-                ok = False
-                break
-        if ok:
-            out.append(AlgebraMap(b, a, mat))
-    return out
+    def keep(m: Mat) -> bool:
+        return bool(check_algebra_map(AlgebraMap(b, a, m)))
+
+    mats = enumerate_affine(b.field, (a.dim, b.dim),
+                            lambda m: m @ b.unit_col - a.unit_col, keep,
+                            max_enum)
+    return [AlgebraMap(b, a, m) for m in mats]

@@ -67,8 +67,7 @@ class Workspace:
     def get(self, name: str, kinds, path: str):
         if name not in self.objects:
             if name in fx.CORING_FIXTURES or name in fx.ALGEBRA_FIXTURES:
-                self.objects[name] = _fixture_as(name, self.field, kinds,
-                                                 path)
+                self.objects[name] = fx.fixture(name, self.field, path)
             else:
                 raise UnknownReference(path, name)
         obj = self.objects[name]
@@ -77,15 +76,6 @@ class Workspace:
                             (kinds if isinstance(kinds, tuple) else (kinds,)))
             raise SchemaError(path, f"{name!r} is not a {want}")
         return obj
-
-
-def _fixture_as(name: str, field: FieldSpec, kinds, path: str):
-    """Resolve a reserved fixture name, honouring the expected kind."""
-    wants_algebra = kinds is Algebra or (isinstance(kinds, tuple)
-                                         and Algebra in kinds)
-    if wants_algebra and name in fx.ALGEBRA_FIXTURES:
-        return fx.ALGEBRA_FIXTURES[name](field)
-    return fx.fixture(name, field, path)
 
 
 # -- parsing -----------------------------------------------------------
@@ -276,7 +266,7 @@ def parse_workspace(text: str) -> Workspace:
     """Parse and fully validate a workspace; raises on the first error."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise SchemaError("$", f"invalid JSON: {exc}")
     except RecursionError:
         raise SchemaError("$", "invalid JSON: nested too deeply")
@@ -463,6 +453,20 @@ def _error_report(command, exc, code) -> dict:
             "exit_code": code}
 
 
+def _read_workspace(path, stdin) -> str:
+    """The workspace text from ``path``, or from stdin if it is None.
+
+    Bytes that do not decode are a schema error at ``$``.
+    """
+    try:
+        if path is None:
+            return stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"invalid UTF-8: {exc}")
+
+
 def run(argv=None, stdin=None, stdout=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -475,12 +479,7 @@ def run(argv=None, stdin=None, stdout=None) -> int:
                DEFAULT_MAX_ENUM if args.max_enum is None else args.max_enum)
     command = args.command
     try:
-        if args.workspace is not None:
-            with open(args.workspace, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = stdin.read()
-        ws = parse_workspace(text)
+        ws = parse_workspace(_read_workspace(args.workspace, stdin))
         report = COMMANDS[command](ws, args)
         report["ok"] = report.get("ok", True)
         _emit(report, stdout)

@@ -6,9 +6,10 @@ algebra of an entwining.
 from typing import List
 
 from ._record import frozen
+from ._search import affine_solutions, coords, enumerate_affine
 from .errors import (AxiomViolation, DimensionMismatch, DualBasisInvalid,
                      SizeLimit)
-from .exactla import FieldSpec, Mat, kernel, memoised, solve
+from .exactla import FieldSpec, Mat, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
                      bimodule_from_actions, left_regular, make_algebra,
                      make_algebra_map, regular_bimodule, restrict_left,
@@ -150,20 +151,10 @@ class DualBasis:
 def _right_linear_basis(sigma: Bimodule) -> List[Mat]:
     """Canonical basis of Sigma* = Hom_A(Sigma, A) (right A-linear maps)."""
     a = sigma.algR
-    f = a.field
-    nvars = a.dim * sigma.dim
-    ia = Mat.identity(f, a.dim)
-    cols = []
-    for v in range(nvars):
-        e = Mat(f, a.dim, sigma.dim, tuple(
-            tuple(f.one if r * sigma.dim + s == v else f.zero
-                  for s in range(sigma.dim)) for r in range(a.dim)))
-        resid = e @ sigma.ract - a.mult_mat @ e.kron(ia)
-        cols.append(tuple(x for row in resid.entries for x in row))
-    ker = kernel(Mat.from_cols(f, cols))
-    return [Mat(f, a.dim, sigma.dim, tuple(
-        row[r * sigma.dim:(r + 1) * sigma.dim] for r in range(a.dim)))
-        for row in ker.entries]
+    ia = Mat.identity(a.field, a.dim)
+    return affine_solutions(
+        a.field, (a.dim, sigma.dim),
+        lambda x: x @ sigma.ract - a.mult_mat @ x.kron(ia))[1]
 
 
 def _is_right_linear(sigma: Bimodule, g: Mat) -> bool:
@@ -201,11 +192,9 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
         raise DualBasisInvalid(v.failure.witness)
     star = _right_linear_basis(sigma)
     ns = len(star)
-    star_mat = Mat.from_cols(
-        f, [tuple(x for row in g.entries for x in row) for g in star])
 
     def star_coords(g: Mat) -> tuple:
-        x = solve(star_mat, tuple(v for row in g.entries for v in row))
+        x = coords(star, g)
         if x is None:
             raise DualBasisInvalid(())
         return x
@@ -371,7 +360,6 @@ def enumerate_entwined_measurings(e: Entwining, b: Algebra,
     """All k-linear f: C (x) B -> A satisfying the entwined measuring
     diagrams, enumerated by brute force over the unit-constraint affine
     space and returned in canonical order."""
-    from ._search import enumerate_affine
     a, c = e.A, e.C
     f = a.field
     ic = Mat.identity(f, c.dim)

@@ -9,9 +9,10 @@ representatives ever leaks into a verdict.
 from typing import List, Optional
 
 from ._record import frozen
+from ._search import _combine, affine_solutions, coords
 from .errors import AxiomViolation, DimensionMismatch
-from .exactla import Mat, QuotientSpace, kernel, memoised, solve
-from .algmod import (Algebra, Bimodule, LeftModule, RightModule,
+from .exactla import Mat, QuotientSpace, kernel, memoised
+from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _first_diff,
                      check_bimodule, make_algebra, regular_bimodule)
 from .tensorcat import (TensorOverAlg, balanced_quotient,
                         left_action_on_quotient, right_action_on_quotient,
@@ -64,15 +65,6 @@ def _mcc(alg: Algebra, m: RightModule, c: Bimodule) -> QuotientSpace:
         {0: (m.act, c.lact, alg), 1: (c.ract, c.lact, alg)})
 
 
-def _diff_witness(m1: Mat, m2: Mat) -> Optional[tuple]:
-    if m1 == m2:
-        return None
-    for c in range(m1.cols):
-        if m1.col(c) != m2.col(c):
-            return (c,)
-    return None
-
-
 def check_coring(c: Coring) -> Verdict:
     a = c.A
     f = a.field
@@ -86,31 +78,31 @@ def check_coring(c: Coring) -> Verdict:
     if c.eps.rows != a.dim or c.eps.cols != c.dim:
         raise DimensionMismatch("counit has wrong shape")
     # counit is an (A,A)-bimodule map
-    w = _diff_witness(c.eps @ c.C.lact, a.mult_mat @ ia.kron(c.eps))
+    w = _first_diff(c.eps @ c.C.lact, a.mult_mat @ ia.kron(c.eps))
     if w is None:
-        w = _diff_witness(c.eps @ c.C.ract, a.mult_mat @ c.eps.kron(ia))
+        w = _first_diff(c.eps @ c.C.ract, a.mult_mat @ c.eps.kron(ia))
     if w is not None:
         return Verdict.reject("bilinearity", w)
     # coproduct is an (A,A)-bimodule map (tested after projection)
     proj = c.cc().proj
-    w = _diff_witness(proj @ c.delta_lift @ c.C.lact,
-                      proj @ c.C.lact.kron(ic) @ ia.kron(c.delta_lift))
+    w = _first_diff(proj @ c.delta_lift @ c.C.lact,
+                    proj @ c.C.lact.kron(ic) @ ia.kron(c.delta_lift))
     if w is None:
-        w = _diff_witness(proj @ c.delta_lift @ c.C.ract,
-                          proj @ ic.kron(c.C.ract) @ c.delta_lift.kron(ia))
+        w = _first_diff(proj @ c.delta_lift @ c.C.ract,
+                        proj @ ic.kron(c.C.ract) @ c.delta_lift.kron(ia))
     if w is not None:
         return Verdict.reject("bilinearity", w)
     # coassociativity in the single-step triple quotient
     p3 = c.ccc().projection
-    w = _diff_witness(p3 @ c.delta_lift.kron(ic) @ c.delta_lift,
-                      p3 @ ic.kron(c.delta_lift) @ c.delta_lift)
+    w = _first_diff(p3 @ c.delta_lift.kron(ic) @ c.delta_lift,
+                    p3 @ ic.kron(c.delta_lift) @ c.delta_lift)
     if w is not None:
         return Verdict.reject("coassoc", w)
     # counit laws
-    w = _diff_witness(c.C.lact @ c.eps.kron(ic) @ c.delta_lift, ic)
+    w = _first_diff(c.C.lact @ c.eps.kron(ic) @ c.delta_lift, ic)
     if w is not None:
         return Verdict.reject("counit-left", w)
-    w = _diff_witness(c.C.ract @ ic.kron(c.eps) @ c.delta_lift, ic)
+    w = _first_diff(c.C.ract @ ic.kron(c.eps) @ c.delta_lift, ic)
     if w is not None:
         return Verdict.reject("counit-right", w)
     return Verdict.accept()
@@ -162,16 +154,16 @@ def check_comodule(m: Comodule) -> Verdict:
     if m.rho_lift.rows != m.dim * c.dim or m.rho_lift.cols != m.dim:
         raise DimensionMismatch("coaction lift has wrong shape")
     proj = m.mc().proj
-    w = _diff_witness(proj @ m.rho_lift @ m.M.act,
-                      proj @ im.kron(c.C.ract) @ m.rho_lift.kron(ia))
+    w = _first_diff(proj @ m.rho_lift @ m.M.act,
+                    proj @ im.kron(c.C.ract) @ m.rho_lift.kron(ia))
     if w is not None:
         return Verdict.reject("A-linearity", w)
     p3 = _mcc(c.A, m.M, c.C).projection
-    w = _diff_witness(p3 @ m.rho_lift.kron(ic) @ m.rho_lift,
-                      p3 @ im.kron(c.delta_lift) @ m.rho_lift)
+    w = _first_diff(p3 @ m.rho_lift.kron(ic) @ m.rho_lift,
+                    p3 @ im.kron(c.delta_lift) @ m.rho_lift)
     if w is not None:
         return Verdict.reject("coassoc", w)
-    w = _diff_witness(m.M.act @ im.kron(c.eps) @ m.rho_lift, im)
+    w = _first_diff(m.M.act @ im.kron(c.eps) @ m.rho_lift, im)
     if w is not None:
         return Verdict.reject("counit", w)
     return Verdict.accept()
@@ -230,11 +222,11 @@ def check_colinear(f: Mat, m: Comodule, n: Comodule) -> Verdict:
         raise DimensionMismatch("map has wrong shape")
     ia = Mat.identity(fl, c.A.dim)
     ic = Mat.identity(fl, c.dim)
-    w = _diff_witness(f @ m.M.act, n.M.act @ f.kron(ia))
+    w = _first_diff(f @ m.M.act, n.M.act @ f.kron(ia))
     if w is not None:
         return Verdict.reject("not-A-linear", w)
     proj = n.mc().proj
-    w = _diff_witness(proj @ n.rho_lift @ f, proj @ f.kron(ic) @ m.rho_lift)
+    w = _first_diff(proj @ n.rho_lift @ f, proj @ f.kron(ic) @ m.rho_lift)
     if w is not None:
         return Verdict.reject("not-colinear", w)
     return Verdict.accept()
@@ -271,18 +263,18 @@ def check_left_comodule(n: LeftComodule) -> Verdict:
     if not v:
         return v
     proj = n.cn().proj
-    w = _diff_witness(proj @ n.lambda_lift @ n.N.act,
-                      proj @ c.C.lact.kron(im) @ ia.kron(n.lambda_lift))
+    w = _first_diff(proj @ n.lambda_lift @ n.N.act,
+                    proj @ c.C.lact.kron(im) @ ia.kron(n.lambda_lift))
     if w is not None:
         return Verdict.reject("A-linearity", w)
     p3 = balanced_quotient(
         f, (c.dim, c.dim, n.dim),
         {0: (c.C.ract, c.C.lact, c.A), 1: (c.C.ract, n.N.act, c.A)})
-    w = _diff_witness(p3.projection @ c.delta_lift.kron(im) @ n.lambda_lift,
-                      p3.projection @ ic.kron(n.lambda_lift) @ n.lambda_lift)
+    w = _first_diff(p3.projection @ c.delta_lift.kron(im) @ n.lambda_lift,
+                    p3.projection @ ic.kron(n.lambda_lift) @ n.lambda_lift)
     if w is not None:
         return Verdict.reject("coassoc", w)
-    w = _diff_witness(n.N.act @ c.eps.kron(im) @ n.lambda_lift, im)
+    w = _first_diff(n.N.act @ c.eps.kron(im) @ n.lambda_lift, im)
     if w is not None:
         return Verdict.reject("counit", w)
     return Verdict.accept()
@@ -349,7 +341,7 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
                            right_action_on_quotient(cm, m.ract, b))
     it1 = tensor_over(b, cm_right, d.C.left_module()).q
     p1 = it1.projection @ cm.proj.kron(idd)
-    w = _diff_witness(p1 @ lhs, p1 @ rhs)
+    w = _first_diff(p1 @ lhs, p1 @ rhs)
     if w is not None:
         return Verdict.reject("not-bicomodule", w)
     # route 2: C (x)_A (M (x)_B D)
@@ -358,7 +350,7 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
                          left_action_on_quotient(md, m.lact, a))
     it2 = tensor_over(a, c.C.right_module(), md_left).q
     p2 = it2.projection @ ic.kron(md.proj)
-    w = _diff_witness(p2 @ lhs, p2 @ rhs)
+    w = _first_diff(p2 @ lhs, p2 @ rhs)
     if w is not None:
         return Verdict.reject("not-bicomodule", w)
     return Verdict.accept()
@@ -369,7 +361,12 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
 
 @frozen
 class DualRing:
-    """Left dual ring *C: left A-linear maps C -> A with convolution-type product."""
+    """Left dual ring *C: left A-linear maps C -> A with convolution-type product.
+
+    ``basis`` is the canonical basis of Hom_{A-}(C, A): flattened row-major,
+    its matrices are in reduced echelon form with lowest-index pivots.
+    ``dual_coords`` relies on this to read coordinates off the pivots.
+    """
 
     coring: Coring
     basis: tuple  # of Mat (A.dim x C.dim)
@@ -389,60 +386,39 @@ def star_product(c: Coring, f: Mat, g: Mat) -> Mat:
 def _left_linear_basis(c: Coring) -> List[Mat]:
     """Canonical basis of Hom_{A-}(C, A) as the null space of linearity."""
     a = c.A
-    f = a.field
-    nvars = a.dim * c.dim
-    ia = Mat.identity(f, a.dim)
-    cols = []
-    for v in range(nvars):
-        e = Mat(f, a.dim, c.dim, tuple(
-            tuple(f.one if r * c.dim + s == v else f.zero
-                  for s in range(c.dim)) for r in range(a.dim)))
-        resid = e @ c.C.lact - a.mult_mat @ ia.kron(e)
-        cols.append(tuple(x for row in resid.entries for x in row))
-    constraint = Mat.from_cols(f, cols) if cols else Mat.zero(f, 0, 0)
-    ker = kernel(constraint)
-    return [Mat(f, a.dim, c.dim, tuple(
-        row[r * c.dim:(r + 1) * c.dim] for r in range(a.dim)))
-        for row in ker.entries]
+    ia = Mat.identity(a.field, a.dim)
+    return affine_solutions(
+        a.field, (a.dim, c.dim),
+        lambda x: x @ c.C.lact - a.mult_mat @ ia.kron(x))[1]
 
 
 def dual_coords(dr: DualRing, f: Mat) -> Optional[tuple]:
     """Coordinates of a left A-linear map in the dual ring basis."""
-    fld = dr.coring.A.field
-    cols = [tuple(x for row in b.entries for x in row) for b in dr.basis]
-    bm = Mat.from_cols(fld, cols) if cols else \
-        Mat.zero(fld, dr.coring.A.dim * dr.coring.dim, 0)
-    return solve(bm, tuple(x for row in f.entries for x in row))
+    return coords(dr.basis, f)
 
 
-def dual_element(dr: DualRing, coords) -> Mat:
-    fld = dr.coring.A.field
-    a, c = dr.coring.A.dim, dr.coring.dim
-    out = Mat.zero(fld, a, c)
-    for x, b in zip(coords, dr.basis):
-        out = out + b.scale(x)
-    return out
+def dual_element(dr: DualRing, coeffs) -> Mat:
+    """The left A-linear map with coordinates ``coeffs`` in the basis."""
+    c = dr.coring
+    return _combine(Mat.zero(c.A.field, c.A.dim, c.dim), coeffs, dr.basis)
 
 
 @memoised
 def dual_ring(c: Coring) -> DualRing:
     """The left dual ring *C = Hom_{A-}(C, A) as a validated algebra."""
     basis = _left_linear_basis(c)
-    fld = c.A.field
     n = len(basis)
-    dr_partial = DualRing(c, tuple(basis), None)  # for coordinate solving
     mult = []
     for i in range(n):
         row = []
         for j in range(n):
-            prod = star_product(c, basis[i], basis[j])
-            coords = dual_coords(dr_partial, prod)
-            if coords is None:
+            x = coords(basis, star_product(c, basis[i], basis[j]))
+            if x is None:
                 raise AxiomViolation("dual-product-not-linear", (i, j))
-            row.append(coords)
+            row.append(x)
         mult.append(tuple(row))
-    unit = dual_coords(dr_partial, c.eps)
+    unit = coords(basis, c.eps)
     if unit is None:
         raise AxiomViolation("counit-not-left-linear", ())
-    alg = make_algebra(fld, n, tuple(mult), unit)
+    alg = make_algebra(c.A.field, n, tuple(mult), unit)
     return DualRing(c, tuple(basis), alg)

@@ -99,13 +99,7 @@ def enumerate_measurings(c: Coring, b: Algebra,
 
     def residual(nu: Mat) -> Mat:
         lin = nu @ maps.lact_b - c.A.mult_mat @ maps.ia.kron(nu)
-        unit = nu @ maps.unit_b - c.eps
-        flat_lin = Mat(f, 1, lin.rows * lin.cols,
-                       (tuple(x for row in lin.entries for x in row),))
-        flat_unit = Mat(f, 1, unit.rows * unit.cols,
-                        (tuple(x for row in unit.entries for x in row),))
-        return Mat(f, 1, flat_lin.cols + flat_unit.cols,
-                   (flat_lin.entries[0] + flat_unit.entries[0],))
+        return lin.transpose().stack((nu @ maps.unit_b - c.eps).transpose())
 
     def keep(nu: Mat) -> bool:
         return bool(check_measuring(Measuring(c, b, nu), maps))

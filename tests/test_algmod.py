@@ -139,3 +139,12 @@ class TestEnumeration:
         a = matrix_algebra_2(GF3)
         with pytest.raises(SizeLimit):
             enumerate_algebra_maps(a, a, max_enum=100)
+
+    def test_guard_counts_unit_constraint_space(self):
+        # 2^12 unital linear maps of M_2(GF2), not 2^16 linear ones
+        a = matrix_algebra_2(GF2)
+        maps = enumerate_algebra_maps(a, a, max_enum=5000)
+        assert len(maps) == 6  # the automorphisms, PGL_2(GF2) = S_3
+        assert all(is_isomorphism(m) for m in maps)
+        mats = [m.matrix.entries for m in maps]
+        assert mats == sorted(mats)

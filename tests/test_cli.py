@@ -160,6 +160,24 @@ class TestExitCodes:
         err = json.loads(out)["error"]
         assert err["type"] == "SchemaError" and err["path"] == "$"
 
+    def test_oversized_integer_literal(self):
+        # beyond the interpreter's 4300-digit limit on int conversion
+        text = '{"field": {"type": "Fp", "p": %s}, "objects": {}}' % (
+            "7" * 5000)
+        code, out = run_cli(["check"], text)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "SchemaError" and err["path"] == "$"
+
+    def test_workspace_not_utf8(self, tmp_path):
+        path = tmp_path / "ws.json"
+        path.write_bytes(MINIMAL.encode() + b"\xff")
+        out = io.StringIO()
+        code = run(["--workspace", str(path), "check"], stdout=out)
+        assert code == 2
+        err = json.loads(out.getvalue())["error"]
+        assert err["type"] == "SchemaError" and err["path"] == "$"
+
     def test_unknown_object_in_command(self):
         code, out = run_cli(["dualring", "--coring", "nope"], MINIMAL)
         assert code == 2
@@ -174,6 +192,15 @@ class TestCommands:
         report = json.loads(out)
         assert report["dim"] == 4
         assert len(report["mult"]) == 4
+
+    def test_dualring_zero_algebra(self):
+        code, out = run_cli(["dualring", "--coring", "t"], ws(
+            z={"type": "algebra", "dim": 0, "mult": [], "unit": []},
+            t={"type": "trivial_coring", "algebra": "z"}))
+        assert code == 0
+        report = json.loads(out)
+        assert report["dim"] == 0
+        assert report["basis"] == report["mult"] == report["unit"] == []
 
     def test_enumerate_measurings(self):
         text = json.dumps({

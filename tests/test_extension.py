@@ -5,7 +5,8 @@ import pytest
 from coringext.errors import (AxiomViolation, MiddleMismatch, NotColinear,
                               NotCoringMorphism)
 from coringext.exactla import GF2, GF3, Mat
-from coringext.algmod import RightModule, enumerate_algebra_maps
+from coringext.algmod import (RightModule, enumerate_algebra_maps,
+                              make_algebra)
 from coringext.coring import (check_comodule, dual_ring, regular_comodule,
                               direct_sum_comodule, cofree_comodule)
 from coringext.constructions import base_algebra, trivial_coring
@@ -28,6 +29,8 @@ def measuring_cases():
         (trivial_coring(d2_algebra(GF2)), c2_group_algebra(GF2), 1),
         (gc2_coring(GF3), c2_group_algebra(GF3), 4),
         (sw_coring(GF2), base_algebra(GF2), 1),
+        # the zero algebra: 1 = 0, so no nu can satisfy nu(x (x) 1) = eps(x)
+        (sw_coring(GF2), make_algebra(GF2, 0, (), ()), 0),
     ]
 
 

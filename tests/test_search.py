@@ -1,0 +1,146 @@
+"""Differential tests: the linear-condition solver of ``_search`` against
+the generic pipeline it replaced.
+
+The reference probes the residual at zero and at each unit matrix, builds
+the coefficient matrix column by column, and calls ``solve`` for the
+particular solution and ``kernel`` for the null space; coordinates are a
+``solve`` against the flattened basis.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coringext._search import affine_solutions, coords
+from coringext.errors import DimensionMismatch
+from coringext.exactla import GF2, GF3, QQ, FieldSpec, Mat, kernel, solve
+
+FIELDS = [GF2, GF3, FieldSpec(7), QQ]
+
+
+# -- reference -----------------------------------------------------------
+
+
+def flat(m):
+    return tuple(x for row in m.entries for x in row)
+
+
+def unflatten(f, rows, cols, vec):
+    return Mat(f, rows, cols,
+               tuple(tuple(vec[r * cols:(r + 1) * cols]) for r in range(rows)))
+
+
+def ref_affine_solutions(f, shape, residual):
+    rows, cols = shape
+    nvars = rows * cols
+    offset = residual(Mat.zero(f, rows, cols))
+    coeff_cols = []
+    for v in range(nvars):
+        e = unflatten(f, rows, cols, tuple(f.one if t == v else f.zero
+                                           for t in range(nvars)))
+        coeff_cols.append(flat(residual(e) - offset))
+    # from_cols cannot know the row count of zero columns
+    coeff = Mat.from_cols(f, coeff_cols) if coeff_cols else \
+        Mat.zero(f, offset.rows * offset.cols, 0)
+    part = solve(coeff, tuple(f.neg(x) for x in flat(offset)))
+    if part is None:
+        return None
+    return (unflatten(f, rows, cols, part),
+            [unflatten(f, rows, cols, r) for r in kernel(coeff).entries])
+
+
+def ref_coords(basis, m):
+    f = m.field
+    bm = Mat.from_cols(f, [flat(b) for b in basis]) if basis else \
+        Mat.zero(f, m.rows * m.cols, 0)
+    return solve(bm, flat(m))
+
+
+# -- generation ----------------------------------------------------------
+
+
+def rand_mat(f, nrows, ncols, rng, density=0.5):
+    def scalar():
+        if rng.random() >= density:
+            return f.zero
+        if f.is_finite:
+            return rng.randrange(1, f.p)
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                        rng.randrange(1, 4))
+    return Mat(f, nrows, ncols, tuple(tuple(scalar() for _ in range(ncols))
+                                      for _ in range(nrows)))
+
+
+@st.composite
+def systems(draw):
+    """An affine residual X -> reshape(K vec(X) + o) with K of low rank, so
+    that both consistent and inconsistent offsets occur; zero sizes too."""
+    f = draw(st.sampled_from(FIELDS))
+    rows, cols, rr, rc = (draw(st.integers(0, 4)) for _ in range(4))
+    inner = draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    k = rand_mat(f, rr * rc, inner, rng) @ \
+        rand_mat(f, inner, rows * cols, rng)
+    if draw(st.booleans()):  # an offset in the image of K: consistent
+        o = k @ rand_mat(f, rows * cols, 1, rng)
+    else:
+        o = rand_mat(f, rr * rc, 1, rng)
+
+    def residual(x):
+        return unflatten(f, rr, rc, flat(k @ Mat.column(f, flat(x)) + o))
+
+    return f, (rows, cols), residual
+
+
+@st.composite
+def spans(draw):
+    """A canonical basis (a kernel, reshaped) and a matrix of its shape,
+    drawn from the span or at random."""
+    f = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    m = rand_mat(f, draw(st.integers(0, 6)), rows * cols, rng,
+                 draw(st.sampled_from([0.2, 0.5, 1.0])))
+    basis = [unflatten(f, rows, cols, r) for r in kernel(m).entries]
+    if draw(st.booleans()):
+        target = Mat.zero(f, rows, cols)
+        for b in basis:
+            target = target + b.scale(rand_mat(f, 1, 1, rng).entries[0][0])
+    else:
+        target = rand_mat(f, rows, cols, rng)
+    return basis, target
+
+
+# -- differential tests --------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_affine_solutions_match_reference(system):
+    f, shape, residual = system
+    got = affine_solutions(f, shape, residual)
+    ref = ref_affine_solutions(f, shape, residual)
+    if ref is None:
+        assert got is None
+        return
+    assert got is not None
+    (part, basis), (ref_part, ref_basis) = got, ref
+    assert part == ref_part
+    assert basis == ref_basis
+    assert residual(part).is_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans())
+def test_coords_match_solve(case):
+    basis, target = case
+    assert coords(basis, target) == ref_coords(basis, target)
+
+
+def test_coords_shape_mismatch():
+    basis = [unflatten(GF2, 1, 2, (1, 0))]
+    with pytest.raises(DimensionMismatch):
+        coords(basis, Mat.zero(GF2, 2, 1))
