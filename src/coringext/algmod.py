@@ -10,9 +10,9 @@ from typing import List, Optional
 
 from ._record import frozen
 from ._search import enumerate_affine
-from .errors import AxiomViolation, DimensionMismatch
+from .errors import DimensionMismatch
 from .exactla import FieldSpec, Mat
-from .verdict import Failure, Verdict
+from .verdict import Verdict
 
 
 @frozen

@@ -23,20 +23,19 @@ from .errors import (AxiomViolation, CoringError, DimensionMismatch,
                      UnknownReference)
 from .exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM,
                       FieldSpec, Mat, set_guards)
-from .algmod import (Algebra, AlgebraMap, RightModule, make_algebra,
-                     make_algebra_map)
+from .algmod import (Algebra, AlgebraMap, RightModule, bimodule_from_actions,
+                     make_algebra, make_algebra_map)
 from .coring import (Comodule, Coring, dual_ring, make_comodule, make_coring,
                      check_colinear)
-from .algmod import bimodule_from_actions
 from .constructions import (Coalgebra, Entwining, coalgebra_to_coring,
                             entwining_coring, make_coalgebra, sweedler_coring,
                             trivial_coring)
 from .descent import (Cor28Data, DescentDatum, check_cor28, descent_functor,
                       make_descent_datum)
-from .extension import (CoringExtension, Measuring, apply_functor,
-                        compose_extensions, enumerate_measurings,
-                        extension_from_coring_map, identity_extension,
-                        induced_coaction, make_extension, make_measuring)
+from .extension import (CoringExtension, apply_functor, compose_extensions,
+                        enumerate_measurings, extension_from_coring_map,
+                        identity_extension, induced_coaction, make_extension,
+                        make_measuring)
 from . import fixtures as fx
 
 EXIT_OK = 0
@@ -44,10 +43,15 @@ EXIT_MATH = 1
 EXIT_INPUT = 2
 EXIT_SIZE = 3
 
-INPUT_ERRORS = (SchemaError, UnknownReference, DimensionMismatch,
-                NonFiniteField, MiddleMismatch)
-MATH_ERRORS = (AxiomViolation, NotCoringMorphism, NotColinear,
-               DualBasisInvalid)
+# The exit code of an error is that of the first entry it is an instance of.
+EXIT_CODES = (
+    ((SizeLimit,), EXIT_SIZE),
+    ((AxiomViolation, NotCoringMorphism, NotColinear, DualBasisInvalid),
+     EXIT_MATH),
+    ((SchemaError, UnknownReference, DimensionMismatch, NonFiniteField,
+      MiddleMismatch, OSError), EXIT_INPUT),
+    ((CoringError,), EXIT_MATH),
+)
 
 
 @frozen
@@ -101,29 +105,21 @@ def _scalar(field, x, path):
         raise SchemaError(path, str(exc))
 
 
-def _matrix(field, data, rows, cols, path) -> Mat:
-    if not isinstance(data, list) or len(data) != rows:
-        raise SchemaError(path, f"expected {rows} rows")
-    ent = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"{path}[{i}]", f"expected {cols} entries")
-        ent.append(tuple(_scalar(field, x, f"{path}[{i}][{j}]")
-                         for j, x in enumerate(row)))
-    return Mat(field, rows, cols, tuple(ent))
+def _array(field, data, shape, path):
+    """Nested tuples of scalars of the given shape, from nested JSON arrays."""
+    if not shape:
+        return _scalar(field, data, path)
+    if not isinstance(data, list) or len(data) != shape[0]:
+        axis = ("entries", "rows", "slices")[len(shape) - 1]
+        raise SchemaError(path, f"expected {shape[0]} {axis}")
+    return tuple(_array(field, x, shape[1:], f"{path}[{i}]")
+                 for i, x in enumerate(data))
 
 
-def _tensor3(field, data, d0, d1, d2, path):
-    if not isinstance(data, list) or len(data) != d0:
-        raise SchemaError(path, f"expected {d0} slices")
-    return tuple(tuple(_matrix(field, sl, d1, d2, f"{path}[{i}]").entries)
-                 for i, sl in enumerate(data))
-
-
-def _dim(obj, path, key="dim") -> int:
-    d = _expect(obj, key, path)
+def _dim(obj, path) -> int:
+    d = _expect(obj, "dim", path)
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise SchemaError(f"{path}.{key}", "expected a nonnegative integer")
+        raise SchemaError(f"{path}.dim", "expected a nonnegative integer")
     return d
 
 
@@ -142,7 +138,7 @@ def parse_field(data, path="$.field") -> FieldSpec:
     raise SchemaError(f"{path}.type", f"unknown field type {kind!r}")
 
 
-def _parse_object(ws: Workspace, name: str, data, path: str):
+def _parse_object(ws: Workspace, data, path: str):
     f = ws.field
     if not isinstance(data, dict):
         raise SchemaError(path, "expected a JSON object")
@@ -150,112 +146,85 @@ def _parse_object(ws: Workspace, name: str, data, path: str):
         fixname = _expect(data, "fixture", path, str)
         return fx.fixture(fixname, f, f"{path}.fixture")
     kind = _expect(data, "type", path, str)
+
+    # Each field is read through one of these, in the order the branch
+    # names it: the first bad field decides the error.
+    def ref(key, kinds):
+        return ws.get(_expect(data, key, path, str), kinds, path)
+
+    def arr(key, *shape, typ=None):
+        return _array(f, _expect(data, key, path, typ), shape,
+                      f"{path}.{key}")
+
+    def mat(key, rows, cols):
+        return Mat(f, rows, cols, arr(key, rows, cols))
+
     if kind == "algebra":
         dim = _dim(data, path)
-        mult = _tensor3(f, _expect(data, "mult", path), dim, dim, dim,
-                        f"{path}.mult")
-        unit = _expect(data, "unit", path, list)
-        if len(unit) != dim:
-            raise SchemaError(f"{path}.unit", f"expected {dim} entries")
-        unit = tuple(_scalar(f, x, f"{path}.unit[{i}]")
-                     for i, x in enumerate(unit))
-        return make_algebra(f, dim, mult, unit)
+        return make_algebra(f, dim, arr("mult", dim, dim, dim),
+                            arr("unit", dim, typ=list))
     if kind == "algebra_map":
-        src = ws.get(_expect(data, "source", path, str), Algebra, path)
-        tgt = ws.get(_expect(data, "target", path, str), Algebra, path)
-        mat = _matrix(f, _expect(data, "matrix", path), tgt.dim, src.dim,
-                      f"{path}.matrix")
-        return make_algebra_map(src, tgt, mat)
+        src, tgt = ref("source", Algebra), ref("target", Algebra)
+        return make_algebra_map(src, tgt, mat("matrix", tgt.dim, src.dim))
     if kind == "coalgebra":
         dim = _dim(data, path)
-        delta = _matrix(f, _expect(data, "delta", path), dim * dim, dim,
-                        f"{path}.delta")
-        eps = _matrix(f, _expect(data, "eps", path), 1, dim, f"{path}.eps")
-        return make_coalgebra(f, dim, delta, eps)
+        return make_coalgebra(f, dim, mat("delta", dim * dim, dim),
+                              mat("eps", 1, dim))
     if kind == "coring":
-        a = ws.get(_expect(data, "algebra", path, str), Algebra, path)
+        a = ref("algebra", Algebra)
         dim = _dim(data, path)
-        lact = _matrix(f, _expect(data, "lact", path), dim, a.dim * dim,
-                       f"{path}.lact")
-        ract = _matrix(f, _expect(data, "ract", path), dim, dim * a.dim,
-                       f"{path}.ract")
-        delta_lift = _matrix(f, _expect(data, "delta_lift", path),
-                             dim * dim, dim, f"{path}.delta_lift")
-        eps = _matrix(f, _expect(data, "eps", path), a.dim, dim,
-                      f"{path}.eps")
+        lact = mat("lact", dim, a.dim * dim)
+        ract = mat("ract", dim, dim * a.dim)
+        delta_lift = mat("delta_lift", dim * dim, dim)
+        eps = mat("eps", a.dim, dim)
         cbim = bimodule_from_actions(a, a, dim, lact, ract)
         return make_coring(a, cbim, delta_lift, eps)
     if kind == "trivial_coring":
-        a = ws.get(_expect(data, "algebra", path, str), Algebra, path)
-        return trivial_coring(a)
+        return trivial_coring(ref("algebra", Algebra))
     if kind == "sweedler_coring":
-        iota = ws.get(_expect(data, "iota", path, str), AlgebraMap, path)
-        return sweedler_coring(iota)
+        return sweedler_coring(ref("iota", AlgebraMap))
     if kind == "coalgebra_coring":
-        cg = ws.get(_expect(data, "coalgebra", path, str), Coalgebra, path)
-        return coalgebra_to_coring(cg)
+        return coalgebra_to_coring(ref("coalgebra", Coalgebra))
     if kind == "entwining_coring":
-        a = ws.get(_expect(data, "algebra", path, str), Algebra, path)
-        cg = ws.get(_expect(data, "coalgebra", path, str), Coalgebra, path)
-        psi = _matrix(f, _expect(data, "psi", path), a.dim * cg.dim,
-                      cg.dim * a.dim, f"{path}.psi")
+        a, cg = ref("algebra", Algebra), ref("coalgebra", Coalgebra)
+        psi = mat("psi", a.dim * cg.dim, cg.dim * a.dim)
         return entwining_coring(Entwining(a, cg, psi))
     if kind == "comodule":
-        c = ws.get(_expect(data, "coring", path, str), Coring, path)
+        c = ref("coring", Coring)
         dim = _dim(data, path)
-        act = _matrix(f, _expect(data, "act", path), dim, dim * c.A.dim,
-                      f"{path}.act")
-        rho = _matrix(f, _expect(data, "rho_lift", path), dim * c.dim, dim,
-                      f"{path}.rho_lift")
+        act = mat("act", dim, dim * c.A.dim)
+        rho = mat("rho_lift", dim * c.dim, dim)
         return make_comodule(c, RightModule(c.A, dim, act), rho)
     if kind == "colinear_map":
-        src = ws.get(_expect(data, "source", path, str), Comodule, path)
-        tgt = ws.get(_expect(data, "target", path, str), Comodule, path)
-        mat = _matrix(f, _expect(data, "matrix", path), tgt.dim, src.dim,
-                      f"{path}.matrix")
-        check_colinear(mat, src, tgt).raise_if_failed()
-        return ColinearMap(src, tgt, mat)
+        src, tgt = ref("source", Comodule), ref("target", Comodule)
+        m = mat("matrix", tgt.dim, src.dim)
+        check_colinear(m, src, tgt).raise_if_failed()
+        return ColinearMap(src, tgt, m)
     if kind == "measuring":
-        c = ws.get(_expect(data, "coring", path, str), Coring, path)
-        b = ws.get(_expect(data, "algebra", path, str), Algebra, path)
-        nu = _matrix(f, _expect(data, "nu", path), c.A.dim, c.dim * b.dim,
-                     f"{path}.nu")
-        return make_measuring(c, b, nu)
+        c, b = ref("coring", Coring), ref("algebra", Algebra)
+        return make_measuring(c, b, mat("nu", c.A.dim, c.dim * b.dim))
     if kind == "extension":
-        c = ws.get(_expect(data, "c", path, str), Coring, path)
-        d = ws.get(_expect(data, "d", path, str), Coring, path)
-        ract = _matrix(f, _expect(data, "ract", path), c.dim,
-                       c.dim * d.A.dim, f"{path}.ract")
-        sigma = _matrix(f, _expect(data, "sigma_lift", path),
-                        c.dim * d.dim, c.dim, f"{path}.sigma_lift")
-        return make_extension(c, d, ract, sigma)
+        c, d = ref("c", Coring), ref("d", Coring)
+        ract = mat("ract", c.dim, c.dim * d.A.dim)
+        return make_extension(c, d, ract,
+                              mat("sigma_lift", c.dim * d.dim, c.dim))
     if kind == "identity_extension":
-        c = ws.get(_expect(data, "coring", path, str), Coring, path)
-        return identity_extension(c)
+        return identity_extension(ref("coring", Coring))
     if kind == "extension_from_coring_map":
-        c = ws.get(_expect(data, "c", path, str), Coring, path)
-        d = ws.get(_expect(data, "d", path, str), Coring, path)
-        gamma = _matrix(f, _expect(data, "gamma", path), d.dim, c.dim,
-                        f"{path}.gamma")
-        return extension_from_coring_map(gamma, c, d)
+        c, d = ref("c", Coring), ref("d", Coring)
+        return extension_from_coring_map(mat("gamma", d.dim, c.dim), c, d)
     if kind == "descent_datum":
-        iota = ws.get(_expect(data, "iota", path, str), AlgebraMap, path)
+        iota = ref("iota", AlgebraMap)
         dim = _dim(data, path)
         a = iota.target
-        act = _matrix(f, _expect(data, "act", path), dim, dim * a.dim,
-                      f"{path}.act")
-        flift = _matrix(f, _expect(data, "f_lift", path), dim * a.dim, dim,
-                        f"{path}.f_lift")
+        act = mat("act", dim, dim * a.dim)
+        flift = mat("f_lift", dim * a.dim, dim)
         return make_descent_datum(iota, RightModule(a, dim, act), flift)
     if kind == "cor28":
-        iota_b = ws.get(_expect(data, "iota_B", path, str), AlgebraMap, path)
-        iota_a = ws.get(_expect(data, "iota_A", path, str), AlgebraMap, path)
-        a = iota_a.target
-        b = iota_a.source
-        rho = _matrix(f, _expect(data, "rho_A", path), a.dim, a.dim * b.dim,
-                      f"{path}.rho_A")
-        phi = _matrix(f, _expect(data, "phi_lift", path),
-                      a.dim * a.dim * b.dim, a.dim, f"{path}.phi_lift")
+        iota_b, iota_a = ref("iota_B", AlgebraMap), ref("iota_A", AlgebraMap)
+        a, b = iota_a.target, iota_a.source
+        rho = mat("rho_A", a.dim, a.dim * b.dim)
+        phi = mat("phi_lift", a.dim * a.dim * b.dim, a.dim)
         data28 = Cor28Data(iota_b, iota_a, rho, phi)
         check_cor28(data28).raise_if_failed()
         return data28
@@ -277,30 +246,20 @@ def parse_workspace(text: str) -> Workspace:
     if not isinstance(objects, dict):
         raise SchemaError("$.objects", "expected a JSON object")
     for name, obj in objects.items():
-        ws.objects[name] = _parse_object(ws, name, obj,
-                                         f"$.objects.{name}")
+        ws.objects[name] = _parse_object(ws, obj, f"$.objects.{name}")
     return ws
 
 
 # -- rendering ---------------------------------------------------------
 
 
-def _render_matrix(field, m: Mat):
-    return [[field.render(x) for x in row] for row in m.entries]
-
-
-def _render_vec(field, v):
-    return [field.render(x) for x in v]
-
-
-def _render_tensor3(field, t):
-    return [[[field.render(x) for x in row] for row in sl] for sl in t]
-
-
-def _comodule_report(field, m: Comodule):
-    return {"dim": m.dim,
-            "act": _render_matrix(field, m.M.act),
-            "rho_lift": _render_matrix(field, m.rho_lift)}
+def _render(field, x):
+    """JSON form of a scalar, or of a ``Mat`` or tuple, entry by entry."""
+    if isinstance(x, Mat):
+        x = x.entries
+    if isinstance(x, tuple):
+        return [_render(field, y) for y in x]
+    return field.render(x)
 
 
 # -- commands ----------------------------------------------------------
@@ -328,28 +287,29 @@ def cmd_dualring(ws: Workspace, args) -> dict:
     f = ws.field
     return {"command": "dualring", "coring": args.coring,
             "dim": dr.dim,
-            "mult": _render_tensor3(f, dr.alg.mult),
-            "unit": _render_vec(f, dr.alg.unit),
-            "basis": [_render_matrix(f, b) for b in dr.basis]}
+            "mult": _render(f, dr.alg.mult),
+            "unit": _render(f, dr.alg.unit),
+            "basis": _render(f, dr.basis)}
 
 
 def cmd_enumerate_measurings(ws: Workspace, args) -> dict:
     c = ws.get(args.coring, Coring, "--coring")
     b = ws.get(args.algebra, Algebra, "--algebra")
     ms = enumerate_measurings(c, b)
-    f = ws.field
     return {"command": "enumerate-measurings", "coring": args.coring,
             "algebra": args.algebra, "count": len(ms),
-            "measurings": [_render_matrix(f, m.nu) for m in ms]}
+            "measurings": [_render(ws.field, m.nu) for m in ms]}
 
 
 def cmd_induce(ws: Workspace, args) -> dict:
     e = ws.get(args.extension, CoringExtension, "--extension")
     m = ws.get(args.comodule, Comodule, "--comodule")
     out = induced_coaction(e, m)
+    f = ws.field
     return {"command": "induce", "extension": args.extension,
             "comodule": args.comodule,
-            "result": _comodule_report(ws.field, out)}
+            "result": {"dim": out.dim, "act": _render(f, out.M.act),
+                       "rho_lift": _render(f, out.rho_lift)}}
 
 
 def cmd_apply(ws: Workspace, args) -> dict:
@@ -358,7 +318,7 @@ def cmd_apply(ws: Workspace, args) -> dict:
     out = apply_functor(e, g.matrix, g.source, g.target)
     return {"command": "apply", "extension": args.extension,
             "map": args.map, "ok": True,
-            "matrix": _render_matrix(ws.field, out)}
+            "matrix": _render(ws.field, out)}
 
 
 def cmd_compose(ws: Workspace, args) -> dict:
@@ -368,8 +328,8 @@ def cmd_compose(ws: Workspace, args) -> dict:
     f = ws.field
     return {"command": "compose", "first": args.first,
             "second": args.second,
-            "ract": _render_matrix(f, out.ract),
-            "sigma_lift": _render_matrix(f, out.sigma_lift)}
+            "ract": _render(f, out.ract),
+            "sigma_lift": _render(f, out.sigma_lift)}
 
 
 def cmd_descent(ws: Workspace, args) -> dict:
@@ -382,8 +342,8 @@ def cmd_descent(ws: Workspace, args) -> dict:
         f = ws.field
         report["datum"] = args.datum
         report["result"] = {"dim": out.M.dim,
-                            "act": _render_matrix(f, out.M.act),
-                            "f_lift": _render_matrix(f, out.f_lift)}
+                            "act": _render(f, out.M.act),
+                            "f_lift": _render(f, out.f_lift)}
     return report
 
 
@@ -456,14 +416,19 @@ def _error_report(command, exc, code) -> dict:
 def _read_workspace(path, stdin) -> str:
     """The workspace text from ``path``, or from stdin if it is None.
 
-    Bytes that do not decode are a schema error at ``$``.
+    Text that is not strict UTF-8 is a schema error at ``$``: undecodable
+    file bytes, and the surrogate escapes that stdin yields for them where
+    Python reads it with ``surrogateescape``.
     """
     try:
         if path is None:
-            return stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
+            text = stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        text.encode("utf-8")
+        return text
+    except UnicodeError as exc:
         raise SchemaError("$", f"invalid UTF-8: {exc}")
 
 
@@ -474,7 +439,7 @@ def run(argv=None, stdin=None, stdout=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
+        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     set_guards(DEFAULT_MAX_DIM if args.max_dim is None else args.max_dim,
                DEFAULT_MAX_ENUM if args.max_enum is None else args.max_enum)
     command = args.command
@@ -484,21 +449,10 @@ def run(argv=None, stdin=None, stdout=None) -> int:
         report["ok"] = report.get("ok", True)
         _emit(report, stdout)
         return EXIT_OK
-    except SizeLimit as exc:
-        _emit(_error_report(command, exc, EXIT_SIZE), stdout)
-        return EXIT_SIZE
-    except MATH_ERRORS as exc:
-        _emit(_error_report(command, exc, EXIT_MATH), stdout)
-        return EXIT_MATH
-    except INPUT_ERRORS as exc:
-        _emit(_error_report(command, exc, EXIT_INPUT), stdout)
-        return EXIT_INPUT
-    except OSError as exc:
-        _emit(_error_report(command, exc, EXIT_INPUT), stdout)
-        return EXIT_INPUT
-    except CoringError as exc:
-        _emit(_error_report(command, exc, EXIT_MATH), stdout)
-        return EXIT_MATH
+    except (CoringError, OSError) as exc:
+        code = next(c for types, c in EXIT_CODES if isinstance(exc, types))
+        _emit(_error_report(command, exc, code), stdout)
+        return code
 
 
 def main() -> None:

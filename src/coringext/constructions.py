@@ -7,15 +7,13 @@ from typing import List
 
 from ._record import frozen
 from ._search import affine_solutions, coords, enumerate_affine
-from .errors import (AxiomViolation, DimensionMismatch, DualBasisInvalid,
-                     SizeLimit)
+from .errors import AxiomViolation, DimensionMismatch, DualBasisInvalid
 from .exactla import FieldSpec, Mat, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
                      bimodule_from_actions, left_regular, make_algebra,
                      make_algebra_map, regular_bimodule, restrict_left,
                      restrict_right, right_regular)
-from .coring import (Coring, DualRing, dual_coords, dual_element, dual_ring,
-                     make_coring)
+from .coring import Coring, DualRing, dual_coords, dual_ring, make_coring
 from .exactla import QuotientSpace
 from .tensorcat import tensor_over
 from .verdict import Verdict
@@ -59,22 +57,13 @@ def sweedler_coring(iota: AlgebraMap) -> Coring:
     insert = ia.kron(u).kron(u).kron(ia)  # x (x) y -> x (x) 1 (x) 1 (x) y
     delta_amb = q.projection.kron(q.projection) @ insert
     cc = tensor_over(a, cbim.right_module(), cbim.left_module())
-    delta_lift = _descend_into(cc.proj, delta_amb, q)
-    if delta_lift is None:
+    delta = q.descends(cc.proj @ delta_amb)
+    if delta is None:
         raise AxiomViolation("sweedler-coproduct-not-balanced")
     eps = q.descends(a.mult_mat)
     if eps is None:
         raise AxiomViolation("sweedler-counit-not-balanced")
-    return make_coring(a, cbim, delta_lift, eps)
-
-
-def _descend_into(target_proj: Mat, amb_map: Mat, q: QuotientSpace):
-    """Descend a map out of q's ambient whose codomain is itself the
-    ambient of a quotient: well-definedness is tested after projecting
-    the codomain.  Returns a lift (via q's section) or None."""
-    if not (target_proj @ amb_map @ q.relations.transpose()).is_zero:
-        return None
-    return amb_map @ q.section
+    return make_coring(a, cbim, cc.sect @ delta, eps)
 
 
 # -- coalgebras ------------------------------------------------------
@@ -234,15 +223,14 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
             Mat.column(f, star_coords(g_i))).kron(i_s)
         delta_amb = delta_amb + term
     cc = tensor_over(a, cbim.right_module(), cbim.left_module())
-    delta_lift = _descend_into(
-        cc.proj, q.projection.kron(q.projection) @ delta_amb, q)
-    if delta_lift is None:
+    delta = q.descends(cc.proj @ q.projection.kron(q.projection) @ delta_amb)
+    if delta is None:
         raise AxiomViolation("comatrix-coproduct-not-balanced")
     eval_cols = [star[t].col(j) for t in range(ns) for j in range(sigma.dim)]
     eps = q.descends(Mat.from_cols(f, eval_cols))
     if eps is None:
         raise AxiomViolation("comatrix-counit-not-balanced")
-    return make_coring(a, cbim, delta_lift, eps)
+    return make_coring(a, cbim, cc.sect @ delta, eps)
 
 
 # -- entwining structures --------------------------------------------

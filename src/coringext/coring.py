@@ -13,7 +13,7 @@ from ._search import _combine, affine_solutions, coords
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, kernel, memoised
 from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _first_diff,
-                     check_bimodule, make_algebra, regular_bimodule)
+                     check_bimodule, make_algebra)
 from .tensorcat import (TensorOverAlg, balanced_quotient,
                         left_action_on_quotient, right_action_on_quotient,
                         tensor_over)

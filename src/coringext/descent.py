@@ -10,12 +10,11 @@ structure on A itself pushes Desc(A|B) forward to Desc(B|D).
 from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (Algebra, AlgebraMap, RightModule, check_right_module,
-                     left_regular, restrict_left, restrict_right,
-                     right_regular)
-from .coring import Comodule, Coring, make_comodule
+from .algmod import (AlgebraMap, RightModule, check_right_module,
+                     left_regular, restrict_left, restrict_right)
+from .coring import Comodule, make_comodule
 from .constructions import sweedler_coring, sweedler_space
-from .extension import CoringExtension, check_coring_extension, make_extension
+from .extension import CoringExtension, _cd, check_coring_extension
 from .tensorcat import balanced_quotient, tensor_over
 from .verdict import Verdict
 
@@ -248,18 +247,21 @@ def check_cor28(data: Cor28Data) -> Verdict:
     if lhs != rhs:
         return Verdict.reject("diagram-c")
     try:
-        ext = cor28_extension(data, _checked=False)
+        ext = _assemble(data)
     except AxiomViolation as exc:
         return Verdict.reject("assembled-extension-" + exc.kind,
                               exc.witness)
     return check_coring_extension(ext)
 
 
-def cor28_extension(data: Cor28Data, _checked: bool = True
-                    ) -> CoringExtension:
-    """Assemble the coring extension of the Sweedler corings of the tower."""
-    if _checked:
-        check_cor28(data).raise_if_failed()
+def cor28_extension(data: Cor28Data) -> CoringExtension:
+    """The coring extension of the Sweedler corings of the tower."""
+    check_cor28(data).raise_if_failed()
+    return _assemble(data)
+
+
+def _assemble(data: Cor28Data) -> CoringExtension:
+    """The extension of ``data``, with sigma's canonical lift, unchecked."""
     a = data.iota_A.target
     b = data.iota_B.target
     f = a.field
@@ -276,14 +278,8 @@ def cor28_extension(data: Cor28Data, _checked: bool = True
     sigma = qc.descends(g)
     if sigma is None:
         raise AxiomViolation("coaction-not-balanced")
-    if _checked:
-        return make_extension(c, d, ract, sigma)
-    return CoringExtension(c, d, ract, _canon_sigma(c, d, ract, sigma))
-
-
-def _canon_sigma(c: Coring, d: Coring, ract: Mat, sigma: Mat) -> Mat:
-    from .extension import _cd
-    return _cd(d.A, ract, d.C).canonical_lift(sigma)
+    return CoringExtension(c, d, ract,
+                           _cd(d.A, ract, d.C).canonical_lift(sigma))
 
 
 def descent_functor(data: Cor28Data, d: DescentDatum) -> DescentDatum:

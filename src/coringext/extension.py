@@ -15,10 +15,9 @@ from .errors import (AxiomViolation, DimensionMismatch, MiddleMismatch,
 from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule,
                      check_right_module, make_algebra_map)
-from .coring import (Comodule, Coring, DualRing, check_bicomodule,
-                     check_colinear, check_comodule, dual_coords,
-                     dual_element, dual_ring, make_comodule)
-from .tensorcat import balanced_quotient, tensor_over
+from .coring import (Comodule, Coring, check_bicomodule, check_colinear,
+                     dual_coords, dual_element, dual_ring, make_comodule)
+from .tensorcat import balanced_quotient
 from .verdict import Verdict
 from ._search import enumerate_affine
 

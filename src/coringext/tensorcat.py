@@ -125,10 +125,7 @@ def induced_map(f: Mat, src: QuotientSpace, dst: QuotientSpace):
     """
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise DimensionMismatch("ambient shapes do not match the quotients")
-    moved = dst.projection @ f @ src.relations.transpose()
-    if not moved.is_zero:
-        return None
-    return dst.projection @ f @ src.section
+    return src.descends(dst.projection @ f)
 
 
 def right_action_on_quotient(t: TensorOverAlg, ract_n: Mat, algR: Algebra) -> Mat:

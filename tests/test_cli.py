@@ -178,6 +178,16 @@ class TestExitCodes:
         err = json.loads(out.getvalue())["error"]
         assert err["type"] == "SchemaError" and err["path"] == "$"
 
+    def test_stdin_not_utf8(self):
+        # where stdin is decoded with surrogateescape, a byte 0xff in an
+        # object name arrives as the lone surrogate U+DCFF
+        text = MINIMAL.replace('"k":', '"k\udcff":')
+        assert text != MINIMAL
+        code, out = run_cli(["check"], text)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "SchemaError" and err["path"] == "$"
+
     def test_unknown_object_in_command(self):
         code, out = run_cli(["dualring", "--coring", "nope"], MINIMAL)
         assert code == 2

@@ -12,7 +12,7 @@ from coringext.descent import (Cor28Data, DescentDatum, check_cor28,
                                comodule_to_descent, cor28_extension,
                                descent_functor, descent_to_comodule,
                                make_descent_datum)
-from coringext.extension import check_coring_extension
+from coringext.extension import check_coring_extension, make_extension
 from coringext.fixtures import c2_group_algebra, d2_algebra, unit_map
 
 
@@ -149,6 +149,26 @@ class TestCor28:
             v = check_cor28(data)
             assert bool(v) == bool(
                 check_coring_extension(cor28_extension(data)))
+
+    def test_extension_checked_once(self, monkeypatch):
+        import coringext.descent as descent
+        import coringext.extension as extension
+        real = extension.check_coring_extension
+        calls = []
+
+        def counting(e):
+            calls.append(e)
+            return real(e)
+
+        monkeypatch.setattr(descent, "check_coring_extension", counting)
+        monkeypatch.setattr(extension, "check_coring_extension", counting)
+        for data in (cor28_accept(), cor28_collapse()):
+            calls.clear()
+            ext = cor28_extension(data)
+            assert len(calls) == 1
+            # sigma comes back in the canonical lift make_extension gives it
+            assert ext == make_extension(ext.c, ext.d, ext.ract,
+                                         ext.sigma_lift)
 
 
 class TestDescentFunctor:
