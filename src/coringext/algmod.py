@@ -35,25 +35,6 @@ class Algebra:
     def unit_col(self) -> Mat:
         return Mat.column(self.field, self.unit)
 
-    def product(self, u: tuple, v: tuple) -> tuple:
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, a in enumerate(u):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(v):
-                if b == f.zero:
-                    continue
-                ab = f.mul(a, b)
-                for l in range(self.dim):
-                    c = self.mult[i][j][l]
-                    if c != f.zero:
-                        out[l] = f.add(out[l], f.mul(ab, c))
-        return tuple(out)
-
-    def basis_product(self, i: int, j: int) -> tuple:
-        return tuple(self.mult[i][j])
-
 
 def _coerce_tensor3(field, t, d0, d1, d2, what):
     if len(t) != d0:
@@ -84,20 +65,21 @@ def make_algebra(field: FieldSpec, dim: int, mult, unit) -> Algebra:
 
 
 def check_algebra(a: Algebra) -> Verdict:
-    basis = [tuple(a.field.one if t == i else a.field.zero
-                   for t in range(a.dim)) for i in range(a.dim)]
-    for i in range(a.dim):
-        if a.product(a.unit, basis[i]) != basis[i] or \
-                a.product(basis[i], a.unit) != basis[i]:
-            return Verdict.reject("unitality", (i,))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            eij = a.basis_product(i, j)
-            for l in range(a.dim):
-                lhs = a.product(eij, basis[l])
-                rhs = a.product(basis[i], a.basis_product(j, l))
-                if lhs != rhs:
-                    return Verdict.reject("associativity", (i, j, l))
+    """Unitality, then associativity, as identities of maps on the basis.
+
+    A unitality witness is the first index i with 1 e_i != e_i or
+    e_i 1 != e_i; an associativity witness is the first (i, j, l) in
+    row-major order with (e_i e_j) e_l != e_i (e_j e_l).
+    """
+    ia = Mat.identity(a.field, a.dim)
+    m = a.mult_mat
+    ws = [w for w in (_first_diff(m @ a.unit_col.kron(ia), ia),
+                      _first_diff(m @ ia.kron(a.unit_col), ia)) if w]
+    if ws:
+        return Verdict.reject("unitality", min(ws))
+    w = _first_diff(m @ m.kron(ia), m @ ia.kron(m), (a.dim,) * 3)
+    if w is not None:
+        return Verdict.reject("associativity", w)
     return Verdict.accept()
 
 
@@ -117,13 +99,10 @@ def check_algebra_map(f: AlgebraMap) -> Verdict:
         raise DimensionMismatch("algebra map matrix has wrong shape")
     if m.apply(f.source.unit) != f.target.unit:
         return Verdict.reject("unit-not-preserved", ())
-    for i in range(f.source.dim):
-        fi = m.col(i)
-        for j in range(f.source.dim):
-            lhs = m.apply(f.source.basis_product(i, j))
-            rhs = f.target.product(fi, m.col(j))
-            if lhs != rhs:
-                return Verdict.reject("not-multiplicative", (i, j))
+    w = _first_diff(m @ f.source.mult_mat, f.target.mult_mat @ m.kron(m),
+                    (f.source.dim,) * 2)
+    if w is not None:
+        return Verdict.reject("not-multiplicative", w)
     return Verdict.accept()
 
 

@@ -30,7 +30,7 @@ from .coring import (Comodule, Coring, dual_ring, make_comodule, make_coring,
 from .constructions import (Coalgebra, Entwining, coalgebra_to_coring,
                             entwining_coring, make_coalgebra, sweedler_coring,
                             trivial_coring)
-from .descent import (Cor28Data, DescentDatum, check_cor28, descent_functor,
+from .descent import (Cor28Data, DescentDatum, _descend, check_cor28,
                       make_descent_datum)
 from .extension import (CoringExtension, apply_functor, compose_extensions,
                         enumerate_measurings, extension_from_coring_map,
@@ -338,7 +338,7 @@ def cmd_descent(ws: Workspace, args) -> dict:
               "verdict": "accept"}
     if args.datum is not None:
         d = ws.get(args.datum, DescentDatum, "--datum")
-        out = descent_functor(data, d)
+        out = _descend(data, d)  # the parser checked data
         f = ws.field
         report["datum"] = args.datum
         report["result"] = {"dim": out.M.dim,

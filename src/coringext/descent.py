@@ -284,9 +284,15 @@ def _assemble(data: Cor28Data) -> CoringExtension:
 
 def descent_functor(data: Cor28Data, d: DescentDatum) -> DescentDatum:
     """Push a descent datum for iota_A down to one for iota_B."""
+    check_cor28(data).raise_if_failed()
+    return _descend(data, d)
+
+
+def _descend(data: Cor28Data, d: DescentDatum) -> DescentDatum:
+    """``descent_functor`` on data that ``check_cor28`` has accepted."""
     if d.iota != data.iota_A:
         raise DimensionMismatch("descent datum is for a different map")
-    ext = cor28_extension(data)
+    ext = _assemble(data)
     from .extension import induced_coaction
     com = descent_to_comodule(d)
     pushed = induced_coaction(ext, com)

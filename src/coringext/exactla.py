@@ -4,7 +4,9 @@ Scalars are plain ints in ``range(p)`` for GF(p) and ``fractions.Fraction``
 for the rationals, so every computation in the library is exact.  A matrix
 is stored as sparse rows, one ``{column: value}`` dict per row that never
 holds a zero, and every operation touches nonzeros only; the dense
-row-major ``entries`` tuple is derived from the rows on demand.  All
+row-major ``entries`` tuple is derived from the rows on demand.  Over the
+rationals, ``@`` and ``rref`` run on integer rows (a row times the lcm of
+its denominators) and build one ``Fraction`` per nonzero output entry.  All
 echelon forms use lowest-index pivot selection, which makes every output
 canonical: two inputs with the same row space produce bit-identical
 results.
@@ -17,6 +19,7 @@ product of maps.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Optional, Union
 
 from ._record import frozen
@@ -91,6 +94,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_Q0, _Q1 = Fraction(0), Fraction(1)  # immutable, so shared
+
+
 @frozen
 class FieldSpec:
     """Base field: GF(p) for a prime p, or the rationals (p is None).
@@ -118,11 +124,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _Q0
 
     @property
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return 1 if self.p is not None else _Q1
 
     def of(self, x) -> Union[int, Fraction]:
         """Coerce an int, Fraction or string into the field.
@@ -165,11 +171,11 @@ class FieldSpec:
         return (-a) % self.p if self.p is not None else -a
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.p is not None:
             return pow(a, self.p - 2, self.p)
-        return Fraction(1) / a
+        return _Q1 / a
 
     def elements(self):
         """All field elements in canonical order 0 < 1 < ... < p-1."""
@@ -217,6 +223,46 @@ def _scaled(row: dict, c, p: Optional[int]) -> dict:
     if p is None:
         return {k: c * x for k, x in row.items()}
     return {k: c * x % p for k, x in row.items()}
+
+
+def _int_row(row: dict):
+    """``(numerators, d)`` with ``row = numerators / d`` over Q, where d is
+    the lcm of the denominators of the row's entries."""
+    d = lcm(*[x.denominator for x in row.values()])
+    return {k: x.numerator * (d // x.denominator)
+            for k, x in row.items()}, d
+
+
+def _clear(v: dict, c, b: dict, p: Optional[int]) -> None:
+    """``v = b[c]*v - v[c]*b`` in place, which clears column c of v.
+
+    Over GF(p) ``b[c]`` is 1.  Over Q both rows are integer rows, and the
+    two multipliers are cut by their gcd.
+    """
+    x = v[c]
+    if p is None:
+        y = b[c]
+        g = gcd(x, y)
+        x, y = x // g, y // g
+        if y != 1:
+            for k in v:
+                v[k] *= y
+    _addmul(v, -x, b, p)
+
+
+def _normalise(v: dict, c, f: FieldSpec) -> None:
+    """Scale ``v`` in place: over GF(p) to 1 at column c, over Q to a
+    primitive integer row."""
+    p = f.p
+    if p is None:
+        s = gcd(*v.values())
+        if s != 1:
+            for k in v:
+                v[k] //= s
+    elif v[c] != 1:
+        s = f.inv(v[c])
+        for k in v:
+            v[k] = v[k] * s % p
 
 
 class Mat:
@@ -322,15 +368,26 @@ class Mat:
                 f"{other.rows}x{other.cols}")
         p = self.field.p
         brows = other.sparse_rows
+        if p is None:
+            # row j of other as integers n_j over d_j: a * b_j = a / d_j * n_j
+            ints = {j: _int_row(brows[j])
+                    for j in set().union(*self.sparse_rows)}
+            brows = {j: n for j, (n, _) in ints.items()}
         out = []
         for arow in self.sparse_rows:
+            if p is None:
+                # each a / d_j as an integer over the common denominator
+                qs = {j: a.denominator * ints[j][1] for j, a in arow.items()}
+                den = lcm(*qs.values())
+                arow = {j: a.numerator * (den // qs[j])
+                        for j, a in arow.items()}
             acc = {}
             get = acc.get
             for j, a in arow.items():
                 for k, b in brows[j].items():
                     acc[k] = get(k, 0) + a * b
             if p is None:
-                out.append({k: x for k, x in acc.items() if x})
+                out.append({k: Fraction(x, den) for k, x in acc.items() if x})
             else:
                 out.append({k: x % p for k, x in acc.items() if x % p})
         return _new(self.field, self.rows, other.cols, tuple(out))
@@ -428,25 +485,28 @@ def rref(m: Mat):
     every pivot so far, its lowest column becomes a pivot, and that column
     is cleared from the earlier rows.  A row's columns never lie below its
     pivot, and the reduced echelon form of a row space is unique.
+
+    Over GF(p) each basis row is scaled to 1 at its pivot.  Over Q the
+    basis rows are integer rows with content 1, eliminated fraction-free
+    (as in Bareiss 1968), and each is divided by its pivot once at the end.
     """
     f = m.field
     p = f.p
-    piv = {}  # pivot column -> reduced row with a 1 there
+    piv = {}  # pivot column -> reduced row
     holders = {}  # column -> pivot columns whose rows may hold it
     for src in m.sparse_rows:
-        v = dict(src)
+        v = dict(src) if p is not None else _int_row(src)[0]
         for c in [c for c in v if c in piv]:
-            _addmul(v, -v[c], piv[c], p)
+            _clear(v, c, piv[c], p)
         if not v:
             continue
         c = min(v)
-        inv = f.inv(v[c])
-        if inv != 1:
-            v = _scaled(v, inv, p)
+        _normalise(v, c, f)
         for pc in holders.pop(c, ()):
             row = piv[pc]
             if c in row:
-                _addmul(row, -row[c], v, p)
+                _clear(row, c, v, p)
+                _normalise(row, pc, f)
                 for k in v:
                     holders.setdefault(k, set()).add(pc)
         piv[c] = v
@@ -455,7 +515,11 @@ def rref(m: Mat):
         if len(piv) == m.cols:
             break
     pivots = tuple(sorted(piv))
-    return _new(f, len(pivots), m.cols, tuple(piv[c] for c in pivots)), pivots
+    rows = tuple(piv[c] for c in pivots)
+    if p is None:
+        rows = tuple({k: Fraction(x, r[c]) for k, x in r.items()}
+                     for c, r in zip(pivots, rows))
+    return _new(f, len(pivots), m.cols, rows), pivots
 
 
 def rank(m: Mat) -> int:

@@ -292,6 +292,23 @@ class TestCommands:
         assert report["verdict"] == "accept"
         assert report["result"]["dim"] == 2
 
+    def test_descent_checks_cor28_once(self, monkeypatch):
+        import coringext.cli as cli
+        import coringext.descent as descent
+        real = descent.check_cor28
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(cli, "check_cor28", counting)
+        monkeypatch.setattr(descent, "check_cor28", counting)
+        code, _ = run_cli(["descent", "--cor28", "C28", "--datum", "dat"],
+                          self._descent_ws())
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self):

@@ -150,7 +150,9 @@ class TestTwistedConvolution:
         # for the flip entwining this is pointwise-on-group-likes product
         for x in range(2):
             col = tuple(GF2.one if t == x else GF2.zero for t in range(2))
-            expected = e.A.product(f.apply(col), g.apply(col))
+            fx, gx = f.apply(col), g.apply(col)
+            expected = e.A.mult_mat.apply(
+                tuple(GF2.mul(a, b) for a in fx for b in gx))
             assert prod.apply(col) == expected
 
 

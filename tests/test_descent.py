@@ -193,6 +193,14 @@ class TestDescentFunctor:
         ident = Mat.identity(GF2, d.M.dim)
         assert bool(check_descent_morphism(out, out, ident))
 
+    def test_unchecked_data_rejected(self):
+        good = cor28_accept()
+        bad = Cor28Data(good.iota_B, good.iota_A, good.rho_A,
+                        Mat.zero(GF2, 4, 2))
+        with pytest.raises(AxiomViolation) as err:
+            descent_functor(bad, canonical_datum(good.iota_A))
+        assert err.value.kind == "diagram-a"
+
     def test_wrong_iota_rejected(self):
         data = cor28_accept()
         other = canonical_datum(iota_cases()[2])

@@ -234,3 +234,74 @@ def test_equal_matrices_hash_equal(case):
     for group in (ident, zero):
         for other in group:
             assert other == group[0] and hash(other) == hash(group[0])
+
+
+# -- the rationals with wide scalars -----------------------------------
+
+
+def wide_rows(nrows, ncols, density, rng):
+    """Rows over Q with numerators up to 10^6 and denominators up to 10^4.
+
+    About a third of the rows are integer multiples of an earlier row, and
+    the leading entry of a fresh row is negative half of the time.
+    """
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            k = rng.choice([-7, -2, -1, 2, 3, 10 ** 6])
+            rows.append([k * x for x in rng.choice(rows)])
+            continue
+        row = [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                        rng.randint(1, 10 ** 4))
+               if rng.random() < density else QQ.zero for _ in range(ncols)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None and rng.random() < 0.5:
+            row[lead] = -abs(row[lead])
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def wide_cases(draw):
+    shape = [draw(st.integers(0, 8)) for _ in range(3)]
+    density = draw(st.sampled_from(DENSITIES))
+    return shape, density, random.Random(draw(st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_cases())
+def test_rationals_with_wide_scalars(case):
+    (nr, nc, nk), density, rng = case
+    f = QQ
+    rows = wide_rows(nr, nc, density, rng)
+    m = check_sparse(Mat(f, nr, nc, dense(rows)))
+    red, pivots = rref(m)
+    ref_red, ref_piv = ref_rref(f, rows, nc)
+    assert check_sparse(red).entries == dense(ref_red)
+    assert pivots == tuple(ref_piv)
+    assert all(type(x) is Fraction
+               for r in red.sparse_rows for x in r.values())
+    assert check_sparse(kernel(m)).entries == dense(ref_kernel(f, rows, nc))
+
+    q = quotient(f, nc, m)
+    assert check_sparse(q.projection).entries == dense(
+        ref_null(f, ref_red, ref_piv, nc))
+    free = [c for c in range(nc) if c not in ref_piv]
+    assert check_sparse(q.section).entries == dense(
+        [[f.one if i == fc else f.zero for fc in free] for i in range(nc)])
+
+    xs = wide_rows(1, nc, density, rng)[0]
+    reachable = tuple(r[0] for r in ref_matmul(
+        f, rows, [[x] for x in xs], nc, 1))
+    for target in (reachable, tuple(wide_rows(1, nr, density, rng)[0])):
+        x = solve(m, target)
+        ref = ref_solve(f, rows, nc, target)
+        assert (x is None) == (ref is None)
+        if ref is not None:
+            assert x == tuple(ref)
+
+    b = wide_rows(nc, nk, density, rng)
+    prod = check_sparse(m @ Mat(f, nc, nk, dense(b)))
+    assert prod.entries == dense(ref_matmul(f, rows, b, nc, nk))
+    assert all(type(x) is Fraction
+               for r in prod.sparse_rows for x in r.values())
