@@ -1,8 +1,10 @@
 """Finite-dimensional algebras, algebra maps and (bi)modules.
 
-Everything is presented by structure constants over a fixed base field and
-validated exhaustively on basis tuples: over a field these checks are
-complete, so no randomized testing is needed in the core.
+Everything is presented by structure constants over a fixed base field.
+Each axiom is checked as an identity of linear maps, such as
+``mult @ (mult (x) I) == mult @ (I (x) mult)``, whose first differing
+column names the basis tuple that breaks it: over a field these checks
+are complete, so no randomized testing is needed in the core.
 """
 
 from functools import cached_property
@@ -71,13 +73,14 @@ def check_algebra(a: Algebra) -> Verdict:
     e_i 1 != e_i; an associativity witness is the first (i, j, l) in
     row-major order with (e_i e_j) e_l != e_i (e_j e_l).
     """
-    ia = Mat.identity(a.field, a.dim)
-    m = a.mult_mat
-    ws = [w for w in (_first_diff(m @ a.unit_col.kron(ia), ia),
-                      _first_diff(m @ ia.kron(a.unit_col), ia)) if w]
+    n = a.dim
+    ia = Mat.identity(a.field, n)
+    m, u = a.mult_mat, a.unit_col
+    ws = [w for w in (_first_diff(m @ u.tensor_id(1, n), ia),
+                      _first_diff(m @ u.tensor_id(n, 1), ia)) if w]
     if ws:
         return Verdict.reject("unitality", min(ws))
-    w = _first_diff(m @ m.kron(ia), m @ ia.kron(m), (a.dim,) * 3)
+    w = _first_diff(m @ m.tensor_id(1, n), m @ m.tensor_id(n, 1), (n,) * 3)
     if w is not None:
         return Verdict.reject("associativity", w)
     return Verdict.accept()
@@ -186,13 +189,13 @@ def _first_diff(m1: Mat, m2: Mat, dims=None) -> Optional[tuple]:
 def check_right_module(m: RightModule) -> Verdict:
     a = m.alg
     im = Mat.identity(a.field, m.dim)
-    ia = Mat.identity(a.field, a.dim)
     if m.act.rows != m.dim or m.act.cols != m.dim * a.dim:
         raise DimensionMismatch("right action has wrong shape")
-    w = _first_diff(m.act @ im.kron(a.unit_col), im, (m.dim,))
+    w = _first_diff(m.act @ a.unit_col.tensor_id(m.dim, 1), im, (m.dim,))
     if w is not None:
         return Verdict.reject("unital", w)
-    w = _first_diff(m.act @ m.act.kron(ia), m.act @ im.kron(a.mult_mat),
+    w = _first_diff(m.act @ m.act.tensor_id(1, a.dim),
+                    m.act @ a.mult_mat.tensor_id(m.dim, 1),
                     (m.dim, a.dim, a.dim))
     if w is not None:
         return Verdict.reject("right-assoc", w)
@@ -202,13 +205,13 @@ def check_right_module(m: RightModule) -> Verdict:
 def check_left_module(m: LeftModule) -> Verdict:
     a = m.alg
     im = Mat.identity(a.field, m.dim)
-    ia = Mat.identity(a.field, a.dim)
     if m.act.rows != m.dim or m.act.cols != a.dim * m.dim:
         raise DimensionMismatch("left action has wrong shape")
-    w = _first_diff(m.act @ a.unit_col.kron(im), im, (m.dim,))
+    w = _first_diff(m.act @ a.unit_col.tensor_id(1, m.dim), im, (m.dim,))
     if w is not None:
         return Verdict.reject("unital", w)
-    w = _first_diff(m.act @ a.mult_mat.kron(im), m.act @ ia.kron(m.act),
+    w = _first_diff(m.act @ a.mult_mat.tensor_id(1, m.dim),
+                    m.act @ m.act.tensor_id(a.dim, 1),
                     (a.dim, a.dim, m.dim))
     if w is not None:
         return Verdict.reject("left-assoc", w)
@@ -222,10 +225,9 @@ def check_bimodule(b: Bimodule) -> Verdict:
     v = check_right_module(b.right_module())
     if not v:
         return v
-    il = Mat.identity(b.algL.field, b.algL.dim)
-    ir = Mat.identity(b.algR.field, b.algR.dim)
     # (a.m).b == a.(m.b) on A_L (x) M (x) A_R
-    w = _first_diff(b.ract @ b.lact.kron(ir), b.lact @ il.kron(b.ract),
+    w = _first_diff(b.ract @ b.lact.tensor_id(1, b.algR.dim),
+                    b.lact @ b.ract.tensor_id(b.algL.dim, 1),
                     (b.algL.dim, b.dim, b.algR.dim))
     if w is not None:
         return Verdict.reject("commuting-actions", w)
@@ -271,15 +273,15 @@ def restrict_right(m: RightModule, f: AlgebraMap) -> RightModule:
     """Restrict a right module along an algebra map into its algebra."""
     if f.target != m.alg:
         raise DimensionMismatch("map does not land in the module's algebra")
-    im = Mat.identity(m.alg.field, m.dim)
-    return RightModule(f.source, m.dim, m.act @ im.kron(f.matrix))
+    return RightModule(f.source, m.dim,
+                       m.act @ f.matrix.tensor_id(m.dim, 1))
 
 
 def restrict_left(m: LeftModule, f: AlgebraMap) -> LeftModule:
     if f.target != m.alg:
         raise DimensionMismatch("map does not land in the module's algebra")
-    im = Mat.identity(m.alg.field, m.dim)
-    return LeftModule(f.source, m.dim, m.act @ f.matrix.kron(im))
+    return LeftModule(f.source, m.dim,
+                      m.act @ f.matrix.tensor_id(1, m.dim))
 
 
 # -- enumeration -----------------------------------------------------

@@ -27,10 +27,9 @@ def base_algebra(field: FieldSpec) -> Algebra:
 
 def trivial_coring(a: Algebra) -> Coring:
     """A as a coring over itself: Delta the inverse of A (x)_A A = A, eps = id."""
-    f = a.field
-    ia = Mat.identity(f, a.dim)
-    delta_lift = a.unit_col.kron(ia)  # x -> 1 (x) x
-    return make_coring(a, regular_bimodule(a), delta_lift, ia)
+    delta_lift = a.unit_col.tensor_id(1, a.dim)  # x -> 1 (x) x
+    return make_coring(a, regular_bimodule(a), delta_lift,
+                       Mat.identity(a.field, a.dim))
 
 
 @memoised
@@ -47,14 +46,15 @@ def sweedler_space(iota: AlgebraMap) -> QuotientSpace:
 def sweedler_coring(iota: AlgebraMap) -> Coring:
     """Canonical Sweedler coring A (x)_B A of an algebra map iota: B -> A."""
     a = iota.target
-    f = a.field
+    n = a.dim
     q = sweedler_space(iota)
-    ia = Mat.identity(f, a.dim)
-    lact = q.projection @ a.mult_mat.kron(ia) @ ia.kron(q.section)
-    ract = q.projection @ ia.kron(a.mult_mat) @ q.section.kron(ia)
+    lact = q.projection @ a.mult_mat.tensor_id(1, n) @ \
+        q.section.tensor_id(n, 1)
+    ract = q.projection @ a.mult_mat.tensor_id(n, 1) @ \
+        q.section.tensor_id(1, n)
     cbim = bimodule_from_actions(a, a, q.quo_dim, lact, ract)
     u = a.unit_col
-    insert = ia.kron(u).kron(u).kron(ia)  # x (x) y -> x (x) 1 (x) 1 (x) y
+    insert = u.kron(u).tensor_id(n, n)  # x (x) y -> x (x) 1 (x) 1 (x) y
     delta_amb = q.projection.kron(q.projection) @ insert
     cc = tensor_over(a, cbim.right_module(), cbim.left_module())
     delta = q.descends(cc.proj @ delta_amb)
@@ -80,14 +80,16 @@ class Coalgebra:
 
 
 def check_coalgebra(c: Coalgebra) -> Verdict:
-    ic = Mat.identity(c.field, c.dim)
-    if c.delta.rows != c.dim * c.dim or c.delta.cols != c.dim:
+    n = c.dim
+    ic = Mat.identity(c.field, n)
+    if c.delta.rows != n * n or c.delta.cols != n:
         raise DimensionMismatch("coproduct has wrong shape")
-    if c.eps.rows != 1 or c.eps.cols != c.dim:
+    if c.eps.rows != 1 or c.eps.cols != n:
         raise DimensionMismatch("counit has wrong shape")
-    if c.delta.kron(ic) @ c.delta != ic.kron(c.delta) @ c.delta:
+    if c.delta.tensor_id(1, n) @ c.delta != c.delta.tensor_id(n, 1) @ c.delta:
         return Verdict.reject("coassoc")
-    if c.eps.kron(ic) @ c.delta != ic or ic.kron(c.eps) @ c.delta != ic:
+    if c.eps.tensor_id(1, n) @ c.delta != ic or \
+            c.eps.tensor_id(n, 1) @ c.delta != ic:
         return Verdict.reject("counit")
     return Verdict.accept()
 
@@ -140,16 +142,14 @@ class DualBasis:
 def _right_linear_basis(sigma: Bimodule) -> List[Mat]:
     """Canonical basis of Sigma* = Hom_A(Sigma, A) (right A-linear maps)."""
     a = sigma.algR
-    ia = Mat.identity(a.field, a.dim)
     return affine_solutions(
         a.field, (a.dim, sigma.dim),
-        lambda x: x @ sigma.ract - a.mult_mat @ x.kron(ia))[1]
+        lambda x: x @ sigma.ract - a.mult_mat @ x.tensor_id(1, a.dim))[1]
 
 
 def _is_right_linear(sigma: Bimodule, g: Mat) -> bool:
     a = sigma.algR
-    ia = Mat.identity(a.field, a.dim)
-    return g @ sigma.ract == a.mult_mat @ g.kron(ia)
+    return g @ sigma.ract == a.mult_mat @ g.tensor_id(1, a.dim)
 
 
 def check_dual_basis(sigma: Bimodule, db: DualBasis) -> Verdict:
@@ -193,7 +193,7 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
     for i in range(a.dim):
         li = a.mult_mat @ Mat.column(
             f, tuple(f.one if t == i else f.zero for t in range(a.dim))
-        ).kron(Mat.identity(f, a.dim))
+        ).tensor_id(1, a.dim)
         for t in range(ns):
             lact_cols.append(star_coords(li @ star[t]))
     lact_star = Mat.from_cols(f, lact_cols)
@@ -202,25 +202,23 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
         for j in range(b.dim):
             bj = sigma.lact @ Mat.column(
                 f, tuple(f.one if u == j else f.zero for u in range(b.dim))
-            ).kron(Mat.identity(f, sigma.dim))
+            ).tensor_id(1, sigma.dim)
             ract_cols.append(star_coords(star[t] @ bj))
     ract_star = Mat.from_cols(f, ract_cols)
 
     q = tensor_over(b, RightModule(b, ns, ract_star),
                     LeftModule(b, sigma.dim, sigma.lact)).q
-    i_s = Mat.identity(f, sigma.dim)
-    i_star = Mat.identity(f, ns)
-    lact = q.projection @ lact_star.kron(i_s) @ \
-        Mat.identity(f, a.dim).kron(q.section)
-    ract = q.projection @ i_star.kron(sigma.ract) @ \
-        q.section.kron(Mat.identity(f, a.dim))
+    lact = q.projection @ lact_star.tensor_id(1, sigma.dim) @ \
+        q.section.tensor_id(a.dim, 1)
+    ract = q.projection @ sigma.ract.tensor_id(ns, 1) @ \
+        q.section.tensor_id(1, a.dim)
     cbim = bimodule_from_actions(a, a, q.quo_dim, lact, ract)
 
     amb = ns * sigma.dim
     delta_amb = Mat.zero(f, amb * amb, amb)
     for e_i, g_i in zip(db.elements, db.functionals):
-        term = i_star.kron(Mat.column(f, e_i)).kron(
-            Mat.column(f, star_coords(g_i))).kron(i_s)
+        term = Mat.column(f, e_i).kron(
+            Mat.column(f, star_coords(g_i))).tensor_id(ns, sigma.dim)
         delta_amb = delta_amb + term
     cc = tensor_over(a, cbim.right_module(), cbim.left_module())
     delta = q.descends(cc.proj @ q.projection.kron(q.projection) @ delta_amb)
@@ -255,13 +253,13 @@ def entwining_coring(e: Entwining) -> Coring:
     f = a.field
     if e.psi.rows != a.dim * c.dim or e.psi.cols != c.dim * a.dim:
         raise DimensionMismatch("psi has wrong shape")
-    ia = Mat.identity(f, a.dim)
-    ic = Mat.identity(f, c.dim)
-    lact = a.mult_mat.kron(ic)
-    ract = a.mult_mat.kron(ic) @ ia.kron(e.psi)
-    cbim = bimodule_from_actions(a, a, a.dim * c.dim, lact, ract)
-    delta_lift = ia.kron(ic).kron(a.unit_col).kron(ic) @ ia.kron(c.delta)
-    eps = ia.kron(c.eps)
+    na, nc = a.dim, c.dim
+    lact = a.mult_mat.tensor_id(1, nc)
+    ract = lact @ e.psi.tensor_id(na, 1)
+    cbim = bimodule_from_actions(a, a, na * nc, lact, ract)
+    delta_lift = a.unit_col.tensor_id(na * nc, nc) @ \
+        c.delta.tensor_id(na, 1)
+    eps = c.eps.tensor_id(na, 1)
     return make_coring(a, cbim, delta_lift, eps)
 
 
@@ -301,9 +299,8 @@ def _hom_basis(a: Algebra, c: Coalgebra) -> List[Mat]:
 def twisted_product(e: Entwining, f: Mat, g: Mat) -> Mat:
     """(f #_psi g)(c) = sum_alpha f(c_(2))_alpha g(c_(1)^alpha)."""
     a, c = e.A, e.C
-    ia = Mat.identity(a.field, a.dim)
-    ic = Mat.identity(a.field, c.dim)
-    return a.mult_mat @ ia.kron(g) @ e.psi @ ic.kron(f) @ c.delta
+    return a.mult_mat @ g.tensor_id(a.dim, 1) @ e.psi @ \
+        f.tensor_id(c.dim, 1) @ c.delta
 
 
 def twisted_convolution(e: Entwining) -> TwistedConvolution:
@@ -325,10 +322,9 @@ def twisted_convolution(e: Entwining) -> TwistedConvolution:
     dr = dual_ring(entwining_coring(e))
     if dr.dim != n:
         raise AxiomViolation("dual-ring-dimension", (dr.dim, n))
-    ia = Mat.identity(f, a.dim)
     cols = []
     for bmat in basis:
-        nu = a.mult_mat @ ia.kron(bmat)  # a (x) c -> a f(c)
+        nu = a.mult_mat @ bmat.tensor_id(a.dim, 1)  # a (x) c -> a f(c)
         coords = dual_coords(dr, nu)
         if coords is None:
             raise AxiomViolation("hom-tensor-image-not-left-linear")
@@ -350,18 +346,20 @@ def enumerate_entwined_measurings(e: Entwining, b: Algebra,
     space and returned in canonical order."""
     a, c = e.A, e.C
     f = a.field
-    ic = Mat.identity(f, c.dim)
-    ib = Mat.identity(f, b.dim)
-    ia = Mat.identity(f, a.dim)
+    na, nb, nc = a.dim, b.dim, c.dim
     target_unit = a.unit_col @ c.eps
+    unit_b = b.unit_col.tensor_id(nc, 1)
+    mult_b = b.mult_mat.tensor_id(nc, 1)
+    psi_b = e.psi.tensor_id(1, nb)
+    delta_bb = c.delta.tensor_id(1, nb * nb)
 
     def unit_residual(m: Mat) -> Mat:
-        return m @ ic.kron(b.unit_col) - target_unit
+        return m @ unit_b - target_unit
 
     def is_measuring(m: Mat) -> bool:
-        lhs = m @ ic.kron(b.mult_mat)
-        rhs = a.mult_mat @ ia.kron(m) @ e.psi.kron(ib) @ \
-            ic.kron(m).kron(ib) @ c.delta.kron(ib).kron(ib)
+        lhs = m @ mult_b
+        rhs = a.mult_mat @ m.tensor_id(na, 1) @ psi_b @ \
+            m.tensor_id(nc, nb) @ delta_bb
         return lhs == rhs
 
     shape = (a.dim, c.dim * b.dim)

@@ -67,9 +67,8 @@ def _mcc(alg: Algebra, m: RightModule, c: Bimodule) -> QuotientSpace:
 
 def check_coring(c: Coring) -> Verdict:
     a = c.A
-    f = a.field
-    ia = Mat.identity(f, a.dim)
-    ic = Mat.identity(f, c.dim)
+    na, nc = a.dim, c.dim
+    ic = Mat.identity(a.field, nc)
     bim = check_bimodule(c.C)
     if not bim:
         return bim
@@ -78,31 +77,34 @@ def check_coring(c: Coring) -> Verdict:
     if c.eps.rows != a.dim or c.eps.cols != c.dim:
         raise DimensionMismatch("counit has wrong shape")
     # counit is an (A,A)-bimodule map
-    w = _first_diff(c.eps @ c.C.lact, a.mult_mat @ ia.kron(c.eps))
+    w = _first_diff(c.eps @ c.C.lact, a.mult_mat @ c.eps.tensor_id(na, 1))
     if w is None:
-        w = _first_diff(c.eps @ c.C.ract, a.mult_mat @ c.eps.kron(ia))
+        w = _first_diff(c.eps @ c.C.ract,
+                        a.mult_mat @ c.eps.tensor_id(1, na))
     if w is not None:
         return Verdict.reject("bilinearity", w)
     # coproduct is an (A,A)-bimodule map (tested after projection)
     proj = c.cc().proj
     w = _first_diff(proj @ c.delta_lift @ c.C.lact,
-                    proj @ c.C.lact.kron(ic) @ ia.kron(c.delta_lift))
+                    proj @ c.C.lact.tensor_id(1, nc) @
+                    c.delta_lift.tensor_id(na, 1))
     if w is None:
         w = _first_diff(proj @ c.delta_lift @ c.C.ract,
-                        proj @ ic.kron(c.C.ract) @ c.delta_lift.kron(ia))
+                        proj @ c.C.ract.tensor_id(nc, 1) @
+                        c.delta_lift.tensor_id(1, na))
     if w is not None:
         return Verdict.reject("bilinearity", w)
     # coassociativity in the single-step triple quotient
     p3 = c.ccc().projection
-    w = _first_diff(p3 @ c.delta_lift.kron(ic) @ c.delta_lift,
-                    p3 @ ic.kron(c.delta_lift) @ c.delta_lift)
+    w = _first_diff(p3 @ c.delta_lift.tensor_id(1, nc) @ c.delta_lift,
+                    p3 @ c.delta_lift.tensor_id(nc, 1) @ c.delta_lift)
     if w is not None:
         return Verdict.reject("coassoc", w)
     # counit laws
-    w = _first_diff(c.C.lact @ c.eps.kron(ic) @ c.delta_lift, ic)
+    w = _first_diff(c.C.lact @ c.eps.tensor_id(1, nc) @ c.delta_lift, ic)
     if w is not None:
         return Verdict.reject("counit-left", w)
-    w = _first_diff(c.C.ract @ ic.kron(c.eps) @ c.delta_lift, ic)
+    w = _first_diff(c.C.ract @ c.eps.tensor_id(nc, 1) @ c.delta_lift, ic)
     if w is not None:
         return Verdict.reject("counit-right", w)
     return Verdict.accept()
@@ -143,10 +145,7 @@ class Comodule:
 
 def check_comodule(m: Comodule) -> Verdict:
     c = m.coring
-    f = c.A.field
-    ia = Mat.identity(f, c.A.dim)
-    ic = Mat.identity(f, c.dim)
-    im = Mat.identity(f, m.dim)
+    im = Mat.identity(c.A.field, m.dim)
     from .algmod import check_right_module
     v = check_right_module(m.M)
     if not v:
@@ -155,15 +154,16 @@ def check_comodule(m: Comodule) -> Verdict:
         raise DimensionMismatch("coaction lift has wrong shape")
     proj = m.mc().proj
     w = _first_diff(proj @ m.rho_lift @ m.M.act,
-                    proj @ im.kron(c.C.ract) @ m.rho_lift.kron(ia))
+                    proj @ c.C.ract.tensor_id(m.dim, 1) @
+                    m.rho_lift.tensor_id(1, c.A.dim))
     if w is not None:
         return Verdict.reject("A-linearity", w)
     p3 = _mcc(c.A, m.M, c.C).projection
-    w = _first_diff(p3 @ m.rho_lift.kron(ic) @ m.rho_lift,
-                    p3 @ im.kron(c.delta_lift) @ m.rho_lift)
+    w = _first_diff(p3 @ m.rho_lift.tensor_id(1, c.dim) @ m.rho_lift,
+                    p3 @ c.delta_lift.tensor_id(m.dim, 1) @ m.rho_lift)
     if w is not None:
         return Verdict.reject("coassoc", w)
-    w = _first_diff(m.M.act @ im.kron(c.eps) @ m.rho_lift, im)
+    w = _first_diff(m.M.act @ c.eps.tensor_id(m.dim, 1) @ m.rho_lift, im)
     if w is not None:
         return Verdict.reject("counit", w)
     return Verdict.accept()
@@ -195,20 +195,20 @@ def direct_sum_comodule(m: Comodule, n: Comodule) -> Comodule:
         tuple(f.one if i == dm + j else f.zero for j in range(dn))
         for i in range(dm + dn)))
     pr1, pr2 = inc1.transpose(), inc2.transpose()
-    ia = Mat.identity(f, a.dim)
-    ic = Mat.identity(f, m.coring.dim)
-    act = inc1 @ m.M.act @ pr1.kron(ia) + inc2 @ n.M.act @ pr2.kron(ia)
-    rho = inc1.kron(ic) @ m.rho_lift @ pr1 + inc2.kron(ic) @ n.rho_lift @ pr2
+    na, nc = a.dim, m.coring.dim
+    act = inc1 @ m.M.act @ pr1.tensor_id(1, na) + \
+        inc2 @ n.M.act @ pr2.tensor_id(1, na)
+    rho = inc1.tensor_id(1, nc) @ m.rho_lift @ pr1 + \
+        inc2.tensor_id(1, nc) @ n.rho_lift @ pr2
     return make_comodule(m.coring, RightModule(a, dm + dn, act), rho)
 
 
 def cofree_comodule(c: Coring, x: RightModule) -> Comodule:
     """X (x)_A C with coaction X (x)_A Delta, for a right A-module X."""
     xc = tensor_over(c.A, x, c.C.left_module())
-    ix = Mat.identity(c.A.field, x.dim)
-    ic = Mat.identity(c.A.field, c.dim)
     act = right_action_on_quotient(xc, c.C.ract, c.A)
-    rho_lift = xc.proj.kron(ic) @ ix.kron(c.delta_lift) @ xc.sect
+    rho_lift = xc.proj.tensor_id(1, c.dim) @ \
+        c.delta_lift.tensor_id(x.dim, 1) @ xc.sect
     return make_comodule(c, RightModule(c.A, xc.dim, act), rho_lift)
 
 
@@ -217,16 +217,14 @@ def check_colinear(f: Mat, m: Comodule, n: Comodule) -> Verdict:
     if m.coring != n.coring:
         raise DimensionMismatch("comodules over different corings")
     c = m.coring
-    fl = c.A.field
     if f.rows != n.dim or f.cols != m.dim:
         raise DimensionMismatch("map has wrong shape")
-    ia = Mat.identity(fl, c.A.dim)
-    ic = Mat.identity(fl, c.dim)
-    w = _first_diff(f @ m.M.act, n.M.act @ f.kron(ia))
+    w = _first_diff(f @ m.M.act, n.M.act @ f.tensor_id(1, c.A.dim))
     if w is not None:
         return Verdict.reject("not-A-linear", w)
     proj = n.mc().proj
-    w = _first_diff(proj @ n.rho_lift @ f, proj @ f.kron(ic) @ m.rho_lift)
+    w = _first_diff(proj @ n.rho_lift @ f,
+                    proj @ f.tensor_id(1, c.dim) @ m.rho_lift)
     if w is not None:
         return Verdict.reject("not-colinear", w)
     return Verdict.accept()
@@ -255,8 +253,6 @@ class LeftComodule:
 def check_left_comodule(n: LeftComodule) -> Verdict:
     c = n.coring
     f = c.A.field
-    ia = Mat.identity(f, c.A.dim)
-    ic = Mat.identity(f, c.dim)
     im = Mat.identity(f, n.dim)
     from .algmod import check_left_module
     v = check_left_module(n.N)
@@ -264,17 +260,19 @@ def check_left_comodule(n: LeftComodule) -> Verdict:
         return v
     proj = n.cn().proj
     w = _first_diff(proj @ n.lambda_lift @ n.N.act,
-                    proj @ c.C.lact.kron(im) @ ia.kron(n.lambda_lift))
+                    proj @ c.C.lact.tensor_id(1, n.dim) @
+                    n.lambda_lift.tensor_id(c.A.dim, 1))
     if w is not None:
         return Verdict.reject("A-linearity", w)
     p3 = balanced_quotient(
         f, (c.dim, c.dim, n.dim),
         {0: (c.C.ract, c.C.lact, c.A), 1: (c.C.ract, n.N.act, c.A)})
-    w = _first_diff(p3.projection @ c.delta_lift.kron(im) @ n.lambda_lift,
-                    p3.projection @ ic.kron(n.lambda_lift) @ n.lambda_lift)
+    w = _first_diff(
+        p3.projection @ c.delta_lift.tensor_id(1, n.dim) @ n.lambda_lift,
+        p3.projection @ n.lambda_lift.tensor_id(c.dim, 1) @ n.lambda_lift)
     if w is not None:
         return Verdict.reject("coassoc", w)
-    w = _first_diff(n.N.act @ c.eps.kron(im) @ n.lambda_lift, im)
+    w = _first_diff(n.N.act @ c.eps.tensor_id(1, n.dim) @ n.lambda_lift, im)
     if w is not None:
         return Verdict.reject("counit", w)
     return Verdict.accept()
@@ -302,10 +300,8 @@ def cotensor_basis(m: Comodule, n: LeftComodule) -> Mat:
     single = balanced_quotient(
         f, (m.dim, c.dim, n.dim),
         {0: (m.M.act, c.C.lact, c.A), 1: (c.C.ract, n.N.act, c.A)})
-    im = Mat.identity(f, m.dim)
-    i_n = Mat.identity(f, n.dim)
-    lhs = single.projection @ m.rho_lift.kron(i_n) @ mn.sect
-    rhs = single.projection @ im.kron(n.lambda_lift) @ mn.sect
+    lhs = single.projection @ m.rho_lift.tensor_id(1, n.dim) @ mn.sect
+    rhs = single.projection @ n.lambda_lift.tensor_id(m.dim, 1) @ mn.sect
     return kernel(lhs - rhs)
 
 
@@ -317,12 +313,12 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
     """Accept iff the left C-coaction and right D-coaction commute.
 
     The compatibility (lambda (x)_B D) sigma = (C (x)_A sigma) lambda is
-    checked twice, once through each iterated quotient: as C-colinearity of
-    the D-coaction and as D-colinearity of the C-coaction.  Both verdicts
-    are computed and must agree.
+    checked through each iterated quotient in turn: first (C (x)_A M)
+    (x)_B D, as C-colinearity of the D-coaction, then C (x)_A (M (x)_B D),
+    as D-colinearity of the C-coaction.  The first route that finds a
+    difference rejects, and the second is not reached.
     """
     a, b = c.A, d.A
-    f = a.field
     if m.algL != a or m.algR != b:
         raise DimensionMismatch("bimodule is not an (A,B)-bimodule")
     v = check_left_comodule(LeftComodule(c, m.left_module(), lambda_lift))
@@ -331,16 +327,14 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
     v = check_comodule(Comodule(d, m.right_module(), sigma_lift))
     if not v:
         return v
-    ic = Mat.identity(f, c.dim)
-    idd = Mat.identity(f, d.dim)
-    lhs = lambda_lift.kron(idd) @ sigma_lift
-    rhs = ic.kron(sigma_lift) @ lambda_lift
+    lhs = lambda_lift.tensor_id(1, d.dim) @ sigma_lift
+    rhs = sigma_lift.tensor_id(c.dim, 1) @ lambda_lift
     # route 1: (C (x)_A M) (x)_B D
     cm = tensor_over(a, c.C.right_module(), m.left_module())
     cm_right = RightModule(b, cm.dim,
                            right_action_on_quotient(cm, m.ract, b))
     it1 = tensor_over(b, cm_right, d.C.left_module()).q
-    p1 = it1.projection @ cm.proj.kron(idd)
+    p1 = it1.projection @ cm.proj.tensor_id(1, d.dim)
     w = _first_diff(p1 @ lhs, p1 @ rhs)
     if w is not None:
         return Verdict.reject("not-bicomodule", w)
@@ -349,7 +343,7 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
     md_left = LeftModule(a, md.dim,
                          left_action_on_quotient(md, m.lact, a))
     it2 = tensor_over(a, c.C.right_module(), md_left).q
-    p2 = it2.projection @ ic.kron(md.proj)
+    p2 = it2.projection @ md.proj.tensor_id(c.dim, 1)
     w = _first_diff(p2 @ lhs, p2 @ rhs)
     if w is not None:
         return Verdict.reject("not-bicomodule", w)
@@ -377,19 +371,22 @@ class DualRing:
         return self.alg.dim
 
 
+def _star_factor(c: Coring, f: Mat) -> Mat:
+    """The map x -> x_(1) f(x_(2)) on C, so that f * g = g @ it."""
+    return c.C.ract @ f.tensor_id(c.dim, 1) @ c.delta_lift
+
+
 def star_product(c: Coring, f: Mat, g: Mat) -> Mat:
     """(f * g)(x) = sum g(x_(1) f(x_(2))), computed through the lift."""
-    ic = Mat.identity(c.A.field, c.dim)
-    return g @ c.C.ract @ ic.kron(f) @ c.delta_lift
+    return g @ _star_factor(c, f)
 
 
 def _left_linear_basis(c: Coring) -> List[Mat]:
     """Canonical basis of Hom_{A-}(C, A) as the null space of linearity."""
     a = c.A
-    ia = Mat.identity(a.field, a.dim)
     return affine_solutions(
         a.field, (a.dim, c.dim),
-        lambda x: x @ c.C.lact - a.mult_mat @ ia.kron(x))[1]
+        lambda x: x @ c.C.lact - a.mult_mat @ x.tensor_id(a.dim, 1))[1]
 
 
 def dual_coords(dr: DualRing, f: Mat) -> Optional[tuple]:
@@ -410,9 +407,10 @@ def dual_ring(c: Coring) -> DualRing:
     n = len(basis)
     mult = []
     for i in range(n):
+        factor = _star_factor(c, basis[i])
         row = []
         for j in range(n):
-            x = coords(basis, star_product(c, basis[i], basis[j]))
+            x = coords(basis, basis[j] @ factor)
             if x is None:
                 raise AxiomViolation("dual-product-not-linear", (i, j))
             row.append(x)

@@ -31,9 +31,8 @@ def _ma_space(iota: AlgebraMap, m: RightModule) -> QuotientSpace:
 def _b_pair(iota: AlgebraMap):
     """Balancing actions of B on (A, A) through iota."""
     a = iota.target
-    ia = Mat.identity(a.field, a.dim)
-    ract = a.mult_mat @ ia.kron(iota.matrix)  # a . iota(b)
-    lact = a.mult_mat @ iota.matrix.kron(ia)  # iota(b) . a
+    ract = a.mult_mat @ iota.matrix.tensor_id(a.dim, 1)  # a . iota(b)
+    lact = a.mult_mat @ iota.matrix.tensor_id(1, a.dim)  # iota(b) . a
     return ract, lact
 
 
@@ -51,7 +50,6 @@ class DescentDatum:
 
 def check_descent_datum(d: DescentDatum) -> Verdict:
     a = d.iota.target
-    f = a.field
     if d.M.alg != a:
         raise DimensionMismatch("module is not over the target algebra")
     if d.f_lift.rows != d.M.dim * a.dim or d.f_lift.cols != d.M.dim:
@@ -59,18 +57,18 @@ def check_descent_datum(d: DescentDatum) -> Verdict:
     v = check_right_module(d.M)
     if not v:
         return v
-    im = Mat.identity(f, d.M.dim)
-    ia = Mat.identity(f, a.dim)
+    im = Mat.identity(a.field, d.M.dim)
+    f_a = d.f_lift.tensor_id(1, a.dim)
     proj = d.ma().projection
     lhs = proj @ d.f_lift @ d.M.act
-    rhs = proj @ im.kron(a.mult_mat) @ d.f_lift.kron(ia)
+    rhs = proj @ a.mult_mat.tensor_id(d.M.dim, 1) @ f_a
     if lhs != rhs:
         return Verdict.reject("not-A-linear")
     if d.M.act @ d.f_lift != im:
         return Verdict.reject("unit-law")
     q3 = _maa_space(d.iota, d.M)
-    lhs = q3.projection @ d.f_lift.kron(ia) @ d.f_lift
-    rhs = q3.projection @ im.kron(a.unit_col).kron(ia) @ d.f_lift
+    lhs = q3.projection @ f_a @ d.f_lift
+    rhs = q3.projection @ a.unit_col.tensor_id(d.M.dim, a.dim) @ d.f_lift
     if lhs != rhs:
         return Verdict.reject("cocycle")
     return Verdict.accept()
@@ -100,12 +98,11 @@ def check_descent_morphism(d1: DescentDatum, d2: DescentDatum,
     """A-linear map commuting with the descent maps."""
     if d1.iota != d2.iota:
         raise DimensionMismatch("descent data for different algebra maps")
-    a = d1.iota.target
-    ia = Mat.identity(a.field, a.dim)
-    if g @ d1.M.act != d2.M.act @ g.kron(ia):
+    g_a = g.tensor_id(1, d1.iota.target.dim)
+    if g @ d1.M.act != d2.M.act @ g_a:
         return Verdict.reject("not-A-linear")
     proj = d2.ma().projection
-    if proj @ d2.f_lift @ g != proj @ g.kron(ia) @ d1.f_lift:
+    if proj @ d2.f_lift @ g != proj @ g_a @ d1.f_lift:
         return Verdict.reject("not-descent-map")
     return Verdict.accept()
 
@@ -117,11 +114,9 @@ def descent_to_comodule(d: DescentDatum) -> Comodule:
     """rho(m) = f(m) read inside M (x)_A (A (x)_B A)."""
     c = sweedler_coring(d.iota)
     a = d.iota.target
-    f = a.field
     q = sweedler_space(d.iota)
-    im = Mat.identity(f, d.M.dim)
-    ia = Mat.identity(f, a.dim)
-    rho_lift = im.kron(q.projection @ a.unit_col.kron(ia)) @ d.f_lift
+    rho_lift = (q.projection @ a.unit_col.tensor_id(1, a.dim)).tensor_id(
+        d.M.dim, 1) @ d.f_lift
     return make_comodule(c, d.M, rho_lift)
 
 
@@ -129,12 +124,9 @@ def comodule_to_descent(iota: AlgebraMap, m: Comodule) -> DescentDatum:
     """f(m) = m_(0) x (x) y for rho(m) = m_(0) (x) (x (x) y)."""
     if m.coring != sweedler_coring(iota):
         raise DimensionMismatch("comodule is not over the Sweedler coring")
-    a = iota.target
-    f = a.field
     q = sweedler_space(iota)
-    ia = Mat.identity(f, a.dim)
-    im = Mat.identity(f, m.dim)
-    f_lift = m.M.act.kron(ia) @ im.kron(q.section) @ m.rho_lift
+    f_lift = m.M.act.tensor_id(1, iota.target.dim) @ \
+        q.section.tensor_id(m.dim, 1) @ m.rho_lift
     return make_descent_datum(iota, m.M, f_lift)
 
 
@@ -163,10 +155,9 @@ def _d_pair_on_ab(data: Cor28Data):
     """Balancing actions of D between the A and B slots."""
     b = data.iota_B.target
     a = data.iota_A.target
-    ia = Mat.identity(a.field, a.dim)
-    ib = Mat.identity(b.field, b.dim)
-    ract = data.rho_A @ ia.kron(data.iota_B.matrix)     # a . iota_B(d)
-    lact = b.mult_mat @ data.iota_B.matrix.kron(ib)     # iota_B(d) . b
+    iota = data.iota_B.matrix
+    ract = data.rho_A @ iota.tensor_id(a.dim, 1)     # a . iota_B(d)
+    lact = b.mult_mat @ iota.tensor_id(1, b.dim)     # iota_B(d) . b
     return ract, lact
 
 
@@ -188,8 +179,7 @@ def check_cor28(data: Cor28Data) -> Verdict:
     b = data.iota_B.target
     dalg = data.iota_B.source
     f = a.field
-    ia = Mat.identity(f, a.dim)
-    ib = Mat.identity(f, b.dim)
+    na, nb = a.dim, b.dim
     if data.iota_B.target != data.iota_A.source:
         raise DimensionMismatch("the algebra maps do not compose")
     if data.rho_A.rows != a.dim or data.rho_A.cols != a.dim * b.dim:
@@ -200,38 +190,39 @@ def check_cor28(data: Cor28Data) -> Verdict:
     v = check_right_module(RightModule(b, a.dim, data.rho_A))
     if not v:
         return v
-    lB = a.mult_mat @ data.iota_A.matrix.kron(ia)  # b . a on A
-    if data.rho_A @ lB.kron(ib) != lB @ ib.kron(data.rho_A):
+    lB = a.mult_mat @ data.iota_A.matrix.tensor_id(1, na)  # b . a on A
+    if data.rho_A @ lB.tensor_id(1, nb) != lB @ data.rho_A.tensor_id(nb, 1):
         return Verdict.reject("rho-not-left-linear")
     # phi is a (B, B)-bimodule map
     qab = data.aab()
     lhs = qab.projection @ data.phi_lift @ lB
-    rhs = qab.projection @ lB.kron(ia).kron(ib) @ ib.kron(data.phi_lift)
+    rhs = qab.projection @ lB.tensor_id(1, na * nb) @ \
+        data.phi_lift.tensor_id(nb, 1)
     if lhs != rhs:
         return Verdict.reject("phi-not-left-linear")
     lhs = qab.projection @ data.phi_lift @ data.rho_A
-    rhs = qab.projection @ ia.kron(ia).kron(b.mult_mat) @ \
-        data.phi_lift.kron(ib)
+    rhs = qab.projection @ b.mult_mat.tensor_id(na * na, 1) @ \
+        data.phi_lift.tensor_id(1, nb)
     if lhs != rhs:
         return Verdict.reject("phi-not-right-linear")
     # (a): (A (x) rho_A) phi = unit insertion in A (x)_B A
     q2 = sweedler_space(data.iota_A)
-    lhs = q2.projection @ ia.kron(data.rho_A) @ data.phi_lift
-    rhs = q2.projection @ a.unit_col.kron(ia)
+    lhs = q2.projection @ data.rho_A.tensor_id(na, 1) @ data.phi_lift
+    rhs = q2.projection @ a.unit_col.tensor_id(1, na)
     if lhs != rhs:
         return Verdict.reject("diagram-a")
     # (b): coassociativity-type law in A (x)_B A (x)_D B (x)_D B
     ractA, lactA = _b_pair(data.iota_A)
     ractD_ab, lactD_ab = _d_pair_on_ab(data)
-    ractD_bb = b.mult_mat @ ib.kron(data.iota_B.matrix)
-    lactD_bb = b.mult_mat @ data.iota_B.matrix.kron(ib)
+    ractD_bb = b.mult_mat @ data.iota_B.matrix.tensor_id(nb, 1)
+    lactD_bb = b.mult_mat @ data.iota_B.matrix.tensor_id(1, nb)
     q4b = balanced_quotient(
         f, (a.dim, a.dim, b.dim, b.dim),
         {0: (ractA, lactA, b), 1: (ractD_ab, lactD_ab, dalg),
          2: (ractD_bb, lactD_bb, dalg)})
-    lhs = q4b.projection @ a.mult_mat.kron(ia).kron(ib).kron(ib) @ \
-        ia.kron(data.phi_lift).kron(ib) @ data.phi_lift
-    rhs = q4b.projection @ ia.kron(ia).kron(b.unit_col).kron(ib) @ \
+    lhs = q4b.projection @ a.mult_mat.tensor_id(1, na * nb * nb) @ \
+        data.phi_lift.tensor_id(na, nb) @ data.phi_lift
+    rhs = q4b.projection @ b.unit_col.tensor_id(na * na, nb) @ \
         data.phi_lift
     if lhs != rhs:
         return Verdict.reject("diagram-b")
@@ -240,9 +231,9 @@ def check_cor28(data: Cor28Data) -> Verdict:
         f, (a.dim, a.dim, a.dim, b.dim),
         {0: (ractA, lactA, b), 1: (ractA, lactA, b),
          2: (ractD_ab, lactD_ab, dalg)})
-    lhs = q4c.projection @ a.unit_col.kron(ia).kron(ia).kron(ib) @ \
+    lhs = q4c.projection @ a.unit_col.tensor_id(1, na * na * nb) @ \
         data.phi_lift
-    rhs = q4c.projection @ ia.kron(a.unit_col).kron(ia).kron(ib) @ \
+    rhs = q4c.projection @ a.unit_col.tensor_id(na, na * nb) @ \
         data.phi_lift
     if lhs != rhs:
         return Verdict.reject("diagram-c")
@@ -264,17 +255,16 @@ def _assemble(data: Cor28Data) -> CoringExtension:
     """The extension of ``data``, with sigma's canonical lift, unchecked."""
     a = data.iota_A.target
     b = data.iota_B.target
-    f = a.field
-    ia = Mat.identity(f, a.dim)
-    ib = Mat.identity(f, b.dim)
+    na, nb = a.dim, b.dim
     c = sweedler_coring(data.iota_A)
     d = sweedler_coring(data.iota_B)
     qc = sweedler_space(data.iota_A)
     qd = sweedler_space(data.iota_B)
-    ract = qc.projection @ ia.kron(data.rho_A) @ qc.section.kron(ib)
+    ract = qc.projection @ data.rho_A.tensor_id(na, 1) @ \
+        qc.section.tensor_id(1, nb)
     # sigma on the ambient A (x) A, then descended through qc
-    g = qc.projection.kron(qd.projection @ b.unit_col.kron(ib)) @ \
-        a.mult_mat.kron(ia).kron(ib) @ ia.kron(data.phi_lift)
+    g = qc.projection.kron(qd.projection @ b.unit_col.tensor_id(1, nb)) @ \
+        a.mult_mat.tensor_id(1, na * nb) @ data.phi_lift.tensor_id(na, 1)
     sigma = qc.descends(g)
     if sigma is None:
         raise AxiomViolation("coaction-not-balanced")

@@ -14,7 +14,8 @@ results.
 Linear maps follow the column-vector convention: a map V -> W with
 dim V = n and dim W = m is an m x n matrix, and composition is ``@``.
 Tensor indices are flattened row-major, so ``kron`` realises the tensor
-product of maps.
+product of maps; ``tensor_id`` forms ``I (x) X (x) I`` by moving indices,
+without multiplying a scalar.
 """
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ from math import gcd, lcm
 from typing import Optional, Union
 
 from ._record import frozen
-from .errors import DimensionMismatch, NonFiniteField
+from .errors import DimensionMismatch, NonFiniteField, SizeLimit
 
 DEFAULT_MAX_DIM = 4096
 DEFAULT_MAX_ENUM = 2_000_000
@@ -462,6 +463,24 @@ class Mat:
         return _new(self.field, self.rows * other.rows,
                     self.cols * other.cols, tuple(out))
 
+    def tensor_id(self, pre: int, post: int) -> "Mat":
+        """``I_pre (x) self (x) I_post`` by index arithmetic.
+
+        Entry (r, c) of block (i, j) lands at row ``(i*rows + r)*post + j``
+        and column ``(i*cols + c)*post + j`` unchanged, so no scalar is
+        multiplied; ``kron`` is for products of two general factors.
+        """
+        cols = self.cols
+        out = []
+        for i in range(pre):
+            base = i * cols
+            for r in self.sparse_rows:
+                for j in range(post):
+                    out.append({(base + c) * post + j: x
+                                for c, x in r.items()})
+        return _new(self.field, pre * self.rows * post,
+                    pre * cols * post, tuple(out))
+
     def stack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise DimensionMismatch("column mismatch in stack")
@@ -618,16 +637,21 @@ class QuotientSpace:
         return self.section @ self.projection @ m
 
 
+def _check_ambient(ambient_dim: int, max_dim: Optional[int] = None) -> None:
+    """Raise SizeLimit if a quotient's ambient space exceeds the guard
+    (``max_dim``, or the process-wide one if it is None)."""
+    if max_dim is None:
+        max_dim = current_max_dim()
+    if ambient_dim > max_dim:
+        raise SizeLimit(f"ambient dimension {ambient_dim} exceeds {max_dim}")
+
+
 def quotient(field: FieldSpec, ambient_dim: int, relations: Mat,
              max_dim: Optional[int] = None) -> QuotientSpace:
     """Quotient of F^ambient_dim by the row space of ``relations``."""
-    from .errors import SizeLimit
-    if max_dim is None:
-        max_dim = current_max_dim()
     if relations.cols != ambient_dim:
         raise DimensionMismatch("relations do not live in the ambient space")
-    if ambient_dim > max_dim:
-        raise SizeLimit(f"ambient dimension {ambient_dim} exceeds {max_dim}")
+    _check_ambient(ambient_dim, max_dim)
     f = field
     red, pivots = rref(relations)
     # projection: kill each pivot coordinate using its relation row

@@ -36,9 +36,6 @@ class _MeasuringMaps:
     """The maps in the measuring diagrams of a coring by an algebra that do
     not involve nu, built once and shared by every candidate nu."""
 
-    ia: Mat
-    ib: Mat
-    ic: Mat
     lact_b: Mat    # lact (x) B
     unit_b: Mat    # C (x) unit of B
     mult_b: Mat    # C (x) mult of B
@@ -47,13 +44,12 @@ class _MeasuringMaps:
 
 
 def _measuring_maps(c: Coring, b: Algebra) -> _MeasuringMaps:
-    f = c.A.field
-    ib = Mat.identity(f, b.dim)
-    ic = Mat.identity(f, c.dim)
-    return _MeasuringMaps(Mat.identity(f, c.A.dim), ib, ic,
-                          c.C.lact.kron(ib), ic.kron(b.unit_col),
-                          ic.kron(b.mult_mat), c.C.ract.kron(ib),
-                          c.delta_lift.kron(ib).kron(ib))
+    nb, nc = b.dim, c.dim
+    return _MeasuringMaps(c.C.lact.tensor_id(1, nb),
+                          b.unit_col.tensor_id(nc, 1),
+                          b.mult_mat.tensor_id(nc, 1),
+                          c.C.ract.tensor_id(1, nb),
+                          c.delta_lift.tensor_id(1, nb * nb))
 
 
 def check_measuring(m: Measuring,
@@ -68,12 +64,12 @@ def check_measuring(m: Measuring,
         raise DimensionMismatch("measuring has wrong shape")
     if maps is None:
         maps = _measuring_maps(c, b)
-    if nu @ maps.lact_b != c.A.mult_mat @ maps.ia.kron(nu):
+    if nu @ maps.lact_b != c.A.mult_mat @ nu.tensor_id(c.A.dim, 1):
         return Verdict.reject("not-left-linear")
     if nu @ maps.unit_b != c.eps:
         return Verdict.reject("unit-diagram")
     lhs = nu @ maps.mult_b
-    rhs = nu @ maps.ract_b @ maps.ic.kron(nu).kron(maps.ib) @ maps.delta_bb
+    rhs = nu @ maps.ract_b @ nu.tensor_id(c.dim, b.dim) @ maps.delta_bb
     if lhs != rhs:
         return Verdict.reject("multiplication-diagram")
     return Verdict.accept()
@@ -97,7 +93,7 @@ def enumerate_measurings(c: Coring, b: Algebra,
     maps = _measuring_maps(c, b)
 
     def residual(nu: Mat) -> Mat:
-        lin = nu @ maps.lact_b - c.A.mult_mat @ maps.ia.kron(nu)
+        lin = nu @ maps.lact_b - c.A.mult_mat @ nu.tensor_id(c.A.dim, 1)
         return lin.transpose().stack((nu @ maps.unit_b - c.eps).transpose())
 
     def keep(nu: Mat) -> bool:
@@ -149,20 +145,17 @@ def algebra_map_to_measuring(c: Coring, chi: AlgebraMap) -> Measuring:
 
 def check_right_b_structure(c: Coring, b: Algebra, ract_b: Mat) -> Verdict:
     """Accept iff ract_b makes C an (A, B)-bimodule with B-bilinear coproduct."""
-    f = c.A.field
     if ract_b.rows != c.dim or ract_b.cols != c.dim * b.dim:
         raise DimensionMismatch("right action has wrong shape")
     v = check_right_module(RightModule(b, c.dim, ract_b))
     if not v:
         return v
-    ia = Mat.identity(f, c.A.dim)
-    ib = Mat.identity(f, b.dim)
-    ic = Mat.identity(f, c.dim)
-    if c.C.lact @ ia.kron(ract_b) != ract_b @ c.C.lact.kron(ib):
+    if c.C.lact @ ract_b.tensor_id(c.A.dim, 1) != \
+            ract_b @ c.C.lact.tensor_id(1, b.dim):
         return Verdict.reject("actions-do-not-commute")
     proj = c.cc().proj
     lhs = proj @ c.delta_lift @ ract_b
-    rhs = proj @ ic.kron(ract_b) @ c.delta_lift.kron(ib)
+    rhs = proj @ ract_b.tensor_id(c.dim, 1) @ c.delta_lift.tensor_id(1, b.dim)
     if lhs != rhs:
         return Verdict.reject("coproduct-not-right-linear")
     return Verdict.accept()
@@ -171,9 +164,8 @@ def check_right_b_structure(c: Coring, b: Algebra, ract_b: Mat) -> Verdict:
 def action_from_measuring(m: Measuring) -> Mat:
     """The right B-action x.b = x_(1) nu(x_(2) (x) b) on C."""
     c = m.coring
-    ic = Mat.identity(c.A.field, c.dim)
-    ib = Mat.identity(c.A.field, m.B.dim)
-    ract_b = c.C.ract @ ic.kron(m.nu) @ c.delta_lift.kron(ib)
+    ract_b = c.C.ract @ m.nu.tensor_id(c.dim, 1) @ \
+        c.delta_lift.tensor_id(1, m.B.dim)
     check_right_b_structure(c, m.B, ract_b).raise_if_failed()
     return ract_b
 
@@ -244,21 +236,18 @@ def extension_from_coring_map(gamma: Mat, c: Coring, d: Coring
     """The extension induced by a coring map gamma: C -> D over one algebra."""
     if c.A != d.A:
         raise DimensionMismatch("corings over different algebras")
-    a = c.A
-    f = a.field
+    na = c.A.dim
     if gamma.rows != d.dim or gamma.cols != c.dim:
         raise DimensionMismatch("coring map has wrong shape")
-    ia = Mat.identity(f, a.dim)
-    ic = Mat.identity(f, c.dim)
-    if gamma @ c.C.lact != d.C.lact @ ia.kron(gamma) or \
-            gamma @ c.C.ract != d.C.ract @ gamma.kron(ia):
+    if gamma @ c.C.lact != d.C.lact @ gamma.tensor_id(na, 1) or \
+            gamma @ c.C.ract != d.C.ract @ gamma.tensor_id(1, na):
         raise NotCoringMorphism("A-bilinearity")
     if d.eps @ gamma != c.eps:
         raise NotCoringMorphism("counit")
     proj = d.cc().proj
     if proj @ d.delta_lift @ gamma != proj @ gamma.kron(gamma) @ c.delta_lift:
         raise NotCoringMorphism("coproduct")
-    sigma_lift = ic.kron(gamma) @ c.delta_lift
+    sigma_lift = gamma.tensor_id(c.dim, 1) @ c.delta_lift
     return make_extension(c, d, c.C.ract, sigma_lift)
 
 
@@ -270,11 +259,8 @@ def induced_action(e: CoringExtension, m: Comodule) -> Mat:
     if m.coring != e.c:
         raise DimensionMismatch("comodule is not over the extended coring")
     c, b = e.c, e.d.A
-    f = c.A.field
     nu = c.eps @ e.ract
-    im = Mat.identity(f, m.dim)
-    ib = Mat.identity(f, b.dim)
-    act = m.M.act @ im.kron(nu) @ m.rho_lift.kron(ib)
+    act = m.M.act @ nu.tensor_id(m.dim, 1) @ m.rho_lift.tensor_id(1, b.dim)
     check_right_module(RightModule(b, m.dim, act)).raise_if_failed()
     return act
 
@@ -282,12 +268,9 @@ def induced_action(e: CoringExtension, m: Comodule) -> Mat:
 def induced_coaction(e: CoringExtension, m: Comodule) -> Comodule:
     """The image of a right C-comodule under the functor M^C -> M^D."""
     c, d = e.c, e.d
-    f = c.A.field
     act = induced_action(e, m)
-    im = Mat.identity(f, m.dim)
-    idd = Mat.identity(f, d.dim)
-    rho = m.M.act.kron(idd) @ im.kron(c.eps).kron(idd) @ \
-        im.kron(e.sigma_lift) @ m.rho_lift
+    rho = m.M.act.tensor_id(1, d.dim) @ c.eps.tensor_id(m.dim, d.dim) @ \
+        e.sigma_lift.tensor_id(m.dim, 1) @ m.rho_lift
     return make_comodule(d, RightModule(d.A, m.dim, act), rho)
 
 
@@ -311,12 +294,9 @@ def compose_extensions(e1: CoringExtension,
         raise MiddleMismatch("middle corings do not agree")
     c, d = e1.c, e1.d
     ee = e2.d
-    f = c.A.field
-    ic = Mat.identity(f, c.dim)
-    ir = Mat.identity(f, ee.A.dim)
-    ie = Mat.identity(f, ee.dim)
-    ract = e1.ract @ ic.kron(d.eps) @ ic.kron(e2.ract) @ \
-        e1.sigma_lift.kron(ir)
-    sigma = e1.ract.kron(ie) @ ic.kron(d.eps).kron(ie) @ \
-        ic.kron(e2.sigma_lift) @ e1.sigma_lift
+    nc, ne = c.dim, ee.dim
+    ract = e1.ract @ d.eps.tensor_id(nc, 1) @ e2.ract.tensor_id(nc, 1) @ \
+        e1.sigma_lift.tensor_id(1, ee.A.dim)
+    sigma = e1.ract.tensor_id(1, ne) @ d.eps.tensor_id(nc, ne) @ \
+        e2.sigma_lift.tensor_id(nc, 1) @ e1.sigma_lift
     return make_extension(c, ee, ract, sigma)

@@ -2,14 +2,19 @@
 
 A tensor product over an algebra is computed as an explicit quotient of
 the k-tensor ambient space by balancing relations, together with a
-canonical projection/section pair.  Iterated tensor products are always
-compared through the single-step quotient produced by
-:func:`assoc_normalizer`, which sidesteps coherence bookkeeping.
+canonical projection/section pair.  An iterated tensor product such as
+C (x)_A C (x)_A C is presented in one step by :func:`balanced_quotient`,
+which balances every adjacent pair of factors at once; the coring and
+descent checkers compare composites there.  :func:`assoc_normalizer`
+identifies that single-step quotient with both iterated ones.
 """
+
+from math import prod
 
 from ._record import frozen
 from .errors import DimensionMismatch
-from .exactla import Mat, QuotientSpace, memoised, quotient, rank
+from .exactla import (Mat, QuotientSpace, _check_ambient, memoised, quotient,
+                      rank)
 from .algmod import Algebra, Bimodule, LeftModule, RightModule
 
 
@@ -60,29 +65,30 @@ def balancing_rows(ract: Mat, lact: Mat, alg: Algebra) -> Mat:
     return Mat.from_sparse_rows(f, len(rows), dx * dy, rows)
 
 
-def balanced_quotient(field, dims, balancings,
-                      max_dim=None) -> QuotientSpace:
+def balanced_quotient(field, dims, balancings) -> QuotientSpace:
     """Quotient of a flat multi-tensor by balancing at the given slots.
 
     ``dims`` lists the factor dimensions; ``balancings`` maps a slot index
     ``s`` to ``(ract, lact, alg)`` balancing factors ``s`` and ``s+1``.
+    The size guard is checked before any relation is built.  Between other
+    factors, a slot contributes ``I_pre (x) R (x) I_post``, where R holds
+    the reduced relations of the pair's own quotient (from the
+    ``tensor_over`` memo): the same row space as the raw balancing rows,
+    from far fewer rows.
     """
-    ambient = 1
-    for d in dims:
-        ambient *= d
+    ambient = prod(dims)
+    _check_ambient(ambient)
     rel = Mat.zero(field, 0, ambient)
     for s, (ract, lact, alg) in sorted(balancings.items()):
-        pre = 1
-        for d in dims[:s]:
-            pre *= d
-        post = 1
-        for d in dims[s + 2:]:
-            post *= d
-        pair = balancing_rows(ract, lact, alg)
-        block = Mat.identity(field, pre).kron(pair).kron(
-            Mat.identity(field, post))
-        rel = rel.stack(block)
-    return quotient(field, ambient, rel, max_dim=max_dim)
+        pre, post = prod(dims[:s]), prod(dims[s + 2:])
+        if pre * post == 1:
+            pair = balancing_rows(ract, lact, alg)
+        else:
+            pair = tensor_over(alg, RightModule(alg, dims[s], ract),
+                               LeftModule(alg, dims[s + 1], lact)
+                               ).q.relations.tensor_id(pre, post)
+        rel = rel.stack(pair)
+    return quotient(field, ambient, rel)
 
 
 @frozen
@@ -107,13 +113,12 @@ class TensorOverAlg:
 
 
 @memoised
-def tensor_over(alg: Algebra, m: RightModule, n: LeftModule,
-                max_dim=None) -> TensorOverAlg:
+def tensor_over(alg: Algebra, m: RightModule, n: LeftModule) -> TensorOverAlg:
     """Tensor product of a right and a left module over ``alg``."""
     if m.alg != alg or n.alg != alg:
         raise DimensionMismatch("modules are not over the given algebra")
     q = balanced_quotient(alg.field, (m.dim, n.dim),
-                          {0: (m.act, n.act, alg)}, max_dim=max_dim)
+                          {0: (m.act, n.act, alg)})
     return TensorOverAlg(m, n, q)
 
 
@@ -130,16 +135,14 @@ def induced_map(f: Mat, src: QuotientSpace, dst: QuotientSpace):
 
 def right_action_on_quotient(t: TensorOverAlg, ract_n: Mat, algR: Algebra) -> Mat:
     """Right action of algR on M (x)_A N induced from an action on N."""
-    im = Mat.identity(t.q.field, t.left.dim)
-    ir = Mat.identity(t.q.field, algR.dim)
-    return t.proj @ im.kron(ract_n) @ t.sect.kron(ir)
+    return t.proj @ ract_n.tensor_id(t.left.dim, 1) @ \
+        t.sect.tensor_id(1, algR.dim)
 
 
 def left_action_on_quotient(t: TensorOverAlg, lact_m: Mat, algL: Algebra) -> Mat:
     """Left action of algL on M (x)_A N induced from an action on M."""
-    i_n = Mat.identity(t.q.field, t.right.dim)
-    il = Mat.identity(t.q.field, algL.dim)
-    return t.proj @ lact_m.kron(i_n) @ il.kron(t.sect)
+    return t.proj @ lact_m.tensor_id(1, t.right.dim) @ \
+        t.sect.tensor_id(algL.dim, 1)
 
 
 @frozen
@@ -155,8 +158,7 @@ class AssocNormalizer:
 
 @memoised
 def assoc_normalizer(alg: Algebra, m: RightModule, n: Bimodule,
-                     p: LeftModule,
-                     max_dim=None) -> AssocNormalizer:
+                     p: LeftModule) -> AssocNormalizer:
     """Canonical isomorphisms of both iterated A-tensor triples.
 
     The middle factor must be an (A, A)-bimodule.  Both isomorphisms land
@@ -164,31 +166,29 @@ def assoc_normalizer(alg: Algebra, m: RightModule, n: Bimodule,
     satisfy ``iso @ iterated_projection == single_projection`` on composite
     ambient maps, which is the triangle making normalized comparisons valid.
     """
-    f = alg.field
     single = balanced_quotient(
-        f, (m.dim, n.dim, p.dim),
-        {0: (m.act, n.lact, alg), 1: (n.ract, p.act, alg)},
-        max_dim=max_dim)
-    ip = Mat.identity(f, p.dim)
-    im = Mat.identity(f, m.dim)
+        alg.field, (m.dim, n.dim, p.dim),
+        {0: (m.act, n.lact, alg), 1: (n.ract, p.act, alg)})
 
-    mn = tensor_over(alg, m, n.left_module(), max_dim=max_dim)
+    mn = tensor_over(alg, m, n.left_module())
     mn_right = RightModule(alg, mn.dim,
                            right_action_on_quotient(mn, n.ract, alg))
-    left_it = tensor_over(alg, mn_right, p, max_dim=max_dim).q
-    from_left = single.projection @ mn.sect.kron(ip) @ left_it.section
+    left_it = tensor_over(alg, mn_right, p).q
+    from_left = single.projection @ mn.sect.tensor_id(1, p.dim) @ \
+        left_it.section
 
-    np_ = tensor_over(alg, n.right_module(), p, max_dim=max_dim)
+    np_ = tensor_over(alg, n.right_module(), p)
     np_left = LeftModule(alg, np_.dim,
                          left_action_on_quotient(np_, n.lact, alg))
-    right_it = tensor_over(alg, m, np_left, max_dim=max_dim).q
-    from_right = single.projection @ im.kron(np_.sect) @ right_it.section
+    right_it = tensor_over(alg, m, np_left).q
+    from_right = single.projection @ np_.sect.tensor_id(m.dim, 1) @ \
+        right_it.section
 
     norm = AssocNormalizer(single, left_it, right_it, from_left, from_right)
     _check_iso(from_left, single, left_it,
-               single.section, mn.proj.kron(ip), "left")
+               single.section, mn.proj.tensor_id(1, p.dim), "left")
     _check_iso(from_right, single, right_it,
-               single.section, im.kron(np_.proj), "right")
+               single.section, np_.proj.tensor_id(m.dim, 1), "right")
     return norm
 
 

@@ -116,6 +116,23 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "SizeLimit"
 
+    def test_guard_precedes_triple_relations(self):
+        # the trivial coring of a 40-dim diagonal algebra: C (x) C (x) C
+        # has ambient dimension 64000, refused before a relation is built
+        n = 40
+        mult = [[[int(i == j == k) for k in range(n)] for j in range(n)]
+                for i in range(n)]
+        text = ws(a={"type": "algebra", "dim": n, "mult": mult,
+                     "unit": [1] * n},
+                  t={"type": "trivial_coring", "algebra": "a"})
+        t0 = time.perf_counter()
+        code, out = run_cli(["check"], text)
+        assert time.perf_counter() - t0 < 5.0  # building them took 7-8 s
+        assert code == 3
+        err = json.loads(out)["error"]
+        assert err["type"] == "SizeLimit"
+        assert err["message"] == "ambient dimension 64000 exceeds 4096"
+
     def test_guard_independent_of_cache(self):
         text = ws(sw={"fixture": "FIX.SW"})
         try:

@@ -12,9 +12,17 @@ from coringext.coring import (Coring, check_colinear, check_comodule,
                               regular_comodule, regular_left_comodule,
                               star_product)
 from coringext.constructions import (base_algebra, coalgebra_to_coring,
+                                     entwining_coring, flip_entwining,
                                      group_coalgebra, trivial_coring)
-from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
-                                matrix_algebra_2, sw_coring)
+from coringext._search import coords
+from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
+                                gc2_coring, matrix_algebra_2, sw_coring)
+
+
+def ref_star_product(c, f, g):
+    """(f * g)(x) = sum g(x_(1) f(x_(2))), with ``I_C (x) f`` from kron."""
+    return g @ c.C.ract @ Mat.identity(c.A.field, c.dim).kron(f) @ \
+        c.delta_lift
 
 
 class TestCoringAxioms:
@@ -134,3 +142,17 @@ class TestDualRing:
     def test_trivial_dual_dim(self):
         a = matrix_algebra_2(GF2)
         assert dual_ring(trivial_coring(a)).dim == a.dim
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ])
+    def test_table_is_star_product(self, field):
+        corings = (sw_coring(field), gc2_coring(field),
+                   trivial_coring(matrix_algebra_2(field)),
+                   entwining_coring(flip_entwining(d2_algebra(field),
+                                                   gc2_coalgebra(field))))
+        for c in corings:
+            dr = dual_ring(c)
+            for i, f in enumerate(dr.basis):
+                for j, g in enumerate(dr.basis):
+                    prod = star_product(c, f, g)
+                    assert prod == ref_star_product(c, f, g)
+                    assert dr.alg.mult[i][j] == coords(dr.basis, prod)

@@ -305,3 +305,42 @@ def test_rationals_with_wide_scalars(case):
     assert prod.entries == dense(ref_matmul(f, rows, b, nc, nk))
     assert all(type(x) is Fraction
                for r in prod.sparse_rows for x in r.values())
+
+
+# -- Kronecker products with an identity factor ------------------------
+
+
+def kron_with_identities(m, pre, post):
+    f = m.field
+    return Mat.identity(f, pre).kron(m).kron(Mat.identity(f, post))
+
+
+def check_tensor_id(m, pre, post):
+    got = check_sparse(m.tensor_id(pre, post))
+    want = kron_with_identities(m, pre, post)
+    assert (got.rows, got.cols) == (pre * m.rows * post, pre * m.cols * post)
+    assert got == want and hash(got) == hash(want)
+    f = m.field
+    eye_pre, eye_post = (Mat.identity(f, n).entries for n in (pre, post))
+    assert got.entries == dense(
+        ref_kron(f, ref_kron(f, eye_pre, m.entries), eye_post))
+    inputs = {id(r) for r in m.sparse_rows}
+    assert not any(id(r) in inputs for r in got.sparse_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.integers(0, 3), st.integers(0, 3))
+def test_tensor_id_matches_kron(case, pre, post):
+    f, density, (nr, nc, _, _), rng = case
+    check_tensor_id(Mat(f, nr, nc, dense(rand_rows(f, nr, nc, density, rng))),
+                    pre, post)
+
+
+def test_tensor_id_empty_shapes():
+    rng = random.Random(7)
+    for f in (GF2, GF3, QQ):
+        for nr, nc in ((0, 0), (0, 3), (3, 0), (2, 3)):
+            m = Mat(f, nr, nc, dense(rand_rows(f, nr, nc, 0.6, rng)))
+            for pre in range(3):
+                for post in range(3):
+                    check_tensor_id(m, pre, post)

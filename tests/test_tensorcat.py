@@ -1,16 +1,35 @@
 """Tensor products over an algebra and associativity normalization."""
 
+from math import prod
+
 import pytest
 
-from coringext.errors import DimensionMismatch
-from coringext.exactla import GF2, GF3, QQ, Mat, rank
+from coringext import tensorcat
+from coringext.errors import DimensionMismatch, SizeLimit
+from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, QQ, Mat, quotient,
+                               rank, set_guards)
 from coringext.algmod import (LeftModule, RightModule, left_regular,
                               regular_bimodule, restrict_left,
                               restrict_right, right_regular)
 from coringext.tensorcat import (assoc_normalizer, balanced_quotient,
-                                 induced_map, tensor_k, tensor_over)
-from coringext.fixtures import d2_algebra, unit_map
-from coringext.constructions import base_algebra
+                                 balancing_rows, induced_map, tensor_k,
+                                 tensor_over)
+from coringext.fixtures import d2_algebra, gc2_coalgebra, sw_coring, unit_map
+from coringext.constructions import (base_algebra, entwining_coring,
+                                     flip_entwining, trivial_coring)
+
+
+def ref_balanced_quotient(field, dims, balancings):
+    """The full-block construction: every raw balancing row of each slot,
+    lifted by ``I_pre (x) rows (x) I_post`` through ``kron``."""
+    ambient = prod(dims)
+    rel = Mat.zero(field, 0, ambient)
+    for s, (ract, lact, alg) in sorted(balancings.items()):
+        block = Mat.identity(field, prod(dims[:s])).kron(
+            balancing_rows(ract, lact, alg)).kron(
+            Mat.identity(field, prod(dims[s + 2:])))
+        rel = rel.stack(block)
+    return quotient(field, ambient, rel)
 
 
 class TestTensorIndex:
@@ -89,3 +108,46 @@ class TestAssocNormalizer:
             0: (a.mult_mat, a.mult_mat, a),
             1: (a.mult_mat, a.mult_mat, a)})
         assert q.quo_dim == 2
+
+
+class TestReducedBlocks:
+    """The pair's reduced relations span the same lifted row space as its
+    raw balancing rows, so every quotient matrix is unchanged."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ])
+    def test_iterated_quotients_match_full_blocks(self, field):
+        a = d2_algebra(field)
+        corings = (sw_coring(field), trivial_coring(a),
+                   entwining_coring(flip_entwining(a, gc2_coalgebra(field))))
+        for c in corings:
+            na, nc, mult = c.A.dim, c.dim, c.A.mult_mat
+            cc = (c.C.ract, c.C.lact, c.A)
+            cases = [
+                ((nc, nc, nc), {0: cc, 1: cc}),  # C (x)_A C (x)_A C
+                ((nc, nc, na), {0: cc, 1: (c.C.ract, mult, c.A)}),
+                ((na, nc, nc, na), {0: (mult, c.C.lact, c.A), 1: cc,
+                                    2: (c.C.ract, mult, c.A)})]
+            for dims, slots in cases:
+                got = balanced_quotient(field, dims, slots)
+                want = ref_balanced_quotient(field, dims, slots)
+                assert got.relations == want.relations
+                assert got.projection == want.projection
+                assert got.section == want.section
+            assert c.ccc() == ref_balanced_quotient(field, *cases[0])
+
+    def test_guard_checked_before_relations(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(tensorcat, "balancing_rows",
+                            lambda *args: built.append(args))
+        a = d2_algebra(GF2)
+        pair = (a.mult_mat, a.mult_mat, a)
+        with pytest.raises(SizeLimit) as ref:
+            quotient(GF2, 8, Mat.zero(GF2, 0, 8), max_dim=7)
+        set_guards(max_dim=7)
+        try:
+            with pytest.raises(SizeLimit) as err:
+                balanced_quotient(GF2, (2, 2, 2), {0: pair, 1: pair})
+        finally:
+            set_guards(max_dim=DEFAULT_MAX_DIM)
+        assert str(err.value) == str(ref.value)
+        assert built == []
