@@ -5,7 +5,8 @@ import itertools
 from typing import Callable, List, Optional
 
 from .errors import DimensionMismatch, SizeLimit
-from .exactla import FieldSpec, Mat, _null_rows, current_max_enum, rref
+from .exactla import (FieldSpec, Mat, _addmul, _new, _null_rows,
+                      current_max_enum, rref)
 
 
 def affine_solutions(field: FieldSpec, shape, residual: Callable[[Mat], Mat]):
@@ -54,11 +55,20 @@ def affine_solutions(field: FieldSpec, shape, residual: Callable[[Mat], Mat]):
 
 
 def _combine(m: Mat, coeffs, basis) -> Mat:
-    """``m + sum_i coeffs[i] * basis[i]``."""
+    """``m + sum_i coeffs[i] * basis[i]``, accumulated into one set of rows.
+
+    Each nonzero coefficient is coerced into the field, as ``Mat.scale``
+    would.  The basis matrices must have the shape of ``m``.
+    """
+    f = m.field
+    p = f.p
+    out = [dict(r) for r in m.sparse_rows]
     for x, b in zip(coeffs, basis):
-        if x:
-            m = m + b.scale(x)
-    return m
+        c = f.of(x) if x else x
+        if c:
+            for acc, row in zip(out, b.sparse_rows):
+                _addmul(acc, c, row, p)
+    return _new(f, m.rows, m.cols, tuple(out))
 
 
 def coords(basis, m: Mat) -> Optional[tuple]:

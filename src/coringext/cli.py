@@ -9,6 +9,11 @@ fixture names (FIX.D2, FIX.BC2, FIX.GC2, FIX.SW) may be declared as
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
 schema error, 3 size guard exceeded.
+
+Only ``errors``, ``exactla`` and ``_record`` load with this module.  Each
+object kind and each command imports the layers it uses when it runs, so a
+call loads only what its workspace and command need: a no-op ``check``
+loads no algebra, coring or extension code.
 """
 
 import argparse
@@ -23,20 +28,6 @@ from .errors import (AxiomViolation, CoringError, DimensionMismatch,
                      UnknownReference)
 from .exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM,
                       FieldSpec, Mat, set_guards)
-from .algmod import (Algebra, AlgebraMap, RightModule, bimodule_from_actions,
-                     make_algebra, make_algebra_map)
-from .coring import (Comodule, Coring, dual_ring, make_comodule, make_coring,
-                     check_colinear)
-from .constructions import (Coalgebra, Entwining, coalgebra_to_coring,
-                            entwining_coring, make_coalgebra, sweedler_coring,
-                            trivial_coring)
-from .descent import (Cor28Data, DescentDatum, _descend, check_cor28,
-                      make_descent_datum)
-from .extension import (CoringExtension, apply_functor, compose_extensions,
-                        enumerate_measurings, extension_from_coring_map,
-                        identity_extension, induced_coaction, make_extension,
-                        make_measuring)
-from . import fixtures as fx
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -56,8 +47,9 @@ EXIT_CODES = (
 
 @frozen
 class ColinearMap:
-    source: Comodule
-    target: Comodule
+    # string annotations: defining the class must not import ``coring``
+    source: "Comodule"
+    target: "Comodule"
     matrix: Mat
 
 
@@ -69,12 +61,14 @@ class Workspace:
         self.objects: Dict[str, object] = {}
 
     def get(self, name: str, kinds, path: str):
-        if name not in self.objects:
+        obj = self.objects.get(name)
+        # every reserved fixture name starts with "FIX."
+        if obj is None and name.startswith("FIX."):
+            from . import fixtures as fx
             if name in fx.CORING_FIXTURES or name in fx.ALGEBRA_FIXTURES:
-                self.objects[name] = fx.fixture(name, self.field, path)
-            else:
-                raise UnknownReference(path, name)
-        obj = self.objects[name]
+                obj = self.objects[name] = fx.fixture(name, self.field, path)
+        if obj is None:
+            raise UnknownReference(path, name)
         if not isinstance(obj, kinds):
             want = "/".join(k.__name__ for k in
                             (kinds if isinstance(kinds, tuple) else (kinds,)))
@@ -144,7 +138,8 @@ def _parse_object(ws: Workspace, data, path: str):
         raise SchemaError(path, "expected a JSON object")
     if "fixture" in data:
         fixname = _expect(data, "fixture", path, str)
-        return fx.fixture(fixname, f, f"{path}.fixture")
+        from .fixtures import fixture
+        return fixture(fixname, f, f"{path}.fixture")
     kind = _expect(data, "type", path, str)
 
     # Each field is read through one of these, in the order the branch
@@ -160,17 +155,22 @@ def _parse_object(ws: Workspace, data, path: str):
         return Mat(f, rows, cols, arr(key, rows, cols))
 
     if kind == "algebra":
+        from .algmod import make_algebra
         dim = _dim(data, path)
         return make_algebra(f, dim, arr("mult", dim, dim, dim),
                             arr("unit", dim, typ=list))
     if kind == "algebra_map":
+        from .algmod import Algebra, make_algebra_map
         src, tgt = ref("source", Algebra), ref("target", Algebra)
         return make_algebra_map(src, tgt, mat("matrix", tgt.dim, src.dim))
     if kind == "coalgebra":
+        from .constructions import make_coalgebra
         dim = _dim(data, path)
         return make_coalgebra(f, dim, mat("delta", dim * dim, dim),
                               mat("eps", 1, dim))
     if kind == "coring":
+        from .algmod import Algebra, bimodule_from_actions
+        from .coring import make_coring
         a = ref("algebra", Algebra)
         dim = _dim(data, path)
         lact = mat("lact", dim, a.dim * dim)
@@ -180,40 +180,61 @@ def _parse_object(ws: Workspace, data, path: str):
         cbim = bimodule_from_actions(a, a, dim, lact, ract)
         return make_coring(a, cbim, delta_lift, eps)
     if kind == "trivial_coring":
+        from .algmod import Algebra
+        from .constructions import trivial_coring
         return trivial_coring(ref("algebra", Algebra))
     if kind == "sweedler_coring":
+        from .algmod import AlgebraMap
+        from .constructions import sweedler_coring
         return sweedler_coring(ref("iota", AlgebraMap))
     if kind == "coalgebra_coring":
+        from .constructions import Coalgebra, coalgebra_to_coring
         return coalgebra_to_coring(ref("coalgebra", Coalgebra))
     if kind == "entwining_coring":
+        from .algmod import Algebra
+        from .constructions import Coalgebra, Entwining, entwining_coring
         a, cg = ref("algebra", Algebra), ref("coalgebra", Coalgebra)
         psi = mat("psi", a.dim * cg.dim, cg.dim * a.dim)
         return entwining_coring(Entwining(a, cg, psi))
     if kind == "comodule":
+        from .algmod import RightModule
+        from .coring import Coring, make_comodule
         c = ref("coring", Coring)
         dim = _dim(data, path)
         act = mat("act", dim, dim * c.A.dim)
         rho = mat("rho_lift", dim * c.dim, dim)
         return make_comodule(c, RightModule(c.A, dim, act), rho)
     if kind == "colinear_map":
+        from .coring import Comodule, check_colinear
         src, tgt = ref("source", Comodule), ref("target", Comodule)
         m = mat("matrix", tgt.dim, src.dim)
         check_colinear(m, src, tgt).raise_if_failed()
         return ColinearMap(src, tgt, m)
     if kind == "measuring":
+        from .algmod import Algebra
+        from .coring import Coring
+        from .extension import make_measuring
         c, b = ref("coring", Coring), ref("algebra", Algebra)
         return make_measuring(c, b, mat("nu", c.A.dim, c.dim * b.dim))
     if kind == "extension":
+        from .coring import Coring
+        from .extension import make_extension
         c, d = ref("c", Coring), ref("d", Coring)
         ract = mat("ract", c.dim, c.dim * d.A.dim)
         return make_extension(c, d, ract,
                               mat("sigma_lift", c.dim * d.dim, c.dim))
     if kind == "identity_extension":
+        from .coring import Coring
+        from .extension import identity_extension
         return identity_extension(ref("coring", Coring))
     if kind == "extension_from_coring_map":
+        from .coring import Coring
+        from .extension import extension_from_coring_map
         c, d = ref("c", Coring), ref("d", Coring)
         return extension_from_coring_map(mat("gamma", d.dim, c.dim), c, d)
     if kind == "descent_datum":
+        from .algmod import AlgebraMap, RightModule
+        from .descent import make_descent_datum
         iota = ref("iota", AlgebraMap)
         dim = _dim(data, path)
         a = iota.target
@@ -221,6 +242,8 @@ def _parse_object(ws: Workspace, data, path: str):
         flift = mat("f_lift", dim * a.dim, dim)
         return make_descent_datum(iota, RightModule(a, dim, act), flift)
     if kind == "cor28":
+        from .algmod import AlgebraMap
+        from .descent import Cor28Data, check_cor28
         iota_b, iota_a = ref("iota_B", AlgebraMap), ref("iota_A", AlgebraMap)
         a, b = iota_a.target, iota_a.source
         rho = mat("rho_A", a.dim, a.dim * b.dim)
@@ -282,6 +305,7 @@ def cmd_check(ws: Workspace, args) -> dict:
 
 
 def cmd_dualring(ws: Workspace, args) -> dict:
+    from .coring import Coring, dual_ring
     c = ws.get(args.coring, Coring, "--coring")
     dr = dual_ring(c)
     f = ws.field
@@ -293,6 +317,9 @@ def cmd_dualring(ws: Workspace, args) -> dict:
 
 
 def cmd_enumerate_measurings(ws: Workspace, args) -> dict:
+    from .algmod import Algebra
+    from .coring import Coring
+    from .extension import enumerate_measurings
     c = ws.get(args.coring, Coring, "--coring")
     b = ws.get(args.algebra, Algebra, "--algebra")
     ms = enumerate_measurings(c, b)
@@ -302,6 +329,8 @@ def cmd_enumerate_measurings(ws: Workspace, args) -> dict:
 
 
 def cmd_induce(ws: Workspace, args) -> dict:
+    from .coring import Comodule
+    from .extension import CoringExtension, induced_coaction
     e = ws.get(args.extension, CoringExtension, "--extension")
     m = ws.get(args.comodule, Comodule, "--comodule")
     out = induced_coaction(e, m)
@@ -313,6 +342,7 @@ def cmd_induce(ws: Workspace, args) -> dict:
 
 
 def cmd_apply(ws: Workspace, args) -> dict:
+    from .extension import CoringExtension, apply_functor
     e = ws.get(args.extension, CoringExtension, "--extension")
     g = ws.get(args.map, ColinearMap, "--map")
     out = apply_functor(e, g.matrix, g.source, g.target)
@@ -322,6 +352,7 @@ def cmd_apply(ws: Workspace, args) -> dict:
 
 
 def cmd_compose(ws: Workspace, args) -> dict:
+    from .extension import CoringExtension, compose_extensions
     e1 = ws.get(args.first, CoringExtension, "--first")
     e2 = ws.get(args.second, CoringExtension, "--second")
     out = compose_extensions(e1, e2)
@@ -333,6 +364,7 @@ def cmd_compose(ws: Workspace, args) -> dict:
 
 
 def cmd_descent(ws: Workspace, args) -> dict:
+    from .descent import Cor28Data, DescentDatum, _descend
     data = ws.get(args.cor28, Cor28Data, "--cor28")
     report = {"command": "descent", "cor28": args.cor28,
               "verdict": "accept"}

@@ -210,6 +210,11 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "UnknownReference"
 
+    def test_unknown_name_with_fixture_prefix(self):
+        code, out = run_cli(["dualring", "--coring", "FIX.NOPE"], MINIMAL)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "UnknownReference"
+
 
 class TestCommands:
     def test_dualring(self):
@@ -310,7 +315,7 @@ class TestCommands:
         assert report["result"]["dim"] == 2
 
     def test_descent_checks_cor28_once(self, monkeypatch):
-        import coringext.cli as cli
+        # cli imports check_cor28 from descent when it parses a cor28 object
         import coringext.descent as descent
         real = descent.check_cor28
         calls = []
@@ -319,7 +324,6 @@ class TestCommands:
             calls.append(data)
             return real(data)
 
-        monkeypatch.setattr(cli, "check_cor28", counting)
         monkeypatch.setattr(descent, "check_cor28", counting)
         code, _ = run_cli(["descent", "--cor28", "C28", "--datum", "dat"],
                           self._descent_ws())

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coringext._search import affine_solutions, coords
+from coringext._search import _combine, affine_solutions, coords
 from coringext.errors import DimensionMismatch
 from coringext.exactla import GF2, GF3, QQ, FieldSpec, Mat, kernel, solve
 
@@ -50,6 +50,14 @@ def ref_affine_solutions(f, shape, residual):
         return None
     return (unflatten(f, rows, cols, part),
             [unflatten(f, rows, cols, r) for r in kernel(coeff).entries])
+
+
+def ref_combine(m, coeffs, basis):
+    """The fold ``_combine`` replaced: one scale and one add per term."""
+    for x, b in zip(coeffs, basis):
+        if x:
+            m = m + b.scale(x)
+    return m
 
 
 def ref_coords(basis, m):
@@ -114,7 +122,44 @@ def spans(draw):
     return basis, target
 
 
+@st.composite
+def combinations(draw):
+    """A matrix, coefficients and basis matrices of its shape.  A
+    coefficient is zero, a field element, or a plain int that is not
+    reduced (a multiple of p among them).  Optionally a repeated term with
+    the opposite coefficient, and a last term that cancels the whole sum
+    to empty rows."""
+    f = draw(st.sampled_from([GF2, GF3, QQ]))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    m = rand_mat(f, rows, cols, rng, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    n = draw(st.integers(0, 4))
+    basis = [rand_mat(f, rows, cols, rng) for _ in range(n)]
+    coeffs = [draw(st.sampled_from([
+        f.zero, rand_mat(f, 1, 1, rng, 1.0).entries[0][0],
+        draw(st.integers(-4, 4))])) for _ in range(n)]
+    if n and draw(st.booleans()):
+        basis.append(basis[0])
+        coeffs.append(f.neg(f.of(coeffs[0])))
+    if draw(st.booleans()):
+        basis.append(ref_combine(m, coeffs, basis))
+        coeffs.append(f.neg(f.one))
+    return m, tuple(coeffs), basis
+
+
 # -- differential tests --------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(combinations())
+def test_combine_matches_fold(case):
+    m, coeffs, basis = case
+    before = [dict(r) for r in m.sparse_rows]
+    got = _combine(m, coeffs, basis)
+    assert got == ref_combine(m, coeffs, basis)
+    assert all(x for r in got.sparse_rows for x in r.values())
+    assert [dict(r) for r in m.sparse_rows] == before
+    assert not any(a is b for a in got.sparse_rows for b in m.sparse_rows)
 
 
 @settings(max_examples=200, deadline=None)
