@@ -13,7 +13,7 @@ from typing import List, Optional
 from ._record import frozen
 from ._search import enumerate_affine
 from .errors import DimensionMismatch
-from .exactla import FieldSpec, Mat
+from .exactla import FieldSpec, Mat, rank
 from .verdict import Verdict
 
 
@@ -118,7 +118,6 @@ def make_algebra_map(source: Algebra, target: Algebra, matrix) -> AlgebraMap:
 
 
 def is_isomorphism(f: AlgebraMap) -> bool:
-    from .exactla import rank
     return bool(check_algebra_map(f)) and f.source.dim == f.target.dim \
         and rank(f.matrix) == f.source.dim
 

@@ -8,13 +8,12 @@ from typing import List
 from ._record import frozen
 from ._search import affine_solutions, coords, enumerate_affine
 from .errors import AxiomViolation, DimensionMismatch, DualBasisInvalid
-from .exactla import FieldSpec, Mat, memoised
+from .exactla import FieldSpec, Mat, QuotientSpace, memoised, rank
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
                      bimodule_from_actions, left_regular, make_algebra,
                      make_algebra_map, regular_bimodule, restrict_left,
                      restrict_right, right_regular)
 from .coring import Coring, DualRing, dual_coords, dual_ring, make_coring
-from .exactla import QuotientSpace
 from .tensorcat import tensor_over
 from .verdict import Verdict
 
@@ -330,7 +329,6 @@ def twisted_convolution(e: Entwining) -> TwistedConvolution:
             raise AxiomViolation("hom-tensor-image-not-left-linear")
         cols.append(coords)
     iso = make_algebra_map(alg, dr.alg, Mat.from_cols(f, cols))
-    from .exactla import rank
     if rank(iso.matrix) != n:
         raise AxiomViolation("twisted-convolution-iso-not-bijective")
     return TwistedConvolution(alg, dr, iso)

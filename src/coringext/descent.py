@@ -10,12 +10,14 @@ structure on A itself pushes Desc(A|B) forward to Desc(B|D).
 from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (AlgebraMap, RightModule, check_right_module,
-                     left_regular, restrict_left, restrict_right)
+from .algmod import (AlgebraMap, Bimodule, LeftModule, RightModule,
+                     check_right_module, left_regular, restrict_left,
+                     restrict_right)
 from .coring import Comodule, make_comodule
 from .constructions import sweedler_coring, sweedler_space
-from .extension import CoringExtension, _cd, check_coring_extension
-from .tensorcat import balanced_quotient, tensor_over
+from .extension import (CoringExtension, _cd, check_coring_extension,
+                        induced_coaction)
+from .tensorcat import tensor_chain, tensor_over
 from .verdict import Verdict
 
 
@@ -66,23 +68,23 @@ def check_descent_datum(d: DescentDatum) -> Verdict:
         return Verdict.reject("not-A-linear")
     if d.M.act @ d.f_lift != im:
         return Verdict.reject("unit-law")
-    q3 = _maa_space(d.iota, d.M)
-    lhs = q3.projection @ f_a @ d.f_lift
-    rhs = q3.projection @ a.unit_col.tensor_id(d.M.dim, a.dim) @ d.f_lift
+    p3 = _maa_space(d.iota, d.M)
+    lhs = p3 @ f_a @ d.f_lift
+    rhs = p3 @ a.unit_col.tensor_id(d.M.dim, a.dim) @ d.f_lift
     if lhs != rhs:
         return Verdict.reject("cocycle")
     return Verdict.accept()
 
 
 @memoised
-def _maa_space(iota: AlgebraMap, m: RightModule) -> QuotientSpace:
+def _maa_space(iota: AlgebraMap, m: RightModule) -> Mat:
+    """Projection onto (M (x)_B A) (x)_B A."""
     a = iota.target
     b = iota.source
     ractB, lactB = _b_pair(iota)
-    mb = restrict_right(m, iota)
-    return balanced_quotient(
-        a.field, (m.dim, a.dim, a.dim),
-        {0: (mb.act, lactB, b), 1: (ractB, lactB, b)})
+    return tensor_chain(restrict_right(m, iota),
+                        (Bimodule(b, b, a.dim, lactB, ractB),),
+                        LeftModule(b, a.dim, lactB))
 
 
 def make_descent_datum(iota: AlgebraMap, m: RightModule,
@@ -147,30 +149,33 @@ class Cor28Data:
     rho_A: Mat          # A (x) B -> A
     phi_lift: Mat       # A -> A (x) A (x) B
 
-    def aab(self) -> QuotientSpace:
+    def aab(self) -> Mat:
+        """Projection onto (A (x)_B A) (x)_D B.
+
+        A must be a (B, D)-bimodule: ``check_cor28`` checks that rho_A is
+        left B-linear before it calls this."""
         return _aab_space(self)
 
 
-def _d_pair_on_ab(data: Cor28Data):
-    """Balancing actions of D between the A and B slots."""
-    b = data.iota_B.target
-    a = data.iota_A.target
-    iota = data.iota_B.matrix
-    ract = data.rho_A @ iota.tensor_id(a.dim, 1)     # a . iota_B(d)
-    lact = b.mult_mat @ iota.tensor_id(1, b.dim)     # iota_B(d) . b
-    return ract, lact
-
-
-@memoised
-def _aab_space(data: Cor28Data) -> QuotientSpace:
+def _ab_factors(data: Cor28Data):
+    """The factors of (A (x)_B A) (x)_D B: A as a right B-module, A as a
+    (B, D)-bimodule through rho_A, and B as a left D-module."""
     a = data.iota_A.target
     b = data.iota_B.target
     dalg = data.iota_B.source
+    iota = data.iota_B.matrix
     ractA, lactA = _b_pair(data.iota_A)
-    ractD, lactD = _d_pair_on_ab(data)
-    return balanced_quotient(
-        a.field, (a.dim, a.dim, b.dim),
-        {0: (ractA, lactA, b), 1: (ractD, lactD, dalg)})
+    ractD = data.rho_A @ iota.tensor_id(a.dim, 1)     # a . iota_B(d)
+    lactD = b.mult_mat @ iota.tensor_id(1, b.dim)     # iota_B(d) . b
+    return (RightModule(b, a.dim, ractA),
+            Bimodule(b, dalg, a.dim, lactA, ractD),
+            LeftModule(dalg, b.dim, lactD))
+
+
+@memoised
+def _aab_space(data: Cor28Data) -> Mat:
+    a_b, a_bd, b_d = _ab_factors(data)
+    return tensor_chain(a_b, (a_bd,), b_d)
 
 
 def check_cor28(data: Cor28Data) -> Verdict:
@@ -178,7 +183,6 @@ def check_cor28(data: Cor28Data) -> Verdict:
     a = data.iota_A.target
     b = data.iota_B.target
     dalg = data.iota_B.source
-    f = a.field
     na, nb = a.dim, b.dim
     if data.iota_B.target != data.iota_A.source:
         raise DimensionMismatch("the algebra maps do not compose")
@@ -194,14 +198,13 @@ def check_cor28(data: Cor28Data) -> Verdict:
     if data.rho_A @ lB.tensor_id(1, nb) != lB @ data.rho_A.tensor_id(nb, 1):
         return Verdict.reject("rho-not-left-linear")
     # phi is a (B, B)-bimodule map
-    qab = data.aab()
-    lhs = qab.projection @ data.phi_lift @ lB
-    rhs = qab.projection @ lB.tensor_id(1, na * nb) @ \
-        data.phi_lift.tensor_id(nb, 1)
+    pab = data.aab()
+    lhs = pab @ data.phi_lift @ lB
+    rhs = pab @ lB.tensor_id(1, na * nb) @ data.phi_lift.tensor_id(nb, 1)
     if lhs != rhs:
         return Verdict.reject("phi-not-left-linear")
-    lhs = qab.projection @ data.phi_lift @ data.rho_A
-    rhs = qab.projection @ b.mult_mat.tensor_id(na * na, 1) @ \
+    lhs = pab @ data.phi_lift @ data.rho_A
+    rhs = pab @ b.mult_mat.tensor_id(na * na, 1) @ \
         data.phi_lift.tensor_id(1, nb)
     if lhs != rhs:
         return Verdict.reject("phi-not-right-linear")
@@ -212,29 +215,20 @@ def check_cor28(data: Cor28Data) -> Verdict:
     if lhs != rhs:
         return Verdict.reject("diagram-a")
     # (b): coassociativity-type law in A (x)_B A (x)_D B (x)_D B
-    ractA, lactA = _b_pair(data.iota_A)
-    ractD_ab, lactD_ab = _d_pair_on_ab(data)
-    ractD_bb = b.mult_mat @ data.iota_B.matrix.tensor_id(nb, 1)
-    lactD_bb = b.mult_mat @ data.iota_B.matrix.tensor_id(1, nb)
-    q4b = balanced_quotient(
-        f, (a.dim, a.dim, b.dim, b.dim),
-        {0: (ractA, lactA, b), 1: (ractD_ab, lactD_ab, dalg),
-         2: (ractD_bb, lactD_bb, dalg)})
-    lhs = q4b.projection @ a.mult_mat.tensor_id(1, na * nb * nb) @ \
+    a_b, a_bd, b_d = _ab_factors(data)
+    b_dd = Bimodule(dalg, dalg, nb, b_d.act,
+                    b.mult_mat @ data.iota_B.matrix.tensor_id(nb, 1))
+    p4b = tensor_chain(a_b, (a_bd, b_dd), b_d)
+    lhs = p4b @ a.mult_mat.tensor_id(1, na * nb * nb) @ \
         data.phi_lift.tensor_id(na, nb) @ data.phi_lift
-    rhs = q4b.projection @ b.unit_col.tensor_id(na * na, nb) @ \
-        data.phi_lift
+    rhs = p4b @ b.unit_col.tensor_id(na * na, nb) @ data.phi_lift
     if lhs != rhs:
         return Verdict.reject("diagram-b")
     # (c): counit-type law in A (x)_B A (x)_B A (x)_D B
-    q4c = balanced_quotient(
-        f, (a.dim, a.dim, a.dim, b.dim),
-        {0: (ractA, lactA, b), 1: (ractA, lactA, b),
-         2: (ractD_ab, lactD_ab, dalg)})
-    lhs = q4c.projection @ a.unit_col.tensor_id(1, na * na * nb) @ \
-        data.phi_lift
-    rhs = q4c.projection @ a.unit_col.tensor_id(na, na * nb) @ \
-        data.phi_lift
+    a_bb = Bimodule(b, b, na, a_bd.lact, a_b.act)
+    p4c = tensor_chain(a_b, (a_bb, a_bd), b_d)
+    lhs = p4c @ a.unit_col.tensor_id(1, na * na * nb) @ data.phi_lift
+    rhs = p4c @ a.unit_col.tensor_id(na, na * nb) @ data.phi_lift
     if lhs != rhs:
         return Verdict.reject("diagram-c")
     try:
@@ -283,7 +277,6 @@ def _descend(data: Cor28Data, d: DescentDatum) -> DescentDatum:
     if d.iota != data.iota_A:
         raise DimensionMismatch("descent datum is for a different map")
     ext = _assemble(data)
-    from .extension import induced_coaction
     com = descent_to_comodule(d)
     pushed = induced_coaction(ext, com)
     return comodule_to_descent(data.iota_B, pushed)

@@ -346,10 +346,6 @@ class Mat:
         return Mat(field, len(vec), 1, tuple((field.of(x),) for x in vec))
 
     @staticmethod
-    def row_vector(field: FieldSpec, vec) -> "Mat":
-        return Mat(field, 1, len(vec), (tuple(field.of(x) for x in vec),))
-
-    @staticmethod
     def from_cols(field: FieldSpec, cols) -> "Mat":
         nrows = len(cols[0]) if cols else 0
         data = tuple({} for _ in range(nrows))
@@ -590,19 +586,6 @@ def solve(m: Mat, target) -> Optional[tuple]:
     for r, pc in zip(red.sparse_rows, pivots):
         x[pc] = r.get(n, f.zero)
     return tuple(x)
-
-
-def solve_matrix(m: Mat, rhs: Mat) -> Optional[Mat]:
-    """Columnwise ``solve``; None if any column is inconsistent."""
-    cols = []
-    for j in range(rhs.cols):
-        x = solve(m, rhs.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    if not cols:
-        return Mat.zero(m.field, m.cols, 0)
-    return Mat.from_cols(m.field, cols)
 
 
 @frozen

@@ -17,7 +17,7 @@ from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule,
                      check_right_module, make_algebra_map)
 from .coring import (Comodule, Coring, check_bicomodule, check_colinear,
                      dual_coords, dual_element, dual_ring, make_comodule)
-from .tensorcat import balanced_quotient
+from .tensorcat import tensor_over
 from .verdict import Verdict
 from ._search import enumerate_affine
 
@@ -198,8 +198,8 @@ class CoringExtension:
 
 @memoised
 def _cd(b: Algebra, ract: Mat, dbim: Bimodule) -> QuotientSpace:
-    return balanced_quotient(b.field, (ract.rows, dbim.dim),
-                             {0: (ract, dbim.lact, b)})
+    return tensor_over(b, RightModule(b, ract.rows, ract),
+                       dbim.left_module()).q
 
 
 def check_coring_extension(e: CoringExtension) -> Verdict:

@@ -1,7 +1,7 @@
 """Reserved named fixtures, materialized over any base field."""
 
 from .errors import SchemaError
-from .exactla import FieldSpec, memoised
+from .exactla import FieldSpec, Mat, memoised
 from .algmod import Algebra, AlgebraMap, make_algebra, make_algebra_map
 from .coring import Coring
 from .constructions import (Coalgebra, base_algebra, coalgebra_to_coring,
@@ -45,7 +45,6 @@ def matrix_algebra_2(field: FieldSpec) -> Algebra:
 @memoised
 def unit_map(field: FieldSpec, a: Algebra) -> AlgebraMap:
     """The unique algebra map from the base field into a."""
-    from .exactla import Mat
     return make_algebra_map(base_algebra(field), a, Mat.column(field, a.unit))
 
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from coringext.errors import (DimensionMismatch, NonFiniteField, SizeLimit)
 from coringext.exactla import (GF2, GF3, MAX_PRIME, QQ, FieldSpec, Mat,
-                               kernel, quotient, rank, rref, solve,
-                               solve_matrix)
+                               kernel, quotient, rank, rref, solve)
 
 FIELDS = [GF2, GF3, FieldSpec(5), QQ]
 
@@ -135,11 +134,6 @@ class TestEchelon:
     def test_solve_inconsistent(self):
         m = Mat.from_rows(GF2, [[1, 0], [1, 0]])
         assert solve(m, (1, 0)) is None
-
-    def test_solve_matrix(self):
-        m = Mat.identity(GF3, 2)
-        rhs = Mat.from_rows(GF3, [[1, 2], [0, 1]])
-        assert solve_matrix(m, rhs) == rhs
 
 
 class TestQuotient:

@@ -1,14 +1,20 @@
 """Measurings, the bijection with dual-ring maps, and coring extensions."""
 
+import random
+
 import pytest
 
 from coringext.errors import (AxiomViolation, MiddleMismatch, NotColinear,
                               NotCoringMorphism)
-from coringext.exactla import GF2, GF3, Mat
-from coringext.algmod import (RightModule, enumerate_algebra_maps,
-                              make_algebra)
-from coringext.coring import (check_comodule, dual_ring, regular_comodule,
-                              direct_sum_comodule, cofree_comodule)
+from coringext.exactla import GF2, GF3, QQ, Mat, kernel
+from coringext.algmod import (Bimodule, LeftModule, RightModule, _first_diff,
+                              enumerate_algebra_maps, make_algebra)
+from coringext.coring import (Comodule, LeftComodule, check_bicomodule,
+                              check_comodule, check_left_comodule, dual_ring,
+                              regular_comodule, direct_sum_comodule,
+                              cofree_comodule)
+from coringext.tensorcat import tensor_chain, tensor_over
+from coringext.verdict import Verdict
 from coringext.constructions import base_algebra, trivial_coring
 from coringext.extension import (Measuring, action_from_measuring,
                                  algebra_map_to_measuring, apply_functor,
@@ -216,3 +222,99 @@ class TestComposition:
         e = extension_from_coring_map(sw.eps, sw, triv)
         with pytest.raises(MiddleMismatch):
             compose_extensions(e, e)
+
+
+# -- the bicomodule condition through the other iterated quotient -------
+
+
+def ref_right_route(c, d, m):
+    """Projection of C (x) M (x) D onto C (x)_A (M (x)_B D): M (x)_B D with
+    the left A-action induced from M, tensored on the left with C."""
+    md = tensor_over(d.A, m.right_module(), d.C.left_module())
+    lact = md.proj @ m.lact.tensor_id(1, d.dim) @ md.sect.tensor_id(c.A.dim, 1)
+    it = tensor_over(c.A, c.C.right_module(), LeftModule(c.A, md.dim, lact))
+    return it.proj @ md.proj.tensor_id(c.dim, 1)
+
+
+def ref_check_bicomodule(c, d, m, lambda_lift, sigma_lift):
+    """``check_bicomodule`` with the condition read in C (x)_A (M (x)_B D)."""
+    v = check_left_comodule(LeftComodule(c, m.left_module(), lambda_lift))
+    if not v:
+        return v
+    v = check_comodule(Comodule(d, m.right_module(), sigma_lift))
+    if not v:
+        return v
+    p = ref_right_route(c, d, m)
+    w = _first_diff(p @ lambda_lift.tensor_id(1, d.dim) @ sigma_lift,
+                    p @ sigma_lift.tensor_id(c.dim, 1) @ lambda_lift)
+    return Verdict.accept() if w is None else \
+        Verdict.reject("not-bicomodule", w)
+
+
+def field_extensions(field):
+    sw = sw_coring(field)
+    triv = trivial_coring(d2_algebra(field))
+    return [identity_extension(sw), identity_extension(triv),
+            extension_from_coring_map(sw.eps, sw, triv)]
+
+
+def perturbed(f, m, rng):
+    """``m`` with one entry moved by a nonzero scalar."""
+    rows = [dict(r) for r in m.sparse_rows]
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    x = f.add(rows[i].get(j, f.zero), f.of(rng.randrange(1, 3)) or f.one)
+    rows[i].pop(j, None)
+    if x:
+        rows[i][j] = x
+    return Mat.from_sparse_rows(f, m.rows, m.cols, rows)
+
+
+class TestBicomoduleRoutes:
+    """``check_bicomodule`` reads the condition in (C (x)_A M) (x)_B D only;
+    the other iterated quotient C (x)_A (M (x)_B D) has the same kernel."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ])
+    def test_routes_have_one_kernel(self, field):
+        for e in field_extensions(field):
+            c, d = e.c, e.d
+            m = Bimodule(c.A, d.A, c.dim, c.C.lact, e.ract)
+            left = tensor_chain(c.C.right_module(), (m,), d.C.left_module())
+            assert kernel(left) == kernel(ref_right_route(c, d, m))
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ])
+    def test_perturbed_sigma_same_verdict_and_witness(self, field):
+        rng = random.Random(20040)
+        differing = 0
+        for e in field_extensions(field):
+            c, d = e.c, e.d
+            m = Bimodule(c.A, d.A, c.dim, c.C.lact, e.ract)
+            p1 = tensor_chain(c.C.right_module(), (m,), d.C.left_module())
+            p2 = ref_right_route(c, d, m)
+            for _ in range(12):
+                sigma = perturbed(field, e.sigma_lift, rng)
+                assert check_bicomodule(c, d, m, c.delta_lift, sigma) == \
+                    ref_check_bicomodule(c, d, m, c.delta_lift, sigma)
+                lhs = c.delta_lift.tensor_id(1, d.dim) @ sigma
+                rhs = sigma.tensor_id(c.dim, 1) @ c.delta_lift
+                w = _first_diff(p1 @ lhs, p1 @ rhs)
+                assert w == _first_diff(p2 @ lhs, p2 @ rhs)
+                differing += w is not None
+        assert differing > 0
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ])
+    def test_noncommuting_gradings_rejected_on_both_routes(self, field):
+        """M = k^2 with C = D the group coalgebra on g, h: the left
+        coaction grades e1 by g and e2 by h, the right one grades e1 + e2
+        by g and e2 by h.  Each is a comodule; together they do not commute.
+        """
+        c = gc2_coring(field)
+        ident = Mat.identity(field, 2)
+        m = Bimodule(c.A, c.A, 2, ident, ident)
+        lam = Mat.from_cols(field, [(1, 0, 0, 0), (0, 0, 0, 1)])
+        sigma = Mat.from_cols(field, [(1, 0, 1, -1), (0, 0, 0, 1)])
+        v = check_bicomodule(c, c, m, lam, sigma)
+        assert v.failure.kind == "not-bicomodule"
+        assert v == ref_check_bicomodule(c, c, m, lam, sigma)
+        # the same grading on both sides commutes
+        assert bool(check_bicomodule(c, c, m, lam, lam))
+        assert bool(ref_check_bicomodule(c, c, m, lam, lam))

@@ -1,4 +1,5 @@
-"""Tensor products over an algebra and associativity normalization."""
+"""Tensor products over an algebra, and iterated tensor products checked
+against the quotient by all balancing relations at once."""
 
 from math import prod
 
@@ -6,17 +7,19 @@ import pytest
 
 from coringext import tensorcat
 from coringext.errors import DimensionMismatch, SizeLimit
-from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, QQ, Mat, quotient,
-                               rank, set_guards)
-from coringext.algmod import (LeftModule, RightModule, left_regular,
+from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, QQ, Mat, kernel,
+                               quotient, rank, set_guards)
+from coringext.algmod import (Bimodule, LeftModule, RightModule,
+                              left_regular, make_algebra_map,
                               regular_bimodule, restrict_left,
                               restrict_right, right_regular)
-from coringext.tensorcat import (assoc_normalizer, balanced_quotient,
-                                 balancing_rows, induced_map, tensor_k,
-                                 tensor_over)
-from coringext.fixtures import d2_algebra, gc2_coalgebra, sw_coring, unit_map
+from coringext.tensorcat import (balancing_rows, induced_map, tensor_chain,
+                                 tensor_k, tensor_over)
+from coringext.fixtures import (d2_algebra, gc2_coalgebra, matrix_algebra_2,
+                                sw_coring, unit_map)
 from coringext.constructions import (base_algebra, entwining_coring,
                                      flip_entwining, trivial_coring)
+from coringext.descent import Cor28Data
 
 
 def ref_balanced_quotient(field, dims, balancings):
@@ -30,6 +33,54 @@ def ref_balanced_quotient(field, dims, balancings):
             Mat.identity(field, prod(dims[s + 2:])))
         rel = rel.stack(block)
     return quotient(field, ambient, rel)
+
+
+def slots_of(m, mids, n):
+    """``tensor_chain``'s factors as ``ref_balanced_quotient`` arguments:
+    the factor dimensions and the balancing actions of each adjacent pair."""
+    dims = (m.dim, *(b.dim for b in mids), n.dim)
+    racts = [(m.act, m.alg)] + [(b.ract, b.algR) for b in mids]
+    lacts = [b.lact for b in mids] + [n.act]
+    return dims, {s: (ract, lact, alg)
+                  for s, ((ract, alg), lact) in enumerate(zip(racts, lacts))}
+
+
+def ref_kernel(m, mids, n):
+    """The balancing relations of all pairs at once, in echelon form."""
+    return ref_balanced_quotient(m.alg.field, *slots_of(m, mids, n)).relations
+
+
+def towers(field):
+    """Algebra maps D -> B -> A, each with A's right multiplication through
+    B as rho_A: the shapes of the Cor. 2.8 checks."""
+    k = base_algebra(field)
+    d2 = d2_algebra(field)
+    ident = make_algebra_map(d2, d2, Mat.identity(field, 2))
+    diag = make_algebra_map(d2, matrix_algebra_2(field), Mat.from_cols(
+        field, [(1, 0, 0, 0), (0, 0, 0, 1)]))
+    return [(make_algebra_map(k, k, Mat.identity(field, 1)),
+             unit_map(field, d2)),
+            (ident, ident),
+            (unit_map(field, d2), diag)]
+
+
+def cor28_chains(iota_b, iota_a):
+    """(A (x)_B A) (x)_D B, ((A (x)_B A) (x)_D B) (x)_D B and
+    ((A (x)_B A) (x)_B A) (x)_D B as ``tensor_chain`` arguments."""
+    a, b, d = iota_a.target, iota_b.target, iota_b.source
+    na, nb = a.dim, b.dim
+    rho = a.mult_mat @ iota_a.matrix.tensor_id(na, 1)        # a . b
+    lact_b = a.mult_mat @ iota_a.matrix.tensor_id(1, na)     # b . a
+    ract_d = rho @ iota_b.matrix.tensor_id(na, 1)            # a . d
+    lact_d = b.mult_mat @ iota_b.matrix.tensor_id(1, nb)     # d . b
+    ract_db = b.mult_mat @ iota_b.matrix.tensor_id(nb, 1)    # b . d
+    a_b = RightModule(b, na, rho)
+    a_bb = Bimodule(b, b, na, lact_b, rho)
+    a_bd = Bimodule(b, d, na, lact_b, ract_d)
+    b_dd = Bimodule(d, d, nb, lact_d, ract_db)
+    b_d = LeftModule(d, nb, lact_d)
+    return rho, [(a_b, (a_bd,), b_d), (a_b, (a_bd, b_dd), b_d),
+                 (a_b, (a_bb, a_bd), b_d)]
 
 
 class TestTensorIndex:
@@ -87,32 +138,33 @@ class TestInducedMap:
         assert induced_map(smear, t.q, t.q) is None
 
 
-class TestAssocNormalizer:
+class TestTensorChain:
     def test_triple_over_d2(self):
         for field in (GF2, QQ):
             a = d2_algebra(field)
-            norm = assoc_normalizer(a, right_regular(a),
-                                    regular_bimodule(a), left_regular(a))
-            assert norm.single.quo_dim == 2
-            assert norm.left_iterated.quo_dim == 2
-            assert norm.right_iterated.quo_dim == 2
-            ident = Mat.identity(field, 2)
-            # the normalizing isomorphisms are verified internally; spot
-            # check they are inverse to the projected identities
-            assert rank(norm.from_left) == 2
-            assert rank(norm.from_right) == 2
+            args = (right_regular(a), (regular_bimodule(a),), left_regular(a))
+            p = tensor_chain(*args)
+            assert (p.rows, p.cols) == (2, 8)
+            assert rank(p) == 2
+            assert kernel(p) == ref_kernel(*args)
 
-    def test_balanced_quotient_multi_slot(self):
+    def test_multi_slot(self):
         a = d2_algebra(GF2)
-        q = balanced_quotient(GF2, (2, 2, 2), {
-            0: (a.mult_mat, a.mult_mat, a),
-            1: (a.mult_mat, a.mult_mat, a)})
-        assert q.quo_dim == 2
+        bim = regular_bimodule(a)
+        args = (right_regular(a), (bim, bim), left_regular(a))
+        p = tensor_chain(*args)
+        assert (p.rows, p.cols) == (2, 16)
+        assert kernel(p) == ref_kernel(*args)
+
+    def test_no_middle_factor_is_tensor_over(self):
+        a = d2_algebra(GF3)
+        p = tensor_chain(right_regular(a), (), left_regular(a))
+        assert p == tensor_over(a, right_regular(a), left_regular(a)).proj
 
 
 class TestReducedBlocks:
-    """The pair's reduced relations span the same lifted row space as its
-    raw balancing rows, so every quotient matrix is unchanged."""
+    """Every middle factor is a bimodule, so the kernel of the iterated
+    projection is the span of the full balancing blocks of all pairs."""
 
     @pytest.mark.parametrize("field", [GF2, GF3, QQ])
     def test_iterated_quotients_match_full_blocks(self, field):
@@ -120,34 +172,40 @@ class TestReducedBlocks:
         corings = (sw_coring(field), trivial_coring(a),
                    entwining_coring(flip_entwining(a, gc2_coalgebra(field))))
         for c in corings:
-            na, nc, mult = c.A.dim, c.dim, c.A.mult_mat
-            cc = (c.C.ract, c.C.lact, c.A)
+            ra, la = right_regular(c.A), left_regular(c.A)
             cases = [
-                ((nc, nc, nc), {0: cc, 1: cc}),  # C (x)_A C (x)_A C
-                ((nc, nc, na), {0: cc, 1: (c.C.ract, mult, c.A)}),
-                ((na, nc, nc, na), {0: (mult, c.C.lact, c.A), 1: cc,
-                                    2: (c.C.ract, mult, c.A)})]
-            for dims, slots in cases:
-                got = balanced_quotient(field, dims, slots)
-                want = ref_balanced_quotient(field, dims, slots)
-                assert got.relations == want.relations
-                assert got.projection == want.projection
-                assert got.section == want.section
-            assert c.ccc() == ref_balanced_quotient(field, *cases[0])
+                (c.C.right_module(), (c.C,), c.C.left_module()),  # C C C
+                (c.C.right_module(), (c.C,), la),                 # C C A
+                (ra, (c.C, c.C), la)]                             # A C C A
+            for args in cases:
+                assert kernel(tensor_chain(*args)) == ref_kernel(*args)
+            assert kernel(c.ccc()) == ref_kernel(*cases[0])
+        for iota_b, iota_a in towers(field):
+            rho, chains = cor28_chains(iota_b, iota_a)
+            for args in chains:
+                assert kernel(tensor_chain(*args)) == ref_kernel(*args)
+            a_ = iota_a.target
+            data = Cor28Data(iota_b, iota_a, rho, Mat.zero(
+                field, a_.dim * a_.dim * iota_b.target.dim, a_.dim))
+            assert kernel(data.aab()) == ref_kernel(*chains[0])
 
     def test_guard_checked_before_relations(self, monkeypatch):
         built = []
         monkeypatch.setattr(tensorcat, "balancing_rows",
                             lambda *args: built.append(args))
         a = d2_algebra(GF2)
-        pair = (a.mult_mat, a.mult_mat, a)
+        bim = regular_bimodule(a)
         with pytest.raises(SizeLimit) as ref:
             quotient(GF2, 8, Mat.zero(GF2, 0, 8), max_dim=7)
         set_guards(max_dim=7)
         try:
             with pytest.raises(SizeLimit) as err:
-                balanced_quotient(GF2, (2, 2, 2), {0: pair, 1: pair})
+                tensor_chain(right_regular(a), (bim,), left_regular(a))
+            set_guards(max_dim=3)
+            with pytest.raises(SizeLimit) as pair:
+                tensor_over(a, right_regular(a), left_regular(a))
         finally:
             set_guards(max_dim=DEFAULT_MAX_DIM)
         assert str(err.value) == str(ref.value)
+        assert str(pair.value) == "ambient dimension 4 exceeds 3"
         assert built == []
