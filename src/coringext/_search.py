@@ -92,21 +92,19 @@ def coords(basis, m: Mat) -> Optional[tuple]:
 
 
 def enumerate_affine(field: FieldSpec, shape, residual: Callable[[Mat], Mat],
-                     keep: Callable[[Mat], bool],
-                     max_enum=None) -> List[Mat]:
+                     keep: Callable[[Mat], bool]) -> List[Mat]:
     """All solutions of ``residual == 0`` passing ``keep``, in canonical
     order by row-major flattened entries.
 
-    The guard ``max_enum`` bounds the number of candidates, p to the power
-    of the dimension of the solution space.
+    The guard ``max_enum`` of ``set_guards`` bounds the number of
+    candidates, p to the power of the dimension of the solution space.
     """
     sol = affine_solutions(field, shape, residual)
     if sol is None:
         return []
     part, basis = sol
     elems = tuple(field.elements())  # raises NonFiniteField over Q
-    if max_enum is None:
-        max_enum = current_max_enum()
+    max_enum = current_max_enum()
     total = len(elems) ** len(basis)
     if total > max_enum:
         raise SizeLimit(f"{total} candidates exceed the guard {max_enum}")

@@ -286,21 +286,19 @@ def restrict_left(m: LeftModule, f: AlgebraMap) -> LeftModule:
 # -- enumeration -----------------------------------------------------
 
 
-def enumerate_algebra_maps(b: Algebra, a: Algebra,
-                           max_enum=None) -> List[AlgebraMap]:
+def enumerate_algebra_maps(b: Algebra, a: Algebra) -> List[AlgebraMap]:
     """All algebra maps b -> a over a prime field, in lexicographic order.
 
     The unit law ``f(1) = 1`` is linear, so the sweep runs over its affine
     solution space only and keeps the multiplicative candidates.  The
-    guard ``max_enum`` bounds that sweep: p to the power of the dimension
-    of the linear maps b -> a that vanish on the unit of b.  The maps are
-    ordered lexicographically on row-major matrix entries with
-    0 < 1 < ... < p-1.
+    guard ``max_enum`` of ``set_guards`` bounds that sweep: p to the power
+    of the dimension of the linear maps b -> a that vanish on the unit of
+    b.  The maps are ordered lexicographically on row-major matrix entries
+    with 0 < 1 < ... < p-1.
     """
     def keep(m: Mat) -> bool:
         return bool(check_algebra_map(AlgebraMap(b, a, m)))
 
     mats = enumerate_affine(b.field, (a.dim, b.dim),
-                            lambda m: m @ b.unit_col - a.unit_col, keep,
-                            max_enum)
+                            lambda m: m @ b.unit_col - a.unit_col, keep)
     return [AlgebraMap(b, a, m) for m in mats]

@@ -10,9 +10,9 @@ from ._search import affine_solutions, coords, enumerate_affine
 from .errors import AxiomViolation, DimensionMismatch, DualBasisInvalid
 from .exactla import FieldSpec, Mat, QuotientSpace, memoised, rank
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
-                     bimodule_from_actions, left_regular, make_algebra,
-                     make_algebra_map, regular_bimodule, restrict_left,
-                     restrict_right, right_regular)
+                     _first_diff, bimodule_from_actions, left_regular,
+                     make_algebra, make_algebra_map, regular_bimodule,
+                     restrict_left, restrict_right, right_regular)
 from .coring import Coring, DualRing, dual_coords, dual_ring, make_coring
 from .tensorcat import tensor_over
 from .verdict import Verdict
@@ -35,10 +35,8 @@ def trivial_coring(a: Algebra) -> Coring:
 def sweedler_space(iota: AlgebraMap) -> QuotientSpace:
     """The quotient A (x)_B A underlying the Sweedler coring of iota."""
     a = iota.target
-    t = tensor_over(iota.source,
-                    restrict_right(right_regular(a), iota),
-                    restrict_left(left_regular(a), iota))
-    return t.q
+    return tensor_over(iota.source, restrict_right(right_regular(a), iota),
+                       restrict_left(left_regular(a), iota))
 
 
 @memoised
@@ -56,13 +54,13 @@ def sweedler_coring(iota: AlgebraMap) -> Coring:
     insert = u.kron(u).tensor_id(n, n)  # x (x) y -> x (x) 1 (x) 1 (x) y
     delta_amb = q.projection.kron(q.projection) @ insert
     cc = tensor_over(a, cbim.right_module(), cbim.left_module())
-    delta = q.descends(cc.proj @ delta_amb)
+    delta = q.descends(cc.projection @ delta_amb)
     if delta is None:
         raise AxiomViolation("sweedler-coproduct-not-balanced")
     eps = q.descends(a.mult_mat)
     if eps is None:
         raise AxiomViolation("sweedler-counit-not-balanced")
-    return make_coring(a, cbim, cc.sect @ delta, eps)
+    return make_coring(a, cbim, cc.section @ delta, eps)
 
 
 # -- coalgebras ------------------------------------------------------
@@ -152,22 +150,19 @@ def _is_right_linear(sigma: Bimodule, g: Mat) -> bool:
 
 
 def check_dual_basis(sigma: Bimodule, db: DualBasis) -> Verdict:
-    """Verify sum_i e_i . e*_i(s) = s on every basis s of Sigma."""
+    """Verify sum_i e_i . e*_i(s) = s on every basis s of Sigma, as the
+    matrix identity ract @ sum_i (e_i (x) e*_i) = I; the witness is the
+    first basis s where it fails."""
     f = sigma.algR.field
     for i, g in enumerate(db.functionals):
         if not _is_right_linear(sigma, g):
             return Verdict.reject("functional-not-right-linear", (i,))
-    for s in range(sigma.dim):
-        acc = (f.zero,) * sigma.dim
-        basis_s = tuple(f.one if t == s else f.zero
-                        for t in range(sigma.dim))
-        for e_i, g in zip(db.elements, db.functionals):
-            val = g.apply(basis_s)  # in A
-            moved = sigma.ract.apply(
-                tuple(f.mul(x, y) for x in e_i for y in val))
-            acc = tuple(f.add(p, q) for p, q in zip(acc, moved))
-        if acc != basis_s:
-            return Verdict.reject("dual-basis-identity", (s,))
+    pairing = Mat.zero(f, sigma.dim * sigma.algR.dim, sigma.dim)
+    for e_i, g in zip(db.elements, db.functionals):
+        pairing = pairing + Mat.column(f, e_i).kron(g)
+    w = _first_diff(sigma.ract @ pairing, Mat.identity(f, sigma.dim))
+    if w is not None:
+        return Verdict.reject("dual-basis-identity", w)
     return Verdict.accept()
 
 
@@ -206,7 +201,7 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
     ract_star = Mat.from_cols(f, ract_cols)
 
     q = tensor_over(b, RightModule(b, ns, ract_star),
-                    LeftModule(b, sigma.dim, sigma.lact)).q
+                    LeftModule(b, sigma.dim, sigma.lact))
     lact = q.projection @ lact_star.tensor_id(1, sigma.dim) @ \
         q.section.tensor_id(a.dim, 1)
     ract = q.projection @ sigma.ract.tensor_id(ns, 1) @ \
@@ -220,14 +215,15 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
             Mat.column(f, star_coords(g_i))).tensor_id(ns, sigma.dim)
         delta_amb = delta_amb + term
     cc = tensor_over(a, cbim.right_module(), cbim.left_module())
-    delta = q.descends(cc.proj @ q.projection.kron(q.projection) @ delta_amb)
+    delta = q.descends(cc.projection @ q.projection.kron(q.projection) @
+                       delta_amb)
     if delta is None:
         raise AxiomViolation("comatrix-coproduct-not-balanced")
     eval_cols = [star[t].col(j) for t in range(ns) for j in range(sigma.dim)]
     eps = q.descends(Mat.from_cols(f, eval_cols))
     if eps is None:
         raise AxiomViolation("comatrix-counit-not-balanced")
-    return make_coring(a, cbim, cc.sect @ delta, eps)
+    return make_coring(a, cbim, cc.section @ delta, eps)
 
 
 # -- entwining structures --------------------------------------------
@@ -337,8 +333,7 @@ def twisted_convolution(e: Entwining) -> TwistedConvolution:
 # -- entwined measurings (oracle side of Examples 2.4(4)) -------------
 
 
-def enumerate_entwined_measurings(e: Entwining, b: Algebra,
-                                  max_enum=None) -> List[Mat]:
+def enumerate_entwined_measurings(e: Entwining, b: Algebra) -> List[Mat]:
     """All k-linear f: C (x) B -> A satisfying the entwined measuring
     diagrams, enumerated by brute force over the unit-constraint affine
     space and returned in canonical order."""
@@ -361,4 +356,4 @@ def enumerate_entwined_measurings(e: Entwining, b: Algebra,
         return lhs == rhs
 
     shape = (a.dim, c.dim * b.dim)
-    return enumerate_affine(f, shape, unit_residual, is_measuring, max_enum)
+    return enumerate_affine(f, shape, unit_residual, is_measuring)

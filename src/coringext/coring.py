@@ -11,12 +11,11 @@ from typing import List, Optional
 from ._record import frozen
 from ._search import _combine, affine_solutions, coords
 from .errors import AxiomViolation, DimensionMismatch
-from .exactla import Mat, kernel, memoised
+from .exactla import Mat, QuotientSpace, kernel, memoised
 from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _first_diff,
                      check_bimodule, check_left_module, check_right_module,
                      make_algebra)
-from .tensorcat import (TensorOverAlg, right_action_on_quotient, tensor_chain,
-                        tensor_over)
+from .tensorcat import right_action_on_quotient, tensor_chain, tensor_over
 from .verdict import Verdict
 
 
@@ -37,8 +36,8 @@ class Coring:
     def dim(self) -> int:
         return self.C.dim
 
-    def cc(self) -> TensorOverAlg:
-        """C (x)_A C."""
+    def cc(self) -> QuotientSpace:
+        """C (x)_A C, the home of the coproduct."""
         return tensor_over(self.A, self.C.right_module(),
                            self.C.left_module())
 
@@ -48,7 +47,7 @@ class Coring:
 
     def delta(self) -> Mat:
         """The coproduct C -> C (x)_A C in quotient coordinates."""
-        return self.cc().proj @ self.delta_lift
+        return self.cc().projection @ self.delta_lift
 
 
 @memoised
@@ -87,7 +86,7 @@ def check_coring(c: Coring) -> Verdict:
     if w is not None:
         return Verdict.reject("bilinearity", w)
     # coproduct is an (A,A)-bimodule map (tested after projection)
-    proj = c.cc().proj
+    proj = c.cc().projection
     w = _first_diff(proj @ c.delta_lift @ c.C.lact,
                     proj @ c.C.lact.tensor_id(1, nc) @
                     c.delta_lift.tensor_id(na, 1))
@@ -118,7 +117,7 @@ def make_coring(a: Algebra, c: Bimodule, delta_lift: Mat, eps: Mat) -> Coring:
     if c.algL != a or c.algR != a:
         raise DimensionMismatch("underlying bimodule is not over the algebra")
     cc = tensor_over(a, c.right_module(), c.left_module())
-    cor = Coring(a, c, cc.q.canonical_lift(delta_lift), eps)
+    cor = Coring(a, c, cc.canonical_lift(delta_lift), eps)
     check_coring(cor).raise_if_failed()
     return cor
 
@@ -138,12 +137,13 @@ class Comodule:
     def dim(self) -> int:
         return self.M.dim
 
-    def mc(self) -> TensorOverAlg:
+    def mc(self) -> QuotientSpace:
+        """M (x)_A C, the home of the coaction."""
         return tensor_over(self.coring.A, self.M,
                            self.coring.C.left_module())
 
     def rho(self) -> Mat:
-        return self.mc().proj @ self.rho_lift
+        return self.mc().projection @ self.rho_lift
 
 
 def check_comodule(m: Comodule) -> Verdict:
@@ -154,7 +154,7 @@ def check_comodule(m: Comodule) -> Verdict:
         return v
     if m.rho_lift.rows != m.dim * c.dim or m.rho_lift.cols != m.dim:
         raise DimensionMismatch("coaction lift has wrong shape")
-    proj = m.mc().proj
+    proj = m.mc().projection
     w = _first_diff(proj @ m.rho_lift @ m.M.act,
                     proj @ c.C.ract.tensor_id(m.dim, 1) @
                     m.rho_lift.tensor_id(1, c.A.dim))
@@ -173,7 +173,7 @@ def check_comodule(m: Comodule) -> Verdict:
 
 def make_comodule(c: Coring, m: RightModule, rho_lift: Mat) -> Comodule:
     mc = tensor_over(c.A, m, c.C.left_module())
-    com = Comodule(c, m, mc.q.canonical_lift(rho_lift))
+    com = Comodule(c, m, mc.canonical_lift(rho_lift))
     check_comodule(com).raise_if_failed()
     return com
 
@@ -208,10 +208,10 @@ def direct_sum_comodule(m: Comodule, n: Comodule) -> Comodule:
 def cofree_comodule(c: Coring, x: RightModule) -> Comodule:
     """X (x)_A C with coaction X (x)_A Delta, for a right A-module X."""
     xc = tensor_over(c.A, x, c.C.left_module())
-    act = right_action_on_quotient(xc, c.C.ract, c.A)
-    rho_lift = xc.proj.tensor_id(1, c.dim) @ \
-        c.delta_lift.tensor_id(x.dim, 1) @ xc.sect
-    return make_comodule(c, RightModule(c.A, xc.dim, act), rho_lift)
+    act = right_action_on_quotient(xc, x.dim, c.C.ract, c.A)
+    rho_lift = xc.projection.tensor_id(1, c.dim) @ \
+        c.delta_lift.tensor_id(x.dim, 1) @ xc.section
+    return make_comodule(c, RightModule(c.A, xc.quo_dim, act), rho_lift)
 
 
 def check_colinear(f: Mat, m: Comodule, n: Comodule) -> Verdict:
@@ -224,7 +224,7 @@ def check_colinear(f: Mat, m: Comodule, n: Comodule) -> Verdict:
     w = _first_diff(f @ m.M.act, n.M.act @ f.tensor_id(1, c.A.dim))
     if w is not None:
         return Verdict.reject("not-A-linear", w)
-    proj = n.mc().proj
+    proj = n.mc().projection
     w = _first_diff(proj @ n.rho_lift @ f,
                     proj @ f.tensor_id(1, c.dim) @ m.rho_lift)
     if w is not None:
@@ -247,7 +247,8 @@ class LeftComodule:
     def dim(self) -> int:
         return self.N.dim
 
-    def cn(self) -> TensorOverAlg:
+    def cn(self) -> QuotientSpace:
+        """C (x)_A N, the home of the coaction."""
         return tensor_over(self.coring.A, self.coring.C.right_module(),
                            self.N)
 
@@ -259,7 +260,7 @@ def check_left_comodule(n: LeftComodule) -> Verdict:
     v = check_left_module(n.N)
     if not v:
         return v
-    proj = n.cn().proj
+    proj = n.cn().projection
     w = _first_diff(proj @ n.lambda_lift @ n.N.act,
                     proj @ c.C.lact.tensor_id(1, n.dim) @
                     n.lambda_lift.tensor_id(c.A.dim, 1))
@@ -279,7 +280,7 @@ def check_left_comodule(n: LeftComodule) -> Verdict:
 def make_left_comodule(c: Coring, n: LeftModule, lambda_lift: Mat
                        ) -> LeftComodule:
     cn = tensor_over(c.A, c.C.right_module(), n)
-    com = LeftComodule(c, n, cn.q.canonical_lift(lambda_lift))
+    com = LeftComodule(c, n, cn.canonical_lift(lambda_lift))
     check_left_comodule(com).raise_if_failed()
     return com
 
@@ -296,7 +297,7 @@ def cotensor_basis(m: Comodule, n: LeftComodule) -> Mat:
     mn = tensor_over(c.A, m.M, n.N)
     p3 = tensor_chain(m.M, (c.C,), n.N)
     return kernel(p3 @ (m.rho_lift.tensor_id(1, n.dim) -
-                        n.lambda_lift.tensor_id(m.dim, 1)) @ mn.sect)
+                        n.lambda_lift.tensor_id(m.dim, 1)) @ mn.section)
 
 
 # -- bicomodules -----------------------------------------------------

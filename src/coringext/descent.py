@@ -10,9 +10,9 @@ structure on A itself pushes Desc(A|B) forward to Desc(B|D).
 from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (AlgebraMap, Bimodule, LeftModule, RightModule,
-                     check_right_module, left_regular, restrict_left,
-                     restrict_right)
+from .algmod import (AlgebraMap, Bimodule, RightModule, check_right_module,
+                     left_regular, restrict_left, restrict_right,
+                     right_regular)
 from .coring import Comodule, make_comodule
 from .constructions import sweedler_coring, sweedler_space
 from .extension import (CoringExtension, _cd, check_coring_extension,
@@ -24,18 +24,8 @@ from .verdict import Verdict
 @memoised
 def _ma_space(iota: AlgebraMap, m: RightModule) -> QuotientSpace:
     """M (x)_B A for a right A-module M restricted along iota."""
-    a = iota.target
-    t = tensor_over(iota.source, restrict_right(m, iota),
-                    restrict_left(left_regular(a), iota))
-    return t.q
-
-
-def _b_pair(iota: AlgebraMap):
-    """Balancing actions of B on (A, A) through iota."""
-    a = iota.target
-    ract = a.mult_mat @ iota.matrix.tensor_id(a.dim, 1)  # a . iota(b)
-    lact = a.mult_mat @ iota.matrix.tensor_id(1, a.dim)  # iota(b) . a
-    return ract, lact
+    return tensor_over(iota.source, restrict_right(m, iota),
+                       restrict_left(left_regular(iota.target), iota))
 
 
 @frozen
@@ -80,11 +70,12 @@ def check_descent_datum(d: DescentDatum) -> Verdict:
 def _maa_space(iota: AlgebraMap, m: RightModule) -> Mat:
     """Projection onto (M (x)_B A) (x)_B A."""
     a = iota.target
-    b = iota.source
-    ractB, lactB = _b_pair(iota)
+    a_b = restrict_right(right_regular(a), iota)
+    b_a = restrict_left(left_regular(a), iota)
     return tensor_chain(restrict_right(m, iota),
-                        (Bimodule(b, b, a.dim, lactB, ractB),),
-                        LeftModule(b, a.dim, lactB))
+                        (Bimodule(iota.source, iota.source, a.dim, b_a.act,
+                                  a_b.act),),
+                        b_a)
 
 
 def make_descent_datum(iota: AlgebraMap, m: RightModule,
@@ -162,14 +153,12 @@ def _ab_factors(data: Cor28Data):
     (B, D)-bimodule through rho_A, and B as a left D-module."""
     a = data.iota_A.target
     b = data.iota_B.target
-    dalg = data.iota_B.source
-    iota = data.iota_B.matrix
-    ractA, lactA = _b_pair(data.iota_A)
-    ractD = data.rho_A @ iota.tensor_id(a.dim, 1)     # a . iota_B(d)
-    lactD = b.mult_mat @ iota.tensor_id(1, b.dim)     # iota_B(d) . b
-    return (RightModule(b, a.dim, ractA),
-            Bimodule(b, dalg, a.dim, lactA, ractD),
-            LeftModule(dalg, b.dim, lactD))
+    a_d = restrict_right(RightModule(b, a.dim, data.rho_A), data.iota_B)
+    return (restrict_right(right_regular(a), data.iota_A),
+            Bimodule(b, data.iota_B.source, a.dim,
+                     restrict_left(left_regular(a), data.iota_A).act,
+                     a_d.act),
+            restrict_left(left_regular(b), data.iota_B))
 
 
 @memoised
@@ -194,7 +183,7 @@ def check_cor28(data: Cor28Data) -> Verdict:
     v = check_right_module(RightModule(b, a.dim, data.rho_A))
     if not v:
         return v
-    lB = a.mult_mat @ data.iota_A.matrix.tensor_id(1, na)  # b . a on A
+    lB = restrict_left(left_regular(a), data.iota_A).act  # b . a on A
     if data.rho_A @ lB.tensor_id(1, nb) != lB @ data.rho_A.tensor_id(nb, 1):
         return Verdict.reject("rho-not-left-linear")
     # phi is a (B, B)-bimodule map
@@ -217,7 +206,7 @@ def check_cor28(data: Cor28Data) -> Verdict:
     # (b): coassociativity-type law in A (x)_B A (x)_D B (x)_D B
     a_b, a_bd, b_d = _ab_factors(data)
     b_dd = Bimodule(dalg, dalg, nb, b_d.act,
-                    b.mult_mat @ data.iota_B.matrix.tensor_id(nb, 1))
+                    restrict_right(right_regular(b), data.iota_B).act)
     p4b = tensor_chain(a_b, (a_bd, b_dd), b_d)
     lhs = p4b @ a.mult_mat.tensor_id(1, na * nb * nb) @ \
         data.phi_lift.tensor_id(na, nb) @ data.phi_lift

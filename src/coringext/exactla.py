@@ -41,7 +41,8 @@ def memoised(fn):
 
 
 def set_guards(max_dim=None, max_enum=None):
-    """Override the process-wide size guards (used by the CLI flags).
+    """Override the process-wide size guards, the only guard setting in
+    the library (the CLI flags ``--max-dim``/``--max-enum`` call it).
 
     A change of either guard discards every memoised result: a result
     computed under one guard would otherwise skip the check of the next.
@@ -620,21 +621,19 @@ class QuotientSpace:
         return self.section @ self.projection @ m
 
 
-def _check_ambient(ambient_dim: int, max_dim: Optional[int] = None) -> None:
-    """Raise SizeLimit if a quotient's ambient space exceeds the guard
-    (``max_dim``, or the process-wide one if it is None)."""
-    if max_dim is None:
-        max_dim = current_max_dim()
+def _check_ambient(ambient_dim: int) -> None:
+    """Raise SizeLimit if a quotient's ambient space exceeds the guard."""
+    max_dim = current_max_dim()
     if ambient_dim > max_dim:
         raise SizeLimit(f"ambient dimension {ambient_dim} exceeds {max_dim}")
 
 
-def quotient(field: FieldSpec, ambient_dim: int, relations: Mat,
-             max_dim: Optional[int] = None) -> QuotientSpace:
+def quotient(field: FieldSpec, ambient_dim: int, relations: Mat
+             ) -> QuotientSpace:
     """Quotient of F^ambient_dim by the row space of ``relations``."""
     if relations.cols != ambient_dim:
         raise DimensionMismatch("relations do not live in the ambient space")
-    _check_ambient(ambient_dim, max_dim)
+    _check_ambient(ambient_dim)
     f = field
     red, pivots = rref(relations)
     # projection: kill each pivot coordinate using its relation row

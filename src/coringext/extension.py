@@ -81,8 +81,7 @@ def make_measuring(c: Coring, b: Algebra, nu: Mat) -> Measuring:
     return m
 
 
-def enumerate_measurings(c: Coring, b: Algebra,
-                         max_enum=None) -> List[Measuring]:
+def enumerate_measurings(c: Coring, b: Algebra) -> List[Measuring]:
     """All measurings of c by b over a prime field, in canonical order.
 
     The linear constraints (left A-linearity, unit diagram) are solved
@@ -101,7 +100,7 @@ def enumerate_measurings(c: Coring, b: Algebra,
 
     shape = (c.A.dim, c.dim * b.dim)
     return [Measuring(c, b, nu)
-            for nu in enumerate_affine(f, shape, residual, keep, max_enum)]
+            for nu in enumerate_affine(f, shape, residual, keep)]
 
 
 # -- the bijection with algebra maps B -> *C --------------------------
@@ -153,7 +152,7 @@ def check_right_b_structure(c: Coring, b: Algebra, ract_b: Mat) -> Verdict:
     if c.C.lact @ ract_b.tensor_id(c.A.dim, 1) != \
             ract_b @ c.C.lact.tensor_id(1, b.dim):
         return Verdict.reject("actions-do-not-commute")
-    proj = c.cc().proj
+    proj = c.cc().projection
     lhs = proj @ c.delta_lift @ ract_b
     rhs = proj @ ract_b.tensor_id(c.dim, 1) @ c.delta_lift.tensor_id(1, b.dim)
     if lhs != rhs:
@@ -199,7 +198,7 @@ class CoringExtension:
 @memoised
 def _cd(b: Algebra, ract: Mat, dbim: Bimodule) -> QuotientSpace:
     return tensor_over(b, RightModule(b, ract.rows, ract),
-                       dbim.left_module()).q
+                       dbim.left_module())
 
 
 def check_coring_extension(e: CoringExtension) -> Verdict:
@@ -244,7 +243,7 @@ def extension_from_coring_map(gamma: Mat, c: Coring, d: Coring
         raise NotCoringMorphism("A-bilinearity")
     if d.eps @ gamma != c.eps:
         raise NotCoringMorphism("counit")
-    proj = d.cc().proj
+    proj = d.cc().projection
     if proj @ d.delta_lift @ gamma != proj @ gamma.kron(gamma) @ c.delta_lift:
         raise NotCoringMorphism("coproduct")
     sigma_lift = gamma.tensor_id(c.dim, 1) @ c.delta_lift

@@ -1,46 +1,21 @@
-"""Tensor products over the base field and over an algebra.
+"""Tensor products over an algebra.
 
-M (x)_A N is computed as an explicit quotient of the k-tensor ambient
-space by balancing relations, together with a canonical projection/section
-pair (:func:`tensor_over`, memoised).  A product of several factors, such
-as C (x)_A C (x)_A C or A (x)_B A (x)_D B, is formed one factor at a time
-by :func:`tensor_chain`: each partial product carries the right action
-induced from its last factor and is tensored with the next one.  The
-coring, comodule and descent checkers compare composites in these
-iterated quotients.
+M (x)_A N is the quotient of the k-tensor ambient space M (x) N by the
+balancing relations: :func:`tensor_over` (memoised) returns that
+``QuotientSpace``, and its ``projection``/``section`` pair and
+``quo_dim`` present every balanced product in the package.  A product of
+several factors, such as C (x)_A C (x)_A C or A (x)_B A (x)_D B, is
+formed one factor at a time by :func:`tensor_chain`: each partial product
+carries the right action induced from its last factor and is tensored
+with the next one.  The coring, comodule and descent checkers compare
+composites in these iterated quotients.
 """
 
 from math import prod
 
-from ._record import frozen
 from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, _check_ambient, memoised, quotient
 from .algmod import Algebra, LeftModule, RightModule
-
-
-@frozen
-class TensorIndex:
-    """Row-major pairing of basis indices: (i, j) -> i * dim_n + j."""
-
-    dim_m: int
-    dim_n: int
-
-    @property
-    def dim(self) -> int:
-        return self.dim_m * self.dim_n
-
-    def index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.dim_m and 0 <= j < self.dim_n):
-            raise DimensionMismatch("tensor index out of range")
-        return i * self.dim_n + j
-
-    def pair(self, k: int) -> tuple:
-        return divmod(k, self.dim_n)
-
-
-def tensor_k(dim_m: int, dim_n: int) -> TensorIndex:
-    """Canonical index map of the tensor product over the base field."""
-    return TensorIndex(dim_m, dim_n)
 
 
 def balancing_rows(ract: Mat, lact: Mat, alg: Algebra) -> Mat:
@@ -65,36 +40,15 @@ def balancing_rows(ract: Mat, lact: Mat, alg: Algebra) -> Mat:
     return Mat.from_sparse_rows(f, len(rows), dx * dy, rows)
 
 
-@frozen
-class TensorOverAlg:
-    """M (x)_A N presented as a quotient of the k-tensor ambient space."""
-
-    left: RightModule
-    right: LeftModule
-    q: QuotientSpace
-
-    @property
-    def dim(self) -> int:
-        return self.q.quo_dim
-
-    @property
-    def proj(self) -> Mat:
-        return self.q.projection
-
-    @property
-    def sect(self) -> Mat:
-        return self.q.section
-
-
 @memoised
-def tensor_over(alg: Algebra, m: RightModule, n: LeftModule) -> TensorOverAlg:
-    """Tensor product of a right and a left module over ``alg``."""
+def tensor_over(alg: Algebra, m: RightModule, n: LeftModule) -> QuotientSpace:
+    """M (x)_A N for a right and a left module over ``alg``, as a quotient
+    of the k-tensor ambient M (x) N."""
     if m.alg != alg or n.alg != alg:
         raise DimensionMismatch("modules are not over the given algebra")
     ambient = m.dim * n.dim
     _check_ambient(ambient)
-    q = quotient(alg.field, ambient, balancing_rows(m.act, n.act, alg))
-    return TensorOverAlg(m, n, q)
+    return quotient(alg.field, ambient, balancing_rows(m.act, n.act, alg))
 
 
 def tensor_chain(m: RightModule, mids: tuple, n: LeftModule) -> Mat:
@@ -113,25 +67,16 @@ def tensor_chain(m: RightModule, mids: tuple, n: LeftModule) -> Mat:
     _check_ambient(prod([m.dim, *(b.dim for b in mids), n.dim]))
     proj = Mat.identity(m.alg.field, m.dim)
     for b in mids:
-        t = tensor_over(m.alg, m, b.left_module())
-        proj = t.proj @ proj.tensor_id(1, b.dim)
-        m = RightModule(b.algR, t.dim,
-                        right_action_on_quotient(t, b.ract, b.algR))
-    return tensor_over(m.alg, m, n).proj @ proj.tensor_id(1, n.dim)
+        q = tensor_over(m.alg, m, b.left_module())
+        proj = q.projection @ proj.tensor_id(1, b.dim)
+        m = RightModule(b.algR, q.quo_dim,
+                        right_action_on_quotient(q, m.dim, b.ract, b.algR))
+    return tensor_over(m.alg, m, n).projection @ proj.tensor_id(1, n.dim)
 
 
-def induced_map(f: Mat, src: QuotientSpace, dst: QuotientSpace):
-    """Induce an ambient map on the quotients, or None if it does not descend.
-
-    Defined iff ``f`` carries every src relation into the span of the dst
-    relations; then ``induced @ src.projection == dst.projection @ f``.
-    """
-    if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
-        raise DimensionMismatch("ambient shapes do not match the quotients")
-    return src.descends(dst.projection @ f)
-
-
-def right_action_on_quotient(t: TensorOverAlg, ract_n: Mat, algR: Algebra) -> Mat:
-    """Right action of algR on M (x)_A N induced from an action on N."""
-    return t.proj @ ract_n.tensor_id(t.left.dim, 1) @ \
-        t.sect.tensor_id(1, algR.dim)
+def right_action_on_quotient(q: QuotientSpace, dim_m: int, ract_n: Mat,
+                             algR: Algebra) -> Mat:
+    """Right action of algR on M (x)_A N = ``q`` induced from an action on
+    N; ``dim_m`` is the dimension of M."""
+    return q.projection @ ract_n.tensor_id(dim_m, 1) @ \
+        q.section.tensor_id(1, algR.dim)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coringext.errors import AxiomViolation, SizeLimit
-from coringext.exactla import GF2, GF3, QQ, Mat
+from coringext.exactla import (DEFAULT_MAX_ENUM, GF2, GF3, QQ, Mat,
+                               set_guards)
 from coringext.algmod import (Algebra, AlgebraMap, Bimodule, LeftModule,
                               RightModule, check_algebra, check_algebra_map,
                               check_bimodule,
@@ -336,13 +337,21 @@ class TestEnumeration:
 
     def test_guard(self):
         a = matrix_algebra_2(GF3)
-        with pytest.raises(SizeLimit):
-            enumerate_algebra_maps(a, a, max_enum=100)
+        set_guards(max_enum=100)
+        try:
+            with pytest.raises(SizeLimit):
+                enumerate_algebra_maps(a, a)
+        finally:
+            set_guards(max_enum=DEFAULT_MAX_ENUM)
 
     def test_guard_counts_unit_constraint_space(self):
         # 2^12 unital linear maps of M_2(GF2), not 2^16 linear ones
         a = matrix_algebra_2(GF2)
-        maps = enumerate_algebra_maps(a, a, max_enum=5000)
+        set_guards(max_enum=5000)
+        try:
+            maps = enumerate_algebra_maps(a, a)
+        finally:
+            set_guards(max_enum=DEFAULT_MAX_ENUM)
         assert len(maps) == 6  # the automorphisms, PGL_2(GF2) = S_3
         assert all(is_isomorphism(m) for m in maps)
         mats = [m.matrix.entries for m in maps]

@@ -1,12 +1,15 @@
 """Named constructions: trivial, Sweedler, comatrix and entwining corings,
 coalgebras, and twisted convolution algebras."""
 
+import random
+
 import pytest
 
 from coringext.errors import AxiomViolation, DualBasisInvalid
 from coringext.exactla import GF2, GF3, QQ, Mat
 from coringext.algmod import Bimodule, is_isomorphism, make_algebra_map
 from coringext.coring import check_coring, dual_ring
+from coringext.verdict import Verdict
 from coringext.constructions import (Coalgebra, DualBasis, Entwining,
                                      base_algebra, check_coalgebra,
                                      check_dual_basis, coalgebra_to_coring,
@@ -101,6 +104,93 @@ class TestComatrix:
         c = comatrix_coring(sigma, db)
         sw = sw_coring(GF2)
         assert dual_ring(c).dim == dual_ring(sw).dim == 4
+
+
+def ref_check_dual_basis(sigma, db):
+    """``check_dual_basis`` as a loop over the basis s of Sigma, applying
+    each functional and the right action one vector at a time."""
+    f = sigma.algR.field
+    for i, g in enumerate(db.functionals):
+        if g @ sigma.ract != \
+                sigma.algR.mult_mat @ g.tensor_id(1, sigma.algR.dim):
+            return Verdict.reject("functional-not-right-linear", (i,))
+    for s in range(sigma.dim):
+        acc = (f.zero,) * sigma.dim
+        basis_s = tuple(f.one if t == s else f.zero
+                        for t in range(sigma.dim))
+        for e_i, g in zip(db.elements, db.functionals):
+            val = g.apply(basis_s)  # in A
+            moved = sigma.ract.apply(
+                tuple(f.mul(x, y) for x in e_i for y in val))
+            acc = tuple(f.add(p, q) for p, q in zip(acc, moved))
+        if acc != basis_s:
+            return Verdict.reject("dual-basis-identity", (s,))
+    return Verdict.accept()
+
+
+def free_rank_two(field):
+    """Sigma = A (+) A over A = D_2, with the two coordinate projections as
+    dual basis of the two unit vectors."""
+    a = d2_algebra(field)
+    k = base_algebra(field)
+    n = a.dim
+    cols = []
+    for s in range(2 * n):
+        for j in range(n):
+            col = a.mult_mat.col((s % n) * n + j)
+            cols.append((*col, 0, 0) if s < n else (0, 0, *col))
+    sigma = Bimodule(k, a, 2 * n, Mat.identity(field, 2 * n),
+                     Mat.from_cols(field, cols))
+    zero = (0,) * n
+    proj = Mat.identity(field, 2 * n)
+    db = DualBasis(
+        elements=(tuple(a.unit) + zero, zero + tuple(a.unit)),
+        functionals=(Mat.from_rows(field, proj.entries[:n]),
+                     Mat.from_rows(field, proj.entries[n:])))
+    return sigma, db
+
+
+def nudged(field, vec, rng):
+    """``vec`` with one coordinate moved by a nonzero scalar."""
+    out = list(vec)
+    i = rng.randrange(len(out))
+    out[i] = field.add(field.of(out[i]), field.of(rng.randrange(1, 3)) or
+                       field.one)
+    return tuple(out)
+
+
+class TestDualBasisIdentity:
+    """``check_dual_basis`` compares one matrix identity; its first
+    differing column is the loop's first failing basis vector."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ])
+    def test_matches_loop_under_perturbation(self, field):
+        rng = random.Random(20041)
+        sigmas = [TestComatrix()._sigma_db(field), free_rank_two(field)]
+        witnesses = set()
+        for sigma, db in sigmas:
+            assert check_dual_basis(sigma, db) == \
+                ref_check_dual_basis(sigma, db) == Verdict.accept()
+            for _ in range(16):
+                i = rng.randrange(len(db.elements))
+                if rng.randrange(2):
+                    els = list(db.elements)
+                    els[i] = nudged(field, els[i], rng)
+                    bad = DualBasis(tuple(els), db.functionals)
+                else:
+                    fns = list(db.functionals)
+                    g = fns[i]
+                    rows = [list(r) for r in g.entries]
+                    r = rng.randrange(g.rows)
+                    rows[r] = list(nudged(field, rows[r], rng))
+                    fns[i] = Mat.from_rows(field, rows)
+                    bad = DualBasis(db.elements, tuple(fns))
+                v = check_dual_basis(sigma, bad)
+                assert v == ref_check_dual_basis(sigma, bad)
+                if not v:
+                    witnesses.add((v.failure.kind, v.failure.witness))
+        assert len({w for k, w in witnesses
+                    if k == "dual-basis-identity"}) > 1
 
 
 class TestEntwining:

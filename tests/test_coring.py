@@ -54,7 +54,7 @@ class TestCoringAxioms:
 
     def test_canonical_lift_normalization(self):
         c = sw_coring(GF2)
-        q = c.cc().q
+        q = c.cc()
         assert q.canonical_lift(c.delta_lift) == c.delta_lift
 
 

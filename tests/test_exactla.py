@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coringext.errors import (DimensionMismatch, NonFiniteField, SizeLimit)
-from coringext.exactla import (GF2, GF3, MAX_PRIME, QQ, FieldSpec, Mat,
-                               kernel, quotient, rank, rref, solve)
+from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, MAX_PRIME, QQ,
+                               FieldSpec, Mat, kernel, quotient, rank, rref,
+                               set_guards, solve)
 
 FIELDS = [GF2, GF3, FieldSpec(5), QQ]
 
@@ -164,5 +165,9 @@ class TestQuotient:
         assert q.projection @ canon == q.projection @ lift
 
     def test_size_guard(self):
-        with pytest.raises(SizeLimit):
-            quotient(GF2, 10, Mat.zero(GF2, 0, 10), max_dim=5)
+        set_guards(max_dim=5)
+        try:
+            with pytest.raises(SizeLimit):
+                quotient(GF2, 10, Mat.zero(GF2, 0, 10))
+        finally:
+            set_guards(max_dim=DEFAULT_MAX_DIM)

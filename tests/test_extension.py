@@ -231,9 +231,11 @@ def ref_right_route(c, d, m):
     """Projection of C (x) M (x) D onto C (x)_A (M (x)_B D): M (x)_B D with
     the left A-action induced from M, tensored on the left with C."""
     md = tensor_over(d.A, m.right_module(), d.C.left_module())
-    lact = md.proj @ m.lact.tensor_id(1, d.dim) @ md.sect.tensor_id(c.A.dim, 1)
-    it = tensor_over(c.A, c.C.right_module(), LeftModule(c.A, md.dim, lact))
-    return it.proj @ md.proj.tensor_id(c.dim, 1)
+    lact = md.projection @ m.lact.tensor_id(1, d.dim) @ \
+        md.section.tensor_id(c.A.dim, 1)
+    it = tensor_over(c.A, c.C.right_module(),
+                     LeftModule(c.A, md.quo_dim, lact))
+    return it.projection @ md.projection.tensor_id(c.dim, 1)
 
 
 def ref_check_bicomodule(c, d, m, lambda_lift, sigma_lift):

@@ -1,5 +1,6 @@
 """Lint: no module of the package imports a name it never uses, or imports
-inside a function from a module it already imports at top level."""
+inside a function from a module it already imports at top level, and no
+function but ``set_guards`` takes a size guard as a parameter."""
 
 import ast
 import pathlib
@@ -72,3 +73,34 @@ def test_detects_redundant():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_redundant_imports(path):
     assert redundant_imports(path.read_text(encoding="utf-8")) == []
+
+
+GUARDS = {"max_dim", "max_enum"}
+
+
+def guard_parameters(source: str):
+    """Functions other than ``set_guards`` with a ``max_dim`` or
+    ``max_enum`` parameter: ``set_guards`` is the one guard setting."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                node.name != "set_guards":
+            a = node.args
+            names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            found += [(node.lineno, node.name, g)
+                      for g in sorted(names & GUARDS)]
+    return found
+
+
+def test_detects_guard_parameters():
+    src = ("def set_guards(max_dim=None, max_enum=None):\n    pass\n"
+           "def f(x, *, max_enum=None):\n    pass\n"
+           "class K:\n    def g(self, max_dim):\n        pass\n")
+    assert guard_parameters(src) == [(3, "f", "max_enum"),
+                                     (6, "g", "max_dim")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_set_guards_takes_a_guard(path):
+    assert guard_parameters(path.read_text(encoding="utf-8")) == []

@@ -24,7 +24,7 @@ EXPORTS = {
                "enumerate_algebra_maps", "is_isomorphism", "make_algebra",
                "make_algebra_map", "make_bimodule", "opposite",
                "regular_bimodule"],
-    "tensorcat": ["induced_map", "tensor_chain", "tensor_k", "tensor_over"],
+    "tensorcat": ["tensor_chain", "tensor_over"],
     "coring": ["Comodule", "Coring", "DualRing", "LeftComodule",
                "check_bicomodule", "check_colinear", "check_comodule",
                "check_coring", "check_left_comodule", "cofree_comodule",

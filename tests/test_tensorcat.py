@@ -7,19 +7,22 @@ import pytest
 
 from coringext import tensorcat
 from coringext.errors import DimensionMismatch, SizeLimit
-from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, QQ, Mat, kernel,
-                               quotient, rank, set_guards)
+from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, QQ, Mat,
+                               QuotientSpace, kernel, quotient, rank,
+                               set_guards)
 from coringext.algmod import (Bimodule, LeftModule, RightModule,
                               left_regular, make_algebra_map,
                               regular_bimodule, restrict_left,
                               restrict_right, right_regular)
-from coringext.tensorcat import (balancing_rows, induced_map, tensor_chain,
-                                 tensor_k, tensor_over)
-from coringext.fixtures import (d2_algebra, gc2_coalgebra, matrix_algebra_2,
-                                sw_coring, unit_map)
+from coringext.tensorcat import balancing_rows, tensor_chain, tensor_over
+from coringext.fixtures import (d2_algebra, gc2_coalgebra, gc2_coring,
+                                matrix_algebra_2, sw_coring, unit_map)
+from coringext.coring import regular_comodule, regular_left_comodule
 from coringext.constructions import (base_algebra, entwining_coring,
-                                     flip_entwining, trivial_coring)
-from coringext.descent import Cor28Data
+                                     flip_entwining, sweedler_space,
+                                     trivial_coring)
+from coringext.descent import Cor28Data, make_descent_datum
+from coringext.extension import identity_extension
 
 
 def ref_balanced_quotient(field, dims, balancings):
@@ -83,26 +86,14 @@ def cor28_chains(iota_b, iota_a):
                  (a_b, (a_bb, a_bd), b_d)]
 
 
-class TestTensorIndex:
-    def test_row_major(self):
-        t = tensor_k(3, 4)
-        assert t.index(2, 1) == 9
-        assert t.pair(9) == (2, 1)
-        assert t.dim == 12
-
-    def test_range_check(self):
-        with pytest.raises(DimensionMismatch):
-            tensor_k(2, 2).index(2, 0)
-
-
 class TestTensorOver:
     def test_a_tensor_a_over_a(self):
         # A (x)_A A collapses to A: balancing has full complement rank
         for field in (GF2, GF3, QQ):
             a = d2_algebra(field)
             t = tensor_over(a, right_regular(a), left_regular(a))
-            assert t.dim == 2
-            assert rank(t.q.relations) == 2
+            assert t.quo_dim == 2
+            assert rank(t.relations) == 2
 
     def test_multiplication_descends_over_base(self):
         # over B = k there are no relations, so mult always descends
@@ -111,8 +102,8 @@ class TestTensorOver:
         u = unit_map(GF2, a)
         t = tensor_over(k, restrict_right(right_regular(a), u),
                         restrict_left(left_regular(a), u))
-        assert t.q.descends(a.mult_mat) is not None
-        assert t.dim == 4
+        assert t.descends(a.mult_mat) is not None
+        assert t.quo_dim == 4
 
     def test_cached_identity(self):
         a = d2_algebra(GF2)
@@ -123,7 +114,35 @@ class TestTensorOver:
     def test_projection_section(self):
         a = d2_algebra(GF3)
         t = tensor_over(a, right_regular(a), left_regular(a))
-        assert t.proj @ t.sect == Mat.identity(GF3, t.dim)
+        assert t.projection @ t.section == Mat.identity(GF3, t.quo_dim)
+
+
+class TestOneType:
+    """Every balanced product M (x)_A N is the memoised ``QuotientSpace``
+    that ``tensor_over`` returns for its two factors."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ])
+    def test_homes_are_tensor_over(self, field):
+        a = d2_algebra(field)
+        for c in (sw_coring(field), gc2_coring(field), trivial_coring(a)):
+            cc = tensor_over(c.A, c.C.right_module(), c.C.left_module())
+            e = identity_extension(c)
+            cd = tensor_over(c.A, RightModule(c.A, c.dim, e.ract),
+                             c.C.left_module())
+            for got, want in ((c.cc(), cc), (regular_comodule(c).mc(), cc),
+                              (regular_left_comodule(c).cn(), cc),
+                              (e.cd(), cd)):
+                assert isinstance(got, QuotientSpace)
+                assert got is want
+        iota = unit_map(field, a)
+        a_b = restrict_right(right_regular(a), iota)
+        b_a = restrict_left(left_regular(a), iota)
+        ab = tensor_over(iota.source, a_b, b_a)
+        d = make_descent_datum(iota, right_regular(a), a.unit_col.kron(
+            Mat.identity(field, a.dim)))
+        for got in (sweedler_space(iota), d.ma()):
+            assert isinstance(got, QuotientSpace)
+            assert got is ab
 
 
 class TestInducedMap:
@@ -131,11 +150,14 @@ class TestInducedMap:
         a = d2_algebra(GF2)
         t = tensor_over(a, right_regular(a), left_regular(a))
         ident = Mat.identity(GF2, 4)
-        got = induced_map(ident, t.q, t.q)
-        assert got == Mat.identity(GF2, t.dim)
+        got = t.descends(t.projection @ ident)
+        assert got == Mat.identity(GF2, t.quo_dim)
         # a rank-one map smearing everything does not descend
         smear = Mat.from_rows(GF2, [[1, 1, 1, 1]] * 4)
-        assert induced_map(smear, t.q, t.q) is None
+        assert t.descends(t.projection @ smear) is None
+        # a map whose domain is not the ambient space has no induced map
+        with pytest.raises(DimensionMismatch):
+            t.descends(Mat.identity(GF2, 3))
 
 
 class TestTensorChain:
@@ -159,7 +181,8 @@ class TestTensorChain:
     def test_no_middle_factor_is_tensor_over(self):
         a = d2_algebra(GF3)
         p = tensor_chain(right_regular(a), (), left_regular(a))
-        assert p == tensor_over(a, right_regular(a), left_regular(a)).proj
+        assert p == tensor_over(a, right_regular(a),
+                                left_regular(a)).projection
 
 
 class TestReducedBlocks:
@@ -195,10 +218,10 @@ class TestReducedBlocks:
                             lambda *args: built.append(args))
         a = d2_algebra(GF2)
         bim = regular_bimodule(a)
-        with pytest.raises(SizeLimit) as ref:
-            quotient(GF2, 8, Mat.zero(GF2, 0, 8), max_dim=7)
         set_guards(max_dim=7)
         try:
+            with pytest.raises(SizeLimit) as ref:
+                quotient(GF2, 8, Mat.zero(GF2, 0, 8))
             with pytest.raises(SizeLimit) as err:
                 tensor_chain(right_regular(a), (bim,), left_regular(a))
             set_guards(max_dim=3)
