@@ -49,7 +49,6 @@ _MODULE_OF = {name: mod for mod, names in (
                 "descent_functor descent_to_comodule make_descent_datum"),
     ("errors", "errors"),
     ("fixtures", "fixtures"),
-    ("verdict", "Failure Verdict"),
 ) for name in names.split()}
 
 __all__ = list(_MODULE_OF)

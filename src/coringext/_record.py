@@ -1,7 +1,7 @@
 """Immutable record classes: the ``frozen`` class decorator.
 
 Every object of the library (algebras, corings, comodules, measurings,
-extensions, descent data, verdicts) is a frozen record.  These used to be
+extensions, descent data) is a frozen record.  These used to be
 ``dataclasses.dataclass(frozen=True)`` classes.  ``dataclasses`` compiles
 each generated method from source text with ``exec`` and imports
 ``inspect``; for two dozen classes that was most of the package's import

@@ -5,6 +5,10 @@ Each axiom is checked as an identity of linear maps, such as
 ``mult @ (mult (x) I) == mult @ (I (x) mult)``, whose first differing
 column names the basis tuple that breaks it: over a field these checks
 are complete, so no randomized testing is needed in the core.
+
+Every ``check_*`` function of the package returns None when its axioms
+hold and raises ``AxiomViolation(kind, witness)`` at the first one that
+fails; ``make_*`` builds a record and calls its checker.
 """
 
 from functools import cached_property
@@ -12,9 +16,8 @@ from typing import List, Optional
 
 from ._record import frozen
 from ._search import enumerate_affine
-from .errors import DimensionMismatch
+from .errors import AxiomViolation, DimensionMismatch
 from .exactla import FieldSpec, Mat, rank
-from .verdict import Verdict
 
 
 @frozen
@@ -61,12 +64,11 @@ def make_algebra(field: FieldSpec, dim: int, mult, unit) -> Algebra:
     if len(unit) != dim:
         raise DimensionMismatch("unit: wrong length")
     a = Algebra(field, dim, mult, unit)
-    ver = check_algebra(a)
-    ver.raise_if_failed()
+    check_algebra(a)
     return a
 
 
-def check_algebra(a: Algebra) -> Verdict:
+def check_algebra(a: Algebra) -> None:
     """Unitality, then associativity, as identities of maps on the basis.
 
     A unitality witness is the first index i with 1 e_i != e_i or
@@ -76,14 +78,11 @@ def check_algebra(a: Algebra) -> Verdict:
     n = a.dim
     ia = Mat.identity(a.field, n)
     m, u = a.mult_mat, a.unit_col
-    ws = [w for w in (_first_diff(m @ u.tensor_id(1, n), ia),
-                      _first_diff(m @ u.tensor_id(n, 1), ia)) if w]
-    if ws:
-        return Verdict.reject("unitality", min(ws))
-    w = _first_diff(m @ m.tensor_id(1, n), m @ m.tensor_id(n, 1), (n,) * 3)
-    if w is not None:
-        return Verdict.reject("associativity", w)
-    return Verdict.accept()
+    # stacked, the two unit laws first differ at the lower of their witnesses
+    _require((m @ u.tensor_id(1, n)).stack(m @ u.tensor_id(n, 1)),
+             ia.stack(ia), "unitality")
+    _require(m @ m.tensor_id(1, n), m @ m.tensor_id(n, 1), "associativity",
+             (n,) * 3)
 
 
 @frozen
@@ -95,30 +94,27 @@ class AlgebraMap:
     matrix: Mat
 
 
-def check_algebra_map(f: AlgebraMap) -> Verdict:
-    """Accept iff the matrix is unital and multiplicative on basis pairs."""
+def check_algebra_map(f: AlgebraMap) -> None:
+    """Pass iff the matrix is unital and multiplicative on basis pairs."""
     m = f.matrix
     if m.rows != f.target.dim or m.cols != f.source.dim:
         raise DimensionMismatch("algebra map matrix has wrong shape")
     if m.apply(f.source.unit) != f.target.unit:
-        return Verdict.reject("unit-not-preserved", ())
-    w = _first_diff(m @ f.source.mult_mat, f.target.mult_mat @ m.kron(m),
-                    (f.source.dim,) * 2)
-    if w is not None:
-        return Verdict.reject("not-multiplicative", w)
-    return Verdict.accept()
+        raise AxiomViolation("unit-not-preserved", ())
+    _require(m @ f.source.mult_mat, f.target.mult_mat @ m.kron(m),
+             "not-multiplicative", (f.source.dim,) * 2)
 
 
 def make_algebra_map(source: Algebra, target: Algebra, matrix) -> AlgebraMap:
     if not isinstance(matrix, Mat):
         matrix = Mat.from_rows(source.field, matrix)
     f = AlgebraMap(source, target, matrix)
-    check_algebra_map(f).raise_if_failed()
+    check_algebra_map(f)
     return f
 
 
 def is_isomorphism(f: AlgebraMap) -> bool:
-    return bool(check_algebra_map(f)) and f.source.dim == f.target.dim \
+    return _holds(check_algebra_map, f) and f.source.dim == f.target.dim \
         and rank(f.matrix) == f.source.dim
 
 
@@ -170,7 +166,10 @@ class Bimodule:
 def _first_diff(m1: Mat, m2: Mat, dims=None) -> Optional[tuple]:
     """The witness where two maps differ: their first differing column,
     as ``(column,)`` or decoded as a row-major multi-index over ``dims``.
-    None if the maps agree."""
+    None if the maps agree; DimensionMismatch if their shapes differ."""
+    if (m1.rows, m1.cols) != (m2.rows, m2.cols):
+        raise DimensionMismatch(f"cannot compare a {m1.rows}x{m1.cols} map "
+                                f"with a {m2.rows}x{m2.cols} map")
     if m1 == m2:
         return None
     for c in range(m1.cols):
@@ -185,52 +184,52 @@ def _first_diff(m1: Mat, m2: Mat, dims=None) -> Optional[tuple]:
     return None
 
 
-def check_right_module(m: RightModule) -> Verdict:
+def _require(m1: Mat, m2: Mat, kind: str, dims=None) -> None:
+    """Raise ``AxiomViolation(kind, w)`` at the witness w of ``_first_diff``
+    if the two maps differ."""
+    w = _first_diff(m1, m2, dims)
+    if w is not None:
+        raise AxiomViolation(kind, w)
+
+
+def _holds(check, *args) -> bool:
+    """Whether ``check(*args)`` passes, i.e. raises no AxiomViolation."""
+    try:
+        check(*args)
+    except AxiomViolation:
+        return False
+    return True
+
+
+def check_right_module(m: RightModule) -> None:
     a = m.alg
     im = Mat.identity(a.field, m.dim)
     if m.act.rows != m.dim or m.act.cols != m.dim * a.dim:
         raise DimensionMismatch("right action has wrong shape")
-    w = _first_diff(m.act @ a.unit_col.tensor_id(m.dim, 1), im, (m.dim,))
-    if w is not None:
-        return Verdict.reject("unital", w)
-    w = _first_diff(m.act @ m.act.tensor_id(1, a.dim),
-                    m.act @ a.mult_mat.tensor_id(m.dim, 1),
-                    (m.dim, a.dim, a.dim))
-    if w is not None:
-        return Verdict.reject("right-assoc", w)
-    return Verdict.accept()
+    _require(m.act @ a.unit_col.tensor_id(m.dim, 1), im, "unital", (m.dim,))
+    _require(m.act @ m.act.tensor_id(1, a.dim),
+             m.act @ a.mult_mat.tensor_id(m.dim, 1), "right-assoc",
+             (m.dim, a.dim, a.dim))
 
 
-def check_left_module(m: LeftModule) -> Verdict:
+def check_left_module(m: LeftModule) -> None:
     a = m.alg
     im = Mat.identity(a.field, m.dim)
     if m.act.rows != m.dim or m.act.cols != a.dim * m.dim:
         raise DimensionMismatch("left action has wrong shape")
-    w = _first_diff(m.act @ a.unit_col.tensor_id(1, m.dim), im, (m.dim,))
-    if w is not None:
-        return Verdict.reject("unital", w)
-    w = _first_diff(m.act @ a.mult_mat.tensor_id(1, m.dim),
-                    m.act @ m.act.tensor_id(a.dim, 1),
-                    (a.dim, a.dim, m.dim))
-    if w is not None:
-        return Verdict.reject("left-assoc", w)
-    return Verdict.accept()
+    _require(m.act @ a.unit_col.tensor_id(1, m.dim), im, "unital", (m.dim,))
+    _require(m.act @ a.mult_mat.tensor_id(1, m.dim),
+             m.act @ m.act.tensor_id(a.dim, 1), "left-assoc",
+             (a.dim, a.dim, m.dim))
 
 
-def check_bimodule(b: Bimodule) -> Verdict:
-    v = check_left_module(b.left_module())
-    if not v:
-        return v
-    v = check_right_module(b.right_module())
-    if not v:
-        return v
+def check_bimodule(b: Bimodule) -> None:
+    check_left_module(b.left_module())
+    check_right_module(b.right_module())
     # (a.m).b == a.(m.b) on A_L (x) M (x) A_R
-    w = _first_diff(b.ract @ b.lact.tensor_id(1, b.algR.dim),
-                    b.lact @ b.ract.tensor_id(b.algL.dim, 1),
-                    (b.algL.dim, b.dim, b.algR.dim))
-    if w is not None:
-        return Verdict.reject("commuting-actions", w)
-    return Verdict.accept()
+    _require(b.ract @ b.lact.tensor_id(1, b.algR.dim),
+             b.lact @ b.ract.tensor_id(b.algL.dim, 1), "commuting-actions",
+             (b.algL.dim, b.dim, b.algR.dim))
 
 
 def make_bimodule(algL: Algebra, algR: Algebra, lact, ract) -> Bimodule:
@@ -245,14 +244,14 @@ def make_bimodule(algL: Algebra, algR: Algebra, lact, ract) -> Bimodule:
              for j in range(dim) for i in range(algR.dim)]
     b = Bimodule(algL, algR, dim,
                  Mat.from_cols(f, lcols), Mat.from_cols(f, rcols))
-    check_bimodule(b).raise_if_failed()
+    check_bimodule(b)
     return b
 
 
 def bimodule_from_actions(algL: Algebra, algR: Algebra, dim: int,
                           lact: Mat, ract: Mat) -> Bimodule:
     b = Bimodule(algL, algR, dim, lact, ract)
-    check_bimodule(b).raise_if_failed()
+    check_bimodule(b)
     return b
 
 
@@ -297,7 +296,7 @@ def enumerate_algebra_maps(b: Algebra, a: Algebra) -> List[AlgebraMap]:
     with 0 < 1 < ... < p-1.
     """
     def keep(m: Mat) -> bool:
-        return bool(check_algebra_map(AlgebraMap(b, a, m)))
+        return _holds(check_algebra_map, AlgebraMap(b, a, m))
 
     mats = enumerate_affine(b.field, (a.dim, b.dim),
                             lambda m: m @ b.unit_col - a.unit_col, keep)

@@ -208,7 +208,7 @@ def _parse_object(ws: Workspace, data, path: str):
         from .coring import Comodule, check_colinear
         src, tgt = ref("source", Comodule), ref("target", Comodule)
         m = mat("matrix", tgt.dim, src.dim)
-        check_colinear(m, src, tgt).raise_if_failed()
+        check_colinear(m, src, tgt)
         return ColinearMap(src, tgt, m)
     if kind == "measuring":
         from .algmod import Algebra
@@ -249,7 +249,7 @@ def _parse_object(ws: Workspace, data, path: str):
         rho = mat("rho_A", a.dim, a.dim * b.dim)
         phi = mat("phi_lift", a.dim * a.dim * b.dim, a.dim)
         data28 = Cor28Data(iota_b, iota_a, rho, phi)
-        check_cor28(data28).raise_if_failed()
+        check_cor28(data28)
         return data28
     raise SchemaError(f"{path}.type", f"unknown object type {kind!r}")
 

@@ -10,12 +10,11 @@ from ._search import affine_solutions, coords, enumerate_affine
 from .errors import AxiomViolation, DimensionMismatch, DualBasisInvalid
 from .exactla import FieldSpec, Mat, QuotientSpace, memoised, rank
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
-                     _first_diff, bimodule_from_actions, left_regular,
+                     _require, bimodule_from_actions, left_regular,
                      make_algebra, make_algebra_map, regular_bimodule,
                      restrict_left, restrict_right, right_regular)
 from .coring import Coring, DualRing, dual_coords, dual_ring, make_coring
 from .tensorcat import tensor_over
-from .verdict import Verdict
 
 
 @memoised
@@ -76,7 +75,7 @@ class Coalgebra:
     eps: Mat    # C -> k, a 1 x dim matrix
 
 
-def check_coalgebra(c: Coalgebra) -> Verdict:
+def check_coalgebra(c: Coalgebra) -> None:
     n = c.dim
     ic = Mat.identity(c.field, n)
     if c.delta.rows != n * n or c.delta.cols != n:
@@ -84,17 +83,16 @@ def check_coalgebra(c: Coalgebra) -> Verdict:
     if c.eps.rows != 1 or c.eps.cols != n:
         raise DimensionMismatch("counit has wrong shape")
     if c.delta.tensor_id(1, n) @ c.delta != c.delta.tensor_id(n, 1) @ c.delta:
-        return Verdict.reject("coassoc")
+        raise AxiomViolation("coassoc", ())
     if c.eps.tensor_id(1, n) @ c.delta != ic or \
             c.eps.tensor_id(n, 1) @ c.delta != ic:
-        return Verdict.reject("counit")
-    return Verdict.accept()
+        raise AxiomViolation("counit", ())
 
 
 def make_coalgebra(field: FieldSpec, dim: int, delta: Mat, eps: Mat
                    ) -> Coalgebra:
     c = Coalgebra(field, dim, delta, eps)
-    check_coalgebra(c).raise_if_failed()
+    check_coalgebra(c)
     return c
 
 
@@ -149,30 +147,29 @@ def _is_right_linear(sigma: Bimodule, g: Mat) -> bool:
     return g @ sigma.ract == a.mult_mat @ g.tensor_id(1, a.dim)
 
 
-def check_dual_basis(sigma: Bimodule, db: DualBasis) -> Verdict:
+def check_dual_basis(sigma: Bimodule, db: DualBasis) -> None:
     """Verify sum_i e_i . e*_i(s) = s on every basis s of Sigma, as the
     matrix identity ract @ sum_i (e_i (x) e*_i) = I; the witness is the
     first basis s where it fails."""
     f = sigma.algR.field
     for i, g in enumerate(db.functionals):
         if not _is_right_linear(sigma, g):
-            return Verdict.reject("functional-not-right-linear", (i,))
+            raise AxiomViolation("functional-not-right-linear", (i,))
     pairing = Mat.zero(f, sigma.dim * sigma.algR.dim, sigma.dim)
     for e_i, g in zip(db.elements, db.functionals):
         pairing = pairing + Mat.column(f, e_i).kron(g)
-    w = _first_diff(sigma.ract @ pairing, Mat.identity(f, sigma.dim))
-    if w is not None:
-        return Verdict.reject("dual-basis-identity", w)
-    return Verdict.accept()
+    _require(sigma.ract @ pairing, Mat.identity(f, sigma.dim),
+             "dual-basis-identity")
 
 
 def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
     """Comatrix coring Sigma* (x)_B Sigma of a (B, A)-bimodule Sigma."""
     b, a = sigma.algL, sigma.algR
     f = a.field
-    v = check_dual_basis(sigma, db)
-    if not v:
-        raise DualBasisInvalid(v.failure.witness)
+    try:
+        check_dual_basis(sigma, db)
+    except AxiomViolation as exc:
+        raise DualBasisInvalid(exc.witness)
     star = _right_linear_basis(sigma)
     ns = len(star)
 

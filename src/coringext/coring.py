@@ -12,11 +12,10 @@ from ._record import frozen
 from ._search import _combine, affine_solutions, coords
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, kernel, memoised
-from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _first_diff,
+from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _require,
                      check_bimodule, check_left_module, check_right_module,
                      make_algebra)
 from .tensorcat import right_action_on_quotient, tensor_chain, tensor_over
-from .verdict import Verdict
 
 
 @frozen
@@ -67,49 +66,37 @@ def _ccn(c: Bimodule, n: LeftModule) -> Mat:
     return tensor_chain(c.right_module(), (c,), n)
 
 
-def check_coring(c: Coring) -> Verdict:
+def check_coring(c: Coring) -> None:
     a = c.A
     na, nc = a.dim, c.dim
     ic = Mat.identity(a.field, nc)
-    bim = check_bimodule(c.C)
-    if not bim:
-        return bim
+    check_bimodule(c.C)
     if c.delta_lift.rows != c.dim * c.dim or c.delta_lift.cols != c.dim:
         raise DimensionMismatch("coproduct lift has wrong shape")
     if c.eps.rows != a.dim or c.eps.cols != c.dim:
         raise DimensionMismatch("counit has wrong shape")
     # counit is an (A,A)-bimodule map
-    w = _first_diff(c.eps @ c.C.lact, a.mult_mat @ c.eps.tensor_id(na, 1))
-    if w is None:
-        w = _first_diff(c.eps @ c.C.ract,
-                        a.mult_mat @ c.eps.tensor_id(1, na))
-    if w is not None:
-        return Verdict.reject("bilinearity", w)
+    _require(c.eps @ c.C.lact, a.mult_mat @ c.eps.tensor_id(na, 1),
+             "bilinearity")
+    _require(c.eps @ c.C.ract, a.mult_mat @ c.eps.tensor_id(1, na),
+             "bilinearity")
     # coproduct is an (A,A)-bimodule map (tested after projection)
     proj = c.cc().projection
-    w = _first_diff(proj @ c.delta_lift @ c.C.lact,
-                    proj @ c.C.lact.tensor_id(1, nc) @
-                    c.delta_lift.tensor_id(na, 1))
-    if w is None:
-        w = _first_diff(proj @ c.delta_lift @ c.C.ract,
-                        proj @ c.C.ract.tensor_id(nc, 1) @
-                        c.delta_lift.tensor_id(1, na))
-    if w is not None:
-        return Verdict.reject("bilinearity", w)
+    _require(proj @ c.delta_lift @ c.C.lact,
+             proj @ c.C.lact.tensor_id(1, nc) @ c.delta_lift.tensor_id(na, 1),
+             "bilinearity")
+    _require(proj @ c.delta_lift @ c.C.ract,
+             proj @ c.C.ract.tensor_id(nc, 1) @ c.delta_lift.tensor_id(1, na),
+             "bilinearity")
     # coassociativity in (C (x)_A C) (x)_A C
     p3 = c.ccc()
-    w = _first_diff(p3 @ c.delta_lift.tensor_id(1, nc) @ c.delta_lift,
-                    p3 @ c.delta_lift.tensor_id(nc, 1) @ c.delta_lift)
-    if w is not None:
-        return Verdict.reject("coassoc", w)
+    _require(p3 @ c.delta_lift.tensor_id(1, nc) @ c.delta_lift,
+             p3 @ c.delta_lift.tensor_id(nc, 1) @ c.delta_lift, "coassoc")
     # counit laws
-    w = _first_diff(c.C.lact @ c.eps.tensor_id(1, nc) @ c.delta_lift, ic)
-    if w is not None:
-        return Verdict.reject("counit-left", w)
-    w = _first_diff(c.C.ract @ c.eps.tensor_id(nc, 1) @ c.delta_lift, ic)
-    if w is not None:
-        return Verdict.reject("counit-right", w)
-    return Verdict.accept()
+    _require(c.C.lact @ c.eps.tensor_id(1, nc) @ c.delta_lift, ic,
+             "counit-left")
+    _require(c.C.ract @ c.eps.tensor_id(nc, 1) @ c.delta_lift, ic,
+             "counit-right")
 
 
 def make_coring(a: Algebra, c: Bimodule, delta_lift: Mat, eps: Mat) -> Coring:
@@ -118,7 +105,7 @@ def make_coring(a: Algebra, c: Bimodule, delta_lift: Mat, eps: Mat) -> Coring:
         raise DimensionMismatch("underlying bimodule is not over the algebra")
     cc = tensor_over(a, c.right_module(), c.left_module())
     cor = Coring(a, c, cc.canonical_lift(delta_lift), eps)
-    check_coring(cor).raise_if_failed()
+    check_coring(cor)
     return cor
 
 
@@ -146,35 +133,26 @@ class Comodule:
         return self.mc().projection @ self.rho_lift
 
 
-def check_comodule(m: Comodule) -> Verdict:
+def check_comodule(m: Comodule) -> None:
     c = m.coring
     im = Mat.identity(c.A.field, m.dim)
-    v = check_right_module(m.M)
-    if not v:
-        return v
+    check_right_module(m.M)
     if m.rho_lift.rows != m.dim * c.dim or m.rho_lift.cols != m.dim:
         raise DimensionMismatch("coaction lift has wrong shape")
     proj = m.mc().projection
-    w = _first_diff(proj @ m.rho_lift @ m.M.act,
-                    proj @ c.C.ract.tensor_id(m.dim, 1) @
-                    m.rho_lift.tensor_id(1, c.A.dim))
-    if w is not None:
-        return Verdict.reject("A-linearity", w)
+    _require(proj @ m.rho_lift @ m.M.act,
+             proj @ c.C.ract.tensor_id(m.dim, 1) @
+             m.rho_lift.tensor_id(1, c.A.dim), "A-linearity")
     p3 = _mcc(m.M, c.C)
-    w = _first_diff(p3 @ m.rho_lift.tensor_id(1, c.dim) @ m.rho_lift,
-                    p3 @ c.delta_lift.tensor_id(m.dim, 1) @ m.rho_lift)
-    if w is not None:
-        return Verdict.reject("coassoc", w)
-    w = _first_diff(m.M.act @ c.eps.tensor_id(m.dim, 1) @ m.rho_lift, im)
-    if w is not None:
-        return Verdict.reject("counit", w)
-    return Verdict.accept()
+    _require(p3 @ m.rho_lift.tensor_id(1, c.dim) @ m.rho_lift,
+             p3 @ c.delta_lift.tensor_id(m.dim, 1) @ m.rho_lift, "coassoc")
+    _require(m.M.act @ c.eps.tensor_id(m.dim, 1) @ m.rho_lift, im, "counit")
 
 
 def make_comodule(c: Coring, m: RightModule, rho_lift: Mat) -> Comodule:
     mc = tensor_over(c.A, m, c.C.left_module())
     com = Comodule(c, m, mc.canonical_lift(rho_lift))
-    check_comodule(com).raise_if_failed()
+    check_comodule(com)
     return com
 
 
@@ -214,22 +192,17 @@ def cofree_comodule(c: Coring, x: RightModule) -> Comodule:
     return make_comodule(c, RightModule(c.A, xc.quo_dim, act), rho_lift)
 
 
-def check_colinear(f: Mat, m: Comodule, n: Comodule) -> Verdict:
-    """Accept iff f is right A-linear and rho^N f = (f (x)_A C) rho^M."""
+def check_colinear(f: Mat, m: Comodule, n: Comodule) -> None:
+    """Pass iff f is right A-linear and rho^N f = (f (x)_A C) rho^M."""
     if m.coring != n.coring:
         raise DimensionMismatch("comodules over different corings")
     c = m.coring
     if f.rows != n.dim or f.cols != m.dim:
         raise DimensionMismatch("map has wrong shape")
-    w = _first_diff(f @ m.M.act, n.M.act @ f.tensor_id(1, c.A.dim))
-    if w is not None:
-        return Verdict.reject("not-A-linear", w)
+    _require(f @ m.M.act, n.M.act @ f.tensor_id(1, c.A.dim), "not-A-linear")
     proj = n.mc().projection
-    w = _first_diff(proj @ n.rho_lift @ f,
-                    proj @ f.tensor_id(1, c.dim) @ m.rho_lift)
-    if w is not None:
-        return Verdict.reject("not-colinear", w)
-    return Verdict.accept()
+    _require(proj @ n.rho_lift @ f,
+             proj @ f.tensor_id(1, c.dim) @ m.rho_lift, "not-colinear")
 
 
 # -- left comodules --------------------------------------------------
@@ -253,35 +226,28 @@ class LeftComodule:
                            self.N)
 
 
-def check_left_comodule(n: LeftComodule) -> Verdict:
+def check_left_comodule(n: LeftComodule) -> None:
     c = n.coring
     f = c.A.field
     im = Mat.identity(f, n.dim)
-    v = check_left_module(n.N)
-    if not v:
-        return v
+    check_left_module(n.N)
     proj = n.cn().projection
-    w = _first_diff(proj @ n.lambda_lift @ n.N.act,
-                    proj @ c.C.lact.tensor_id(1, n.dim) @
-                    n.lambda_lift.tensor_id(c.A.dim, 1))
-    if w is not None:
-        return Verdict.reject("A-linearity", w)
+    _require(proj @ n.lambda_lift @ n.N.act,
+             proj @ c.C.lact.tensor_id(1, n.dim) @
+             n.lambda_lift.tensor_id(c.A.dim, 1), "A-linearity")
     p3 = _ccn(c.C, n.N)
-    w = _first_diff(p3 @ c.delta_lift.tensor_id(1, n.dim) @ n.lambda_lift,
-                    p3 @ n.lambda_lift.tensor_id(c.dim, 1) @ n.lambda_lift)
-    if w is not None:
-        return Verdict.reject("coassoc", w)
-    w = _first_diff(n.N.act @ c.eps.tensor_id(1, n.dim) @ n.lambda_lift, im)
-    if w is not None:
-        return Verdict.reject("counit", w)
-    return Verdict.accept()
+    _require(p3 @ c.delta_lift.tensor_id(1, n.dim) @ n.lambda_lift,
+             p3 @ n.lambda_lift.tensor_id(c.dim, 1) @ n.lambda_lift,
+             "coassoc")
+    _require(n.N.act @ c.eps.tensor_id(1, n.dim) @ n.lambda_lift, im,
+             "counit")
 
 
 def make_left_comodule(c: Coring, n: LeftModule, lambda_lift: Mat
                        ) -> LeftComodule:
     cn = tensor_over(c.A, c.C.right_module(), n)
     com = LeftComodule(c, n, cn.canonical_lift(lambda_lift))
-    check_left_comodule(com).raise_if_failed()
+    check_left_comodule(com)
     return com
 
 
@@ -304,8 +270,8 @@ def cotensor_basis(m: Comodule, n: LeftComodule) -> Mat:
 
 
 def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
-                     lambda_lift: Mat, sigma_lift: Mat) -> Verdict:
-    """Accept iff the left C-coaction and right D-coaction commute.
+                     lambda_lift: Mat, sigma_lift: Mat) -> None:
+    """Pass iff the left C-coaction and right D-coaction commute.
 
     The compatibility (lambda (x)_B D) sigma = (C (x)_A sigma) lambda is
     checked in (C (x)_A M) (x)_B D, as C-colinearity of the D-coaction.
@@ -317,18 +283,12 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
     a, b = c.A, d.A
     if m.algL != a or m.algR != b:
         raise DimensionMismatch("bimodule is not an (A,B)-bimodule")
-    v = check_left_comodule(LeftComodule(c, m.left_module(), lambda_lift))
-    if not v:
-        return v
-    v = check_comodule(Comodule(d, m.right_module(), sigma_lift))
-    if not v:
-        return v
+    check_left_comodule(LeftComodule(c, m.left_module(), lambda_lift))
+    check_comodule(Comodule(d, m.right_module(), sigma_lift))
     p3 = tensor_chain(c.C.right_module(), (m,), d.C.left_module())
-    w = _first_diff(p3 @ lambda_lift.tensor_id(1, d.dim) @ sigma_lift,
-                    p3 @ sigma_lift.tensor_id(c.dim, 1) @ lambda_lift)
-    if w is not None:
-        return Verdict.reject("not-bicomodule", w)
-    return Verdict.accept()
+    _require(p3 @ lambda_lift.tensor_id(1, d.dim) @ sigma_lift,
+             p3 @ sigma_lift.tensor_id(c.dim, 1) @ lambda_lift,
+             "not-bicomodule")
 
 
 # -- dual ring -------------------------------------------------------

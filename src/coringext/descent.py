@@ -18,7 +18,6 @@ from .constructions import sweedler_coring, sweedler_space
 from .extension import (CoringExtension, _cd, check_coring_extension,
                         induced_coaction)
 from .tensorcat import tensor_chain, tensor_over
-from .verdict import Verdict
 
 
 @memoised
@@ -40,30 +39,27 @@ class DescentDatum:
         return _ma_space(self.iota, self.M)
 
 
-def check_descent_datum(d: DescentDatum) -> Verdict:
+def check_descent_datum(d: DescentDatum) -> None:
     a = d.iota.target
     if d.M.alg != a:
         raise DimensionMismatch("module is not over the target algebra")
     if d.f_lift.rows != d.M.dim * a.dim or d.f_lift.cols != d.M.dim:
         raise DimensionMismatch("descent map has wrong shape")
-    v = check_right_module(d.M)
-    if not v:
-        return v
+    check_right_module(d.M)
     im = Mat.identity(a.field, d.M.dim)
     f_a = d.f_lift.tensor_id(1, a.dim)
     proj = d.ma().projection
     lhs = proj @ d.f_lift @ d.M.act
     rhs = proj @ a.mult_mat.tensor_id(d.M.dim, 1) @ f_a
     if lhs != rhs:
-        return Verdict.reject("not-A-linear")
+        raise AxiomViolation("not-A-linear", ())
     if d.M.act @ d.f_lift != im:
-        return Verdict.reject("unit-law")
+        raise AxiomViolation("unit-law", ())
     p3 = _maa_space(d.iota, d.M)
     lhs = p3 @ f_a @ d.f_lift
     rhs = p3 @ a.unit_col.tensor_id(d.M.dim, a.dim) @ d.f_lift
     if lhs != rhs:
-        return Verdict.reject("cocycle")
-    return Verdict.accept()
+        raise AxiomViolation("cocycle", ())
 
 
 @memoised
@@ -82,22 +78,21 @@ def make_descent_datum(iota: AlgebraMap, m: RightModule,
                        f_lift: Mat) -> DescentDatum:
     q = _ma_space(iota, m)
     d = DescentDatum(iota, m, q.canonical_lift(f_lift))
-    check_descent_datum(d).raise_if_failed()
+    check_descent_datum(d)
     return d
 
 
 def check_descent_morphism(d1: DescentDatum, d2: DescentDatum,
-                           g: Mat) -> Verdict:
+                           g: Mat) -> None:
     """A-linear map commuting with the descent maps."""
     if d1.iota != d2.iota:
         raise DimensionMismatch("descent data for different algebra maps")
     g_a = g.tensor_id(1, d1.iota.target.dim)
     if g @ d1.M.act != d2.M.act @ g_a:
-        return Verdict.reject("not-A-linear")
+        raise AxiomViolation("not-A-linear", ())
     proj = d2.ma().projection
     if proj @ d2.f_lift @ g != proj @ g_a @ d1.f_lift:
-        return Verdict.reject("not-descent-map")
-    return Verdict.accept()
+        raise AxiomViolation("not-descent-map", ())
 
 
 # -- the correspondence with Sweedler comodules ------------------------
@@ -167,7 +162,7 @@ def _aab_space(data: Cor28Data) -> Mat:
     return tensor_chain(a_b, (a_bd,), b_d)
 
 
-def check_cor28(data: Cor28Data) -> Verdict:
+def check_cor28(data: Cor28Data) -> None:
     """The three diagrams, plus validity of the assembled extension."""
     a = data.iota_A.target
     b = data.iota_B.target
@@ -180,29 +175,27 @@ def check_cor28(data: Cor28Data) -> Verdict:
     if data.phi_lift.rows != a.dim * a.dim * b.dim or \
             data.phi_lift.cols != a.dim:
         raise DimensionMismatch("phi has wrong shape")
-    v = check_right_module(RightModule(b, a.dim, data.rho_A))
-    if not v:
-        return v
+    check_right_module(RightModule(b, a.dim, data.rho_A))
     lB = restrict_left(left_regular(a), data.iota_A).act  # b . a on A
     if data.rho_A @ lB.tensor_id(1, nb) != lB @ data.rho_A.tensor_id(nb, 1):
-        return Verdict.reject("rho-not-left-linear")
+        raise AxiomViolation("rho-not-left-linear", ())
     # phi is a (B, B)-bimodule map
     pab = data.aab()
     lhs = pab @ data.phi_lift @ lB
     rhs = pab @ lB.tensor_id(1, na * nb) @ data.phi_lift.tensor_id(nb, 1)
     if lhs != rhs:
-        return Verdict.reject("phi-not-left-linear")
+        raise AxiomViolation("phi-not-left-linear", ())
     lhs = pab @ data.phi_lift @ data.rho_A
     rhs = pab @ b.mult_mat.tensor_id(na * na, 1) @ \
         data.phi_lift.tensor_id(1, nb)
     if lhs != rhs:
-        return Verdict.reject("phi-not-right-linear")
+        raise AxiomViolation("phi-not-right-linear", ())
     # (a): (A (x) rho_A) phi = unit insertion in A (x)_B A
     q2 = sweedler_space(data.iota_A)
     lhs = q2.projection @ data.rho_A.tensor_id(na, 1) @ data.phi_lift
     rhs = q2.projection @ a.unit_col.tensor_id(1, na)
     if lhs != rhs:
-        return Verdict.reject("diagram-a")
+        raise AxiomViolation("diagram-a", ())
     # (b): coassociativity-type law in A (x)_B A (x)_D B (x)_D B
     a_b, a_bd, b_d = _ab_factors(data)
     b_dd = Bimodule(dalg, dalg, nb, b_d.act,
@@ -212,25 +205,24 @@ def check_cor28(data: Cor28Data) -> Verdict:
         data.phi_lift.tensor_id(na, nb) @ data.phi_lift
     rhs = p4b @ b.unit_col.tensor_id(na * na, nb) @ data.phi_lift
     if lhs != rhs:
-        return Verdict.reject("diagram-b")
+        raise AxiomViolation("diagram-b", ())
     # (c): counit-type law in A (x)_B A (x)_B A (x)_D B
     a_bb = Bimodule(b, b, na, a_bd.lact, a_b.act)
     p4c = tensor_chain(a_b, (a_bb, a_bd), b_d)
     lhs = p4c @ a.unit_col.tensor_id(1, na * na * nb) @ data.phi_lift
     rhs = p4c @ a.unit_col.tensor_id(na, na * nb) @ data.phi_lift
     if lhs != rhs:
-        return Verdict.reject("diagram-c")
+        raise AxiomViolation("diagram-c", ())
     try:
         ext = _assemble(data)
     except AxiomViolation as exc:
-        return Verdict.reject("assembled-extension-" + exc.kind,
-                              exc.witness)
-    return check_coring_extension(ext)
+        raise AxiomViolation("assembled-extension-" + exc.kind, exc.witness)
+    check_coring_extension(ext)
 
 
 def cor28_extension(data: Cor28Data) -> CoringExtension:
     """The coring extension of the Sweedler corings of the tower."""
-    check_cor28(data).raise_if_failed()
+    check_cor28(data)
     return _assemble(data)
 
 
@@ -257,7 +249,7 @@ def _assemble(data: Cor28Data) -> CoringExtension:
 
 def descent_functor(data: Cor28Data, d: DescentDatum) -> DescentDatum:
     """Push a descent datum for iota_A down to one for iota_B."""
-    check_cor28(data).raise_if_failed()
+    check_cor28(data)
     return _descend(data, d)
 
 

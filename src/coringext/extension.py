@@ -13,12 +13,11 @@ from ._record import frozen
 from .errors import (AxiomViolation, DimensionMismatch, MiddleMismatch,
                      NotColinear, NotCoringMorphism)
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule,
+from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule, _holds,
                      check_right_module, make_algebra_map)
 from .coring import (Comodule, Coring, check_bicomodule, check_colinear,
                      dual_coords, dual_element, dual_ring, make_comodule)
 from .tensorcat import tensor_over
-from .verdict import Verdict
 from ._search import enumerate_affine
 
 
@@ -53,7 +52,7 @@ def _measuring_maps(c: Coring, b: Algebra) -> _MeasuringMaps:
 
 
 def check_measuring(m: Measuring,
-                    maps: Optional[_MeasuringMaps] = None) -> Verdict:
+                    maps: Optional[_MeasuringMaps] = None) -> None:
     """Left A-linearity plus the unit and multiplicativity diagrams.
 
     ``maps`` is ``_measuring_maps(m.coring, m.B)``, passed by a sweep that
@@ -65,19 +64,18 @@ def check_measuring(m: Measuring,
     if maps is None:
         maps = _measuring_maps(c, b)
     if nu @ maps.lact_b != c.A.mult_mat @ nu.tensor_id(c.A.dim, 1):
-        return Verdict.reject("not-left-linear")
+        raise AxiomViolation("not-left-linear", ())
     if nu @ maps.unit_b != c.eps:
-        return Verdict.reject("unit-diagram")
+        raise AxiomViolation("unit-diagram", ())
     lhs = nu @ maps.mult_b
     rhs = nu @ maps.ract_b @ nu.tensor_id(c.dim, b.dim) @ maps.delta_bb
     if lhs != rhs:
-        return Verdict.reject("multiplication-diagram")
-    return Verdict.accept()
+        raise AxiomViolation("multiplication-diagram", ())
 
 
 def make_measuring(c: Coring, b: Algebra, nu: Mat) -> Measuring:
     m = Measuring(c, b, nu)
-    check_measuring(m).raise_if_failed()
+    check_measuring(m)
     return m
 
 
@@ -96,7 +94,7 @@ def enumerate_measurings(c: Coring, b: Algebra) -> List[Measuring]:
         return lin.transpose().stack((nu @ maps.unit_b - c.eps).transpose())
 
     def keep(nu: Mat) -> bool:
-        return bool(check_measuring(Measuring(c, b, nu), maps))
+        return _holds(check_measuring, Measuring(c, b, nu), maps)
 
     shape = (c.A.dim, c.dim * b.dim)
     return [Measuring(c, b, nu)
@@ -108,7 +106,7 @@ def enumerate_measurings(c: Coring, b: Algebra) -> List[Measuring]:
 
 def measuring_to_algebra_map(m: Measuring) -> AlgebraMap:
     """chi(b) = nu(- (x) b), an algebra map B -> *C."""
-    check_measuring(m).raise_if_failed()
+    check_measuring(m)
     c, b = m.coring, m.B
     f = c.A.field
     dr = dual_ring(c)
@@ -142,22 +140,19 @@ def algebra_map_to_measuring(c: Coring, chi: AlgebraMap) -> Measuring:
 # -- the equivalence with right B-structures on C ----------------------
 
 
-def check_right_b_structure(c: Coring, b: Algebra, ract_b: Mat) -> Verdict:
-    """Accept iff ract_b makes C an (A, B)-bimodule with B-bilinear coproduct."""
+def check_right_b_structure(c: Coring, b: Algebra, ract_b: Mat) -> None:
+    """Pass iff ract_b makes C an (A, B)-bimodule with B-bilinear coproduct."""
     if ract_b.rows != c.dim or ract_b.cols != c.dim * b.dim:
         raise DimensionMismatch("right action has wrong shape")
-    v = check_right_module(RightModule(b, c.dim, ract_b))
-    if not v:
-        return v
+    check_right_module(RightModule(b, c.dim, ract_b))
     if c.C.lact @ ract_b.tensor_id(c.A.dim, 1) != \
             ract_b @ c.C.lact.tensor_id(1, b.dim):
-        return Verdict.reject("actions-do-not-commute")
+        raise AxiomViolation("actions-do-not-commute", ())
     proj = c.cc().projection
     lhs = proj @ c.delta_lift @ ract_b
     rhs = proj @ ract_b.tensor_id(c.dim, 1) @ c.delta_lift.tensor_id(1, b.dim)
     if lhs != rhs:
-        return Verdict.reject("coproduct-not-right-linear")
-    return Verdict.accept()
+        raise AxiomViolation("coproduct-not-right-linear", ())
 
 
 def action_from_measuring(m: Measuring) -> Mat:
@@ -165,13 +160,13 @@ def action_from_measuring(m: Measuring) -> Mat:
     c = m.coring
     ract_b = c.C.ract @ m.nu.tensor_id(c.dim, 1) @ \
         c.delta_lift.tensor_id(1, m.B.dim)
-    check_right_b_structure(c, m.B, ract_b).raise_if_failed()
+    check_right_b_structure(c, m.B, ract_b)
     return ract_b
 
 
 def measuring_from_action(c: Coring, b: Algebra, ract_b: Mat) -> Measuring:
     """nu = eps . ract_b, the inverse of action_from_measuring."""
-    check_right_b_structure(c, b, ract_b).raise_if_failed()
+    check_right_b_structure(c, b, ract_b)
     return make_measuring(c, b, c.eps @ ract_b)
 
 
@@ -201,7 +196,7 @@ def _cd(b: Algebra, ract: Mat, dbim: Bimodule) -> QuotientSpace:
                        dbim.left_module())
 
 
-def check_coring_extension(e: CoringExtension) -> Verdict:
+def check_coring_extension(e: CoringExtension) -> None:
     """Definition of an extension, verified as a bicomodule condition.
 
     C must be a (C, D)-bicomodule: the regular left C-coaction and sigma
@@ -210,18 +205,16 @@ def check_coring_extension(e: CoringExtension) -> Verdict:
     c, d = e.c, e.d
     if c.A.field != d.A.field:
         raise DimensionMismatch("corings over different fields")
-    v = check_right_b_structure(c, d.A, e.ract)
-    if not v:
-        return v
+    check_right_b_structure(c, d.A, e.ract)
     m = Bimodule(c.A, d.A, c.dim, c.C.lact, e.ract)
-    return check_bicomodule(c, d, m, c.delta_lift, e.sigma_lift)
+    check_bicomodule(c, d, m, c.delta_lift, e.sigma_lift)
 
 
 def make_extension(c: Coring, d: Coring, ract: Mat,
                    sigma_lift: Mat) -> CoringExtension:
     q = _cd(d.A, ract, d.C)
     e = CoringExtension(c, d, ract, q.canonical_lift(sigma_lift))
-    check_coring_extension(e).raise_if_failed()
+    check_coring_extension(e)
     return e
 
 
@@ -260,7 +253,7 @@ def induced_action(e: CoringExtension, m: Comodule) -> Mat:
     c, b = e.c, e.d.A
     nu = c.eps @ e.ract
     act = m.M.act @ nu.tensor_id(m.dim, 1) @ m.rho_lift.tensor_id(1, b.dim)
-    check_right_module(RightModule(b, m.dim, act)).raise_if_failed()
+    check_right_module(RightModule(b, m.dim, act))
     return act
 
 
@@ -277,12 +270,13 @@ def apply_functor(e: CoringExtension, f: Mat, m: Comodule,
                   n: Comodule) -> Mat:
     """Transport a C-colinear map along the induced functor (it is the
     same matrix, re-verified to be D-colinear)."""
-    v = check_colinear(f, m, n)
-    if not v:
-        raise NotColinear(v.failure.kind, v.failure.witness)
+    try:
+        check_colinear(f, m, n)
+    except AxiomViolation as exc:
+        raise NotColinear(exc.kind, exc.witness)
     fm = induced_coaction(e, m)
     fn = induced_coaction(e, n)
-    check_colinear(f, fm, fn).raise_if_failed()
+    check_colinear(f, fm, fn)
     return f
 
 

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coringext.errors import AxiomViolation, SizeLimit
+from coringext.errors import AxiomViolation, DimensionMismatch, SizeLimit
 from coringext.exactla import (DEFAULT_MAX_ENUM, GF2, GF3, QQ, Mat,
                                set_guards)
 from coringext.algmod import (Algebra, AlgebraMap, Bimodule, LeftModule,
-                              RightModule, check_algebra, check_algebra_map,
+                              RightModule, _first_diff, _holds, _require,
+                              check_algebra, check_algebra_map,
                               check_bimodule,
                               check_left_module, check_right_module,
                               enumerate_algebra_maps, is_isomorphism,
@@ -81,8 +82,13 @@ def ref_check_algebra_map(fm):
     return None
 
 
-def outcome(v):
-    return None if v else (v.failure.kind, v.failure.witness)
+def outcome(check, *args):
+    """None if ``check(*args)`` passes, else the violated kind and witness."""
+    try:
+        check(*args)
+    except AxiomViolation as exc:
+        return exc.kind, exc.witness
+    return None
 
 
 # -- seeded perturbations of one structure constant or map entry ----------
@@ -183,7 +189,7 @@ class TestAgainstLoop:
     @settings(max_examples=300, deadline=None)
     @given(perturbed_algebras())
     def test_check_algebra(self, a):
-        got = outcome(check_algebra(a))
+        got = outcome(check_algebra, a)
         assert got == ref_check_algebra(a)
         if got is None:
             return
@@ -201,7 +207,7 @@ class TestAgainstLoop:
     @settings(max_examples=300, deadline=None)
     @given(perturbed_maps())
     def test_check_algebra_map(self, fm):
-        got = outcome(check_algebra_map(fm))
+        got = outcome(check_algebra_map, fm)
         assert got == ref_check_algebra_map(fm)
         if got is not None and got[0] == "not-multiplicative":
             i, j = got[1]
@@ -212,9 +218,9 @@ class TestAgainstLoop:
     def test_fixtures_accepted(self):
         for f in (GF2, GF3, QQ):
             for make in ALGEBRAS:
-                assert bool(check_algebra(make(f)))
+                assert check_algebra(make(f)) is None
             for src, tgt, m in _map_fixtures(f):
-                assert bool(check_algebra_map(AlgebraMap(src, tgt, m)))
+                assert check_algebra_map(AlgebraMap(src, tgt, m)) is None
 
 
 class TestAlgebra:
@@ -222,7 +228,7 @@ class TestAlgebra:
         a = d2_algebra(GF2)
         assert ref_product(a, (1, 0), (0, 1)) == (0, 0)
         assert ref_product(a, a.unit, (1, 1)) == (1, 1)
-        assert bool(check_algebra(a))
+        assert check_algebra(a) is None
 
     def test_bad_unit_witness(self):
         o, z = 1, 0
@@ -261,21 +267,21 @@ class TestAlgebra:
 class TestAlgebraMap:
     def test_unit_map(self):
         u = unit_map(GF2, d2_algebra(GF2))
-        assert bool(check_algebra_map(u))
+        assert check_algebra_map(u) is None
 
     def test_non_unital_rejected(self):
         k = base_algebra(GF2)
         a = d2_algebra(GF2)
-        bad = check_algebra_map(AlgebraMap(k, a, Mat.column(GF2, (1, 0))))
-        assert not bad
-        assert bad.failure.kind == "unit-not-preserved"
+        bad = AlgebraMap(k, a, Mat.column(GF2, (1, 0)))
+        assert outcome(check_algebra_map, bad) == ("unit-not-preserved", ())
 
     def test_not_multiplicative(self):
         b = c2_group_algebra(GF3)
         a = c2_group_algebra(GF3)
         bad = AlgebraMap(b, a, Mat.from_rows(GF3, [[1, 1], [0, 1]]))
-        v = check_algebra_map(bad)
-        assert not v and v.failure.kind == "not-multiplicative"
+        with pytest.raises(AxiomViolation) as err:
+            check_algebra_map(bad)
+        assert err.value.kind == "not-multiplicative"
 
     def test_is_isomorphism(self):
         a = d2_algebra(GF2)
@@ -286,38 +292,94 @@ class TestAlgebraMap:
 class TestModules:
     def test_regular_modules(self):
         for a in (d2_algebra(GF3), matrix_algebra_2(GF2)):
-            assert bool(check_right_module(right_regular(a)))
-            assert bool(check_left_module(left_regular(a)))
-            assert bool(check_bimodule(regular_bimodule(a)))
+            assert check_right_module(right_regular(a)) is None
+            assert check_left_module(left_regular(a)) is None
+            assert check_bimodule(regular_bimodule(a)) is None
 
     def test_non_unital_action(self):
         a = d2_algebra(GF2)
         m = RightModule(a, 1, Mat.zero(GF2, 1, 2))
-        v = check_right_module(m)
-        assert not v and v.failure.kind == "unital"
+        with pytest.raises(AxiomViolation) as err:
+            check_right_module(m)
+        assert err.value.kind == "unital"
 
     def test_nonassociative_action_witness(self):
         a = c2_group_algebra(GF2)
         # act(m, 1) = m, act(m, g) = 0: not associative since g.g = 1
         m = RightModule(a, 1, Mat.from_rows(GF2, [[1, 0]]))
-        v = check_right_module(m)
-        assert not v and v.failure.kind == "right-assoc"
+        with pytest.raises(AxiomViolation) as err:
+            check_right_module(m)
+        assert err.value.kind == "right-assoc"
 
     def test_restriction(self):
         a = d2_algebra(GF2)
         u = unit_map(GF2, a)
         r = restrict_right(right_regular(a), u)
         l = restrict_left(left_regular(a), u)
-        assert bool(check_right_module(r))
-        assert bool(check_left_module(l))
+        assert check_right_module(r) is None
+        assert check_left_module(l) is None
 
-    def test_bimodule_commuting_witness(self):
+    def test_bimodule_non_unital_side(self):
         a = d2_algebra(GF2)
-        # left regular, right action through the swap: fails to commute
+        # left regular, right action through the swap: not unital
         swap = Mat.from_rows(GF2, [[0, 1], [1, 0]])
         ract = swap @ a.mult_mat
         b = Bimodule(a, a, 2, a.mult_mat, ract)
-        assert not check_bimodule(b)
+        with pytest.raises(AxiomViolation) as err:
+            check_bimodule(b)
+        assert err.value.kind == "unital"
+
+    def test_bimodule_commuting_witness(self):
+        # on k^2 over GF(3), e_i acts on the left by the coordinate
+        # projections and on the right by the projections onto (1, 1)
+        # and (1, -1): both actions are unital and associative, but
+        # (e1.m1).e1 = (2, 2) while e1.(m1.e1) = (2, 0)
+        a = d2_algebra(GF3)
+        lact = Mat.from_cols(GF3, [(1, 0), (0, 0), (0, 0), (0, 1)])
+        ract = Mat.from_cols(GF3, [(2, 2), (2, 1), (2, 2), (1, 2)])
+        with pytest.raises(AxiomViolation) as err:
+            check_bimodule(Bimodule(a, a, 2, lact, ract))
+        assert (err.value.kind, err.value.witness) == \
+            ("commuting-actions", (0, 0, 0))
+
+
+class TestWitness:
+    def test_first_diff_decodes_the_first_differing_column(self):
+        a = Mat.from_rows(GF2, [[1, 0, 1, 1], [0, 1, 0, 1]])
+        b = Mat.from_rows(GF2, [[1, 0, 1, 0], [0, 1, 1, 1]])
+        assert _first_diff(a, a) is None
+        assert _first_diff(a, b) == (2,)
+        assert _first_diff(a, b, (2, 2)) == (1, 0)
+
+    @pytest.mark.parametrize("other", [
+        Mat.from_rows(GF2, [[1, 0, 0], [0, 1, 0]]),  # one more column
+        Mat.from_rows(GF2, [[1, 0], [0, 1], [0, 0]]),  # one more row
+    ])
+    def test_first_diff_refuses_different_shapes(self, other):
+        ident = Mat.identity(GF2, 2)
+        for m1, m2 in ((ident, other), (other, ident)):
+            with pytest.raises(DimensionMismatch):
+                _first_diff(m1, m2)
+            with pytest.raises(DimensionMismatch):
+                _require(m1, m2, "k")
+
+    def test_require_raises_at_the_witness(self):
+        a = Mat.from_rows(GF2, [[1, 0], [0, 1]])
+        assert _require(a, a, "k") is None
+        with pytest.raises(AxiomViolation) as err:
+            _require(a, Mat.from_rows(GF2, [[1, 0], [1, 1]]), "k", (1, 2))
+        assert (err.value.kind, err.value.witness) == ("k", (0, 0))
+        assert str(err.value) == "k at (0, 0)"
+
+    def test_holds_catches_only_axiom_violations(self):
+        def fails(kind):
+            raise AxiomViolation(kind, ())
+
+        assert _holds(lambda: None) is True
+        assert _holds(fails, "unital") is False
+        with pytest.raises(DimensionMismatch):
+            _holds(check_right_module,
+                   RightModule(d2_algebra(GF2), 1, Mat.zero(GF2, 1, 1)))
 
 
 class TestEnumeration:

@@ -216,6 +216,102 @@ class TestExitCodes:
         assert json.loads(out)["error"]["type"] == "UnknownReference"
 
 
+K = {"type": "algebra", "dim": 1, "mult": [[[1]]], "unit": [1]}
+GF3 = {"type": "Fp", "p": 3}
+GROUP2 = {"delta": [[1, 0], [0, 0], [0, 0], [0, 1]], "eps": [[1, 0]]}
+UNIT_D2 = {"type": "algebra_map", "source": "k", "target": "d2",
+           "matrix": [[1], [1]]}
+
+# One workspace per object kind whose checker can reject it, each with one
+# broken constant, and the exact report of ``check`` on it.
+REJECTS = {
+    "algebra": (
+        ws(a={"type": "algebra", "dim": 1, "mult": [[[1]]], "unit": [0]}),
+        '{"command":"check","error":{"kind":"unitality",'
+        '"message":"unitality at (0,)","type":"AxiomViolation",'
+        '"witness":[0]},"exit_code":1,"ok":false}\n'),
+    "algebra_map": (
+        ws(k=K, d2={"fixture": "FIX.D2"},
+           f={"type": "algebra_map", "source": "k", "target": "d2",
+              "matrix": [[1], [0]]}),
+        '{"command":"check","error":{"kind":"unit-not-preserved",'
+        '"message":"unit-not-preserved at ()","type":"AxiomViolation",'
+        '"witness":[]},"exit_code":1,"ok":false}\n'),
+    "coalgebra": (
+        ws(c={"type": "coalgebra", "dim": 2, **GROUP2}),
+        '{"command":"check","error":{"kind":"counit",'
+        '"message":"counit at ()","type":"AxiomViolation",'
+        '"witness":[]},"exit_code":1,"ok":false}\n'),
+    "coring": (
+        ws(k=K, c={"type": "coring", "algebra": "k", "dim": 2,
+                   "lact": [[1, 0], [0, 1]], "ract": [[1, 0], [0, 1]],
+                   "delta_lift": GROUP2["delta"], "eps": GROUP2["eps"]}),
+        '{"command":"check","error":{"kind":"counit-left",'
+        '"message":"counit-left at (1,)","type":"AxiomViolation",'
+        '"witness":[1]},"exit_code":1,"ok":false}\n'),
+    "comodule": (
+        ws(gc2={"fixture": "FIX.GC2"},
+           m={"type": "comodule", "coring": "gc2", "dim": 1, "act": [[1]],
+              "rho_lift": [[0], [0]]}),
+        '{"command":"check","error":{"kind":"counit",'
+        '"message":"counit at (0,)","type":"AxiomViolation",'
+        '"witness":[0]},"exit_code":1,"ok":false}\n'),
+    "colinear_map": (
+        ws(gc2={"fixture": "FIX.GC2"},
+           g={"type": "comodule", "coring": "gc2", "dim": 1, "act": [[1]],
+              "rho_lift": [[1], [0]]},
+           h={"type": "comodule", "coring": "gc2", "dim": 1, "act": [[1]],
+              "rho_lift": [[0], [1]]},
+           f={"type": "colinear_map", "source": "g", "target": "h",
+              "matrix": [[1]]}),
+        '{"command":"check","error":{"kind":"not-colinear",'
+        '"message":"not-colinear at (0,)","type":"AxiomViolation",'
+        '"witness":[0]},"exit_code":1,"ok":false}\n'),
+    "measuring": (
+        ws(GF3, gc2={"fixture": "FIX.GC2"}, bc2={"fixture": "FIX.BC2"},
+           nu={"type": "measuring", "coring": "gc2", "algebra": "bc2",
+               "nu": [[1, 0, 1, 1]]}),
+        '{"command":"check","error":{"kind":"multiplication-diagram",'
+        '"message":"multiplication-diagram at ()","type":"AxiomViolation",'
+        '"witness":[]},"exit_code":1,"ok":false}\n'),
+    "extension": (
+        ws(GF3, gc2={"fixture": "FIX.GC2"},
+           e={"type": "extension", "c": "gc2", "d": "gc2",
+              "ract": [[1, 0], [0, 1]],
+              "sigma_lift": [[1, 0], [0, 0], [1, 0], [2, 1]]}),
+        '{"command":"check","error":{"kind":"not-bicomodule",'
+        '"message":"not-bicomodule at (0,)","type":"AxiomViolation",'
+        '"witness":[0]},"exit_code":1,"ok":false}\n'),
+    "descent_datum": (
+        ws(k=K, d2={"fixture": "FIX.D2"}, u=UNIT_D2,
+           dat={"type": "descent_datum", "iota": "u", "dim": 2,
+                "act": [[1, 0, 0, 0], [0, 0, 0, 1]],
+                "f_lift": [[0, 0]] * 4}),
+        '{"command":"check","error":{"kind":"unit-law",'
+        '"message":"unit-law at ()","type":"AxiomViolation",'
+        '"witness":[]},"exit_code":1,"ok":false}\n'),
+    "cor28": (
+        ws(k=K, d2={"fixture": "FIX.D2"}, u=UNIT_D2,
+           uid={"type": "algebra_map", "source": "k", "target": "k",
+                "matrix": [[1]]},
+           c28={"type": "cor28", "iota_B": "uid", "iota_A": "u",
+                "rho_A": [[1, 0], [0, 1]], "phi_lift": [[0, 0]] * 4}),
+        '{"command":"check","error":{"kind":"diagram-a",'
+        '"message":"diagram-a at ()","type":"AxiomViolation",'
+        '"witness":[]},"exit_code":1,"ok":false}\n'),
+}
+
+
+class TestRejectReports:
+    """The report of a rejected object is pinned byte for byte, for every
+    kind, with a witness and with the empty witness ``()``."""
+
+    @pytest.mark.parametrize("kind", sorted(REJECTS))
+    def test_exact_report(self, kind):
+        text, expected = REJECTS[kind]
+        assert run_cli(["check"], text) == (1, expected)
+
+
 class TestCommands:
     def test_dualring(self):
         code, out = run_cli(["dualring", "--coring", "FIX.SW"],

@@ -9,7 +9,6 @@ from coringext.errors import AxiomViolation, DualBasisInvalid
 from coringext.exactla import GF2, GF3, QQ, Mat
 from coringext.algmod import Bimodule, is_isomorphism, make_algebra_map
 from coringext.coring import check_coring, dual_ring
-from coringext.verdict import Verdict
 from coringext.constructions import (Coalgebra, DualBasis, Entwining,
                                      base_algebra, check_coalgebra,
                                      check_dual_basis, coalgebra_to_coring,
@@ -27,23 +26,28 @@ class TestCoalgebra:
     def test_group_coalgebra(self):
         for field in (GF2, GF3, QQ):
             c = group_coalgebra(field, 3)
-            assert bool(check_coalgebra(c))
+            assert check_coalgebra(c) is None
 
     def test_bad_counit(self):
         c = gc2_coalgebra(GF2)
         bad = Coalgebra(GF2, 2, c.delta, Mat.zero(GF2, 1, 2))
-        v = check_coalgebra(bad)
-        assert not v and v.failure.kind == "counit"
+        with pytest.raises(AxiomViolation) as err:
+            check_coalgebra(bad)
+        assert (err.value.kind, err.value.witness) == ("counit", ())
 
     def test_bad_coassoc(self):
-        # delta(e1) = e1 (x) e2 is not coassociative with any counit
-        delta = Mat.from_cols(GF2, [(0, 1, 0, 0), (0, 0, 0, 1)])
+        # delta(e1) = e2 (x) e2, delta(e2) = e1 (x) e1: (delta (x) I)
+        # delta(e1) = e1 (x) e1 (x) e2 but (I (x) delta) delta(e1) =
+        # e2 (x) e1 (x) e1
+        delta = Mat.from_cols(GF2, [(0, 0, 0, 1), (1, 0, 0, 0)])
         bad = Coalgebra(GF2, 2, delta, Mat.from_rows(GF2, [[1, 1]]))
-        assert not check_coalgebra(bad)
+        with pytest.raises(AxiomViolation) as err:
+            check_coalgebra(bad)
+        assert err.value.kind == "coassoc"
 
     def test_coalgebra_as_coring(self):
         c = coalgebra_to_coring(gc2_coalgebra(GF3))
-        assert bool(check_coring(c))
+        assert check_coring(c) is None
         assert c.A.dim == 1
 
 
@@ -52,14 +56,14 @@ class TestSweedler:
         for field in (GF2, GF3, QQ):
             c = sweedler_coring(unit_map(field, d2_algebra(field)))
             assert c.dim == 4
-            assert bool(check_coring(c))
+            assert check_coring(c) is None
 
     def test_identity_map_collapses(self):
         a = d2_algebra(GF2)
         ident = make_algebra_map(a, a, Mat.identity(GF2, 2))
         c = sweedler_coring(ident)
         assert c.dim == 2
-        assert bool(check_coring(c))
+        assert check_coring(c) is None
 
     def test_cached(self):
         u = unit_map(GF2, d2_algebra(GF2))
@@ -80,23 +84,27 @@ class TestComatrix:
             sigma, db = self._sigma_db(field)
             c = comatrix_coring(sigma, db)
             assert c.dim == 4
-            assert bool(check_coring(c))
+            assert check_coring(c) is None
 
     def test_invalid_dual_basis(self):
         sigma, _ = self._sigma_db(GF2)
         bad = DualBasis(elements=((1, 0),),
                         functionals=(Mat.identity(GF2, 2),))
-        v = check_dual_basis(sigma, bad)
-        assert not v and v.failure.kind == "dual-basis-identity"
-        with pytest.raises(DualBasisInvalid):
+        with pytest.raises(AxiomViolation) as err:
+            check_dual_basis(sigma, bad)
+        assert (err.value.kind, err.value.witness) == \
+            ("dual-basis-identity", (1,))
+        with pytest.raises(DualBasisInvalid) as err:
             comatrix_coring(sigma, bad)
+        assert str(err.value) == "dual basis fails at basis element (1,)"
 
     def test_non_linear_functional(self):
         sigma, _ = self._sigma_db(GF2)
         bad = DualBasis(elements=((1, 1),),
                         functionals=(Mat.from_rows(GF2, [[1, 1], [0, 0]]),))
-        v = check_dual_basis(sigma, bad)
-        assert not v and v.failure.kind == "functional-not-right-linear"
+        with pytest.raises(AxiomViolation) as err:
+            check_dual_basis(sigma, bad)
+        assert err.value.kind == "functional-not-right-linear"
 
     def test_matches_sweedler_dual(self):
         # Sigma = A over B = k gives a coring with the same dual ring type
@@ -106,14 +114,24 @@ class TestComatrix:
         assert dual_ring(c).dim == dual_ring(sw).dim == 4
 
 
+def outcome(check, *args):
+    """None if ``check(*args)`` passes, else the violated kind and witness."""
+    try:
+        check(*args)
+    except AxiomViolation as exc:
+        return exc.kind, exc.witness
+    return None
+
+
 def ref_check_dual_basis(sigma, db):
     """``check_dual_basis`` as a loop over the basis s of Sigma, applying
-    each functional and the right action one vector at a time."""
+    each functional and the right action one vector at a time: None, or
+    the violated kind and witness."""
     f = sigma.algR.field
     for i, g in enumerate(db.functionals):
         if g @ sigma.ract != \
                 sigma.algR.mult_mat @ g.tensor_id(1, sigma.algR.dim):
-            return Verdict.reject("functional-not-right-linear", (i,))
+            return "functional-not-right-linear", (i,)
     for s in range(sigma.dim):
         acc = (f.zero,) * sigma.dim
         basis_s = tuple(f.one if t == s else f.zero
@@ -124,8 +142,8 @@ def ref_check_dual_basis(sigma, db):
                 tuple(f.mul(x, y) for x in e_i for y in val))
             acc = tuple(f.add(p, q) for p, q in zip(acc, moved))
         if acc != basis_s:
-            return Verdict.reject("dual-basis-identity", (s,))
-    return Verdict.accept()
+            return "dual-basis-identity", (s,)
+    return None
 
 
 def free_rank_two(field):
@@ -169,8 +187,8 @@ class TestDualBasisIdentity:
         sigmas = [TestComatrix()._sigma_db(field), free_rank_two(field)]
         witnesses = set()
         for sigma, db in sigmas:
-            assert check_dual_basis(sigma, db) == \
-                ref_check_dual_basis(sigma, db) == Verdict.accept()
+            assert outcome(check_dual_basis, sigma, db) is None
+            assert ref_check_dual_basis(sigma, db) is None
             for _ in range(16):
                 i = rng.randrange(len(db.elements))
                 if rng.randrange(2):
@@ -185,10 +203,10 @@ class TestDualBasisIdentity:
                     rows[r] = list(nudged(field, rows[r], rng))
                     fns[i] = Mat.from_rows(field, rows)
                     bad = DualBasis(db.elements, tuple(fns))
-                v = check_dual_basis(sigma, bad)
-                assert v == ref_check_dual_basis(sigma, bad)
-                if not v:
-                    witnesses.add((v.failure.kind, v.failure.witness))
+                got = outcome(check_dual_basis, sigma, bad)
+                assert got == ref_check_dual_basis(sigma, bad)
+                if got is not None:
+                    witnesses.add(got)
         assert len({w for k, w in witnesses
                     if k == "dual-basis-identity"}) > 1
 
@@ -199,7 +217,7 @@ class TestEntwining:
             e = flip_entwining(d2_algebra(field), gc2_coalgebra(field))
             c = entwining_coring(e)
             assert c.dim == 4
-            assert bool(check_coring(c))
+            assert check_coring(c) is None
 
     def test_invalid_psi_rejected(self):
         a = d2_algebra(GF2)

@@ -37,15 +37,16 @@ class TestDescentData:
     def test_canonical_data_valid(self):
         for iota in iota_cases():
             d = canonical_datum(iota)
-            assert bool(check_descent_datum(d))
+            assert check_descent_datum(d) is None
 
     def test_unit_law_violation(self):
         iota = iota_cases()[1]
         a = iota.target
         bad = DescentDatum(iota, right_regular(a),
                            Mat.zero(GF2, a.dim * a.dim, a.dim))
-        v = check_descent_datum(bad)
-        assert not v and v.failure.kind == "unit-law"
+        with pytest.raises(AxiomViolation) as err:
+            check_descent_datum(bad)
+        assert (err.value.kind, err.value.witness) == ("unit-law", ())
 
     def test_cocycle_violation(self):
         iota = iota_cases()[1]
@@ -53,9 +54,9 @@ class TestDescentData:
         ia = Mat.identity(GF2, 2)
         # f(x) = x (x) 1 splits the action but breaks the cocycle
         cand = DescentDatum(iota, right_regular(a), ia.kron(a.unit_col))
-        v = check_descent_datum(cand)
-        assert not v
-        assert v.failure.kind in ("not-A-linear", "cocycle")
+        with pytest.raises(AxiomViolation) as err:
+            check_descent_datum(cand)
+        assert err.value.kind in ("not-A-linear", "cocycle")
 
 
 class TestCorrespondence:
@@ -63,7 +64,7 @@ class TestCorrespondence:
         for iota in iota_cases():
             d = canonical_datum(iota)
             com = descent_to_comodule(d)
-            assert bool(check_comodule(com))
+            assert check_comodule(com) is None
             back = comodule_to_descent(iota, com)
             assert back.M == d.M
             assert back.f_lift == d.f_lift
@@ -73,7 +74,7 @@ class TestCorrespondence:
             c = sweedler_coring(iota)
             reg = regular_comodule(c)
             d = comodule_to_descent(iota, reg)
-            assert bool(check_descent_datum(d))
+            assert check_descent_datum(d) is None
             again = descent_to_comodule(d)
             assert again.rho_lift == reg.rho_lift
             assert again.M == reg.M
@@ -82,11 +83,11 @@ class TestCorrespondence:
         iota = iota_cases()[1]
         d = canonical_datum(iota)
         ident = Mat.identity(GF2, d.M.dim)
-        assert bool(check_descent_morphism(d, d, ident))
+        assert check_descent_morphism(d, d, ident) is None
         # the comodule reading of a descent morphism is colinear
         from coringext.coring import check_colinear
         com = descent_to_comodule(d)
-        assert bool(check_colinear(ident, com, com))
+        assert check_colinear(ident, com, com) is None
 
     def test_wrong_coring_rejected(self):
         iota = iota_cases()[1]
@@ -121,34 +122,48 @@ def cor28_collapse():
 class TestCor28:
     def test_accept_fixtures(self):
         for data in (cor28_accept(), cor28_collapse()):
-            assert bool(check_cor28(data))
+            assert check_cor28(data) is None
 
     def test_assembled_extension_valid(self):
         for data in (cor28_accept(), cor28_collapse()):
             ext = cor28_extension(data)
-            assert bool(check_coring_extension(ext))
+            assert check_coring_extension(ext) is None
 
     def test_reject_wrong_slot(self):
         good = cor28_accept()
         a = good.iota_A.target
         ia = Mat.identity(GF2, a.dim)
         phi = ia.kron(a.unit_col).kron(Mat.identity(GF2, 1))
-        v = check_cor28(Cor28Data(good.iota_B, good.iota_A, good.rho_A, phi))
-        assert not v and v.failure.kind == "diagram-a"
+        with pytest.raises(AxiomViolation) as err:
+            check_cor28(Cor28Data(good.iota_B, good.iota_A, good.rho_A, phi))
+        assert err.value.kind == "diagram-a"
 
     def test_reject_zero_phi(self):
         good = cor28_accept()
         phi = Mat.zero(GF2, 4, 2)
-        v = check_cor28(Cor28Data(good.iota_B, good.iota_A, good.rho_A, phi))
-        assert not v and v.failure.kind == "diagram-a"
+        with pytest.raises(AxiomViolation) as err:
+            check_cor28(Cor28Data(good.iota_B, good.iota_A, good.rho_A, phi))
+        assert err.value.kind == "diagram-a"
 
     def test_accept_iff_extension_valid(self):
         # acceptance is reported only together with a valid assembled
         # extension; rejection raises before assembly
         for data in (cor28_accept(), cor28_collapse()):
-            v = check_cor28(data)
-            assert bool(v) == bool(
-                check_coring_extension(cor28_extension(data)))
+            assert check_cor28(data) is None
+            assert check_coring_extension(cor28_extension(data)) is None
+
+    def test_assembly_failure_is_relabelled(self, monkeypatch):
+        import coringext.descent as descent
+
+        def broken(data):
+            raise AxiomViolation("coaction-not-balanced")
+
+        monkeypatch.setattr(descent, "_assemble", broken)
+        with pytest.raises(AxiomViolation) as err:
+            check_cor28(cor28_accept())
+        kind = "assembled-extension-coaction-not-balanced"
+        assert (err.value.kind, err.value.witness, str(err.value)) == \
+            (kind, None, kind)
 
     def test_extension_checked_once(self, monkeypatch):
         import coringext.descent as descent
@@ -183,7 +198,7 @@ class TestDescentFunctor:
         data = cor28_accept()
         d = canonical_datum(data.iota_A)
         out = descent_functor(data, d)
-        assert bool(check_descent_datum(out))
+        assert check_descent_datum(out) is None
         assert out.M.dim == d.M.dim  # underlying k-space unchanged
 
     def test_morphisms_carried(self):
@@ -191,7 +206,7 @@ class TestDescentFunctor:
         d = canonical_datum(data.iota_A)
         out = descent_functor(data, d)
         ident = Mat.identity(GF2, d.M.dim)
-        assert bool(check_descent_morphism(out, out, ident))
+        assert check_descent_morphism(out, out, ident) is None
 
     def test_unchecked_data_rejected(self):
         good = cor28_accept()

@@ -14,7 +14,6 @@ from coringext.coring import (Comodule, LeftComodule, check_bicomodule,
                               regular_comodule, direct_sum_comodule,
                               cofree_comodule)
 from coringext.tensorcat import tensor_chain, tensor_over
-from coringext.verdict import Verdict
 from coringext.constructions import base_algebra, trivial_coring
 from coringext.extension import (Measuring, action_from_measuring,
                                  algebra_map_to_measuring, apply_functor,
@@ -55,16 +54,18 @@ class TestMeasurings:
         c = gc2_coring(GF3)
         b = c2_group_algebra(GF3)
         bad = Measuring(c, b, Mat.zero(GF3, 1, 4))
-        v = check_measuring(bad)
-        assert not v and v.failure.kind == "unit-diagram"
+        with pytest.raises(AxiomViolation) as err:
+            check_measuring(bad)
+        assert (err.value.kind, err.value.witness) == ("unit-diagram", ())
 
     def test_multiplication_diagram_violation(self):
         c = gc2_coring(GF3)
         b = c2_group_algebra(GF3)
         # nu(e_1 (x) g) = 0 cannot square to nu(e_1 (x) 1) = 1
         nu = Mat.from_rows(GF3, [[1, 0, 1, 1]])
-        v = check_measuring(Measuring(c, b, nu))
-        assert not v and v.failure.kind == "multiplication-diagram"
+        with pytest.raises(AxiomViolation) as err:
+            check_measuring(Measuring(c, b, nu))
+        assert err.value.kind == "multiplication-diagram"
 
 
 class TestBijection:
@@ -96,14 +97,14 @@ class TestActionEquivalence:
         for c, b, _ in measuring_cases():
             for m in enumerate_measurings(c, b):
                 ract = action_from_measuring(m)
-                assert bool(check_right_b_structure(c, b, ract))
+                assert check_right_b_structure(c, b, ract) is None
 
     def test_invalid_action_rejected(self):
         c = gc2_coring(GF3)
         b = c2_group_algebra(GF3)
         bad = Mat.zero(GF3, 2, 4)
-        v = check_right_b_structure(c, b, bad)
-        assert not v
+        with pytest.raises(AxiomViolation):
+            check_right_b_structure(c, b, bad)
         with pytest.raises(AxiomViolation):
             measuring_from_action(c, b, bad)
 
@@ -121,7 +122,7 @@ def fixture_extensions():
 class TestExtensions:
     def test_fixtures_valid(self):
         for e in fixture_extensions():
-            assert bool(check_coring_extension(e))
+            assert check_coring_extension(e) is None
 
     def test_coring_map_validation(self):
         sw = sw_coring(GF2)
@@ -148,7 +149,7 @@ class TestInducedFunctor:
             for m in comodule_corpus(e.c):
                 out = induced_coaction(e, m)
                 assert out.dim == m.dim
-                assert bool(check_comodule(out))
+                assert check_comodule(out) is None
 
     def test_structure_roundtrip(self):
         # reading the functor on the regular comodule recovers the extension
@@ -178,8 +179,9 @@ class TestInducedFunctor:
         e = fixture_extensions()[2]
         reg = regular_comodule(e.c)
         bad = Mat.from_rows(GF2, [[1, 1, 1, 1]] * 4)
-        with pytest.raises(NotColinear):
+        with pytest.raises(NotColinear) as err:
             apply_functor(e, bad, reg, reg)
+        assert err.value.args == ("not-A-linear", (0,))
 
 
 class TestComposition:
@@ -240,17 +242,22 @@ def ref_right_route(c, d, m):
 
 def ref_check_bicomodule(c, d, m, lambda_lift, sigma_lift):
     """``check_bicomodule`` with the condition read in C (x)_A (M (x)_B D)."""
-    v = check_left_comodule(LeftComodule(c, m.left_module(), lambda_lift))
-    if not v:
-        return v
-    v = check_comodule(Comodule(d, m.right_module(), sigma_lift))
-    if not v:
-        return v
+    check_left_comodule(LeftComodule(c, m.left_module(), lambda_lift))
+    check_comodule(Comodule(d, m.right_module(), sigma_lift))
     p = ref_right_route(c, d, m)
     w = _first_diff(p @ lambda_lift.tensor_id(1, d.dim) @ sigma_lift,
                     p @ sigma_lift.tensor_id(c.dim, 1) @ lambda_lift)
-    return Verdict.accept() if w is None else \
-        Verdict.reject("not-bicomodule", w)
+    if w is not None:
+        raise AxiomViolation("not-bicomodule", w)
+
+
+def outcome(check, *args):
+    """None if ``check(*args)`` passes, else the violated kind and witness."""
+    try:
+        check(*args)
+    except AxiomViolation as exc:
+        return exc.kind, exc.witness
+    return None
 
 
 def field_extensions(field):
@@ -294,8 +301,9 @@ class TestBicomoduleRoutes:
             p2 = ref_right_route(c, d, m)
             for _ in range(12):
                 sigma = perturbed(field, e.sigma_lift, rng)
-                assert check_bicomodule(c, d, m, c.delta_lift, sigma) == \
-                    ref_check_bicomodule(c, d, m, c.delta_lift, sigma)
+                args = (c, d, m, c.delta_lift, sigma)
+                assert outcome(check_bicomodule, *args) == \
+                    outcome(ref_check_bicomodule, *args)
                 lhs = c.delta_lift.tensor_id(1, d.dim) @ sigma
                 rhs = sigma.tensor_id(c.dim, 1) @ c.delta_lift
                 w = _first_diff(p1 @ lhs, p1 @ rhs)
@@ -314,9 +322,9 @@ class TestBicomoduleRoutes:
         m = Bimodule(c.A, c.A, 2, ident, ident)
         lam = Mat.from_cols(field, [(1, 0, 0, 0), (0, 0, 0, 1)])
         sigma = Mat.from_cols(field, [(1, 0, 1, -1), (0, 0, 0, 1)])
-        v = check_bicomodule(c, c, m, lam, sigma)
-        assert v.failure.kind == "not-bicomodule"
-        assert v == ref_check_bicomodule(c, c, m, lam, sigma)
+        got = outcome(check_bicomodule, c, c, m, lam, sigma)
+        assert got[0] == "not-bicomodule"
+        assert got == outcome(ref_check_bicomodule, c, c, m, lam, sigma)
         # the same grading on both sides commutes
-        assert bool(check_bicomodule(c, c, m, lam, lam))
-        assert bool(ref_check_bicomodule(c, c, m, lam, lam))
+        assert check_bicomodule(c, c, m, lam, lam) is None
+        assert ref_check_bicomodule(c, c, m, lam, lam) is None

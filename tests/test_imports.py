@@ -104,3 +104,69 @@ def test_detects_guard_parameters():
                          ids=lambda p: p.name)
 def test_only_set_guards_takes_a_guard(path):
     assert guard_parameters(path.read_text(encoding="utf-8")) == []
+
+
+# -- one failure channel: a failed axiom raises AxiomViolation --------------
+
+RETIRED = {"Verdict", "Failure", "raise_if_failed"}
+
+
+def _returns_value(fn):
+    """Lines of ``return <value>`` in ``fn`` itself, not in nested scopes."""
+    found, todo = [], list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Return) and node.value is not None and not (
+                isinstance(node.value, ast.Constant)
+                and node.value.value is None):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def second_channel(source: str):
+    """A ``check_*`` function that returns a value, and any definition,
+    import or attribute use of the retired result types."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                node.name.startswith("check_"):
+            found += [(line, node.name, "returns a value")
+                      for line in _returns_value(node)]
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(a.asname or a.name).split(".")[-1] for a in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.append(node.module.split(".")[-1])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        found += [(node.lineno, n, "retired") for n in names
+                  if n in RETIRED or n == "verdict"]
+    return sorted(found)
+
+
+def test_detects_second_channel():
+    src = ("from .verdict import Verdict\n"
+           "def check_a(x):\n    if x:\n        return x\n"
+           "    def inner():\n        return 1\n    return None\n"
+           "def check_b(x):\n    x.raise_if_failed()\n    return\n"
+           "class Failure:\n    pass\n"
+           "def make_c(x):\n    return x\n")
+    assert second_channel(src) == [
+        (1, "Verdict", "retired"), (1, "verdict", "retired"),
+        (4, "check_a", "returns a value"),
+        (9, "raise_if_failed", "retired"), (11, "Failure", "retired")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_failure_channel(path):
+    assert second_channel(path.read_text(encoding="utf-8")) == []

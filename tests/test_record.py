@@ -10,19 +10,34 @@ from coringext._record import frozen
 from coringext.algmod import LeftModule, RightModule
 from coringext.exactla import GF2, FieldSpec, Mat
 from coringext.fixtures import d2_algebra
-from coringext.verdict import Failure, Verdict
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 
+@frozen
+class Tag:
+    """A two-field record, the second with a default."""
+
+    kind: str
+    witness: tuple = ()
+
+
+@frozen
+class Flag:
+    """A record whose default is None."""
+
+    ok: bool
+    tag: object = None
+
+
 def test_equality_and_hash_follow_field_tuple():
-    a, b = Failure("unital", (0, 1)), Failure("unital", (0, 1))
+    a, b = Tag("unital", (0, 1)), Tag("unital", (0, 1))
     assert a == b and a is not b
     assert hash(a) == hash(b) == hash(("unital", (0, 1)))
-    assert a != Failure("unital", (1, 0))
+    assert a != Tag("unital", (1, 0))
     assert hash(FieldSpec(3)) == hash((3,))
-    assert len({a, b, Failure("unital", (1, 0))}) == 2
+    assert len({a, b, Tag("unital", (1, 0))}) == 2
 
 
 def test_different_classes_with_equal_fields_are_unequal():
@@ -35,7 +50,7 @@ def test_different_classes_with_equal_fields_are_unequal():
 
 
 def test_assignment_and_deletion_raise():
-    v = Verdict(True)
+    v = Flag(True)
     with pytest.raises(AttributeError):
         v.ok = False
     with pytest.raises(AttributeError):
@@ -46,12 +61,11 @@ def test_assignment_and_deletion_raise():
 
 
 def test_defaults_and_keywords():
-    assert Verdict(True).failure is None
-    assert Failure("counit").witness == ()
+    assert Flag(True).tag is None
+    assert Tag("counit").witness == ()
     assert FieldSpec().p is None
-    assert Failure(kind="k", witness=(2,)) == Failure("k", (2,))
-    assert Verdict(ok=False, failure=Failure("k")) == \
-        Verdict.reject("k")
+    assert Tag(kind="k", witness=(2,)) == Tag("k", (2,))
+    assert Flag(ok=False, tag=Tag("k")) == Flag(False, Tag("k", ()))
 
 
 @pytest.mark.parametrize("args, kwargs", [
@@ -62,7 +76,7 @@ def test_defaults_and_keywords():
 ])
 def test_bad_arguments_raise_type_error(args, kwargs):
     with pytest.raises(TypeError):
-        Failure(*args, **kwargs)
+        Tag(*args, **kwargs)
 
 
 def test_post_init_runs():
@@ -71,10 +85,9 @@ def test_post_init_runs():
 
 
 def test_repr_has_dataclass_format():
-    assert repr(Failure("unital", (0,))) == \
-        "Failure(kind='unital', witness=(0,))"
-    assert repr(Verdict.reject("x")) == \
-        "Verdict(ok=False, failure=Failure(kind='x', witness=()))"
+    assert repr(Tag("unital", (0,))) == "Tag(kind='unital', witness=(0,))"
+    assert repr(Flag(False, Tag("x"))) == \
+        "Flag(ok=False, tag=Tag(kind='x', witness=()))"
 
 
 def test_methods_defined_by_the_class_win():

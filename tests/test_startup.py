@@ -53,7 +53,6 @@ EXPORTS = {
                 "descent_to_comodule", "make_descent_datum"],
     "errors": ["errors"],
     "fixtures": ["fixtures"],
-    "verdict": ["Failure", "Verdict"],
 }
 
 CORE = ["coringext", "coringext._record", "coringext.cli",
