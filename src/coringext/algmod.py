@@ -8,7 +8,9 @@ are complete, so no randomized testing is needed in the core.
 
 Every ``check_*`` function of the package returns None when its axioms
 hold and raises ``AxiomViolation(kind, witness)`` at the first one that
-fails; ``make_*`` builds a record and calls its checker.
+fails; ``make_*`` builds a record and calls its checker.  Identities are
+compared with ``_require``: a rejection names the first basis tuple of the
+domain, or of its tensor factors, at which the two sides differ.
 """
 
 from functools import cached_property
@@ -99,8 +101,8 @@ def check_algebra_map(f: AlgebraMap) -> None:
     m = f.matrix
     if m.rows != f.target.dim or m.cols != f.source.dim:
         raise DimensionMismatch("algebra map matrix has wrong shape")
-    if m.apply(f.source.unit) != f.target.unit:
-        raise AxiomViolation("unit-not-preserved", ())
+    _require(Mat.column(m.field, m.apply(f.source.unit)), f.target.unit_col,
+             "unit-not-preserved")
     _require(m @ f.source.mult_mat, f.target.mult_mat @ m.kron(m),
              "not-multiplicative", (f.source.dim,) * 2)
 
@@ -172,16 +174,18 @@ def _first_diff(m1: Mat, m2: Mat, dims=None) -> Optional[tuple]:
                                 f"with a {m2.rows}x{m2.cols} map")
     if m1 == m2:
         return None
-    for c in range(m1.cols):
-        if m1.col(c) != m2.col(c):
-            if dims is None:
-                return (c,)
-            idx = []
-            for d in reversed(dims):
-                c, r = divmod(c, d)
-                idx.append(r)
-            return tuple(reversed(idx))
-    return None
+    c = min((j for r1, r2 in zip(m1.sparse_rows, m2.sparse_rows) if r1 != r2
+             for j in r1.keys() | r2.keys() if r1.get(j) != r2.get(j)),
+            default=None)
+    if c is None:  # equal entries over different fields
+        return None
+    if dims is None:
+        return (c,)
+    idx = []
+    for d in reversed(dims):
+        c, r = divmod(c, d)
+        idx.append(r)
+    return tuple(reversed(idx))
 
 
 def _require(m1: Mat, m2: Mat, kind: str, dims=None) -> None:

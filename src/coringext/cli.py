@@ -342,10 +342,10 @@ def cmd_induce(ws: Workspace, args) -> dict:
 
 
 def cmd_apply(ws: Workspace, args) -> dict:
-    from .extension import CoringExtension, apply_functor
+    from .extension import CoringExtension, _transport
     e = ws.get(args.extension, CoringExtension, "--extension")
     g = ws.get(args.map, ColinearMap, "--map")
-    out = apply_functor(e, g.matrix, g.source, g.target)
+    out = _transport(e, g.matrix, g.source, g.target)  # the parser checked g
     return {"command": "apply", "extension": args.extension,
             "map": args.map, "ok": True,
             "matrix": _render(ws.field, out)}

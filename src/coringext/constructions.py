@@ -82,11 +82,11 @@ def check_coalgebra(c: Coalgebra) -> None:
         raise DimensionMismatch("coproduct has wrong shape")
     if c.eps.rows != 1 or c.eps.cols != n:
         raise DimensionMismatch("counit has wrong shape")
-    if c.delta.tensor_id(1, n) @ c.delta != c.delta.tensor_id(n, 1) @ c.delta:
-        raise AxiomViolation("coassoc", ())
-    if c.eps.tensor_id(1, n) @ c.delta != ic or \
-            c.eps.tensor_id(n, 1) @ c.delta != ic:
-        raise AxiomViolation("counit", ())
+    _require(c.delta.tensor_id(1, n) @ c.delta,
+             c.delta.tensor_id(n, 1) @ c.delta, "coassoc", (n,))
+    # stacked, the two counit laws first differ at the lower of their witnesses
+    _require((c.eps.tensor_id(1, n) @ c.delta).stack(
+        c.eps.tensor_id(n, 1) @ c.delta), ic.stack(ic), "counit", (n,))
 
 
 def make_coalgebra(field: FieldSpec, dim: int, delta: Mat, eps: Mat

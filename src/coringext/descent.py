@@ -10,9 +10,9 @@ structure on A itself pushes Desc(A|B) forward to Desc(B|D).
 from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (AlgebraMap, Bimodule, RightModule, check_right_module,
-                     left_regular, restrict_left, restrict_right,
-                     right_regular)
+from .algmod import (AlgebraMap, Bimodule, RightModule, _require,
+                     check_right_module, left_regular, restrict_left,
+                     restrict_right, right_regular)
 from .coring import Comodule, make_comodule
 from .constructions import sweedler_coring, sweedler_space
 from .extension import (CoringExtension, _cd, check_coring_extension,
@@ -46,20 +46,18 @@ def check_descent_datum(d: DescentDatum) -> None:
     if d.f_lift.rows != d.M.dim * a.dim or d.f_lift.cols != d.M.dim:
         raise DimensionMismatch("descent map has wrong shape")
     check_right_module(d.M)
-    im = Mat.identity(a.field, d.M.dim)
+    nm = d.M.dim
     f_a = d.f_lift.tensor_id(1, a.dim)
     proj = d.ma().projection
-    lhs = proj @ d.f_lift @ d.M.act
-    rhs = proj @ a.mult_mat.tensor_id(d.M.dim, 1) @ f_a
-    if lhs != rhs:
-        raise AxiomViolation("not-A-linear", ())
-    if d.M.act @ d.f_lift != im:
-        raise AxiomViolation("unit-law", ())
+    _require(proj @ d.f_lift @ d.M.act,
+             proj @ a.mult_mat.tensor_id(nm, 1) @ f_a, "not-A-linear",
+             (nm, a.dim))
+    _require(d.M.act @ d.f_lift, Mat.identity(a.field, nm), "unit-law",
+             (nm,))
     p3 = _maa_space(d.iota, d.M)
-    lhs = p3 @ f_a @ d.f_lift
-    rhs = p3 @ a.unit_col.tensor_id(d.M.dim, a.dim) @ d.f_lift
-    if lhs != rhs:
-        raise AxiomViolation("cocycle", ())
+    _require(p3 @ f_a @ d.f_lift,
+             p3 @ a.unit_col.tensor_id(nm, a.dim) @ d.f_lift, "cocycle",
+             (nm,))
 
 
 @memoised
@@ -87,12 +85,12 @@ def check_descent_morphism(d1: DescentDatum, d2: DescentDatum,
     """A-linear map commuting with the descent maps."""
     if d1.iota != d2.iota:
         raise DimensionMismatch("descent data for different algebra maps")
-    g_a = g.tensor_id(1, d1.iota.target.dim)
-    if g @ d1.M.act != d2.M.act @ g_a:
-        raise AxiomViolation("not-A-linear", ())
+    na = d1.iota.target.dim
+    g_a = g.tensor_id(1, na)
+    _require(g @ d1.M.act, d2.M.act @ g_a, "not-A-linear", (d1.M.dim, na))
     proj = d2.ma().projection
-    if proj @ d2.f_lift @ g != proj @ g_a @ d1.f_lift:
-        raise AxiomViolation("not-descent-map", ())
+    _require(proj @ d2.f_lift @ g, proj @ g_a @ d1.f_lift, "not-descent-map",
+             (d1.M.dim,))
 
 
 # -- the correspondence with Sweedler comodules ------------------------
@@ -177,42 +175,36 @@ def check_cor28(data: Cor28Data) -> None:
         raise DimensionMismatch("phi has wrong shape")
     check_right_module(RightModule(b, a.dim, data.rho_A))
     lB = restrict_left(left_regular(a), data.iota_A).act  # b . a on A
-    if data.rho_A @ lB.tensor_id(1, nb) != lB @ data.rho_A.tensor_id(nb, 1):
-        raise AxiomViolation("rho-not-left-linear", ())
+    _require(data.rho_A @ lB.tensor_id(1, nb),
+             lB @ data.rho_A.tensor_id(nb, 1), "rho-not-left-linear",
+             (nb, na, nb))
     # phi is a (B, B)-bimodule map
     pab = data.aab()
-    lhs = pab @ data.phi_lift @ lB
-    rhs = pab @ lB.tensor_id(1, na * nb) @ data.phi_lift.tensor_id(nb, 1)
-    if lhs != rhs:
-        raise AxiomViolation("phi-not-left-linear", ())
-    lhs = pab @ data.phi_lift @ data.rho_A
-    rhs = pab @ b.mult_mat.tensor_id(na * na, 1) @ \
-        data.phi_lift.tensor_id(1, nb)
-    if lhs != rhs:
-        raise AxiomViolation("phi-not-right-linear", ())
+    _require(pab @ data.phi_lift @ lB,
+             pab @ lB.tensor_id(1, na * nb) @ data.phi_lift.tensor_id(nb, 1),
+             "phi-not-left-linear", (nb, na))
+    _require(pab @ data.phi_lift @ data.rho_A,
+             pab @ b.mult_mat.tensor_id(na * na, 1) @
+             data.phi_lift.tensor_id(1, nb), "phi-not-right-linear", (na, nb))
     # (a): (A (x) rho_A) phi = unit insertion in A (x)_B A
     q2 = sweedler_space(data.iota_A)
-    lhs = q2.projection @ data.rho_A.tensor_id(na, 1) @ data.phi_lift
-    rhs = q2.projection @ a.unit_col.tensor_id(1, na)
-    if lhs != rhs:
-        raise AxiomViolation("diagram-a", ())
+    _require(q2.projection @ data.rho_A.tensor_id(na, 1) @ data.phi_lift,
+             q2.projection @ a.unit_col.tensor_id(1, na), "diagram-a", (na,))
     # (b): coassociativity-type law in A (x)_B A (x)_D B (x)_D B
     a_b, a_bd, b_d = _ab_factors(data)
     b_dd = Bimodule(dalg, dalg, nb, b_d.act,
                     restrict_right(right_regular(b), data.iota_B).act)
     p4b = tensor_chain(a_b, (a_bd, b_dd), b_d)
-    lhs = p4b @ a.mult_mat.tensor_id(1, na * nb * nb) @ \
-        data.phi_lift.tensor_id(na, nb) @ data.phi_lift
-    rhs = p4b @ b.unit_col.tensor_id(na * na, nb) @ data.phi_lift
-    if lhs != rhs:
-        raise AxiomViolation("diagram-b", ())
+    _require(p4b @ a.mult_mat.tensor_id(1, na * nb * nb) @
+             data.phi_lift.tensor_id(na, nb) @ data.phi_lift,
+             p4b @ b.unit_col.tensor_id(na * na, nb) @ data.phi_lift,
+             "diagram-b", (na,))
     # (c): counit-type law in A (x)_B A (x)_B A (x)_D B
     a_bb = Bimodule(b, b, na, a_bd.lact, a_b.act)
     p4c = tensor_chain(a_b, (a_bb, a_bd), b_d)
-    lhs = p4c @ a.unit_col.tensor_id(1, na * na * nb) @ data.phi_lift
-    rhs = p4c @ a.unit_col.tensor_id(na, na * nb) @ data.phi_lift
-    if lhs != rhs:
-        raise AxiomViolation("diagram-c", ())
+    _require(p4c @ a.unit_col.tensor_id(1, na * na * nb) @ data.phi_lift,
+             p4c @ a.unit_col.tensor_id(na, na * nb) @ data.phi_lift,
+             "diagram-c", (na,))
     try:
         ext = _assemble(data)
     except AxiomViolation as exc:

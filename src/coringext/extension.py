@@ -14,7 +14,7 @@ from .errors import (AxiomViolation, DimensionMismatch, MiddleMismatch,
                      NotColinear, NotCoringMorphism)
 from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule, _holds,
-                     check_right_module, make_algebra_map)
+                     _require, check_right_module, make_algebra_map)
 from .coring import (Comodule, Coring, check_bicomodule, check_colinear,
                      dual_coords, dual_element, dual_ring, make_comodule)
 from .tensorcat import tensor_over
@@ -63,14 +63,12 @@ def check_measuring(m: Measuring,
         raise DimensionMismatch("measuring has wrong shape")
     if maps is None:
         maps = _measuring_maps(c, b)
-    if nu @ maps.lact_b != c.A.mult_mat @ nu.tensor_id(c.A.dim, 1):
-        raise AxiomViolation("not-left-linear", ())
-    if nu @ maps.unit_b != c.eps:
-        raise AxiomViolation("unit-diagram", ())
-    lhs = nu @ maps.mult_b
-    rhs = nu @ maps.ract_b @ nu.tensor_id(c.dim, b.dim) @ maps.delta_bb
-    if lhs != rhs:
-        raise AxiomViolation("multiplication-diagram", ())
+    _require(nu @ maps.lact_b, c.A.mult_mat @ nu.tensor_id(c.A.dim, 1),
+             "not-left-linear", (c.A.dim, c.dim, b.dim))
+    _require(nu @ maps.unit_b, c.eps, "unit-diagram", (c.dim,))
+    _require(nu @ maps.mult_b,
+             nu @ maps.ract_b @ nu.tensor_id(c.dim, b.dim) @ maps.delta_bb,
+             "multiplication-diagram", (c.dim, b.dim, b.dim))
 
 
 def make_measuring(c: Coring, b: Algebra, nu: Mat) -> Measuring:
@@ -145,14 +143,14 @@ def check_right_b_structure(c: Coring, b: Algebra, ract_b: Mat) -> None:
     if ract_b.rows != c.dim or ract_b.cols != c.dim * b.dim:
         raise DimensionMismatch("right action has wrong shape")
     check_right_module(RightModule(b, c.dim, ract_b))
-    if c.C.lact @ ract_b.tensor_id(c.A.dim, 1) != \
-            ract_b @ c.C.lact.tensor_id(1, b.dim):
-        raise AxiomViolation("actions-do-not-commute", ())
+    _require(c.C.lact @ ract_b.tensor_id(c.A.dim, 1),
+             ract_b @ c.C.lact.tensor_id(1, b.dim), "actions-do-not-commute",
+             (c.A.dim, c.dim, b.dim))
     proj = c.cc().projection
-    lhs = proj @ c.delta_lift @ ract_b
-    rhs = proj @ ract_b.tensor_id(c.dim, 1) @ c.delta_lift.tensor_id(1, b.dim)
-    if lhs != rhs:
-        raise AxiomViolation("coproduct-not-right-linear", ())
+    _require(proj @ c.delta_lift @ ract_b,
+             proj @ ract_b.tensor_id(c.dim, 1) @
+             c.delta_lift.tensor_id(1, b.dim), "coproduct-not-right-linear",
+             (c.dim, b.dim))
 
 
 def action_from_measuring(m: Measuring) -> Mat:
@@ -274,9 +272,13 @@ def apply_functor(e: CoringExtension, f: Mat, m: Comodule,
         check_colinear(f, m, n)
     except AxiomViolation as exc:
         raise NotColinear(exc.kind, exc.witness)
-    fm = induced_coaction(e, m)
-    fn = induced_coaction(e, n)
-    check_colinear(f, fm, fn)
+    return _transport(e, f, m, n)
+
+
+def _transport(e: CoringExtension, f: Mat, m: Comodule,
+               n: Comodule) -> Mat:
+    """``apply_functor`` on a map that ``check_colinear`` has accepted."""
+    check_colinear(f, induced_coaction(e, m), induced_coaction(e, n))
     return f
 
 

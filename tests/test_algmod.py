@@ -73,12 +73,28 @@ def ref_check_algebra(a):
 def ref_check_algebra_map(fm):
     m = fm.matrix
     if m.apply(fm.source.unit) != fm.target.unit:
-        return "unit-not-preserved", ()
+        return "unit-not-preserved", (0,)  # the one basis element of k
     for i in range(fm.source.dim):
         for j in range(fm.source.dim):
             if m.apply(fm.source.mult[i][j]) != \
                     ref_product(fm.target, m.col(i), m.col(j)):
                 return "not-multiplicative", (i, j)
+    return None
+
+
+def ref_first_diff(m1, m2, dims=None):
+    """The column loop ``_first_diff`` used before it read the sparse rows."""
+    if m1 == m2:
+        return None
+    for c in range(m1.cols):
+        if m1.col(c) != m2.col(c):
+            if dims is None:
+                return (c,)
+            idx = []
+            for d in reversed(dims):
+                c, r = divmod(c, d)
+                idx.append(r)
+            return tuple(reversed(idx))
     return None
 
 
@@ -209,9 +225,11 @@ class TestAgainstLoop:
     def test_check_algebra_map(self, fm):
         got = outcome(check_algebra_map, fm)
         assert got == ref_check_algebra_map(fm)
-        if got is not None and got[0] == "not-multiplicative":
+        m = fm.matrix
+        if got is not None and got[0] == "unit-not-preserved":
+            assert m.apply(fm.source.unit) != fm.target.unit
+        elif got is not None:
             i, j = got[1]
-            m = fm.matrix
             assert m.apply(fm.source.mult[i][j]) != \
                 ref_product(fm.target, m.col(i), m.col(j))
 
@@ -273,7 +291,8 @@ class TestAlgebraMap:
         k = base_algebra(GF2)
         a = d2_algebra(GF2)
         bad = AlgebraMap(k, a, Mat.column(GF2, (1, 0)))
-        assert outcome(check_algebra_map, bad) == ("unit-not-preserved", ())
+        assert outcome(check_algebra_map, bad) == ("unit-not-preserved",
+                                                   (0,))
 
     def test_not_multiplicative(self):
         b = c2_group_algebra(GF3)
@@ -362,6 +381,28 @@ class TestWitness:
                 _first_diff(m1, m2)
             with pytest.raises(DimensionMismatch):
                 _require(m1, m2, "k")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_first_diff_against_column_loop(self, data):
+        f = data.draw(st.sampled_from([GF2, GF3, QQ]))
+        dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        rows = data.draw(st.integers(0, 4))
+        cols = 1
+        for d in dims:
+            cols *= d
+        cells = st.lists(st.lists(scalars(f), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows)
+        m1 = Mat.from_rows(f, data.draw(cells))
+        entries = [list(r) for r in m1.entries]
+        for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+            r = data.draw(st.integers(0, rows - 1))
+            c = data.draw(st.integers(0, cols - 1))
+            entries[r][c] = data.draw(scalars(f))
+        m2 = Mat.from_rows(f, entries)
+        for a, b in ((m1, m2), (m2, m1)):
+            assert _first_diff(a, b) == ref_first_diff(a, b)
+            assert _first_diff(a, b, dims) == ref_first_diff(a, b, dims)
 
     def test_require_raises_at_the_witness(self):
         a = Mat.from_rows(GF2, [[1, 0], [0, 1]])

@@ -12,6 +12,7 @@ from coringext.exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM, GF2, Mat,
                                set_guards)
 from coringext.fixtures import d2_algebra, sw_coring
 from coringext.coring import regular_comodule
+from coringext.constructions import trivial_coring
 
 
 def run_cli(argv, text):
@@ -235,13 +236,13 @@ REJECTS = {
            f={"type": "algebra_map", "source": "k", "target": "d2",
               "matrix": [[1], [0]]}),
         '{"command":"check","error":{"kind":"unit-not-preserved",'
-        '"message":"unit-not-preserved at ()","type":"AxiomViolation",'
-        '"witness":[]},"exit_code":1,"ok":false}\n'),
+        '"message":"unit-not-preserved at (0,)","type":"AxiomViolation",'
+        '"witness":[0]},"exit_code":1,"ok":false}\n'),
     "coalgebra": (
         ws(c={"type": "coalgebra", "dim": 2, **GROUP2}),
         '{"command":"check","error":{"kind":"counit",'
-        '"message":"counit at ()","type":"AxiomViolation",'
-        '"witness":[]},"exit_code":1,"ok":false}\n'),
+        '"message":"counit at (1,)","type":"AxiomViolation",'
+        '"witness":[1]},"exit_code":1,"ok":false}\n'),
     "coring": (
         ws(k=K, c={"type": "coring", "algebra": "k", "dim": 2,
                    "lact": [[1, 0], [0, 1]], "ract": [[1, 0], [0, 1]],
@@ -272,8 +273,9 @@ REJECTS = {
            nu={"type": "measuring", "coring": "gc2", "algebra": "bc2",
                "nu": [[1, 0, 1, 1]]}),
         '{"command":"check","error":{"kind":"multiplication-diagram",'
-        '"message":"multiplication-diagram at ()","type":"AxiomViolation",'
-        '"witness":[]},"exit_code":1,"ok":false}\n'),
+        '"message":"multiplication-diagram at (0, 1, 1)",'
+        '"type":"AxiomViolation","witness":[0,1,1]},"exit_code":1,'
+        '"ok":false}\n'),
     "extension": (
         ws(GF3, gc2={"fixture": "FIX.GC2"},
            e={"type": "extension", "c": "gc2", "d": "gc2",
@@ -288,8 +290,8 @@ REJECTS = {
                 "act": [[1, 0, 0, 0], [0, 0, 0, 1]],
                 "f_lift": [[0, 0]] * 4}),
         '{"command":"check","error":{"kind":"unit-law",'
-        '"message":"unit-law at ()","type":"AxiomViolation",'
-        '"witness":[]},"exit_code":1,"ok":false}\n'),
+        '"message":"unit-law at (0,)","type":"AxiomViolation",'
+        '"witness":[0]},"exit_code":1,"ok":false}\n'),
     "cor28": (
         ws(k=K, d2={"fixture": "FIX.D2"}, u=UNIT_D2,
            uid={"type": "algebra_map", "source": "k", "target": "k",
@@ -297,14 +299,14 @@ REJECTS = {
            c28={"type": "cor28", "iota_B": "uid", "iota_A": "u",
                 "rho_A": [[1, 0], [0, 1]], "phi_lift": [[0, 0]] * 4}),
         '{"command":"check","error":{"kind":"diagram-a",'
-        '"message":"diagram-a at ()","type":"AxiomViolation",'
-        '"witness":[]},"exit_code":1,"ok":false}\n'),
+        '"message":"diagram-a at (0,)","type":"AxiomViolation",'
+        '"witness":[0]},"exit_code":1,"ok":false}\n'),
 }
 
 
 class TestRejectReports:
     """The report of a rejected object is pinned byte for byte, for every
-    kind, with a witness and with the empty witness ``()``."""
+    kind; each names a nonempty witness."""
 
     @pytest.mark.parametrize("kind", sorted(REJECTS))
     def test_exact_report(self, kind):
@@ -374,6 +376,27 @@ class TestCommands:
                             self._extension_ws())
         assert code == 0
         assert json.loads(out)["matrix"] == render(Mat.identity(GF2, 4))
+
+    def test_apply_checks_colinearity_twice(self, monkeypatch):
+        # once over C when the parser builds the map, once over D after the
+        # transport; cli imports check_colinear from coring when it parses
+        import coringext.coring as coring
+        import coringext.extension as extension
+        real = coring.check_colinear
+        calls = []
+
+        def counting(f, m, n):
+            calls.append(m.coring)
+            return real(f, m, n)
+
+        monkeypatch.setattr(coring, "check_colinear", counting)
+        monkeypatch.setattr(extension, "check_colinear", counting)
+        text = self._extension_ws()
+        code, _ = run_cli(["apply", "--extension", "E", "--map", "idmap"],
+                          text)
+        assert code == 0
+        c, d = sw_coring(GF2), trivial_coring(d2_algebra(GF2))
+        assert calls == [c, d]
 
     def test_compose(self):
         code, out = run_cli(["compose", "--first", "Eid", "--second", "E"],

@@ -33,7 +33,7 @@ class TestCoalgebra:
         bad = Coalgebra(GF2, 2, c.delta, Mat.zero(GF2, 1, 2))
         with pytest.raises(AxiomViolation) as err:
             check_coalgebra(bad)
-        assert (err.value.kind, err.value.witness) == ("counit", ())
+        assert (err.value.kind, err.value.witness) == ("counit", (0,))
 
     def test_bad_coassoc(self):
         # delta(e1) = e2 (x) e2, delta(e2) = e1 (x) e1: (delta (x) I)

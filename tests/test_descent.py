@@ -46,7 +46,7 @@ class TestDescentData:
                            Mat.zero(GF2, a.dim * a.dim, a.dim))
         with pytest.raises(AxiomViolation) as err:
             check_descent_datum(bad)
-        assert (err.value.kind, err.value.witness) == ("unit-law", ())
+        assert (err.value.kind, err.value.witness) == ("unit-law", (0,))
 
     def test_cocycle_violation(self):
         iota = iota_cases()[1]

@@ -56,7 +56,7 @@ class TestMeasurings:
         bad = Measuring(c, b, Mat.zero(GF3, 1, 4))
         with pytest.raises(AxiomViolation) as err:
             check_measuring(bad)
-        assert (err.value.kind, err.value.witness) == ("unit-diagram", ())
+        assert (err.value.kind, err.value.witness) == ("unit-diagram", (0,))
 
     def test_multiplication_diagram_violation(self):
         c = gc2_coring(GF3)

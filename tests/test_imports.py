@@ -127,15 +127,34 @@ def _returns_value(fn):
     return sorted(found)
 
 
+def _empty_witness(fn):
+    """Lines in ``fn`` that raise ``AxiomViolation(kind, ())``."""
+    found = []
+    for node in ast.walk(fn):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(call, ast.Call) and
+                isinstance(call.func, ast.Name) and
+                call.func.id == "AxiomViolation"):
+            continue
+        args = call.args[1:2] + [k.value for k in call.keywords
+                                 if k.arg == "witness"]
+        if any(isinstance(a, ast.Tuple) and not a.elts for a in args):
+            found.append(node.lineno)
+    return found
+
+
 def second_channel(source: str):
-    """A ``check_*`` function that returns a value, and any definition,
-    import or attribute use of the retired result types."""
+    """A ``check_*`` function that returns a value or rejects with the empty
+    witness, and any definition, import or attribute use of the retired
+    result types."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
                 node.name.startswith("check_"):
             found += [(line, node.name, "returns a value")
                       for line in _returns_value(node)]
+            found += [(line, node.name, "empty witness")
+                      for line in _empty_witness(node)]
         names = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -164,6 +183,18 @@ def test_detects_second_channel():
         (1, "Verdict", "retired"), (1, "verdict", "retired"),
         (4, "check_a", "returns a value"),
         (9, "raise_if_failed", "retired"), (11, "Failure", "retired")]
+
+
+def test_detects_empty_witness():
+    src = ("def check_a(x):\n"
+           "    if x:\n        raise AxiomViolation('a', ())\n"
+           "    raise AxiomViolation('b', witness=())\n"
+           "def check_b(x):\n"
+           "    raise AxiomViolation('c', (0,))\n"
+           "    raise AxiomViolation('d')\n"
+           "def make_c(x):\n    raise AxiomViolation('e', ())\n")
+    assert second_channel(src) == [(3, "check_a", "empty witness"),
+                                   (4, "check_a", "empty witness")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
