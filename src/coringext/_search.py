@@ -71,24 +71,34 @@ def _combine(m: Mat, coeffs, basis) -> Mat:
     return _new(f, m.rows, m.cols, tuple(out))
 
 
-def coords(basis, m: Mat) -> Optional[tuple]:
+def pivots(basis) -> tuple:
+    """The pivot ``(row, column)`` of each basis matrix, its first nonzero
+    entry in row-major order.  DimensionMismatch unless the matrices share
+    one shape."""
+    if len({(b.rows, b.cols) for b in basis}) > 1:
+        raise DimensionMismatch("matrix and basis shapes differ")
+    return tuple(next((r, min(row)) for r, row in enumerate(b.sparse_rows)
+                      if row) for b in basis)
+
+
+def coords(basis, m: Mat, piv=None) -> Optional[tuple]:
     """Coordinates of ``m`` in ``basis``, or None if ``m`` is not in its span.
 
     The basis matrices, flattened row-major, must be in reduced echelon
     form with lowest-index pivots, as ``affine_solutions`` returns them:
     then each coordinate is the entry of ``m`` at a basis pivot, and one
-    recombination decides membership.
+    recombination decides membership.  ``piv`` is ``pivots(basis)``,
+    passed by a caller that reads many matrices in one basis.
     """
-    if any((b.rows, b.cols) != (m.rows, m.cols) for b in basis):
+    if piv is None:
+        piv = pivots(basis)
+    if basis and (basis[0].rows, basis[0].cols) != (m.rows, m.cols):
         raise DimensionMismatch("matrix and basis shapes differ")
     z = m.field.zero
-    out = []
-    for b in basis:
-        r = next(i for i, row in enumerate(b.sparse_rows) if row)
-        out.append(m.sparse_rows[r].get(min(b.sparse_rows[r]), z))
+    out = tuple(m.sparse_rows[r].get(c, z) for r, c in piv)
     if _combine(Mat.zero(m.field, m.rows, m.cols), out, basis) != m:
         return None
-    return tuple(out)
+    return out
 
 
 def enumerate_affine(field: FieldSpec, shape, residual: Callable[[Mat], Mat],

@@ -23,9 +23,7 @@ from typing import Dict
 
 from ._record import frozen
 from .errors import (AxiomViolation, CoringError, DimensionMismatch,
-                     DualBasisInvalid, MiddleMismatch, NonFiniteField,
-                     NotColinear, NotCoringMorphism, SchemaError, SizeLimit,
-                     UnknownReference)
+                     NonFiniteField, SchemaError, SizeLimit, UnknownReference)
 from .exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM,
                       FieldSpec, Mat, set_guards)
 
@@ -37,10 +35,9 @@ EXIT_SIZE = 3
 # The exit code of an error is that of the first entry it is an instance of.
 EXIT_CODES = (
     ((SizeLimit,), EXIT_SIZE),
-    ((AxiomViolation, NotCoringMorphism, NotColinear, DualBasisInvalid),
-     EXIT_MATH),
+    ((AxiomViolation,), EXIT_MATH),
     ((SchemaError, UnknownReference, DimensionMismatch, NonFiniteField,
-      MiddleMismatch, OSError), EXIT_INPUT),
+      OSError), EXIT_INPUT),
     ((CoringError,), EXIT_MATH),
 )
 
@@ -288,10 +285,6 @@ def _render(field, x):
 # -- commands ----------------------------------------------------------
 
 
-def _kind_name(obj) -> str:
-    return type(obj).__name__
-
-
 def cmd_check(ws: Workspace, args) -> dict:
     names = sorted(ws.objects) if args.object is None else [args.object]
     results = []
@@ -299,7 +292,7 @@ def cmd_check(ws: Workspace, args) -> dict:
         if name not in ws.objects:
             raise UnknownReference("$", name)
         results.append({"object": name,
-                        "kind": _kind_name(ws.objects[name]),
+                        "kind": type(ws.objects[name]).__name__,
                         "ok": True})
     return {"command": "check", "ok": True, "results": results}
 
@@ -437,7 +430,7 @@ def _emit(report: dict, stream) -> None:
 
 def _error_report(command, exc, code) -> dict:
     info = {"type": type(exc).__name__, "message": str(exc)}
-    for attr in ("kind", "witness", "path", "name", "identity"):
+    for attr in ("kind", "witness", "path", "name"):
         val = getattr(exc, attr, None)
         if val is not None:
             info[attr] = list(val) if isinstance(val, tuple) else val

@@ -7,14 +7,14 @@ from typing import List
 
 from ._record import frozen
 from ._search import affine_solutions, coords, enumerate_affine
-from .errors import AxiomViolation, DimensionMismatch, DualBasisInvalid
-from .exactla import FieldSpec, Mat, QuotientSpace, memoised, rank
+from .errors import AxiomViolation, DimensionMismatch
+from .exactla import FieldSpec, Mat, QuotientSpace, memoised, rref
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
                      _require, bimodule_from_actions, left_regular,
                      make_algebra, make_algebra_map, regular_bimodule,
                      restrict_left, restrict_right, right_regular)
 from .coring import Coring, DualRing, dual_coords, dual_ring, make_coring
-from .tensorcat import tensor_over
+from .tensorcat import descend_map, tensor_over
 
 
 @memoised
@@ -53,12 +53,9 @@ def sweedler_coring(iota: AlgebraMap) -> Coring:
     insert = u.kron(u).tensor_id(n, n)  # x (x) y -> x (x) 1 (x) 1 (x) y
     delta_amb = q.projection.kron(q.projection) @ insert
     cc = tensor_over(a, cbim.right_module(), cbim.left_module())
-    delta = q.descends(cc.projection @ delta_amb)
-    if delta is None:
-        raise AxiomViolation("sweedler-coproduct-not-balanced")
-    eps = q.descends(a.mult_mat)
-    if eps is None:
-        raise AxiomViolation("sweedler-counit-not-balanced")
+    delta = descend_map(q, cc.projection @ delta_amb,
+                        "sweedler-coproduct-not-balanced", (n, n))
+    eps = descend_map(q, a.mult_mat, "sweedler-counit-not-balanced", (n, n))
     return make_coring(a, cbim, cc.section @ delta, eps)
 
 
@@ -163,38 +160,38 @@ def check_dual_basis(sigma: Bimodule, db: DualBasis) -> None:
 
 
 def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
-    """Comatrix coring Sigma* (x)_B Sigma of a (B, A)-bimodule Sigma."""
+    """Comatrix coring Sigma* (x)_B Sigma of a (B, A)-bimodule Sigma.
+
+    A map that should lie in Sigma* but is not right A-linear is rejected
+    as ``not-in-sigma-star`` at its index: (i, t) for a_i . g_t, (t, j)
+    for g_t . b_j, where g_t is the t-th basis element of Sigma*, and (i,)
+    for the i-th functional of the dual basis.
+    """
     b, a = sigma.algL, sigma.algR
     f = a.field
-    try:
-        check_dual_basis(sigma, db)
-    except AxiomViolation as exc:
-        raise DualBasisInvalid(exc.witness)
+    check_dual_basis(sigma, db)
     star = _right_linear_basis(sigma)
     ns = len(star)
 
-    def star_coords(g: Mat) -> tuple:
+    def star_coords(g: Mat, *index) -> tuple:
         x = coords(star, g)
         if x is None:
-            raise DualBasisInvalid(())
+            raise AxiomViolation("not-in-sigma-star", index)
         return x
 
     # (A, B)-bimodule structure on Sigma*: (a.g)(s) = a g(s), (g.b)(s) = g(b.s)
+    ea, eb = Mat.identity(f, a.dim), Mat.identity(f, b.dim)
     lact_cols = []
     for i in range(a.dim):
-        li = a.mult_mat @ Mat.column(
-            f, tuple(f.one if t == i else f.zero for t in range(a.dim))
-        ).tensor_id(1, a.dim)
+        li = a.mult_mat @ Mat.column(f, ea.col(i)).tensor_id(1, a.dim)
         for t in range(ns):
-            lact_cols.append(star_coords(li @ star[t]))
+            lact_cols.append(star_coords(li @ star[t], i, t))
     lact_star = Mat.from_cols(f, lact_cols)
     ract_cols = []
     for t in range(ns):
         for j in range(b.dim):
-            bj = sigma.lact @ Mat.column(
-                f, tuple(f.one if u == j else f.zero for u in range(b.dim))
-            ).tensor_id(1, sigma.dim)
-            ract_cols.append(star_coords(star[t] @ bj))
+            bj = sigma.lact @ Mat.column(f, eb.col(j)).tensor_id(1, sigma.dim)
+            ract_cols.append(star_coords(star[t] @ bj, t, j))
     ract_star = Mat.from_cols(f, ract_cols)
 
     q = tensor_over(b, RightModule(b, ns, ract_star),
@@ -207,19 +204,17 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
 
     amb = ns * sigma.dim
     delta_amb = Mat.zero(f, amb * amb, amb)
-    for e_i, g_i in zip(db.elements, db.functionals):
+    for i, (e_i, g_i) in enumerate(zip(db.elements, db.functionals)):
         term = Mat.column(f, e_i).kron(
-            Mat.column(f, star_coords(g_i))).tensor_id(ns, sigma.dim)
+            Mat.column(f, star_coords(g_i, i))).tensor_id(ns, sigma.dim)
         delta_amb = delta_amb + term
     cc = tensor_over(a, cbim.right_module(), cbim.left_module())
-    delta = q.descends(cc.projection @ q.projection.kron(q.projection) @
-                       delta_amb)
-    if delta is None:
-        raise AxiomViolation("comatrix-coproduct-not-balanced")
+    dims = (ns, sigma.dim)
+    delta = descend_map(q, cc.projection @ q.projection.kron(q.projection) @
+                        delta_amb, "comatrix-coproduct-not-balanced", dims)
     eval_cols = [star[t].col(j) for t in range(ns) for j in range(sigma.dim)]
-    eps = q.descends(Mat.from_cols(f, eval_cols))
-    if eps is None:
-        raise AxiomViolation("comatrix-counit-not-balanced")
+    eps = descend_map(q, Mat.from_cols(f, eval_cols),
+                      "comatrix-counit-not-balanced", dims)
     return make_coring(a, cbim, cc.section @ delta, eps)
 
 
@@ -257,14 +252,7 @@ def entwining_coring(e: Entwining) -> Coring:
 
 def flip_entwining(a: Algebra, c: Coalgebra) -> Entwining:
     """The trivial entwining c (x) a -> a (x) c."""
-    f = a.field
-    cols = []
-    for j in range(c.dim):
-        for i in range(a.dim):
-            col = [f.zero] * (a.dim * c.dim)
-            col[i * c.dim + j] = f.one
-            cols.append(tuple(col))
-    return Entwining(a, c, Mat.from_cols(f, cols))
+    return Entwining(a, c, Mat.swap(a.field, c.dim, a.dim))
 
 
 @frozen
@@ -278,14 +266,11 @@ class TwistedConvolution:
 
 
 def _hom_basis(a: Algebra, c: Coalgebra) -> List[Mat]:
+    """The matrix units E_rs, in row-major order of (r, s)."""
     f = a.field
-    out = []
-    for r in range(a.dim):
-        for s in range(c.dim):
-            out.append(Mat(f, a.dim, c.dim, tuple(
-                tuple(f.one if (i, j) == (r, s) else f.zero
-                      for j in range(c.dim)) for i in range(a.dim))))
-    return out
+    return [Mat.from_sparse_rows(f, a.dim, c.dim, [
+        {s: f.one} if i == r else {} for i in range(a.dim)])
+        for r in range(a.dim) for s in range(c.dim)]
 
 
 def twisted_product(e: Entwining, f: Mat, g: Mat) -> Mat:
@@ -296,7 +281,11 @@ def twisted_product(e: Entwining, f: Mat, g: Mat) -> Mat:
 
 
 def twisted_convolution(e: Entwining) -> TwistedConvolution:
-    """The psi-twisted convolution algebra, verified against *(A (x) C)."""
+    """The psi-twisted convolution algebra, verified against *(A (x) C).
+
+    A witness (k,) names the k-th basis element of Hom_k(C, A), the matrix
+    unit E_rs with k = r * C.dim + s: the first whose image in *(A (x) C)
+    is not left A-linear, or lies in the span of the images before it."""
     a, c = e.A, e.C
     f = a.field
     basis = _hom_basis(a, c)
@@ -315,15 +304,18 @@ def twisted_convolution(e: Entwining) -> TwistedConvolution:
     if dr.dim != n:
         raise AxiomViolation("dual-ring-dimension", (dr.dim, n))
     cols = []
-    for bmat in basis:
+    for k, bmat in enumerate(basis):
         nu = a.mult_mat @ bmat.tensor_id(a.dim, 1)  # a (x) c -> a f(c)
         coords = dual_coords(dr, nu)
         if coords is None:
-            raise AxiomViolation("hom-tensor-image-not-left-linear")
+            raise AxiomViolation("hom-tensor-image-not-left-linear", (k,))
         cols.append(coords)
     iso = make_algebra_map(alg, dr.alg, Mat.from_cols(f, cols))
-    if rank(iso.matrix) != n:
-        raise AxiomViolation("twisted-convolution-iso-not-bijective")
+    pivots = rref(iso.matrix)[1]
+    if len(pivots) != n:
+        # the first non-pivot column depends on the columns before it
+        raise AxiomViolation("twisted-convolution-iso-not-bijective",
+                             (min(set(range(n)) - set(pivots)),))
     return TwistedConvolution(alg, dr, iso)
 
 

@@ -9,7 +9,7 @@ representatives ever leaks into a verdict.
 from typing import List, Optional
 
 from ._record import frozen
-from ._search import _combine, affine_solutions, coords
+from ._search import _combine, affine_solutions, coords, pivots
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, kernel, memoised
 from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _require,
@@ -77,17 +77,17 @@ def check_coring(c: Coring) -> None:
         raise DimensionMismatch("counit has wrong shape")
     # counit is an (A,A)-bimodule map
     _require(c.eps @ c.C.lact, a.mult_mat @ c.eps.tensor_id(na, 1),
-             "bilinearity")
+             "bilinearity", (na, nc))
     _require(c.eps @ c.C.ract, a.mult_mat @ c.eps.tensor_id(1, na),
-             "bilinearity")
+             "bilinearity", (nc, na))
     # coproduct is an (A,A)-bimodule map (tested after projection)
     proj = c.cc().projection
     _require(proj @ c.delta_lift @ c.C.lact,
              proj @ c.C.lact.tensor_id(1, nc) @ c.delta_lift.tensor_id(na, 1),
-             "bilinearity")
+             "bilinearity", (na, nc))
     _require(proj @ c.delta_lift @ c.C.ract,
              proj @ c.C.ract.tensor_id(nc, 1) @ c.delta_lift.tensor_id(1, na),
-             "bilinearity")
+             "bilinearity", (nc, na))
     # coassociativity in (C (x)_A C) (x)_A C
     p3 = c.ccc()
     _require(p3 @ c.delta_lift.tensor_id(1, nc) @ c.delta_lift,
@@ -142,7 +142,8 @@ def check_comodule(m: Comodule) -> None:
     proj = m.mc().projection
     _require(proj @ m.rho_lift @ m.M.act,
              proj @ c.C.ract.tensor_id(m.dim, 1) @
-             m.rho_lift.tensor_id(1, c.A.dim), "A-linearity")
+             m.rho_lift.tensor_id(1, c.A.dim), "A-linearity",
+             (m.dim, c.A.dim))
     p3 = _mcc(m.M, c.C)
     _require(p3 @ m.rho_lift.tensor_id(1, c.dim) @ m.rho_lift,
              p3 @ c.delta_lift.tensor_id(m.dim, 1) @ m.rho_lift, "coassoc")
@@ -199,7 +200,8 @@ def check_colinear(f: Mat, m: Comodule, n: Comodule) -> None:
     c = m.coring
     if f.rows != n.dim or f.cols != m.dim:
         raise DimensionMismatch("map has wrong shape")
-    _require(f @ m.M.act, n.M.act @ f.tensor_id(1, c.A.dim), "not-A-linear")
+    _require(f @ m.M.act, n.M.act @ f.tensor_id(1, c.A.dim), "not-A-linear",
+             (m.dim, c.A.dim))
     proj = n.mc().projection
     _require(proj @ n.rho_lift @ f,
              proj @ f.tensor_id(1, c.dim) @ m.rho_lift, "not-colinear")
@@ -234,7 +236,8 @@ def check_left_comodule(n: LeftComodule) -> None:
     proj = n.cn().projection
     _require(proj @ n.lambda_lift @ n.N.act,
              proj @ c.C.lact.tensor_id(1, n.dim) @
-             n.lambda_lift.tensor_id(c.A.dim, 1), "A-linearity")
+             n.lambda_lift.tensor_id(c.A.dim, 1), "A-linearity",
+             (c.A.dim, n.dim))
     p3 = _ccn(c.C, n.N)
     _require(p3 @ c.delta_lift.tensor_id(1, n.dim) @ n.lambda_lift,
              p3 @ n.lambda_lift.tensor_id(c.dim, 1) @ n.lambda_lift,
@@ -344,20 +347,22 @@ def dual_element(dr: DualRing, coeffs) -> Mat:
 @memoised
 def dual_ring(c: Coring) -> DualRing:
     """The left dual ring *C = Hom_{A-}(C, A) as a validated algebra."""
+    a = c.A
     basis = _left_linear_basis(c)
+    piv = pivots(basis)
     n = len(basis)
     mult = []
     for i in range(n):
         factor = _star_factor(c, basis[i])
         row = []
         for j in range(n):
-            x = coords(basis, basis[j] @ factor)
+            x = coords(basis, basis[j] @ factor, piv)
             if x is None:
                 raise AxiomViolation("dual-product-not-linear", (i, j))
             row.append(x)
         mult.append(tuple(row))
-    unit = coords(basis, c.eps)
-    if unit is None:
-        raise AxiomViolation("counit-not-left-linear", ())
-    alg = make_algebra(c.A.field, n, tuple(mult), unit)
+    _require(c.eps @ c.C.lact, a.mult_mat @ c.eps.tensor_id(a.dim, 1),
+             "counit-not-left-linear", (a.dim, c.dim))
+    unit = coords(basis, c.eps, piv)
+    alg = make_algebra(a.field, n, tuple(mult), unit)
     return DualRing(c, tuple(basis), alg)

@@ -17,7 +17,7 @@ from .coring import Comodule, make_comodule
 from .constructions import sweedler_coring, sweedler_space
 from .extension import (CoringExtension, _cd, check_coring_extension,
                         induced_coaction)
-from .tensorcat import tensor_chain, tensor_over
+from .tensorcat import descend_map, tensor_chain, tensor_over
 
 
 @memoised
@@ -138,25 +138,25 @@ class Cor28Data:
 
         A must be a (B, D)-bimodule: ``check_cor28`` checks that rho_A is
         left B-linear before it calls this."""
-        return _aab_space(self)
+        return _aab_space(self.iota_B, self.iota_A, self.rho_A)
 
 
-def _ab_factors(data: Cor28Data):
+def _ab_factors(iota_B: AlgebraMap, iota_A: AlgebraMap, rho_A: Mat):
     """The factors of (A (x)_B A) (x)_D B: A as a right B-module, A as a
     (B, D)-bimodule through rho_A, and B as a left D-module."""
-    a = data.iota_A.target
-    b = data.iota_B.target
-    a_d = restrict_right(RightModule(b, a.dim, data.rho_A), data.iota_B)
-    return (restrict_right(right_regular(a), data.iota_A),
-            Bimodule(b, data.iota_B.source, a.dim,
-                     restrict_left(left_regular(a), data.iota_A).act,
-                     a_d.act),
-            restrict_left(left_regular(b), data.iota_B))
+    a = iota_A.target
+    b = iota_B.target
+    a_d = restrict_right(RightModule(b, a.dim, rho_A), iota_B)
+    return (restrict_right(right_regular(a), iota_A),
+            Bimodule(b, iota_B.source, a.dim,
+                     restrict_left(left_regular(a), iota_A).act, a_d.act),
+            restrict_left(left_regular(b), iota_B))
 
 
 @memoised
-def _aab_space(data: Cor28Data) -> Mat:
-    a_b, a_bd, b_d = _ab_factors(data)
+def _aab_space(iota_B: AlgebraMap, iota_A: AlgebraMap, rho_A: Mat) -> Mat:
+    """Projection onto (A (x)_B A) (x)_D B; it does not depend on phi."""
+    a_b, a_bd, b_d = _ab_factors(iota_B, iota_A, rho_A)
     return tensor_chain(a_b, (a_bd,), b_d)
 
 
@@ -191,7 +191,7 @@ def check_cor28(data: Cor28Data) -> None:
     _require(q2.projection @ data.rho_A.tensor_id(na, 1) @ data.phi_lift,
              q2.projection @ a.unit_col.tensor_id(1, na), "diagram-a", (na,))
     # (b): coassociativity-type law in A (x)_B A (x)_D B (x)_D B
-    a_b, a_bd, b_d = _ab_factors(data)
+    a_b, a_bd, b_d = _ab_factors(data.iota_B, data.iota_A, data.rho_A)
     b_dd = Bimodule(dalg, dalg, nb, b_d.act,
                     restrict_right(right_regular(b), data.iota_B).act)
     p4b = tensor_chain(a_b, (a_bd, b_dd), b_d)
@@ -232,9 +232,7 @@ def _assemble(data: Cor28Data) -> CoringExtension:
     # sigma on the ambient A (x) A, then descended through qc
     g = qc.projection.kron(qd.projection @ b.unit_col.tensor_id(1, nb)) @ \
         a.mult_mat.tensor_id(1, na * nb) @ data.phi_lift.tensor_id(na, 1)
-    sigma = qc.descends(g)
-    if sigma is None:
-        raise AxiomViolation("coaction-not-balanced")
+    sigma = descend_map(qc, g, "coaction-not-balanced", (na, na))
     return CoringExtension(c, d, ract,
                            _cd(d.A, ract, d.C).canonical_lift(sigma))
 

@@ -6,7 +6,8 @@ class CoringError(Exception):
 
 
 class DimensionMismatch(CoringError):
-    """Operands have incompatible shapes."""
+    """Operands have incompatible shapes, or live over different fields,
+    algebras or corings."""
 
 
 class SizeLimit(CoringError):
@@ -39,44 +40,14 @@ class UnknownReference(CoringError):
 
 
 class AxiomViolation(CoringError):
-    """A structure failed one of its defining axioms.
+    """A structure failed one of its defining axioms: the one exception
+    for a mathematical rejection.
 
     ``kind`` names the violated axiom, ``witness`` the first basis tuple
     (in canonical order) at which it fails.
     """
 
-    def __init__(self, kind, witness=None, detail=""):
-        msg = kind if witness is None else f"{kind} at {witness}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    def __init__(self, kind, witness):
+        super().__init__(f"{kind} at {witness}")
         self.kind = kind
         self.witness = witness
-
-
-class DualBasisInvalid(CoringError):
-    """A supplied dual basis does not reproduce the identity."""
-
-    def __init__(self, witness):
-        super().__init__(f"dual basis fails at basis element {witness}")
-        self.witness = witness
-
-
-class NotCoringMorphism(CoringError):
-    """A candidate coring morphism fails one of its identities."""
-
-    def __init__(self, identity, witness=None):
-        msg = f"not a coring morphism: {identity}"
-        if witness is not None:
-            msg += f" at {witness}"
-        super().__init__(msg)
-        self.identity = identity
-        self.witness = witness
-
-
-class NotColinear(CoringError):
-    """A map expected to be colinear is not."""
-
-
-class MiddleMismatch(CoringError):
-    """Extensions being composed do not share the middle coring."""

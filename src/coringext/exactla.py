@@ -343,6 +343,13 @@ class Mat:
         return _new(field, n, n, tuple({i: one} for i in range(n)))
 
     @staticmethod
+    def swap(field: FieldSpec, m: int, n: int) -> "Mat":
+        """The flip x (x) y -> y (x) x of F^m (x) F^n."""
+        one = field.one
+        return _new(field, n * m, m * n, tuple(
+            {i * n + j: one} for j in range(n) for i in range(m)))
+
+    @staticmethod
     def column(field: FieldSpec, vec) -> "Mat":
         return Mat(field, len(vec), 1, tuple((field.of(x),) for x in vec))
 

@@ -15,7 +15,7 @@ from math import prod
 
 from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, _check_ambient, memoised, quotient
-from .algmod import Algebra, LeftModule, RightModule
+from .algmod import Algebra, LeftModule, RightModule, _require
 
 
 def balancing_rows(ract: Mat, lact: Mat, alg: Algebra) -> Mat:
@@ -72,6 +72,20 @@ def tensor_chain(m: RightModule, mids: tuple, n: LeftModule) -> Mat:
         m = RightModule(b.algR, q.quo_dim,
                         right_action_on_quotient(q, m.dim, b.ract, b.algR))
     return tensor_over(m.alg, m, n).projection @ proj.tensor_id(1, n.dim)
+
+
+def descend_map(q: QuotientSpace, m: Mat, kind: str, dims) -> Mat:
+    """The map that ``m`` on the ambient of ``q`` induces on the quotient.
+
+    The vectors v - section(projection(v)) span the relations, so ``m``
+    vanishes on them iff ``m == m @ section @ projection``; if not,
+    AxiomViolation(kind) names the first ambient tuple, over the factors
+    ``dims``, where the two differ.
+    """
+    out = q.descends(m)
+    if out is None:
+        _require(m, m @ q.section @ q.projection, kind, dims)
+    return out
 
 
 def right_action_on_quotient(q: QuotientSpace, dim_m: int, ract_n: Mat,

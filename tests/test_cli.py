@@ -284,6 +284,13 @@ REJECTS = {
         '{"command":"check","error":{"kind":"not-bicomodule",'
         '"message":"not-bicomodule at (0,)","type":"AxiomViolation",'
         '"witness":[0]},"exit_code":1,"ok":false}\n'),
+    "extension_from_coring_map": (
+        ws(sw={"fixture": "FIX.SW"},
+           e={"type": "extension_from_coring_map", "c": "sw", "d": "sw",
+              "gamma": [[0] * 4] * 4}),
+        '{"command":"check","error":{"kind":"coring-map-counit",'
+        '"message":"coring-map-counit at (0,)","type":"AxiomViolation",'
+        '"witness":[0]},"exit_code":1,"ok":false}\n'),
     "descent_datum": (
         ws(k=K, d2={"fixture": "FIX.D2"}, u=UNIT_D2,
            dat={"type": "descent_datum", "iota": "u", "dim": 2,
@@ -403,6 +410,15 @@ class TestCommands:
                             self._extension_ws())
         assert code == 0
         assert "sigma_lift" in json.loads(out)
+
+    def test_compose_middle_mismatch(self):
+        # E extends SW by the trivial coring, so E then E has no middle
+        code, out = run_cli(["compose", "--first", "E", "--second", "E"],
+                            self._extension_ws())
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "message": "middle corings do not agree",
+            "type": "DimensionMismatch"}
 
     def _descent_ws(self):
         a = d2_algebra(GF2)

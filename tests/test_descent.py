@@ -1,10 +1,12 @@
 """Descent data, the Sweedler comodule correspondence, and pushforward."""
 
+import itertools
+
 import pytest
 
 from coringext.errors import AxiomViolation, DimensionMismatch
-from coringext.exactla import GF2, Mat
-from coringext.algmod import (RightModule, make_algebra_map, right_regular)
+from coringext.exactla import GF2, GF3, Mat
+from coringext.algmod import _holds, make_algebra_map, right_regular
 from coringext.coring import check_comodule, regular_comodule
 from coringext.constructions import base_algebra, sweedler_coring
 from coringext.descent import (Cor28Data, DescentDatum, check_cor28,
@@ -156,14 +158,14 @@ class TestCor28:
         import coringext.descent as descent
 
         def broken(data):
-            raise AxiomViolation("coaction-not-balanced")
+            raise AxiomViolation("coaction-not-balanced", (1, 0))
 
         monkeypatch.setattr(descent, "_assemble", broken)
         with pytest.raises(AxiomViolation) as err:
             check_cor28(cor28_accept())
         kind = "assembled-extension-coaction-not-balanced"
         assert (err.value.kind, err.value.witness, str(err.value)) == \
-            (kind, None, kind)
+            (kind, (1, 0), kind + " at (1, 0)")
 
     def test_extension_checked_once(self, monkeypatch):
         import coringext.descent as descent
@@ -184,6 +186,24 @@ class TestCor28:
             # sigma comes back in the canonical lift make_extension gives it
             assert ext == make_extension(ext.c, ext.d, ext.ract,
                                          ext.sigma_lift)
+
+    def test_aab_memo_ignores_phi(self):
+        # (A (x)_B A) (x)_D B does not depend on phi: data that differ in
+        # phi alone share one memo entry
+        from coringext.descent import _aab_space
+        a = d2_algebra(GF3)
+        ident = make_algebra_map(a, a, Mat.identity(GF3, 2))
+        phi = a.unit_col.kron(Mat.identity(GF3, 2)).kron(a.unit_col)
+        _aab_space.cache_clear()
+        changed = []
+        for r, c, d in itertools.product(range(phi.rows), range(phi.cols),
+                                         (1, 2)):
+            rows = [list(x) for x in phi.entries]
+            rows[r][c] = GF3.add(rows[r][c], GF3.of(d))
+            changed.append(Mat.from_rows(GF3, rows))
+        for p in changed[:20]:
+            _holds(check_cor28, Cor28Data(ident, ident, a.mult_mat, p))
+        assert _aab_space.cache_info().currsize == 1
 
 
 class TestDescentFunctor:

@@ -108,7 +108,10 @@ def test_only_set_guards_takes_a_guard(path):
 
 # -- one failure channel: a failed axiom raises AxiomViolation --------------
 
-RETIRED = {"Verdict", "Failure", "raise_if_failed"}
+# the result types of the old second channel, and the exception types that
+# once reported mathematical failures besides AxiomViolation
+RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
+           "NotCoringMorphism", "NotColinear", "MiddleMismatch"}
 
 
 def _returns_value(fn):
@@ -197,7 +200,51 @@ def test_detects_empty_witness():
                                    (4, "check_a", "empty witness")]
 
 
+def witnessless_raises(source: str):
+    """Lines anywhere in a module that raise ``AxiomViolation`` without a
+    witness, or with a literally empty one: ``()``, ``[]`` or ``None``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(call, ast.Call) and
+                isinstance(call.func, ast.Name) and
+                call.func.id == "AxiomViolation"):
+            continue
+        args = call.args[1:2] + [k.value for k in call.keywords
+                                 if k.arg == "witness"]
+        if not args or any(
+                isinstance(a, (ast.Tuple, ast.List)) and not a.elts or
+                isinstance(a, ast.Constant) and a.value is None
+                for a in args):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_detects_witnessless_raise():
+    src = ("def make_a(x):\n"
+           "    if x:\n        raise AxiomViolation('a')\n"
+           "    raise AxiomViolation('b', witness=[])\n"
+           "def _b(x, w):\n"
+           "    raise AxiomViolation('c', w)\n"
+           "    raise AxiomViolation('d', None)\n"
+           "    raise AxiomViolation(kind='e', witness=(0,))\n"
+           "class K:\n    def f(self):\n"
+           "        raise AxiomViolation('f', ())\n")
+    assert witnessless_raises(src) == [3, 4, 7, 11]
+
+
+def test_detects_retired_exceptions():
+    src = ("from .errors import NotColinear, AxiomViolation\n"
+           "class MiddleMismatch(CoringError):\n    pass\n"
+           "def f():\n    raise errors.DualBasisInvalid(())\n")
+    assert second_channel(src) == [(1, "NotColinear", "retired"),
+                                   (2, "MiddleMismatch", "retired"),
+                                   (5, "DualBasisInvalid", "retired")]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_one_failure_channel(path):
-    assert second_channel(path.read_text(encoding="utf-8")) == []
+    source = path.read_text(encoding="utf-8")
+    assert second_channel(source) == []
+    assert witnessless_raises(source) == []

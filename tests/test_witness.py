@@ -1,6 +1,7 @@
 """Every rejection names a basis tuple at which its axiom really fails.
 
-For measurings, right B-structures on a coring, coalgebras, descent data,
+For corings, right and left comodules, colinear maps, coring maps,
+measurings, right B-structures on a coring, coalgebras, descent data,
 descent morphisms and Cor. 2.8 data, each identity the checker compares is
 restated here as a chain of maps ``I_pre (x) m (x) I_post``, applied to
 basis vectors one at a time by a plain loop.  The loop over basis tuples in
@@ -12,16 +13,25 @@ entry and every nonzero change in turn.
 
 import itertools
 
+import coringext.constructions as constructions
 from coringext.errors import AxiomViolation
-from coringext.exactla import GF2, GF3, QQ, Mat
-from coringext.algmod import (Bimodule, left_regular, make_algebra,
+from coringext.exactla import GF2, GF3, QQ, Mat, rank
+from coringext.algmod import (Algebra, AlgebraMap, Bimodule, LeftModule,
+                              RightModule, left_regular, make_algebra,
                               make_algebra_map, restrict_left,
                               restrict_right, right_regular)
-from coringext.constructions import (Coalgebra, base_algebra,
+from coringext.constructions import (Coalgebra, DualBasis,
+                                     _right_linear_basis, base_algebra,
                                      check_coalgebra, coalgebra_to_coring,
+                                     comatrix_coring, flip_entwining,
                                      group_coalgebra, sweedler_coring,
-                                     sweedler_space, trivial_coring)
-from coringext.coring import direct_sum_comodule
+                                     sweedler_space, trivial_coring,
+                                     twisted_convolution)
+from coringext.coring import (Comodule, Coring, LeftComodule, _ccn, _mcc,
+                              check_colinear, check_comodule, check_coring,
+                              check_left_comodule, cofree_comodule,
+                              direct_sum_comodule, dual_ring,
+                              regular_comodule, regular_left_comodule)
 from coringext.descent import (Cor28Data, DescentDatum, _ab_factors,
                                _maa_space, check_cor28,
                                check_descent_morphism, check_descent_datum,
@@ -29,10 +39,11 @@ from coringext.descent import (Cor28Data, DescentDatum, _ab_factors,
                                make_descent_datum)
 from coringext.extension import (Measuring, action_from_measuring,
                                  check_measuring, check_right_b_structure,
-                                 enumerate_measurings)
+                                 enumerate_measurings,
+                                 extension_from_coring_map)
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
                                 sw_coring, unit_map)
-from coringext.tensorcat import tensor_chain
+from coringext.tensorcat import descend_map, tensor_chain
 
 FIELDS = [GF2, GF3, QQ]
 
@@ -445,7 +456,7 @@ def cor28_identities(data):
 
     def diagram_b():
         """In (A (x)_B A) (x)_D B (x)_D B."""
-        a_b, a_bd, b_d = _ab_factors(data)
+        a_b, a_bd, b_d = _ab_factors(data.iota_B, data.iota_A, data.rho_A)
         b_dd = Bimodule(dalg, dalg, nb, b_d.act,
                         restrict_right(right_regular(b), data.iota_B).act)
         p4b = tensor_chain(a_b, (a_bd, b_dd), b_d)
@@ -455,7 +466,7 @@ def cor28_identities(data):
 
     def diagram_c():
         """In A (x)_B A (x)_B A (x)_D B."""
-        a_b, a_bd, b_d = _ab_factors(data)
+        a_b, a_bd, b_d = _ab_factors(data.iota_B, data.iota_A, data.rho_A)
         a_bb = Bimodule(b, b, na, a_bd.lact, a_b.act)
         p4c = tensor_chain(a_b, (a_bb, a_bd), b_d)
         return (chain(f, phi, (1, a.unit_col, na * na * nb), p4c),
@@ -493,3 +504,371 @@ class TestCor28:
         assert seen == {None, "rho-not-left-linear", "phi-not-left-linear",
                         "phi-not-right-linear", "diagram-a", "diagram-b",
                         "assembled-extension-coaction-not-balanced"}
+
+    def test_coaction_not_balanced(self):
+        """sigma on A (x) A, g = (q_C (x) q_D (1 (x) -)) (mult (x) B) (A (x)
+        phi), must vanish on the relations of A (x)_B A; the witness is the
+        first tuple of A (x) A at which it does not."""
+        seen = set()
+        for f in FIELDS:
+            for data in cor28_fixtures(f):
+                for phi in perturbations(f, data.phi_lift):
+                    bad = Cor28Data(data.iota_B, data.iota_A, data.rho_A, phi)
+                    got = outcome(check_cor28, bad)
+                    kind = "assembled-extension-coaction-not-balanced"
+                    if got is None or got[0] != kind:
+                        continue
+                    a, b = data.iota_A.target, data.iota_B.target
+                    na, nb = a.dim, b.dim
+                    qc = sweedler_space(data.iota_A)
+                    qd = sweedler_space(data.iota_B).projection
+                    g = chain(f, (na, phi, 1), (1, a.mult_mat, na * nb),
+                              (1, qc.projection, nb),
+                              (qc.quo_dim, b.unit_col, nb),
+                              (qc.quo_dim, qd, 1))
+                    back = chain(f, qc.projection, qc.section)
+                    assert got[1] == first_failure(
+                        f, (na, na), g, lambda v: g(back(v)))
+                    seen.add(got[1])
+        assert seen
+
+
+# -- corings, comodules, colinear maps and coring maps ----------------------
+
+
+BIMODULE_KINDS = {"unital", "left-assoc", "right-assoc", "commuting-actions"}
+
+
+def corings(f):
+    return [sw_coring(f), gc2_coring(f), trivial_coring(d2_algebra(f))]
+
+
+def coring_identities(c):
+    a = c.A
+    f, na, nc = a.field, a.dim, c.dim
+    d, eps, lact, ract = c.delta_lift, c.eps, c.C.lact, c.C.ract
+    proj = c.cc().projection
+    return [
+        ("bilinearity", (na, nc),
+         lambda: (chain(f, lact, eps), chain(f, (na, eps, 1), a.mult_mat))),
+        ("bilinearity", (nc, na),
+         lambda: (chain(f, ract, eps), chain(f, (1, eps, na), a.mult_mat))),
+        ("bilinearity", (na, nc),
+         lambda: (chain(f, lact, d, proj),
+                  chain(f, (na, d, 1), (1, lact, nc), proj))),
+        ("bilinearity", (nc, na),
+         lambda: (chain(f, ract, d, proj),
+                  chain(f, (1, d, na), (nc, ract, 1), proj))),
+        ("coassoc", (nc,),
+         lambda: (chain(f, d, (1, d, nc), c.ccc()),
+                  chain(f, d, (nc, d, 1), c.ccc()))),
+        ("counit-left", (nc,), lambda: (chain(f, d, (1, eps, nc), lact),
+                                        ident)),
+        ("counit-right", (nc,), lambda: (chain(f, d, (nc, eps, 1), ract),
+                                         ident)),
+    ]
+
+
+def comodule_identities(m):
+    c = m.coring
+    f, na, nc, nm = c.A.field, c.A.dim, c.dim, m.dim
+    rho = m.rho_lift
+    return [
+        ("A-linearity", (nm, na),
+         lambda: (chain(f, m.M.act, rho, m.mc().projection),
+                  chain(f, (1, rho, na), (nm, c.C.ract, 1),
+                        m.mc().projection))),
+        ("coassoc", (nm,),
+         lambda: (chain(f, rho, (1, rho, nc), _mcc(m.M, c.C)),
+                  chain(f, rho, (nm, c.delta_lift, 1), _mcc(m.M, c.C)))),
+        ("counit", (nm,),
+         lambda: (chain(f, rho, (nm, c.eps, 1), m.M.act), ident)),
+    ]
+
+
+def left_comodule_identities(n):
+    c = n.coring
+    f, na, nc, nn = c.A.field, c.A.dim, c.dim, n.dim
+    lam = n.lambda_lift
+    return [
+        ("A-linearity", (na, nn),
+         lambda: (chain(f, n.N.act, lam, n.cn().projection),
+                  chain(f, (na, lam, 1), (1, c.C.lact, nn),
+                        n.cn().projection))),
+        ("coassoc", (nn,),
+         lambda: (chain(f, lam, (1, c.delta_lift, nn), _ccn(c.C, n.N)),
+                  chain(f, lam, (nc, lam, 1), _ccn(c.C, n.N)))),
+        ("counit", (nn,),
+         lambda: (chain(f, lam, (1, c.eps, nn), n.N.act), ident)),
+    ]
+
+
+def colinear_identities(g, m, n):
+    c = m.coring
+    f, na, nc = c.A.field, c.A.dim, c.dim
+    proj = n.mc().projection
+    return [
+        ("not-A-linear", (m.dim, na),
+         lambda: (chain(f, m.M.act, g), chain(f, (1, g, na), n.M.act))),
+        ("not-colinear", (m.dim,),
+         lambda: (chain(f, g, n.rho_lift, proj),
+                  chain(f, m.rho_lift, (1, g, nc), proj))),
+    ]
+
+
+def coring_map_identities(g, c, d):
+    """Left and right A-linearity of g both read at a (x) x, the second
+    through a plain index flip."""
+    f, na, nc = c.A.field, c.A.dim, c.dim
+    proj = d.cc().projection
+
+    def flip(vec):
+        return [vec[i * nc + x] for x in range(nc) for i in range(na)]
+
+    def bilinearity():
+        left = chain(f, c.C.lact, g), chain(f, (na, g, 1), d.C.lact)
+        right = chain(f, c.C.ract, g), chain(f, (1, g, na), d.C.ract)
+        return ((lambda e: left[0](e) + right[0](flip(e))),
+                (lambda e: left[1](e) + right[1](flip(e))))
+
+    return [
+        ("coring-map-bilinearity", (na, nc), bilinearity),
+        ("coring-map-counit", (nc,),
+         lambda: (chain(f, g, d.eps), chain(f, c.eps))),
+        ("coring-map-coproduct", (nc,),
+         lambda: (chain(f, g, d.delta_lift, proj),
+                  chain(f, c.delta_lift, (1, g, nc), (d.dim, g, 1), proj))),
+    ]
+
+
+def comodules(c):
+    reg = regular_comodule(c)
+    # k through the character of A that is 1 at basis element 0
+    chi = [[1] + [0] * (c.A.dim - 1)]
+    x = RightModule(c.A, 1, Mat.from_rows(c.A.field, chi))
+    return [reg, cofree_comodule(c, x)]
+
+
+class TestCoring:
+    def test_coring(self):
+        cases = []
+        for f in FIELDS:
+            for c in corings(f):
+                bads = [Coring(c.A, c.C, d, c.eps)
+                        for d in perturbations(f, c.delta_lift)]
+                bads += [Coring(c.A, c.C, c.delta_lift, eps)
+                         for eps in perturbations(f, c.eps)]
+                bads += [Coring(c.A, Bimodule(c.A, c.A, c.dim, lact, c.C.ract),
+                                c.delta_lift, c.eps)
+                         for lact in perturbations(f, c.C.lact)]
+                bads += [Coring(c.A, Bimodule(c.A, c.A, c.dim, c.C.lact, ract),
+                                c.delta_lift, c.eps)
+                         for ract in perturbations(f, c.C.ract)]
+                cases += [(check_coring, (bad,), f, coring_identities(bad))
+                          for bad in bads]
+        # no one-entry change fails counit-right first: a change of the
+        # right action breaks the bimodule first, and a change of delta or
+        # eps that breaks the right counit law breaks the left one too
+        assert against_loop(cases, prechecks=BIMODULE_KINDS) == {
+            None, "bilinearity", "coassoc", "counit-left"}
+
+
+class TestComodules:
+    def test_comodule(self):
+        cases = []
+        for f in FIELDS:
+            for c in corings(f):
+                for m in comodules(c):
+                    bads = [Comodule(c, m.M, rho)
+                            for rho in perturbations(f, m.rho_lift)]
+                    bads += [Comodule(c, RightModule(c.A, m.dim, act),
+                                      m.rho_lift)
+                             for act in perturbations(f, m.M.act)]
+                    cases += [(check_comodule, (bad,), f,
+                               comodule_identities(bad)) for bad in bads]
+        assert against_loop(cases, prechecks={"unital", "right-assoc"}) == {
+            None, "A-linearity", "coassoc", "counit"}
+
+    def test_left_comodule(self):
+        cases = []
+        for f in FIELDS:
+            for c in corings(f):
+                n = regular_left_comodule(c)
+                bads = [LeftComodule(c, n.N, lam)
+                        for lam in perturbations(f, n.lambda_lift)]
+                bads += [LeftComodule(c, LeftModule(c.A, n.dim, act),
+                                      n.lambda_lift)
+                         for act in perturbations(f, n.N.act)]
+                cases += [(check_left_comodule, (bad,), f,
+                           left_comodule_identities(bad)) for bad in bads]
+        assert against_loop(cases, prechecks={"unital", "left-assoc"}) == {
+            None, "A-linearity", "coassoc", "counit"}
+
+    def test_colinear(self):
+        cases = []
+        for f in FIELDS:
+            for c in corings(f):
+                reg = regular_comodule(c)
+                ds = direct_sum_comodule(reg, reg)
+                n = reg.dim
+                inc = Mat.identity(f, n).stack(Mat.identity(f, n))
+                for m, t, g in ((reg, reg, Mat.identity(f, n)),
+                                (reg, ds, inc)):
+                    cases += [(check_colinear, (h, m, t), f,
+                               colinear_identities(h, m, t))
+                              for h in [g, *perturbations(f, g)]]
+        assert against_loop(cases) == {None, "not-A-linear", "not-colinear"}
+
+    def test_coring_map(self):
+        cases = []
+        for f in FIELDS:
+            sw, gc2 = sw_coring(f), gc2_coring(f)
+            triv = trivial_coring(d2_algebra(f))
+            for g, c, d in ((sw.eps, sw, triv),
+                            (Mat.identity(f, sw.dim), sw, sw),
+                            (Mat.identity(f, triv.dim), triv, triv),
+                            (Mat.identity(f, gc2.dim), gc2, gc2)):
+                cases += [(extension_from_coring_map, (h, c, d), f,
+                           coring_map_identities(h, c, d))
+                          for h in [g, *perturbations(f, g)]]
+        assert against_loop(cases) == {
+            None, "coring-map-bilinearity", "coring-map-counit",
+            "coring-map-coproduct"}
+
+
+# -- rejections outside the check_* functions -------------------------------
+
+
+def not_balanced(f, q, m, dims):
+    """The reference for a map m on the ambient of q: the first ambient
+    tuple v with m(v) != m(section(projection(v)))."""
+    return first_failure(f, dims, chain(f, m),
+                         chain(f, q.projection, q.section, m))
+
+
+class TestNotBalanced:
+    def test_descend_map(self):
+        # maps on A (x)_B A: the counit, the projection, and every
+        # one-entry change of them
+        kinds = set()
+        for f in FIELDS:
+            for iota in iotas(f):
+                q = sweedler_space(iota)
+                n = iota.target.dim
+                for m0 in (iota.target.mult_mat, q.projection):
+                    for m in [m0, *perturbations(f, m0)]:
+                        got = outcome(descend_map, q, m, "k", (n, n))
+                        t = not_balanced(f, q, m, (n, n))
+                        assert got == (None if t is None else ("k", t))
+                        if got is None:
+                            assert descend_map(q, m, "k", (n, n)) == \
+                                q.descends(m)
+                        kinds.add(got)
+        assert None in kinds and len(kinds) > 2
+
+    def test_sweedler_counit(self):
+        # k -> A for an unchecked, non-associative A: the counit, A's
+        # multiplication, is not balanced over k (x) A
+        seen = set()
+        for f in (GF2, GF3):
+            for a0 in (d2_algebra(f), c2_group_algebra(f)):
+                n = a0.dim
+                for mult in perturbations(f, a0.mult_mat):
+                    a = Algebra(f, n, tuple(tuple(mult.col(i * n + j)
+                                                  for j in range(n))
+                                            for i in range(n)), a0.unit)
+                    iota = AlgebraMap(base_algebra(f), a,
+                                      Mat.column(f, a.unit))
+                    got = outcome(sweedler_coring, iota)
+                    if got is None or got[0] in BIMODULE_KINDS:
+                        continue
+                    assert got == ("sweedler-counit-not-balanced",
+                                   not_balanced(f, sweedler_space(iota),
+                                                a.mult_mat, (n, n)))
+                    seen.add(got[1])
+        assert len(seen) > 1
+
+
+class TestOtherRejections:
+    def test_counit_not_left_linear(self):
+        # dual_ring of an unchecked coring whose counit has one entry
+        # changed; the product table does not involve the counit
+        cases = []
+        for f in FIELDS:
+            for c in corings(f):
+                a = c.A
+                for eps in perturbations(f, c.eps):
+                    bad = Coring(a, c.C, c.delta_lift, eps)
+                    cases.append((dual_ring, (bad,), f, [
+                        ("counit-not-left-linear", (a.dim, c.dim),
+                         lambda f=f, a=a, bad=bad: (
+                             chain(f, bad.C.lact, bad.eps),
+                             chain(f, (a.dim, bad.eps, 1), a.mult_mat)))]))
+        assert against_loop(cases, after=("unitality",)) == {
+            "counit-not-left-linear", "unitality"}
+
+    def test_not_in_sigma_star(self):
+        # Sigma = A as an unchecked (A, A)-bimodule whose left action has
+        # one entry changed: g_t . b_j need not be right A-linear
+        seen = set()
+        for f in (GF2, GF3):
+            for a in (d2_algebra(f), c2_group_algebra(f)):
+                n = a.dim
+                db = DualBasis((tuple(a.unit),), (Mat.identity(f, n),))
+                for lact in perturbations(f, a.mult_mat):
+                    sigma = Bimodule(a, a, n, lact, a.mult_mat)
+                    star = _right_linear_basis(sigma)
+                    e = Mat.identity(f, n)
+                    # a_i . g_t at (i, t), then g_t . b_j at (t, j)
+                    maps = [((i, t), a.mult_mat @ Mat.column(
+                        f, e.col(i)).tensor_id(1, n) @ g)
+                        for i in range(n) for t, g in enumerate(star)]
+                    maps += [((t, j), g @ lact @ Mat.column(
+                        f, e.col(j)).tensor_id(1, n))
+                        for t, g in enumerate(star) for j in range(n)]
+                    # the first that is not right A-linear: h(s a) != h(s) a
+                    ref = next((w for w, h in maps if first_failure(
+                        f, (n, n), chain(f, a.mult_mat, h),
+                        chain(f, (1, h, n), a.mult_mat))), None)
+                    got = outcome(comatrix_coring, sigma, db)
+                    if ref is None:
+                        assert got is None or got[0] != "not-in-sigma-star"
+                    else:
+                        assert got == ("not-in-sigma-star", ref)
+                        seen.add(ref)
+        assert len(seen) > 1
+
+    def test_twisted_convolution_witnesses(self, monkeypatch):
+        # no entwining reaches these kinds; a stand-in dual ring reader
+        # and algebra map show which basis index each names
+        e = flip_entwining(d2_algebra(GF3), group_coalgebra(GF3, 3))
+        real_coords = constructions.dual_coords
+        calls = []
+
+        def coords_failing_at_4(dr, nu):
+            calls.append(nu)
+            return None if len(calls) == 5 else real_coords(dr, nu)
+
+        monkeypatch.setattr(constructions, "dual_coords", coords_failing_at_4)
+        assert outcome(twisted_convolution, e) == \
+            ("hom-tensor-image-not-left-linear", (4,))
+
+        made = []
+
+        def singular(source, target, m):
+            cols = [m.col(j) for j in range(m.cols)]
+            cols[4] = tuple(GF3.add(x, y) for x, y in zip(cols[1], cols[3]))
+            cols[5] = cols[0]
+            made.append(Mat.from_cols(GF3, cols))
+            return AlgebraMap(source, target, made[-1])
+
+        monkeypatch.setattr(constructions, "dual_coords", real_coords)
+        monkeypatch.setattr(constructions, "make_algebra_map", singular)
+        got = outcome(twisted_convolution, e)
+        # the witness is the first column in the span of those before it
+        m = made[-1]
+        first = next(k for k in range(m.cols)
+                     if rank(Mat.from_cols(GF3, [m.col(j)
+                                                 for j in range(k + 1)])) <= k)
+        assert got == ("twisted-convolution-iso-not-bijective", (first,))
+        assert first == 4
