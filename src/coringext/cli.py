@@ -251,10 +251,20 @@ def _parse_object(ws: Workspace, data, path: str):
     raise SchemaError(f"{path}.type", f"unknown object type {kind!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key that it names twice is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        dup = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise SchemaError("$", f"invalid JSON: duplicate key {dup!r}")
+    return obj
+
+
 def parse_workspace(text: str) -> Workspace:
     """Parse and fully validate a workspace; raises on the first error."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise SchemaError("$", f"invalid JSON: {exc}")
     except RecursionError:

@@ -14,7 +14,7 @@ from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
                      make_algebra, make_algebra_map, regular_bimodule,
                      restrict_left, restrict_right, right_regular)
 from .coring import Coring, DualRing, dual_coords, dual_ring, make_coring
-from .tensorcat import descend_map, tensor_over
+from .tensorcat import descend_map, right_action_on_quotient, tensor_over
 
 
 @memoised
@@ -38,25 +38,35 @@ def sweedler_space(iota: AlgebraMap) -> QuotientSpace:
                        restrict_left(left_regular(a), iota))
 
 
+def _quotient_coring(name: str, q: QuotientSpace, a: Algebra, lact_x: Mat,
+                     ract_y: Mat, delta_amb: Mat, eps_amb: Mat) -> Coring:
+    """The A-coring on q = X (x)_B Y.  Its actions are induced from the left
+    action ``lact_x`` on X and the right action ``ract_y`` on Y; Delta and
+    eps from ``delta_amb``: X (x) Y -> (X (x) Y)^(x)2 and ``eps_amb``:
+    X (x) Y -> A, or AxiomViolation ``<name>-coproduct-not-balanced`` or
+    ``<name>-counit-not-balanced`` names where one is not balanced."""
+    dims = nx, ny = lact_x.rows, ract_y.rows
+    lact = q.projection @ lact_x.tensor_id(1, ny) @ \
+        q.section.tensor_id(a.dim, 1)
+    ract = right_action_on_quotient(q, nx, ract_y, a)
+    cbim = bimodule_from_actions(a, a, q.quo_dim, lact, ract)
+    cc = tensor_over(a, cbim.right_module(), cbim.left_module())
+    delta = descend_map(q, cc.projection @ (
+        q.projection.kron(q.projection) @ delta_amb),
+        name + "-coproduct-not-balanced", dims)
+    eps = descend_map(q, eps_amb, name + "-counit-not-balanced", dims)
+    return make_coring(a, cbim, cc.section @ delta, eps)
+
+
 @memoised
 def sweedler_coring(iota: AlgebraMap) -> Coring:
     """Canonical Sweedler coring A (x)_B A of an algebra map iota: B -> A."""
     a = iota.target
     n = a.dim
-    q = sweedler_space(iota)
-    lact = q.projection @ a.mult_mat.tensor_id(1, n) @ \
-        q.section.tensor_id(n, 1)
-    ract = q.projection @ a.mult_mat.tensor_id(n, 1) @ \
-        q.section.tensor_id(1, n)
-    cbim = bimodule_from_actions(a, a, q.quo_dim, lact, ract)
     u = a.unit_col
     insert = u.kron(u).tensor_id(n, n)  # x (x) y -> x (x) 1 (x) 1 (x) y
-    delta_amb = q.projection.kron(q.projection) @ insert
-    cc = tensor_over(a, cbim.right_module(), cbim.left_module())
-    delta = descend_map(q, cc.projection @ delta_amb,
-                        "sweedler-coproduct-not-balanced", (n, n))
-    eps = descend_map(q, a.mult_mat, "sweedler-counit-not-balanced", (n, n))
-    return make_coring(a, cbim, cc.section @ delta, eps)
+    return _quotient_coring("sweedler", sweedler_space(iota), a, a.mult_mat,
+                            a.mult_mat, insert, a.mult_mat)
 
 
 # -- coalgebras ------------------------------------------------------
@@ -139,20 +149,16 @@ def _right_linear_basis(sigma: Bimodule) -> List[Mat]:
         lambda x: x @ sigma.ract - a.mult_mat @ x.tensor_id(1, a.dim))[1]
 
 
-def _is_right_linear(sigma: Bimodule, g: Mat) -> bool:
-    a = sigma.algR
-    return g @ sigma.ract == a.mult_mat @ g.tensor_id(1, a.dim)
-
-
 def check_dual_basis(sigma: Bimodule, db: DualBasis) -> None:
-    """Verify sum_i e_i . e*_i(s) = s on every basis s of Sigma, as the
-    matrix identity ract @ sum_i (e_i (x) e*_i) = I; the witness is the
-    first basis s where it fails."""
-    f = sigma.algR.field
-    for i, g in enumerate(db.functionals):
-        if not _is_right_linear(sigma, g):
-            raise AxiomViolation("functional-not-right-linear", (i,))
-    pairing = Mat.zero(f, sigma.dim * sigma.algR.dim, sigma.dim)
+    """Verify e*_i(s.a) = e*_i(s) a, at the witness (s, a), then sum_i e_i .
+    e*_i(s) = s, as ract @ sum_i (e_i (x) e*_i) = I, at the first basis s
+    of Sigma where it fails."""
+    a = sigma.algR
+    f = a.field
+    for g in db.functionals:
+        _require(g @ sigma.ract, a.mult_mat @ g.tensor_id(1, a.dim),
+                 "functional-not-right-linear", (sigma.dim, a.dim))
+    pairing = Mat.zero(f, sigma.dim * a.dim, sigma.dim)
     for e_i, g in zip(db.elements, db.functionals):
         pairing = pairing + Mat.column(f, e_i).kron(g)
     _require(sigma.ract @ pairing, Mat.identity(f, sigma.dim),
@@ -196,26 +202,15 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
 
     q = tensor_over(b, RightModule(b, ns, ract_star),
                     LeftModule(b, sigma.dim, sigma.lact))
-    lact = q.projection @ lact_star.tensor_id(1, sigma.dim) @ \
-        q.section.tensor_id(a.dim, 1)
-    ract = q.projection @ sigma.ract.tensor_id(ns, 1) @ \
-        q.section.tensor_id(1, a.dim)
-    cbim = bimodule_from_actions(a, a, q.quo_dim, lact, ract)
-
     amb = ns * sigma.dim
     delta_amb = Mat.zero(f, amb * amb, amb)
     for i, (e_i, g_i) in enumerate(zip(db.elements, db.functionals)):
         term = Mat.column(f, e_i).kron(
             Mat.column(f, star_coords(g_i, i))).tensor_id(ns, sigma.dim)
         delta_amb = delta_amb + term
-    cc = tensor_over(a, cbim.right_module(), cbim.left_module())
-    dims = (ns, sigma.dim)
-    delta = descend_map(q, cc.projection @ q.projection.kron(q.projection) @
-                        delta_amb, "comatrix-coproduct-not-balanced", dims)
     eval_cols = [star[t].col(j) for t in range(ns) for j in range(sigma.dim)]
-    eps = descend_map(q, Mat.from_cols(f, eval_cols),
-                      "comatrix-counit-not-balanced", dims)
-    return make_coring(a, cbim, cc.section @ delta, eps)
+    return _quotient_coring("comatrix", q, a, lact_star, sigma.ract,
+                            delta_amb, Mat.from_cols(f, eval_cols))
 
 
 # -- entwining structures --------------------------------------------
@@ -302,7 +297,7 @@ def twisted_convolution(e: Entwining) -> TwistedConvolution:
     alg = make_algebra(f, n, tuple(mult), unit)
     dr = dual_ring(entwining_coring(e))
     if dr.dim != n:
-        raise AxiomViolation("dual-ring-dimension", (dr.dim, n))
+        raise DimensionMismatch(f"dual ring has dimension {dr.dim}, not {n}")
     cols = []
     for k, bmat in enumerate(basis):
         nu = a.mult_mat @ bmat.tensor_id(a.dim, 1)  # a (x) c -> a f(c)

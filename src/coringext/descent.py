@@ -17,7 +17,8 @@ from .coring import Comodule, make_comodule
 from .constructions import sweedler_coring, sweedler_space
 from .extension import (CoringExtension, _cd, check_coring_extension,
                         induced_coaction)
-from .tensorcat import descend_map, tensor_chain, tensor_over
+from .tensorcat import (descend_map, right_action_on_quotient, tensor_chain,
+                        tensor_over)
 
 
 @memoised
@@ -219,7 +220,11 @@ def cor28_extension(data: Cor28Data) -> CoringExtension:
 
 
 def _assemble(data: Cor28Data) -> CoringExtension:
-    """The extension of ``data``, with sigma's canonical lift, unchecked."""
+    """The extension of ``data``, with sigma's canonical lift, unchecked.
+
+    sigma is read in C (x)_B D, so it depends on phi, not on phi's lift; it
+    is balanced once phi is left B-linear, so ``check_cor28`` cannot reach
+    ``coaction-not-balanced``."""
     a = data.iota_A.target
     b = data.iota_B.target
     na, nb = a.dim, b.dim
@@ -227,14 +232,14 @@ def _assemble(data: Cor28Data) -> CoringExtension:
     d = sweedler_coring(data.iota_B)
     qc = sweedler_space(data.iota_A)
     qd = sweedler_space(data.iota_B)
-    ract = qc.projection @ data.rho_A.tensor_id(na, 1) @ \
-        qc.section.tensor_id(1, nb)
-    # sigma on the ambient A (x) A, then descended through qc
-    g = qc.projection.kron(qd.projection @ b.unit_col.tensor_id(1, nb)) @ \
+    ract = right_action_on_quotient(qc, na, data.rho_A, b)
+    cd = _cd(b, ract, d.C)
+    # sigma on the ambient A (x) A, into C (x)_B D, then descended through qc
+    g = cd.projection @ \
+        qc.projection.kron(qd.projection @ b.unit_col.tensor_id(1, nb)) @ \
         a.mult_mat.tensor_id(1, na * nb) @ data.phi_lift.tensor_id(na, 1)
     sigma = descend_map(qc, g, "coaction-not-balanced", (na, na))
-    return CoringExtension(c, d, ract,
-                           _cd(d.A, ract, d.C).canonical_lift(sigma))
+    return CoringExtension(c, d, ract, cd.section @ sigma)
 
 
 def descent_functor(data: Cor28Data, d: DescentDatum) -> DescentDatum:

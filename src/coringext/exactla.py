@@ -598,28 +598,19 @@ def solve(m: Mat, target) -> Optional[tuple]:
 
 @frozen
 class QuotientSpace:
-    """Ambient space modulo the row space of ``relations``.
+    """Ambient space modulo the row space of the relations it was built from.
 
     ``projection`` (quo_dim x ambient) and ``section`` (ambient x quo_dim)
-    satisfy ``projection @ section = I`` and ``projection @ r = 0`` for
-    every relation ``r``.  The quotient basis consists of the images of the
-    non-pivot coordinates of the canonicalised relations.
+    satisfy ``projection @ section = I``, and the kernel of ``projection``
+    is the span of the relations.  The quotient basis consists of the
+    images of the non-pivot coordinates of the canonicalised relations.
     """
 
     field: FieldSpec
     ambient_dim: int
-    relations: Mat
     quo_dim: int
     projection: Mat
     section: Mat
-
-    def descends(self, m: Mat) -> Optional[Mat]:
-        """Induce ``m`` (with ambient domain) on the quotient, if defined."""
-        if m.cols != self.ambient_dim:
-            raise DimensionMismatch("domain is not the ambient space")
-        if not (m @ self.relations.transpose()).is_zero:
-            return None
-        return m @ self.section
 
     def canonical_lift(self, m: Mat) -> Mat:
         """Canonical representative of a map into the quotient's ambient."""
@@ -651,4 +642,4 @@ def quotient(field: FieldSpec, ambient_dim: int, relations: Mat
     one = f.one
     section = _new(f, ambient_dim, quo_dim, tuple(
         {index[i]: one} if i in index else {} for i in range(ambient_dim)))
-    return QuotientSpace(f, ambient_dim, red, quo_dim, projection, section)
+    return QuotientSpace(f, ambient_dim, quo_dim, projection, section)

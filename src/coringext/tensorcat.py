@@ -82,9 +82,8 @@ def descend_map(q: QuotientSpace, m: Mat, kind: str, dims) -> Mat:
     AxiomViolation(kind) names the first ambient tuple, over the factors
     ``dims``, where the two differ.
     """
-    out = q.descends(m)
-    if out is None:
-        _require(m, m @ q.section @ q.projection, kind, dims)
+    out = m @ q.section
+    _require(m, out @ q.projection, kind, dims)
     return out
 
 

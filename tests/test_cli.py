@@ -72,6 +72,22 @@ class TestParsing:
         with pytest.raises(SchemaError):
             parse_workspace("{not json")
 
+    def test_duplicate_key(self):
+        # without the check, the second field would win
+        text = ('{"field": {"type": "Fp", "p": 2}, "objects": {}, '
+                '"field": {"type": "Q"}}')
+        with pytest.raises(SchemaError) as err:
+            parse_workspace(text)
+        assert err.value.path == "$"
+        assert err.value.message == "invalid JSON: duplicate key 'field'"
+        nested = ws(a={"type": "algebra", "dim": 1, "mult": [[[1]]],
+                       "unit": [1]}).replace('"unit"', '"dim": 1, "unit"')
+        code, out = run_cli(["check"], nested)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "SchemaError" and err["path"] == "$"
+        assert "duplicate key 'dim'" in err["message"]
+
 
 class TestExitCodes:
     def test_check_pass(self):

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from coringext.errors import AxiomViolation
+import coringext.constructions as constructions
+from coringext.errors import AxiomViolation, DimensionMismatch
 from coringext.exactla import GF2, GF3, QQ, Mat
 from coringext.algmod import Bimodule, is_isomorphism, make_algebra_map
 from coringext.coring import check_coring, dual_ring
@@ -104,7 +105,9 @@ class TestComatrix:
                         functionals=(Mat.from_rows(GF2, [[1, 1], [0, 0]]),))
         with pytest.raises(AxiomViolation) as err:
             check_dual_basis(sigma, bad)
-        assert err.value.kind == "functional-not-right-linear"
+        # g(e_1 . a_0) = 0, but g(e_1) a_0 = a_0
+        assert (err.value.kind, err.value.witness) == \
+            ("functional-not-right-linear", (1, 0))
 
     def test_matches_sweedler_dual(self):
         # Sigma = A over B = k gives a coring with the same dual ring type
@@ -124,22 +127,32 @@ def outcome(check, *args):
 
 
 def ref_check_dual_basis(sigma, db):
-    """``check_dual_basis`` as a loop over the basis s of Sigma, applying
-    each functional and the right action one vector at a time: None, or
-    the violated kind and witness."""
-    f = sigma.algR.field
-    for i, g in enumerate(db.functionals):
-        if g @ sigma.ract != \
-                sigma.algR.mult_mat @ g.tensor_id(1, sigma.algR.dim):
-            return "functional-not-right-linear", (i,)
+    """``check_dual_basis`` as a loop over the basis s of Sigma (and a of
+    A), applying each functional and the right action one vector at a
+    time: None, or the violated kind and witness."""
+    a = sigma.algR
+    f = a.field
+
+    def unit(n, i):
+        return tuple(f.one if t == i else f.zero for t in range(n))
+
+    def kron(u, v):
+        return tuple(f.mul(x, y) for x in u for y in v)
+
+    for g in db.functionals:
+        for s in range(sigma.dim):
+            for j in range(a.dim):
+                # g(s . a_j) against g(s) a_j
+                e_s, a_j = unit(sigma.dim, s), unit(a.dim, j)
+                if g.apply(sigma.ract.apply(kron(e_s, a_j))) != \
+                        a.mult_mat.apply(kron(g.apply(e_s), a_j)):
+                    return "functional-not-right-linear", (s, j)
     for s in range(sigma.dim):
         acc = (f.zero,) * sigma.dim
-        basis_s = tuple(f.one if t == s else f.zero
-                        for t in range(sigma.dim))
+        basis_s = unit(sigma.dim, s)
         for e_i, g in zip(db.elements, db.functionals):
             val = g.apply(basis_s)  # in A
-            moved = sigma.ract.apply(
-                tuple(f.mul(x, y) for x in e_i for y in val))
+            moved = sigma.ract.apply(kron(e_i, val))
             acc = tuple(f.add(p, q) for p, q in zip(acc, moved))
         if acc != basis_s:
             return "dual-basis-identity", (s,)
@@ -207,8 +220,8 @@ class TestDualBasisIdentity:
                 assert got == ref_check_dual_basis(sigma, bad)
                 if got is not None:
                     witnesses.add(got)
-        assert len({w for k, w in witnesses
-                    if k == "dual-basis-identity"}) > 1
+        for kind in ("dual-basis-identity", "functional-not-right-linear"):
+            assert len({w for k, w in witnesses if k == kind}) > 1
 
 
 class TestEntwining:
@@ -262,6 +275,16 @@ class TestTwistedConvolution:
             expected = e.A.mult_mat.apply(
                 tuple(GF2.mul(a, b) for a in fx for b in gx))
             assert prod.apply(col) == expected
+
+    def test_dual_ring_of_another_dimension(self, monkeypatch):
+        # no entwining reaches it: a stand-in dual ring of dimension 2
+        # against the 4 basis maps of Hom_k(C, A) compares two sizes
+        e = flip_entwining(d2_algebra(GF3), gc2_coalgebra(GF3))
+        small = dual_ring(trivial_coring(d2_algebra(GF3)))
+        monkeypatch.setattr(constructions, "dual_ring", lambda c: small)
+        with pytest.raises(DimensionMismatch) as err:
+            twisted_convolution(e)
+        assert str(err.value) == "dual ring has dimension 2, not 4"
 
 
 class TestEntwinedMeasurings:

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coringext.errors import (DimensionMismatch, NonFiniteField, SizeLimit)
+from coringext.errors import (AxiomViolation, DimensionMismatch,
+                              NonFiniteField, SizeLimit)
 from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, MAX_PRIME, QQ,
                                FieldSpec, Mat, kernel, quotient, rank, rref,
                                set_guards, solve)
+from coringext.tensorcat import descend_map
 
 FIELDS = [GF2, GF3, FieldSpec(5), QQ]
 
@@ -150,11 +152,30 @@ class TestQuotient:
         rel = Mat.from_rows(GF3, [[1, 1]])
         q = quotient(GF3, 2, rel)
         summing = Mat.from_rows(GF3, [[1, 1]])
-        assert q.descends(summing) is None
         invariant = Mat.identity(GF3, 2)
-        assert q.descends(invariant) is None
+        for m in (summing, invariant):
+            with pytest.raises(AxiomViolation) as err:
+                descend_map(q, m, "k", (2,))
+            assert err.value.witness == (0,)
         differencing = Mat.from_rows(GF3, [[1, 2], [2, 1]])
-        assert q.descends(differencing) is not None
+        assert descend_map(q, differencing, "k", (2,)) @ q.projection == \
+            differencing
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrix(), st.integers(1, 4), st.integers(0, 10 ** 6))
+    def test_descend_map_iff_relations_vanish(self, rel, rows, seed):
+        # the reference: m descends iff it vanishes on every relation
+        q = quotient(rel.field, rel.cols, rel)
+        m = rand_mat(rel.field, rows, rel.cols, random.Random(seed))
+        if seed % 2:  # half the maps factor through the projection
+            m = m @ q.section @ q.projection
+        try:
+            out = descend_map(q, m, "k", None)
+        except AxiomViolation:
+            assert not (m @ rel.transpose()).is_zero
+        else:
+            assert (m @ rel.transpose()).is_zero
+            assert out @ q.projection == m
 
     def test_canonical_lift_stable(self):
         rel = Mat.from_rows(GF2, [[1, 1, 0]])

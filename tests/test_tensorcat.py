@@ -6,15 +6,16 @@ from math import prod
 import pytest
 
 from coringext import tensorcat
-from coringext.errors import DimensionMismatch, SizeLimit
+from coringext.errors import AxiomViolation, DimensionMismatch, SizeLimit
 from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, QQ, Mat,
-                               QuotientSpace, kernel, quotient, rank,
+                               QuotientSpace, kernel, quotient, rank, rref,
                                set_guards)
 from coringext.algmod import (Bimodule, LeftModule, RightModule,
                               left_regular, make_algebra_map,
                               regular_bimodule, restrict_left,
                               restrict_right, right_regular)
-from coringext.tensorcat import balancing_rows, tensor_chain, tensor_over
+from coringext.tensorcat import (balancing_rows, descend_map, tensor_chain,
+                                 tensor_over)
 from coringext.fixtures import (d2_algebra, gc2_coalgebra, gc2_coring,
                                 matrix_algebra_2, sw_coring, unit_map)
 from coringext.coring import regular_comodule, regular_left_comodule
@@ -25,21 +26,21 @@ from coringext.descent import Cor28Data, make_descent_datum
 from coringext.extension import identity_extension
 
 
-def ref_balanced_quotient(field, dims, balancings):
+def ref_relations(field, dims, balancings):
     """The full-block construction: every raw balancing row of each slot,
-    lifted by ``I_pre (x) rows (x) I_post`` through ``kron``."""
-    ambient = prod(dims)
-    rel = Mat.zero(field, 0, ambient)
+    lifted by ``I_pre (x) rows (x) I_post`` through ``kron``, in echelon
+    form."""
+    rel = Mat.zero(field, 0, prod(dims))
     for s, (ract, lact, alg) in sorted(balancings.items()):
         block = Mat.identity(field, prod(dims[:s])).kron(
             balancing_rows(ract, lact, alg)).kron(
             Mat.identity(field, prod(dims[s + 2:])))
         rel = rel.stack(block)
-    return quotient(field, ambient, rel)
+    return rref(rel)[0]
 
 
 def slots_of(m, mids, n):
-    """``tensor_chain``'s factors as ``ref_balanced_quotient`` arguments:
+    """``tensor_chain``'s factors as ``ref_relations`` arguments:
     the factor dimensions and the balancing actions of each adjacent pair."""
     dims = (m.dim, *(b.dim for b in mids), n.dim)
     racts = [(m.act, m.alg)] + [(b.ract, b.algR) for b in mids]
@@ -50,7 +51,7 @@ def slots_of(m, mids, n):
 
 def ref_kernel(m, mids, n):
     """The balancing relations of all pairs at once, in echelon form."""
-    return ref_balanced_quotient(m.alg.field, *slots_of(m, mids, n)).relations
+    return ref_relations(m.alg.field, *slots_of(m, mids, n))
 
 
 def towers(field):
@@ -93,7 +94,7 @@ class TestTensorOver:
             a = d2_algebra(field)
             t = tensor_over(a, right_regular(a), left_regular(a))
             assert t.quo_dim == 2
-            assert rank(t.relations) == 2
+            assert rank(kernel(t.projection)) == 2
 
     def test_multiplication_descends_over_base(self):
         # over B = k there are no relations, so mult always descends
@@ -102,7 +103,7 @@ class TestTensorOver:
         u = unit_map(GF2, a)
         t = tensor_over(k, restrict_right(right_regular(a), u),
                         restrict_left(left_regular(a), u))
-        assert t.descends(a.mult_mat) is not None
+        assert descend_map(t, a.mult_mat, "k", (2, 2)) == a.mult_mat
         assert t.quo_dim == 4
 
     def test_cached_identity(self):
@@ -150,14 +151,18 @@ class TestInducedMap:
         a = d2_algebra(GF2)
         t = tensor_over(a, right_regular(a), left_regular(a))
         ident = Mat.identity(GF2, 4)
-        got = t.descends(t.projection @ ident)
+        got = descend_map(t, t.projection @ ident, "k", (2, 2))
         assert got == Mat.identity(GF2, t.quo_dim)
-        # a rank-one map smearing everything does not descend
+        # a rank-one map smearing everything does not descend: it does not
+        # vanish on e_0 (x) e_1 = (e_0 . e_0) (x) e_1 - e_0 (x) (e_0 . e_1)
         smear = Mat.from_rows(GF2, [[1, 1, 1, 1]] * 4)
-        assert t.descends(t.projection @ smear) is None
+        assert kernel(t.projection).row(0) == (0, 1, 0, 0)
+        with pytest.raises(AxiomViolation) as err:
+            descend_map(t, t.projection @ smear, "k", (2, 2))
+        assert (err.value.kind, err.value.witness) == ("k", (0, 1))
         # a map whose domain is not the ambient space has no induced map
         with pytest.raises(DimensionMismatch):
-            t.descends(Mat.identity(GF2, 3))
+            descend_map(t, Mat.identity(GF2, 3), "k", (3,))
 
 
 class TestTensorChain:
