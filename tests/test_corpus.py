@@ -1,11 +1,23 @@
 """The recorded CLI reports, as a safety net for refactors.
 
-Every fifth call of the benchmark's recorded workloads (the calls that
-``perfbench/gen.py`` generates for the seeds in ``perfbench/golden.json``)
-runs in-process through ``cli.run``, and its exit code and stdout sha256
-must equal the golden record.  The subsample runs twice in one process, in
-two shuffled orders, so that no report depends on what an earlier call
-computed or left in a memo.  Both files are read, not written.
+Two corpora, each call with its golden exit code and stdout sha256:
+
+- the benchmark's recorded workloads: the calls that ``perfbench/gen.py``
+  generates for the seeds in ``perfbench/golden.json``;
+- the mutated arrays: every single-entry +1 change of every explicit array
+  in the benchmark's extension and descent workspaces over GF(2) and
+  GF(3), each run with the commands the benchmark runs on that workspace.
+  Its golden records are in ``tests/golden_mutated.json``.  A mutation
+  often breaks an identity at several basis tuples, so these records pin
+  which witness a rejection names.
+
+Tier-1 runs a fixed subsample of each, twice in one process, in two
+shuffled orders, so that no report depends on what an earlier call
+computed or left in a memo.  The perfbench files are read, not written.
+
+Run as a script, ``PYTHONPATH=src python tests/test_corpus.py`` runs both
+whole corpora the same way and exits 1 on the first mismatch;
+``--record`` rewrites ``tests/golden_mutated.json`` from the current code.
 """
 
 import hashlib
@@ -14,17 +26,35 @@ import io
 import json
 import os
 import random
+import sys
 
 from coringext.cli import run
 from coringext.exactla import DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM, set_guards
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PERFBENCH = os.path.join(os.path.dirname(TESTS), "perfbench")
+GOLDEN_MUTATED = os.path.join(TESTS, "golden_mutated.json")
 STRIDE = 5
+MUTATED_STRIDE = 8
+
+# the commands the benchmark runs on each mutated workspace
+EXTENSION_COMMANDS = (
+    ("check",),
+    ("induce", "--extension", "E", "--comodule", "reg"),
+    ("apply", "--extension", "E", "--map", "idmap"),
+    ("compose", "--first", "Eid", "--second", "E"))
+DESCENT_COMMANDS = (
+    ("check",),
+    ("descent", "--cor28", "C28", "--datum", "dat"))
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def call_key(argv, workspace: str) -> str:
+    """A record names its call by its arguments and workspace."""
+    return " ".join(argv) + " " + sha256(workspace)
 
 
 def load_gen():
@@ -35,9 +65,9 @@ def load_gen():
     return gen
 
 
-def recorded_calls():
-    """Every ``STRIDE``-th recorded call, with its golden exit code and
-    stdout sha256."""
+def recorded_calls(stride=STRIDE):
+    """Every ``stride``-th recorded call of the benchmark, as
+    ``(label, argv, workspace, code, digest)``."""
     gen = load_gen()
     with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as fh:
         golden = json.load(fh)
@@ -47,25 +77,120 @@ def recorded_calls():
         for seed in sorted(golden[workload], key=int):
             for call, (key, code, digest) in zip(
                     make(int(seed)), golden[workload][seed], strict=True):
-                # the record names the call by its arguments and workspace
-                assert key == " ".join(call.argv) + " " + \
-                    sha256(call.workspace)
-                calls.append((call, code, digest))
-    return calls[::STRIDE]
+                assert key == call_key(call.argv, call.workspace)
+                calls.append((call.label, call.argv, call.workspace, code,
+                              digest))
+    return calls[::stride]
+
+
+def _bumps(data, p, path):
+    """Each copy of a nested array with one entry raised by 1 mod p, with
+    the JSON path of that entry."""
+    for i, x in enumerate(data):
+        at = f"{path}[{i}]"
+        if isinstance(x, list):
+            for sub, sub_path in _bumps(x, p, at):
+                yield data[:i] + [sub] + data[i + 1:], sub_path
+        else:
+            yield data[:i] + [(x + 1) % p] + data[i + 1:], at
+
+
+def mutated_calls():
+    """Every call of the mutated-array corpus, in a fixed order, as
+    ``(label, argv, workspace)``."""
+    gen = load_gen()
+    calls = []
+    for p in (2, 3):
+        f = gen.Field(p)
+        for text, commands in ((gen._extension_ws(f), EXTENSION_COMMANDS),
+                               (gen._descent_ws(f), DESCENT_COMMANDS)):
+            ws = json.loads(text)
+            for name, obj in ws["objects"].items():
+                for key, val in obj.items():
+                    if not isinstance(val, list):
+                        continue
+                    for bumped, path in _bumps(
+                            val, p, f"$.objects.{name}.{key}"):
+                        objects = dict(ws["objects"])
+                        objects[name] = {**obj, key: bumped}
+                        mutated = gen.workspace(f, objects)
+                        calls += [(f"GF{p} {path}", argv, mutated)
+                                  for argv in commands]
+    return calls
+
+
+def golden_mutated_calls(stride=MUTATED_STRIDE):
+    """Every ``stride``-th mutated-array call with its golden record."""
+    with open(GOLDEN_MUTATED, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    calls = []
+    for (label, argv, ws), (key, code, digest) in zip(
+            mutated_calls(), golden, strict=True):
+        assert key == call_key(argv, ws)
+        calls.append((label, argv, ws, code, digest))
+    return calls[::stride]
+
+
+def run_call(argv, workspace: str):
+    out = io.StringIO()
+    code = run(list(argv), stdin=io.StringIO(workspace), stdout=out)
+    return code, sha256(out.getvalue())
+
+
+def mismatches(calls):
+    """The calls whose report differs from the golden record, over two
+    passes in two shuffled orders in this process."""
+    found = []
+    try:
+        for order in (1, 2):
+            shuffled = calls[:]
+            random.Random(order).shuffle(shuffled)
+            for label, argv, ws, code, digest in shuffled:
+                if run_call(argv, ws) != (code, digest):
+                    found.append((order, label, argv))
+    finally:
+        set_guards(DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM)
+    return found
 
 
 def test_reports_match_golden_records():
     calls = recorded_calls()
     assert len(calls) == 114
+    assert mismatches(calls) == []
+
+
+def test_mutated_arrays_match_golden_records():
+    calls = golden_mutated_calls()
+    assert len(calls) == 142
+    assert mismatches(calls) == []
+
+
+def record_mutated() -> None:
+    records = []
     try:
-        for order in (1, 2):
-            shuffled = calls[:]
-            random.Random(order).shuffle(shuffled)
-            for call, code, digest in shuffled:
-                out = io.StringIO()
-                got = run(list(call.argv), stdin=io.StringIO(call.workspace),
-                          stdout=out)
-                assert (got, sha256(out.getvalue())) == (code, digest), \
-                    (order, call.label, call.argv)
+        for _, argv, ws in mutated_calls():
+            records.append([call_key(argv, ws), *run_call(argv, ws)])
     finally:
         set_guards(DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM)
+    with open(GOLDEN_MUTATED, "w", encoding="utf-8") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    print(f"recorded {len(records)} calls in {GOLDEN_MUTATED}")
+
+
+def main(argv) -> int:
+    if argv == ["--record"]:
+        record_mutated()
+        return 0
+    if argv:
+        print("usage: test_corpus.py [--record]", file=sys.stderr)
+        return 2
+    calls = recorded_calls(stride=1) + golden_mutated_calls(stride=1)
+    found = mismatches(calls)
+    for order, label, call_argv in found:
+        print(f"pass {order}: {label}: {' '.join(call_argv)}")
+    print(f"{len(calls)} calls, two passes: {len(found)} mismatches")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
