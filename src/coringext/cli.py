@@ -10,16 +10,18 @@ fixture names (FIX.D2, FIX.BC2, FIX.GC2, FIX.SW) may be declared as
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
 schema error, 3 size guard exceeded.
 
-Only ``errors``, ``exactla`` and ``_record`` load with this module.  Each
-object kind and each command imports the layers it uses when it runs, so a
-call loads only what its workspace and command need: a no-op ``check``
-loads no algebra, coring or extension code.
+Only ``errors``, ``exactla`` and ``_record`` load with this module.  Every
+other layer is reached through the package's lazy names (``lib.Coring``,
+``lib.make_algebra``, ...), which import a defining module on the first
+access to one of its names.  So a call loads only what its workspace and
+command need: a no-op ``check`` loads no algebra, coring or extension code.
 """
 
 import argparse
 import json
 import sys
-from typing import Dict
+
+import coringext as lib
 
 from ._record import frozen
 from .errors import (AxiomViolation, CoringError, DimensionMismatch,
@@ -55,21 +57,19 @@ class Workspace:
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self.objects: Dict[str, object] = {}
+        self.objects = {}
 
-    def get(self, name: str, kinds, path: str):
+    def get(self, name: str, cls: type, path: str):
         obj = self.objects.get(name)
         # every reserved fixture name starts with "FIX."
         if obj is None and name.startswith("FIX."):
-            from . import fixtures as fx
+            fx = lib.fixtures
             if name in fx.CORING_FIXTURES or name in fx.ALGEBRA_FIXTURES:
                 obj = self.objects[name] = fx.fixture(name, self.field, path)
         if obj is None:
             raise UnknownReference(path, name)
-        if not isinstance(obj, kinds):
-            want = "/".join(k.__name__ for k in
-                            (kinds if isinstance(kinds, tuple) else (kinds,)))
-            raise SchemaError(path, f"{name!r} is not a {want}")
+        if not isinstance(obj, cls):
+            raise SchemaError(path, f"{name!r} is not a {cls.__name__}")
         return obj
 
 
@@ -135,14 +135,13 @@ def _parse_object(ws: Workspace, data, path: str):
         raise SchemaError(path, "expected a JSON object")
     if "fixture" in data:
         fixname = _expect(data, "fixture", path, str)
-        from .fixtures import fixture
-        return fixture(fixname, f, f"{path}.fixture")
+        return lib.fixtures.fixture(fixname, f, f"{path}.fixture")
     kind = _expect(data, "type", path, str)
 
     # Each field is read through one of these, in the order the branch
     # names it: the first bad field decides the error.
-    def ref(key, kinds):
-        return ws.get(_expect(data, key, path, str), kinds, path)
+    def ref(key, cls):
+        return ws.get(_expect(data, key, path, str), cls, path)
 
     def arr(key, *shape, typ=None):
         return _array(f, _expect(data, key, path, typ), shape,
@@ -152,101 +151,74 @@ def _parse_object(ws: Workspace, data, path: str):
         return Mat(f, rows, cols, arr(key, rows, cols))
 
     if kind == "algebra":
-        from .algmod import make_algebra
         dim = _dim(data, path)
-        return make_algebra(f, dim, arr("mult", dim, dim, dim),
-                            arr("unit", dim, typ=list))
+        return lib.make_algebra(f, dim, arr("mult", dim, dim, dim),
+                                arr("unit", dim, typ=list))
     if kind == "algebra_map":
-        from .algmod import Algebra, make_algebra_map
-        src, tgt = ref("source", Algebra), ref("target", Algebra)
-        return make_algebra_map(src, tgt, mat("matrix", tgt.dim, src.dim))
+        src, tgt = ref("source", lib.Algebra), ref("target", lib.Algebra)
+        return lib.make_algebra_map(src, tgt, mat("matrix", tgt.dim, src.dim))
     if kind == "coalgebra":
-        from .constructions import make_coalgebra
         dim = _dim(data, path)
-        return make_coalgebra(f, dim, mat("delta", dim * dim, dim),
-                              mat("eps", 1, dim))
+        return lib.make_coalgebra(f, dim, mat("delta", dim * dim, dim),
+                                  mat("eps", 1, dim))
     if kind == "coring":
-        from .algmod import Algebra, bimodule_from_actions
-        from .coring import make_coring
-        a = ref("algebra", Algebra)
+        a = ref("algebra", lib.Algebra)
         dim = _dim(data, path)
-        lact = mat("lact", dim, a.dim * dim)
-        ract = mat("ract", dim, dim * a.dim)
+        cbim = lib.Bimodule(a, a, dim, mat("lact", dim, a.dim * dim),
+                            mat("ract", dim, dim * a.dim))
         delta_lift = mat("delta_lift", dim * dim, dim)
         eps = mat("eps", a.dim, dim)
-        cbim = bimodule_from_actions(a, a, dim, lact, ract)
-        return make_coring(a, cbim, delta_lift, eps)
+        lib.check_bimodule(cbim)
+        return lib.make_coring(a, cbim, delta_lift, eps)
     if kind == "trivial_coring":
-        from .algmod import Algebra
-        from .constructions import trivial_coring
-        return trivial_coring(ref("algebra", Algebra))
+        return lib.trivial_coring(ref("algebra", lib.Algebra))
     if kind == "sweedler_coring":
-        from .algmod import AlgebraMap
-        from .constructions import sweedler_coring
-        return sweedler_coring(ref("iota", AlgebraMap))
+        return lib.sweedler_coring(ref("iota", lib.AlgebraMap))
     if kind == "coalgebra_coring":
-        from .constructions import Coalgebra, coalgebra_to_coring
-        return coalgebra_to_coring(ref("coalgebra", Coalgebra))
+        return lib.coalgebra_to_coring(ref("coalgebra", lib.Coalgebra))
     if kind == "entwining_coring":
-        from .algmod import Algebra
-        from .constructions import Coalgebra, Entwining, entwining_coring
-        a, cg = ref("algebra", Algebra), ref("coalgebra", Coalgebra)
+        a, cg = ref("algebra", lib.Algebra), ref("coalgebra", lib.Coalgebra)
         psi = mat("psi", a.dim * cg.dim, cg.dim * a.dim)
-        return entwining_coring(Entwining(a, cg, psi))
+        return lib.entwining_coring(lib.Entwining(a, cg, psi))
     if kind == "comodule":
-        from .algmod import RightModule
-        from .coring import Coring, make_comodule
-        c = ref("coring", Coring)
+        c = ref("coring", lib.Coring)
         dim = _dim(data, path)
         act = mat("act", dim, dim * c.A.dim)
         rho = mat("rho_lift", dim * c.dim, dim)
-        return make_comodule(c, RightModule(c.A, dim, act), rho)
+        return lib.make_comodule(c, lib.RightModule(c.A, dim, act), rho)
     if kind == "colinear_map":
-        from .coring import Comodule, check_colinear
-        src, tgt = ref("source", Comodule), ref("target", Comodule)
+        src, tgt = ref("source", lib.Comodule), ref("target", lib.Comodule)
         m = mat("matrix", tgt.dim, src.dim)
-        check_colinear(m, src, tgt)
+        lib.check_colinear(m, src, tgt)
         return ColinearMap(src, tgt, m)
     if kind == "measuring":
-        from .algmod import Algebra
-        from .coring import Coring
-        from .extension import make_measuring
-        c, b = ref("coring", Coring), ref("algebra", Algebra)
-        return make_measuring(c, b, mat("nu", c.A.dim, c.dim * b.dim))
+        c, b = ref("coring", lib.Coring), ref("algebra", lib.Algebra)
+        return lib.make_measuring(c, b, mat("nu", c.A.dim, c.dim * b.dim))
     if kind == "extension":
-        from .coring import Coring
-        from .extension import make_extension
-        c, d = ref("c", Coring), ref("d", Coring)
+        c, d = ref("c", lib.Coring), ref("d", lib.Coring)
         ract = mat("ract", c.dim, c.dim * d.A.dim)
-        return make_extension(c, d, ract,
-                              mat("sigma_lift", c.dim * d.dim, c.dim))
+        return lib.make_extension(c, d, ract,
+                                  mat("sigma_lift", c.dim * d.dim, c.dim))
     if kind == "identity_extension":
-        from .coring import Coring
-        from .extension import identity_extension
-        return identity_extension(ref("coring", Coring))
+        return lib.identity_extension(ref("coring", lib.Coring))
     if kind == "extension_from_coring_map":
-        from .coring import Coring
-        from .extension import extension_from_coring_map
-        c, d = ref("c", Coring), ref("d", Coring)
-        return extension_from_coring_map(mat("gamma", d.dim, c.dim), c, d)
+        c, d = ref("c", lib.Coring), ref("d", lib.Coring)
+        return lib.extension_from_coring_map(mat("gamma", d.dim, c.dim), c, d)
     if kind == "descent_datum":
-        from .algmod import AlgebraMap, RightModule
-        from .descent import make_descent_datum
-        iota = ref("iota", AlgebraMap)
+        iota = ref("iota", lib.AlgebraMap)
         dim = _dim(data, path)
         a = iota.target
         act = mat("act", dim, dim * a.dim)
-        flift = mat("f_lift", dim * a.dim, dim)
-        return make_descent_datum(iota, RightModule(a, dim, act), flift)
+        return lib.make_descent_datum(iota, lib.RightModule(a, dim, act),
+                                      mat("f_lift", dim * a.dim, dim))
     if kind == "cor28":
-        from .algmod import AlgebraMap
-        from .descent import Cor28Data, check_cor28
-        iota_b, iota_a = ref("iota_B", AlgebraMap), ref("iota_A", AlgebraMap)
+        iota_b = ref("iota_B", lib.AlgebraMap)
+        iota_a = ref("iota_A", lib.AlgebraMap)
         a, b = iota_a.target, iota_a.source
         rho = mat("rho_A", a.dim, a.dim * b.dim)
         phi = mat("phi_lift", a.dim * a.dim * b.dim, a.dim)
-        data28 = Cor28Data(iota_b, iota_a, rho, phi)
-        check_cor28(data28)
+        data28 = lib.Cor28Data(iota_b, iota_a, rho, phi)
+        lib.check_cor28(data28)
         return data28
     raise SchemaError(f"{path}.type", f"unknown object type {kind!r}")
 
@@ -261,11 +233,21 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+def _parse_int(literal: str) -> int:
+    """A JSON integer of at most 4300 digits, the limit of Python 3.10.7 on;
+    earlier versions have none, so the report is the same on every one."""
+    if len(literal.lstrip("-")) > 4300:
+        raise SchemaError("$", "invalid JSON: an integer literal has more "
+                               "than 4300 digits")
+    return int(literal)
+
+
 def parse_workspace(text: str) -> Workspace:
     """Parse and fully validate a workspace; raises on the first error."""
     try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long
+        data = json.loads(text, object_pairs_hook=_unique_keys,
+                          parse_int=_parse_int)
+    except ValueError as exc:  # JSONDecodeError
         raise SchemaError("$", f"invalid JSON: {exc}")
     except RecursionError:
         raise SchemaError("$", "invalid JSON: nested too deeply")
@@ -308,9 +290,7 @@ def cmd_check(ws: Workspace, args) -> dict:
 
 
 def cmd_dualring(ws: Workspace, args) -> dict:
-    from .coring import Coring, dual_ring
-    c = ws.get(args.coring, Coring, "--coring")
-    dr = dual_ring(c)
+    dr = lib.dual_ring(ws.get(args.coring, lib.Coring, "--coring"))
     f = ws.field
     return {"command": "dualring", "coring": args.coring,
             "dim": dr.dim,
@@ -320,23 +300,18 @@ def cmd_dualring(ws: Workspace, args) -> dict:
 
 
 def cmd_enumerate_measurings(ws: Workspace, args) -> dict:
-    from .algmod import Algebra
-    from .coring import Coring
-    from .extension import enumerate_measurings
-    c = ws.get(args.coring, Coring, "--coring")
-    b = ws.get(args.algebra, Algebra, "--algebra")
-    ms = enumerate_measurings(c, b)
+    c = ws.get(args.coring, lib.Coring, "--coring")
+    b = ws.get(args.algebra, lib.Algebra, "--algebra")
+    ms = lib.enumerate_measurings(c, b)
     return {"command": "enumerate-measurings", "coring": args.coring,
             "algebra": args.algebra, "count": len(ms),
             "measurings": [_render(ws.field, m.nu) for m in ms]}
 
 
 def cmd_induce(ws: Workspace, args) -> dict:
-    from .coring import Comodule
-    from .extension import CoringExtension, induced_coaction
-    e = ws.get(args.extension, CoringExtension, "--extension")
-    m = ws.get(args.comodule, Comodule, "--comodule")
-    out = induced_coaction(e, m)
+    e = ws.get(args.extension, lib.CoringExtension, "--extension")
+    m = ws.get(args.comodule, lib.Comodule, "--comodule")
+    out = lib.induced_coaction(e, m)
     f = ws.field
     return {"command": "induce", "extension": args.extension,
             "comodule": args.comodule,
@@ -345,20 +320,20 @@ def cmd_induce(ws: Workspace, args) -> dict:
 
 
 def cmd_apply(ws: Workspace, args) -> dict:
-    from .extension import CoringExtension, _transport
-    e = ws.get(args.extension, CoringExtension, "--extension")
+    e = ws.get(args.extension, lib.CoringExtension, "--extension")
     g = ws.get(args.map, ColinearMap, "--map")
-    out = _transport(e, g.matrix, g.source, g.target)  # the parser checked g
+    # the parser checked g over C; ``apply_functor`` would check it again
+    lib.check_colinear(g.matrix, lib.induced_coaction(e, g.source),
+                       lib.induced_coaction(e, g.target))
     return {"command": "apply", "extension": args.extension,
             "map": args.map, "ok": True,
-            "matrix": _render(ws.field, out)}
+            "matrix": _render(ws.field, g.matrix)}
 
 
 def cmd_compose(ws: Workspace, args) -> dict:
-    from .extension import CoringExtension, compose_extensions
-    e1 = ws.get(args.first, CoringExtension, "--first")
-    e2 = ws.get(args.second, CoringExtension, "--second")
-    out = compose_extensions(e1, e2)
+    e1 = ws.get(args.first, lib.CoringExtension, "--first")
+    e2 = ws.get(args.second, lib.CoringExtension, "--second")
+    out = lib.compose_extensions(e1, e2)
     f = ws.field
     return {"command": "compose", "first": args.first,
             "second": args.second,
@@ -367,13 +342,12 @@ def cmd_compose(ws: Workspace, args) -> dict:
 
 
 def cmd_descent(ws: Workspace, args) -> dict:
-    from .descent import Cor28Data, DescentDatum, _descend
-    data = ws.get(args.cor28, Cor28Data, "--cor28")
+    data = ws.get(args.cor28, lib.Cor28Data, "--cor28")
     report = {"command": "descent", "cor28": args.cor28,
               "verdict": "accept"}
     if args.datum is not None:
-        d = ws.get(args.datum, DescentDatum, "--datum")
-        out = _descend(data, d)  # the parser checked data
+        from .descent import _descend  # the parser checked data
+        out = _descend(data, ws.get(args.datum, lib.DescentDatum, "--datum"))
         f = ws.field
         report["datum"] = args.datum
         report["result"] = {"dim": out.M.dim,

@@ -169,9 +169,8 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
     """Comatrix coring Sigma* (x)_B Sigma of a (B, A)-bimodule Sigma.
 
     A map that should lie in Sigma* but is not right A-linear is rejected
-    as ``not-in-sigma-star`` at its index: (i, t) for a_i . g_t, (t, j)
-    for g_t . b_j, where g_t is the t-th basis element of Sigma*, and (i,)
-    for the i-th functional of the dual basis.
+    as ``not-in-sigma-star`` at its index: (i, t) for a_i . g_t and (t, j)
+    for g_t . b_j, where g_t is the t-th basis element of Sigma*.
     """
     b, a = sigma.algL, sigma.algR
     f = a.field
@@ -206,7 +205,7 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
     delta_amb = Mat.zero(f, amb * amb, amb)
     for i, (e_i, g_i) in enumerate(zip(db.elements, db.functionals)):
         term = Mat.column(f, e_i).kron(
-            Mat.column(f, star_coords(g_i, i))).tensor_id(ns, sigma.dim)
+            Mat.column(f, coords(star, g_i))).tensor_id(ns, sigma.dim)
         delta_amb = delta_amb + term
     eval_cols = [star[t].col(j) for t in range(ns) for j in range(sigma.dim)]
     return _quotient_coring("comatrix", q, a, lact_star, sigma.ract,

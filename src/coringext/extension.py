@@ -275,12 +275,6 @@ def apply_functor(e: CoringExtension, f: Mat, m: Comodule,
     """Transport a C-colinear map along the induced functor (it is the
     same matrix, re-verified to be D-colinear)."""
     check_colinear(f, m, n)
-    return _transport(e, f, m, n)
-
-
-def _transport(e: CoringExtension, f: Mat, m: Comodule,
-               n: Comodule) -> Mat:
-    """``apply_functor`` on a map that ``check_colinear`` has accepted."""
     check_colinear(f, induced_coaction(e, m), induced_coaction(e, n))
     return f
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -195,13 +196,30 @@ class TestExitCodes:
         assert err["type"] == "SchemaError" and err["path"] == "$"
 
     def test_oversized_integer_literal(self):
-        # beyond the interpreter's 4300-digit limit on int conversion
+        # beyond the 4300-digit limit on int conversion of Python 3.10.7
+        # on, which earlier versions lack: the report is the same on all
         text = '{"field": {"type": "Fp", "p": %s}, "objects": {}}' % (
             "7" * 5000)
-        code, out = run_cli(["check"], text)
-        assert code == 2
-        err = json.loads(out)["error"]
-        assert err["type"] == "SchemaError" and err["path"] == "$"
+        report = (
+            '{"command":"check","error":{"message":"$: invalid JSON: an '
+            'integer literal has more than 4300 digits","path":"$",'
+            '"type":"SchemaError"},"exit_code":2,"ok":false}\n')
+        assert run_cli(["check"], text) == (2, report)
+        if hasattr(sys, "set_int_max_str_digits"):
+            # no limit, as before Python 3.10.7
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                assert run_cli(["check"], text) == (2, report)
+            finally:
+                sys.set_int_max_str_digits(limit)
+        # the limit counts digits, not the sign
+        for literal in ("-" + "7" * 4300, "7" * 4300):
+            _, out = run_cli(["check"], text.replace("7" * 5000, literal))
+            assert json.loads(out)["error"]["path"] == "$.field.p"
+        code, out = run_cli(["check"], MINIMAL.replace(
+            '"objects"', '"n": -%s, "objects"' % ("1" * 4301)))
+        assert code == 2 and "more than 4300 digits" in out
 
     def test_workspace_not_utf8(self, tmp_path):
         path = tmp_path / "ws.json"
@@ -402,7 +420,8 @@ class TestCommands:
 
     def test_apply_checks_colinearity_twice(self, monkeypatch):
         # once over C when the parser builds the map, once over D after the
-        # transport; cli imports check_colinear from coring when it parses
+        # transport; cli reads check_colinear through the package's names
+        import coringext
         import coringext.coring as coring
         import coringext.extension as extension
         real = coring.check_colinear
@@ -414,6 +433,7 @@ class TestCommands:
 
         monkeypatch.setattr(coring, "check_colinear", counting)
         monkeypatch.setattr(extension, "check_colinear", counting)
+        monkeypatch.setattr(coringext, "check_colinear", counting)
         text = self._extension_ws()
         code, _ = run_cli(["apply", "--extension", "E", "--map", "idmap"],
                           text)
@@ -466,7 +486,9 @@ class TestCommands:
         assert report["result"]["dim"] == 2
 
     def test_descent_checks_cor28_once(self, monkeypatch):
-        # cli imports check_cor28 from descent when it parses a cor28 object
+        # cli reads check_cor28 through the package's names when it parses a
+        # cor28 object
+        import coringext
         import coringext.descent as descent
         real = descent.check_cor28
         calls = []
@@ -476,6 +498,7 @@ class TestCommands:
             return real(data)
 
         monkeypatch.setattr(descent, "check_cor28", counting)
+        monkeypatch.setattr(coringext, "check_cor28", counting)
         code, _ = run_cli(["descent", "--cor28", "C28", "--datum", "dat"],
                           self._descent_ws())
         assert code == 0

@@ -248,3 +248,62 @@ def test_one_failure_channel(path):
     source = path.read_text(encoding="utf-8")
     assert second_channel(source) == []
     assert witnessless_raises(source) == []
+
+
+# -- one lazy-load mechanism: the CLI reaches every layer through the
+# -- package's names ---------------------------------------------------------
+
+# what cli.py may import from the package at module level, and the one
+# import it may make inside a function (the public ``descent_functor`` would
+# check the Cor. 2.8 data a second time)
+CLI_TOP = {"coringext", "coringext._record", "coringext.errors",
+           "coringext.exactla"}
+CLI_NESTED = ("coringext.descent", "_descend")
+
+
+def _absolute(node):
+    """The absolute modules an import statement reads, in ``coringext``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level == 0:
+        return [node.module]
+    if node.module is None:
+        return [f"coringext.{alias.name}" for alias in node.names]
+    return [f"coringext.{node.module}"]
+
+
+def lazy_load_breaches(source: str):
+    """Imports of a CLI module besides the package's lazy names: one at
+    module level from a package module outside ``CLI_TOP``, and any inside a
+    function or class but ``from .descent import _descend``."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        mods = _absolute(node)
+        if node in tree.body:
+            found += [(node.lineno, m) for m in mods
+                      if m.split(".")[0] == "coringext" and m not in CLI_TOP]
+        elif not (mods == [CLI_NESTED[0]] and
+                  [a.name for a in node.names] == [CLI_NESTED[1]]):
+            found += [(node.lineno, m) for m in mods]
+    return sorted(found)
+
+
+def test_detects_lazy_load_breaches():
+    src = ("import json\nimport coringext as lib\n"
+           "from .errors import SchemaError\nfrom .algmod import Algebra\n"
+           "from . import fixtures\nimport coringext.coring\n"
+           "def f():\n    from .descent import _descend\n"
+           "    from .descent import Cor28Data\n    import json\n"
+           "class K:\n    from .exactla import Mat\n")
+    assert lazy_load_breaches(src) == [
+        (4, "coringext.algmod"), (5, "coringext.fixtures"),
+        (6, "coringext.coring"), (9, "coringext.descent"), (10, "json"),
+        (12, "coringext.exactla")]
+
+
+def test_cli_loads_layers_through_the_package():
+    assert lazy_load_breaches((SRC / "cli.py").read_text(
+        encoding="utf-8")) == []

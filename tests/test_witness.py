@@ -879,6 +879,35 @@ class TestOtherRejections:
                         seen.add(ref)
         assert len(seen) > 1
 
+    def test_dual_basis_functionals_lie_in_sigma_star(self):
+        # check_dual_basis has required each functional to be right
+        # A-linear, so no functional is rejected as not in Sigma*: a
+        # one-index not-in-sigma-star never comes
+        kinds = set()
+        for f in (GF2, GF3):
+            for a in (d2_algebra(f), c2_group_algebra(f)):
+                n = a.dim
+                sigma = Bimodule(a, a, n, a.mult_mat, a.mult_mat)
+                e = Mat.identity(f, n)
+                # 1 with the identity; for D2 also e_i with s -> e_i s
+                bases = [((tuple(a.unit),), (e,))]
+                if a == d2_algebra(f):
+                    bases.append((tuple(e.col(i) for i in range(n)), tuple(
+                        a.mult_mat @ Mat.column(f, e.col(i)).tensor_id(1, n)
+                        for i in range(n))))
+                for elements, functionals in bases:
+                    for i, g in enumerate(functionals):
+                        for h in perturbations(f, g):
+                            changed = functionals[:i] + (h,) + \
+                                functionals[i + 1:]
+                            got = outcome(comatrix_coring, sigma,
+                                          DualBasis(elements, changed))
+                            assert got is None or \
+                                got[0] != "not-in-sigma-star", got
+                            kinds.add(got and got[0])
+        assert kinds == {None, "functional-not-right-linear",
+                         "dual-basis-identity"}
+
     def test_twisted_convolution_witnesses(self, monkeypatch):
         # no entwining reaches these kinds; a stand-in dual ring reader
         # and algebra map show which basis index each names
