@@ -1,6 +1,6 @@
 """The recorded CLI reports, as a safety net for refactors.
 
-Two corpora, each call with its golden exit code and stdout sha256:
+Three corpora, each call with its golden exit code and stdout sha256:
 
 - the benchmark's recorded workloads: the calls that ``perfbench/gen.py``
   generates for the seeds in ``perfbench/golden.json``;
@@ -10,6 +10,15 @@ Two corpora, each call with its golden exit code and stdout sha256:
   Its golden records are in ``tests/golden_mutated.json``.  A mutation
   often breaks an identity at several basis tuples, so these records pin
   which witness a rejection names.
+- the each-kind arrays: the literal workspaces of
+  ``tests/kinds_workspaces.json`` over GF(2) and GF(3), which hold every
+  explicit object kind whose parser builds a structure (an algebra, an
+  explicit coring, the trivial coring, an extension, a measuring, a
+  coalgebra, an entwining coring and a comodule), and every single-entry
+  +1 change of their arrays.  Each runs ``check``, ``induce``,
+  ``dualring`` and a ``check`` under ``--max-dim 31``; the last pins the
+  order of the checks that come before the size guard.  Its golden records
+  are in ``tests/golden_kinds.json``.
 
 Tier-1 runs a fixed subsample of each, twice in one process, in two
 shuffled orders, so that no report depends on what an earlier call
@@ -17,7 +26,8 @@ computed or left in a memo.  The perfbench files are read, not written.
 
 Run as a script, ``PYTHONPATH=src python tests/test_corpus.py`` runs both
 whole corpora the same way and exits 1 on the first mismatch;
-``--record`` rewrites ``tests/golden_mutated.json`` from the current code.
+``--record`` rewrites ``tests/golden_mutated.json`` and
+``tests/golden_kinds.json`` from the current code.
 """
 
 import hashlib
@@ -34,8 +44,11 @@ from coringext.exactla import DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM, set_guards
 TESTS = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(TESTS), "perfbench")
 GOLDEN_MUTATED = os.path.join(TESTS, "golden_mutated.json")
+GOLDEN_KINDS = os.path.join(TESTS, "golden_kinds.json")
+KINDS_WORKSPACES = os.path.join(TESTS, "kinds_workspaces.json")
 STRIDE = 5
 MUTATED_STRIDE = 8
+KINDS_STRIDE = 16
 
 # the commands the benchmark runs on each mutated workspace
 EXTENSION_COMMANDS = (
@@ -46,6 +59,11 @@ EXTENSION_COMMANDS = (
 DESCENT_COMMANDS = (
     ("check",),
     ("descent", "--cor28", "C28", "--datum", "dat"))
+KINDS_COMMANDS = (
+    ("check",),
+    ("induce", "--extension", "E", "--comodule", "reg"),
+    ("dualring", "--coring", "w"),
+    ("--max-dim", "31", "check"))
 
 
 def sha256(text: str) -> str:
@@ -95,6 +113,19 @@ def _bumps(data, p, path):
             yield data[:i] + [(x + 1) % p] + data[i + 1:], at
 
 
+def _mutations(ws: dict, p: int):
+    """Every copy of a workspace with one array entry raised by 1 mod p,
+    as ``(path, objects)``, in object, key and entry order."""
+    for name, obj in ws["objects"].items():
+        for key, val in obj.items():
+            if not isinstance(val, list):
+                continue
+            for bumped, path in _bumps(val, p, f"$.objects.{name}.{key}"):
+                objects = dict(ws["objects"])
+                objects[name] = {**obj, key: bumped}
+                yield path, objects
+
+
 def mutated_calls():
     """Every call of the mutated-array corpus, in a fixed order, as
     ``(label, argv, workspace)``."""
@@ -104,31 +135,50 @@ def mutated_calls():
         f = gen.Field(p)
         for text, commands in ((gen._extension_ws(f), EXTENSION_COMMANDS),
                                (gen._descent_ws(f), DESCENT_COMMANDS)):
-            ws = json.loads(text)
-            for name, obj in ws["objects"].items():
-                for key, val in obj.items():
-                    if not isinstance(val, list):
-                        continue
-                    for bumped, path in _bumps(
-                            val, p, f"$.objects.{name}.{key}"):
-                        objects = dict(ws["objects"])
-                        objects[name] = {**obj, key: bumped}
-                        mutated = gen.workspace(f, objects)
-                        calls += [(f"GF{p} {path}", argv, mutated)
-                                  for argv in commands]
+            for path, objects in _mutations(json.loads(text), p):
+                mutated = gen.workspace(f, objects)
+                calls += [(f"GF{p} {path}", argv, mutated)
+                          for argv in commands]
     return calls
 
 
-def golden_mutated_calls(stride=MUTATED_STRIDE):
-    """Every ``stride``-th mutated-array call with its golden record."""
-    with open(GOLDEN_MUTATED, encoding="utf-8") as fh:
+def kinds_calls():
+    """Every call of the each-kind corpus, in a fixed order, as
+    ``(label, argv, workspace)``: each base workspace, then its
+    mutations."""
+    with open(KINDS_WORKSPACES, encoding="utf-8") as fh:
+        bases = json.load(fh)
+    calls = []
+    for p in (2, 3):
+        base = bases[str(p)]
+        for path, objects in [("base", base["objects"]),
+                              *_mutations(base, p)]:
+            text = json.dumps({**base, "objects": objects},
+                              separators=(",", ":"))
+            calls += [(f"GF{p} {path}", argv, text)
+                      for argv in KINDS_COMMANDS]
+    return calls
+
+
+# each recorded corpus: its golden file, its calls and its tier-1 stride
+CORPORA = {
+    "mutated": (GOLDEN_MUTATED, mutated_calls, MUTATED_STRIDE),
+    "kinds": (GOLDEN_KINDS, kinds_calls, KINDS_STRIDE),
+}
+
+
+def golden_calls(corpus: str, stride=None):
+    """Every ``stride``-th call of a recorded corpus with its golden
+    record; by default the corpus's tier-1 stride."""
+    path, make, default_stride = CORPORA[corpus]
+    with open(path, encoding="utf-8") as fh:
         golden = json.load(fh)
     calls = []
     for (label, argv, ws), (key, code, digest) in zip(
-            mutated_calls(), golden, strict=True):
+            make(), golden, strict=True):
         assert key == call_key(argv, ws)
         calls.append((label, argv, ws, code, digest))
-    return calls[::stride]
+    return calls[::stride or default_stride]
 
 
 def run_call(argv, workspace: str):
@@ -160,31 +210,41 @@ def test_reports_match_golden_records():
 
 
 def test_mutated_arrays_match_golden_records():
-    calls = golden_mutated_calls()
+    calls = golden_calls("mutated")
     assert len(calls) == 142
     assert mismatches(calls) == []
 
 
-def record_mutated() -> None:
-    records = []
-    try:
-        for _, argv, ws in mutated_calls():
-            records.append([call_key(argv, ws), *run_call(argv, ws)])
-    finally:
-        set_guards(DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM)
-    with open(GOLDEN_MUTATED, "w", encoding="utf-8") as fh:
-        fh.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
-    print(f"recorded {len(records)} calls in {GOLDEN_MUTATED}")
+def test_each_kind_arrays_match_golden_records():
+    calls = golden_calls("kinds")
+    assert len(calls) == 175
+    assert mismatches(calls) == []
+
+
+def record() -> None:
+    """Rewrite every corpus's golden file from the current code."""
+    for path, make, _ in CORPORA.values():
+        records = []
+        try:
+            for _, argv, ws in make():
+                records.append([call_key(argv, ws), *run_call(argv, ws)])
+        finally:
+            set_guards(DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("[\n" + ",\n".join(json.dumps(r) for r in records)
+                     + "\n]\n")
+        print(f"recorded {len(records)} calls in {path}")
 
 
 def main(argv) -> int:
     if argv == ["--record"]:
-        record_mutated()
+        record()
         return 0
     if argv:
         print("usage: test_corpus.py [--record]", file=sys.stderr)
         return 2
-    calls = recorded_calls(stride=1) + golden_mutated_calls(stride=1)
+    calls = recorded_calls(stride=1) + [
+        call for corpus in CORPORA for call in golden_calls(corpus, 1)]
     found = mismatches(calls)
     for order, label, call_argv in found:
         print(f"pass {order}: {label}: {' '.join(call_argv)}")
