@@ -8,9 +8,12 @@ are complete, so no randomized testing is needed in the core.
 
 Every ``check_*`` function of the package returns None when its axioms
 hold and raises ``AxiomViolation(kind, witness)`` at the first one that
-fails; ``make_*`` builds a record and calls its checker.  Identities are
-compared with ``_require``: a rejection names the first basis tuple of the
-domain, or of its tensor factors, at which the two sides differ.
+fails.  A structure is checked once, where its record is made: a
+``make_*`` checks the record it is given, and a part such as the bimodule
+of a coring is built unchecked for the ``make_*`` that receives it.
+Identities are compared with ``_require``: a rejection names the first
+basis tuple of the domain, or of its tensor factors, at which the two
+sides differ.
 """
 
 from functools import cached_property
@@ -248,13 +251,6 @@ def make_bimodule(algL: Algebra, algR: Algebra, lact, ract) -> Bimodule:
              for j in range(dim) for i in range(algR.dim)]
     b = Bimodule(algL, algR, dim,
                  Mat.from_cols(f, lcols), Mat.from_cols(f, rcols))
-    check_bimodule(b)
-    return b
-
-
-def bimodule_from_actions(algL: Algebra, algR: Algebra, dim: int,
-                          lact: Mat, ract: Mat) -> Bimodule:
-    b = Bimodule(algL, algR, dim, lact, ract)
     check_bimodule(b)
     return b
 

@@ -166,10 +166,8 @@ def _parse_object(ws: Workspace, data, path: str):
         dim = _dim(data, path)
         cbim = lib.Bimodule(a, a, dim, mat("lact", dim, a.dim * dim),
                             mat("ract", dim, dim * a.dim))
-        delta_lift = mat("delta_lift", dim * dim, dim)
-        eps = mat("eps", a.dim, dim)
-        lib.check_bimodule(cbim)
-        return lib.make_coring(a, cbim, delta_lift, eps)
+        return lib.make_coring(a, cbim, mat("delta_lift", dim * dim, dim),
+                               mat("eps", a.dim, dim))
     if kind == "trivial_coring":
         return lib.trivial_coring(ref("algebra", lib.Algebra))
     if kind == "sweedler_coring":

@@ -10,7 +10,7 @@ from ._search import affine_solutions, coords, enumerate_affine
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import FieldSpec, Mat, QuotientSpace, memoised, rref
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
-                     _require, bimodule_from_actions, left_regular,
+                     _require, left_regular,
                      make_algebra, make_algebra_map, regular_bimodule,
                      restrict_left, restrict_right, right_regular)
 from .coring import Coring, DualRing, dual_coords, dual_ring, make_coring
@@ -49,7 +49,7 @@ def _quotient_coring(name: str, q: QuotientSpace, a: Algebra, lact_x: Mat,
     lact = q.projection @ lact_x.tensor_id(1, ny) @ \
         q.section.tensor_id(a.dim, 1)
     ract = right_action_on_quotient(q, nx, ract_y, a)
-    cbim = bimodule_from_actions(a, a, q.quo_dim, lact, ract)
+    cbim = Bimodule(a, a, q.quo_dim, lact, ract)
     cc = tensor_over(a, cbim.right_module(), cbim.left_module())
     delta = descend_map(q, cc.projection @ (
         q.projection.kron(q.projection) @ delta_amb),
@@ -122,8 +122,7 @@ def coalgebra_to_coring(c: Coalgebra) -> Coring:
     """View a coalgebra as a coring over the one-dimensional base algebra."""
     k = base_algebra(c.field)
     ic = Mat.identity(c.field, c.dim)
-    cbim = bimodule_from_actions(k, k, c.dim, ic, ic)
-    return make_coring(k, cbim, c.delta, c.eps)
+    return make_coring(k, Bimodule(k, k, c.dim, ic, ic), c.delta, c.eps)
 
 
 # -- comatrix corings ------------------------------------------------
@@ -237,11 +236,11 @@ def entwining_coring(e: Entwining) -> Coring:
     na, nc = a.dim, c.dim
     lact = a.mult_mat.tensor_id(1, nc)
     ract = lact @ e.psi.tensor_id(na, 1)
-    cbim = bimodule_from_actions(a, a, na * nc, lact, ract)
     delta_lift = a.unit_col.tensor_id(na * nc, nc) @ \
         c.delta.tensor_id(na, 1)
     eps = c.eps.tensor_id(na, 1)
-    return make_coring(a, cbim, delta_lift, eps)
+    return make_coring(a, Bimodule(a, a, na * nc, lact, ract), delta_lift,
+                       eps)
 
 
 def flip_entwining(a: Algebra, c: Coalgebra) -> Entwining:

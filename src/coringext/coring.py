@@ -4,6 +4,11 @@ Coproducts and coactions are stored as canonical lifts into the k-tensor
 ambient space; equality of composites is always tested after projecting
 into the relevant balanced quotient, so no section-dependent choice of
 representatives ever leaks into a verdict.
+
+A ``make_*`` checks the record with the lift it is given, then stores the
+canonical lift.  Each comparison projects the lift, or composes it with a
+map that vanishes on the balancing relations once the checks before it
+pass; so every lift of one coaction gives the same verdict and witness.
 """
 
 from typing import List, Optional
@@ -44,10 +49,6 @@ class Coring:
         """Projection of C (x) C (x) C onto (C (x)_A C) (x)_A C."""
         return _triple(self.C)
 
-    def delta(self) -> Mat:
-        """The coproduct C -> C (x)_A C in quotient coordinates."""
-        return self.cc().projection @ self.delta_lift
-
 
 @memoised
 def _triple(c: Bimodule) -> Mat:
@@ -75,13 +76,13 @@ def check_coring(c: Coring) -> None:
         raise DimensionMismatch("coproduct lift has wrong shape")
     if c.eps.rows != a.dim or c.eps.cols != c.dim:
         raise DimensionMismatch("counit has wrong shape")
+    proj = c.cc().projection  # the size guard of C (x)_A C
     # counit is an (A,A)-bimodule map
     _require(c.eps @ c.C.lact, a.mult_mat @ c.eps.tensor_id(na, 1),
              "bilinearity", (na, nc))
     _require(c.eps @ c.C.ract, a.mult_mat @ c.eps.tensor_id(1, na),
              "bilinearity", (nc, na))
     # coproduct is an (A,A)-bimodule map (tested after projection)
-    proj = c.cc().projection
     _require(proj @ c.delta_lift @ c.C.lact,
              proj @ c.C.lact.tensor_id(1, nc) @ c.delta_lift.tensor_id(na, 1),
              "bilinearity", (na, nc))
@@ -100,13 +101,12 @@ def check_coring(c: Coring) -> None:
 
 
 def make_coring(a: Algebra, c: Bimodule, delta_lift: Mat, eps: Mat) -> Coring:
-    """Validated coring; the coproduct lift is canonicalized on the way in."""
+    """Validated coring, stored with the canonical lift of its coproduct."""
     if c.algL != a or c.algR != a:
         raise DimensionMismatch("underlying bimodule is not over the algebra")
-    cc = tensor_over(a, c.right_module(), c.left_module())
-    cor = Coring(a, c, cc.canonical_lift(delta_lift), eps)
+    cor = Coring(a, c, delta_lift, eps)
     check_coring(cor)
-    return cor
+    return Coring(a, c, cor.cc().canonical_lift(delta_lift), eps)
 
 
 # -- comodules -------------------------------------------------------
@@ -129,9 +129,6 @@ class Comodule:
         return tensor_over(self.coring.A, self.M,
                            self.coring.C.left_module())
 
-    def rho(self) -> Mat:
-        return self.mc().projection @ self.rho_lift
-
 
 def check_comodule(m: Comodule) -> None:
     c = m.coring
@@ -151,10 +148,9 @@ def check_comodule(m: Comodule) -> None:
 
 
 def make_comodule(c: Coring, m: RightModule, rho_lift: Mat) -> Comodule:
-    mc = tensor_over(c.A, m, c.C.left_module())
-    com = Comodule(c, m, mc.canonical_lift(rho_lift))
+    com = Comodule(c, m, rho_lift)
     check_comodule(com)
-    return com
+    return Comodule(c, m, com.mc().canonical_lift(rho_lift))
 
 
 def regular_comodule(c: Coring) -> Comodule:
@@ -248,10 +244,9 @@ def check_left_comodule(n: LeftComodule) -> None:
 
 def make_left_comodule(c: Coring, n: LeftModule, lambda_lift: Mat
                        ) -> LeftComodule:
-    cn = tensor_over(c.A, c.C.right_module(), n)
-    com = LeftComodule(c, n, cn.canonical_lift(lambda_lift))
+    com = LeftComodule(c, n, lambda_lift)
     check_left_comodule(com)
-    return com
+    return LeftComodule(c, n, com.cn().canonical_lift(lambda_lift))
 
 
 def regular_left_comodule(c: Coring) -> LeftComodule:
@@ -283,10 +278,15 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
     all balancing relations at once, and two maps differ in one of them
     exactly when they differ in the others, at the same column.
     """
-    a, b = c.A, d.A
-    if m.algL != a or m.algR != b:
+    if m.algL != c.A or m.algR != d.A:
         raise DimensionMismatch("bimodule is not an (A,B)-bimodule")
     check_left_comodule(LeftComodule(c, m.left_module(), lambda_lift))
+    _check_right_coaction(c, d, m, lambda_lift, sigma_lift)
+
+
+def _check_right_coaction(c: Coring, d: Coring, m: Bimodule,
+                          lambda_lift: Mat, sigma_lift: Mat) -> None:
+    """``check_bicomodule`` once M is a left C-comodule under lambda."""
     check_comodule(Comodule(d, m.right_module(), sigma_lift))
     p3 = tensor_chain(c.C.right_module(), (m,), d.C.left_module())
     _require(p3 @ lambda_lift.tensor_id(1, d.dim) @ sigma_lift,

@@ -75,10 +75,9 @@ def _maa_space(iota: AlgebraMap, m: RightModule) -> Mat:
 
 def make_descent_datum(iota: AlgebraMap, m: RightModule,
                        f_lift: Mat) -> DescentDatum:
-    q = _ma_space(iota, m)
-    d = DescentDatum(iota, m, q.canonical_lift(f_lift))
+    d = DescentDatum(iota, m, f_lift)
     check_descent_datum(d)
-    return d
+    return DescentDatum(iota, m, d.ma().canonical_lift(f_lift))
 
 
 def check_descent_morphism(d1: DescentDatum, d2: DescentDatum,

@@ -14,7 +14,7 @@ from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule, _holds,
                      _require, check_right_module, make_algebra_map)
-from .coring import (Comodule, Coring, check_bicomodule, check_colinear,
+from .coring import (Comodule, Coring, _check_right_coaction, check_colinear,
                      dual_coords, dual_element, dual_ring, make_comodule)
 from .tensorcat import tensor_over
 from ._search import enumerate_affine
@@ -198,21 +198,21 @@ def check_coring_extension(e: CoringExtension) -> None:
 
     C must be a (C, D)-bicomodule: the regular left C-coaction and sigma
     must commute, with sigma a B-linear coassociative counital coaction.
+    The left coaction is C's coproduct, which ``make_coring`` checked.
     """
     c, d = e.c, e.d
     if c.A.field != d.A.field:
         raise DimensionMismatch("corings over different fields")
     check_right_b_structure(c, d.A, e.ract)
     m = Bimodule(c.A, d.A, c.dim, c.C.lact, e.ract)
-    check_bicomodule(c, d, m, c.delta_lift, e.sigma_lift)
+    _check_right_coaction(c, d, m, c.delta_lift, e.sigma_lift)
 
 
 def make_extension(c: Coring, d: Coring, ract: Mat,
                    sigma_lift: Mat) -> CoringExtension:
-    q = _cd(d.A, ract, d.C)
-    e = CoringExtension(c, d, ract, q.canonical_lift(sigma_lift))
+    e = CoringExtension(c, d, ract, sigma_lift)
     check_coring_extension(e)
-    return e
+    return CoringExtension(c, d, ract, e.cd().canonical_lift(sigma_lift))
 
 
 def identity_extension(c: Coring) -> CoringExtension:
@@ -251,20 +251,19 @@ def extension_from_coring_map(gamma: Mat, c: Coring, d: Coring
 
 
 def induced_action(e: CoringExtension, m: Comodule) -> Mat:
-    """Right B-action m.b = m_(0) nu(m_(1) (x) b) on a right C-comodule."""
-    if m.coring != e.c:
-        raise DimensionMismatch("comodule is not over the extended coring")
-    c, b = e.c, e.d.A
-    nu = c.eps @ e.ract
-    act = m.M.act @ nu.tensor_id(m.dim, 1) @ m.rho_lift.tensor_id(1, b.dim)
-    check_right_module(RightModule(b, m.dim, act))
-    return act
+    """Right B-action m.b = m_(0) nu(m_(1) (x) b) on a right C-comodule,
+    as ``induced_coaction`` builds and checks it."""
+    return induced_coaction(e, m).M.act
 
 
 def induced_coaction(e: CoringExtension, m: Comodule) -> Comodule:
-    """The image of a right C-comodule under the functor M^C -> M^D."""
+    """The image of a right C-comodule under the functor M^C -> M^D: the
+    B-action of ``induced_action`` and the D-coaction induced by sigma."""
+    if m.coring != e.c:
+        raise DimensionMismatch("comodule is not over the extended coring")
     c, d = e.c, e.d
-    act = induced_action(e, m)
+    nu = c.eps @ e.ract
+    act = m.M.act @ nu.tensor_id(m.dim, 1) @ m.rho_lift.tensor_id(1, d.A.dim)
     rho = m.M.act.tensor_id(1, d.dim) @ c.eps.tensor_id(m.dim, d.dim) @ \
         e.sigma_lift.tensor_id(m.dim, 1) @ m.rho_lift
     return make_comodule(d, RightModule(d.A, m.dim, act), rho)

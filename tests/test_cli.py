@@ -221,6 +221,31 @@ class TestExitCodes:
             '"objects"', '"n": -%s, "objects"' % ("1" * 4301)))
         assert code == 2 and "more than 4300 digits" in out
 
+    def test_oversized_string_scalar(self):
+        # a string scalar reaches int() or Fraction(): the same report on
+        # every Python, with or without the limit on int conversion
+        ws = ('{"field": {"type": "%s"%s}, "objects": {"a": {"type": '
+              '"algebra", "dim": 1, "mult": [[[1]]], "unit": ["%s"]}}}')
+        report = (
+            '{"command":"check","error":{"message":"$.objects.a.unit[0]: a '
+            'scalar has a run of more than 4300 digits","path":'
+            '"$.objects.a.unit[0]","type":"SchemaError"},"exit_code":2,'
+            '"ok":false}\n')
+        texts = [ws % ("Fp", ', "p": 3', "7" * 5000),
+                 ws % ("Q", "", "1/" + "7" * 5000),
+                 ws % ("Q", "", "0." + "7" * 5000)]
+        for text in texts:
+            assert run_cli(["check"], text) == (2, report)
+        if hasattr(sys, "set_int_max_str_digits"):
+            # no limit, as before Python 3.10.7
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                for text in texts:
+                    assert run_cli(["check"], text) == (2, report)
+            finally:
+                sys.set_int_max_str_digits(limit)
+
     def test_workspace_not_utf8(self, tmp_path):
         path = tmp_path / "ws.json"
         path.write_bytes(MINIMAL.encode() + b"\xff")

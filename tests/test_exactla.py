@@ -71,6 +71,21 @@ class TestField:
         with pytest.raises(NonFiniteField):
             QQ.elements()
 
+    def test_long_digit_runs(self):
+        # one message on every Python, limit on int conversion or not
+        message = "a scalar has a run of more than 4300 digits"
+        run = "7" * 4301
+        for field, text in ((GF3, run), (GF3, "-" + run), (QQ, "1/" + run),
+                            (QQ, "0." + run), (QQ, "7_" * 4301),
+                            (GF3, "\u0663" * 4301)):
+            with pytest.raises(ValueError) as exc:
+                field.of(text)
+            assert str(exc.value) == message
+        # the limit is per run: each int() call reads one run
+        assert GF3.of("7" * 4300) == 1
+        assert QQ.of("1" * 4300 + "/" + "1" * 4300) == 1
+        assert QQ.of("1" * 4300 + "." + "0" * 4300) == int("1" * 4300)
+
     def test_coercion_rejects_garbage(self):
         with pytest.raises(ValueError):
             GF2.of(Fraction(1, 2))

@@ -108,10 +108,12 @@ def test_only_set_guards_takes_a_guard(path):
 
 # -- one failure channel: a failed axiom raises AxiomViolation --------------
 
-# the result types of the old second channel, and the exception types that
-# once reported mathematical failures besides AxiomViolation
+# the result types of the old second channel, the exception types that
+# once reported mathematical failures besides AxiomViolation, and a builder
+# that checked a bimodule its caller's ``make_coring`` checks again
 RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
-           "NotCoringMorphism", "NotColinear", "MiddleMismatch"}
+           "NotCoringMorphism", "NotColinear", "MiddleMismatch",
+           "bimodule_from_actions"}
 
 
 def _returns_value(fn):
