@@ -278,7 +278,8 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
     all balancing relations at once, and two maps differ in one of them
     exactly when they differ in the others, at the same column.
     """
-    if m.algL != c.A or m.algR != d.A:
+    a, b = c.A, d.A
+    if m.algL != a or m.algR != b:
         raise DimensionMismatch("bimodule is not an (A,B)-bimodule")
     check_left_comodule(LeftComodule(c, m.left_module(), lambda_lift))
     _check_right_coaction(c, d, m, lambda_lift, sigma_lift)

@@ -98,7 +98,7 @@ def _is_prime(n: int) -> bool:
 
 
 _Q0, _Q1 = Fraction(0), Fraction(1)  # immutable, so shared
-_DIGIT_RUN = re.compile(r"[\d_]+")  # the digit runs that int() reads
+_DIGIT_RUN = re.compile(r"[\d_]+")  # int() refuses >4300 digits from 3.10.7
 
 
 @frozen
@@ -138,9 +138,9 @@ class FieldSpec:
         """Coerce an int, Fraction or string into the field.
 
         A string is an integer, ``num/den`` or a plain decimal such as
-        ``-1.25``.  Exponent notation (``1e5``) is rejected, as its time
-        grows with the exponent, not the input; so is a run of more than
-        4300 digits, which int() refuses from Python 3.10.7 on only.
+        ``-1.25``.  Exponent notation (``1e5``) is rejected: parsing it
+        would build the power of ten, so the time would grow with the
+        exponent rather than with the length of the input.
         """
         if isinstance(x, str) and len(x) > 4300 and any(
                 len(r) - r.count("_") > 4300 for r in _DIGIT_RUN.findall(x)):

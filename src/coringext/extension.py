@@ -251,14 +251,14 @@ def extension_from_coring_map(gamma: Mat, c: Coring, d: Coring
 
 
 def induced_action(e: CoringExtension, m: Comodule) -> Mat:
-    """Right B-action m.b = m_(0) nu(m_(1) (x) b) on a right C-comodule,
-    as ``induced_coaction`` builds and checks it."""
+    """The right B-action of ``induced_coaction(e, m)``, checked with it."""
     return induced_coaction(e, m).M.act
 
 
 def induced_coaction(e: CoringExtension, m: Comodule) -> Comodule:
-    """The image of a right C-comodule under the functor M^C -> M^D: the
-    B-action of ``induced_action`` and the D-coaction induced by sigma."""
+    """The image of a right C-comodule under the functor M^C -> M^D: M with
+    the right B-action m.b = m_(0) nu(m_(1) (x) b), nu = eps . ract, and
+    the D-coaction induced by sigma."""
     if m.coring != e.c:
         raise DimensionMismatch("comodule is not over the extended coring")
     c, d = e.c, e.d

@@ -57,43 +57,45 @@ def explicit_coring(field):
     return parse_workspace(ws).objects["c"]
 
 
-# each coring builder, on inputs built before the count starts
-BUILDERS = {
-    "explicit": lambda f: (explicit_coring, f),
-    "sweedler": lambda f: (sweedler_coring, unit_map(f, d2_algebra(f))),
-    "entwining": lambda f: (entwining_coring,
-                            flip_entwining(d2_algebra(f), gc2_coalgebra(f))),
-    "coalgebra": lambda f: (coalgebra_to_coring, group_coalgebra(f, 2)),
-}
+def coring_builders(field):
+    """Each coring builder, on inputs built before the count starts."""
+    iota = unit_map(field, d2_algebra(field))
+    ent = flip_entwining(d2_algebra(field), gc2_coalgebra(field))
+    coalg = group_coalgebra(field, 2)
+    return {"explicit": lambda: explicit_coring(field),
+            "sweedler": lambda: sweedler_coring(iota),
+            "entwining": lambda: entwining_coring(ent),
+            "coalgebra": lambda: coalgebra_to_coring(coalg)}
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("builder",
+                         ["explicit", "sweedler", "entwining", "coalgebra"])
 def test_each_coring_builder_checks_its_bimodule_once(monkeypatch, builder,
                                                       field):
-    build, arg = BUILDERS[builder](field)
+    build = coring_builders(field)[builder]
     clear_memos()
     bimodules = count_calls(monkeypatch, "check_bimodule")
     left = count_calls(monkeypatch, "check_left_module")
-    c = build(arg)
+    c = build()
     assert bimodules == [(c.C,)]
     assert left == [(c.C.left_module(),)]
 
 
-def _extensions(field):
-    """Every extension builder, on corings built before the count starts."""
+def extension_builders(field):
+    """Each extension builder, on corings built before the count starts."""
     c = sw_coring(field)
     t = trivial_coring(d2_algebra(field))
     gamma = Mat.from_rows(field, [[1, 0, 0, 0], [0, 0, 0, 1]])
     e = extension_from_coring_map(gamma, c, t)
-    yield lambda: identity_extension(c)
-    yield lambda: extension_from_coring_map(gamma, c, t)
-    yield lambda: compose_extensions(identity_extension(c), e)
+    return [lambda: identity_extension(c),
+            lambda: extension_from_coring_map(gamma, c, t),
+            lambda: compose_extensions(identity_extension(c), e)]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
 def test_make_extension_never_checks_left_comodule(monkeypatch, field):
-    builds = list(_extensions(field))
+    builds = extension_builders(field)
     left_comodules = count_calls(monkeypatch, "check_left_comodule")
     for build in builds:
         build()

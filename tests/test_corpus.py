@@ -24,8 +24,8 @@ Tier-1 runs a fixed subsample of each, twice in one process, in two
 shuffled orders, so that no report depends on what an earlier call
 computed or left in a memo.  The perfbench files are read, not written.
 
-Run as a script, ``PYTHONPATH=src python tests/test_corpus.py`` runs both
-whole corpora the same way and exits 1 on the first mismatch;
+Run as a script, ``PYTHONPATH=src python tests/test_corpus.py`` runs all
+three whole corpora the same way and exits 1 on any mismatch;
 ``--record`` rewrites ``tests/golden_mutated.json`` and
 ``tests/golden_kinds.json`` from the current code.
 """
