@@ -17,8 +17,11 @@ Three corpora, each call with its golden exit code and stdout sha256:
   coalgebra, an entwining coring and a comodule), and every single-entry
   +1 change of their arrays.  Each runs ``check``, ``induce``,
   ``dualring`` and a ``check`` under ``--max-dim 31``; the last pins the
-  order of the checks that come before the size guard.  Its golden records
-  are in ``tests/golden_kinds.json``.
+  order of the checks that come before the size guard.  Three more
+  workspaces push descent data along Cor. 2.8 data with B != k, each run
+  with ``check`` and ``descent``: D = B = D2 -> A = k^3 over GF(2) and
+  GF(3), and a datum on k -> D2 -> M_2 over GF(2) that fails diagram (c).
+  Its golden records are in ``tests/golden_kinds.json``.
 
 Tier-1 runs a fixed subsample of each, twice in one process, in two
 shuffled orders, so that no report depends on what an earlier call
@@ -64,6 +67,10 @@ KINDS_COMMANDS = (
     ("induce", "--extension", "E", "--comodule", "reg"),
     ("dualring", "--coring", "w"),
     ("--max-dim", "31", "check"))
+# each workspace of tests/kinds_workspaces.json, with the commands run on it
+KINDS_BASES = (("2", KINDS_COMMANDS), ("3", KINDS_COMMANDS),
+               ("cor28-2", DESCENT_COMMANDS), ("cor28-3", DESCENT_COMMANDS),
+               ("diagram-c-2", DESCENT_COMMANDS))
 
 
 def sha256(text: str) -> str:
@@ -149,14 +156,14 @@ def kinds_calls():
     with open(KINDS_WORKSPACES, encoding="utf-8") as fh:
         bases = json.load(fh)
     calls = []
-    for p in (2, 3):
-        base = bases[str(p)]
+    for key, commands in KINDS_BASES:
+        base = bases[key]
+        p = base["field"]["p"]
         for path, objects in [("base", base["objects"]),
                               *_mutations(base, p)]:
             text = json.dumps({**base, "objects": objects},
                               separators=(",", ":"))
-            calls += [(f"GF{p} {path}", argv, text)
-                      for argv in KINDS_COMMANDS]
+            calls += [(f"{key} {path}", argv, text) for argv in commands]
     return calls
 
 
@@ -217,7 +224,7 @@ def test_mutated_arrays_match_golden_records():
 
 def test_each_kind_arrays_match_golden_records():
     calls = golden_calls("kinds")
-    assert len(calls) == 175
+    assert len(calls) == 267
     assert mismatches(calls) == []
 
 
