@@ -24,12 +24,12 @@ _MODULE_OF = {name: mod for mod, names in (
                "is_isomorphism make_algebra make_algebra_map make_bimodule "
                "opposite regular_bimodule"),
     ("tensorcat", "tensor_chain tensor_over"),
-    ("coring", "Comodule Coring DualRing LeftComodule check_bicomodule "
-               "check_colinear check_comodule check_coring "
+    ("coring", "ColinearMap Comodule Coring DualRing LeftComodule "
+               "check_bicomodule check_colinear check_comodule check_coring "
                "check_left_comodule cofree_comodule cotensor_basis "
                "direct_sum_comodule dual_coords dual_element dual_ring "
-               "make_comodule make_coring make_left_comodule "
-               "regular_comodule star_product"),
+               "make_colinear_map make_comodule make_coring "
+               "make_left_comodule regular_comodule star_product"),
     ("constructions", "Coalgebra DualBasis Entwining TwistedConvolution "
                       "base_algebra check_coalgebra check_dual_basis "
                       "coalgebra_to_coring comatrix_coring entwining_coring "
@@ -41,12 +41,12 @@ _MODULE_OF = {name: mod for mod, names in (
                   "check_coring_extension check_measuring "
                   "check_right_b_structure compose_extensions "
                   "enumerate_measurings extension_from_coring_map "
-                  "identity_extension induced_action induced_coaction "
+                  "identity_extension induced_coaction "
                   "make_extension make_measuring measuring_from_action "
                   "measuring_to_algebra_map"),
     ("descent", "Cor28Data DescentDatum check_cor28 check_descent_datum "
-                "check_descent_morphism comodule_to_descent cor28_extension "
-                "descent_functor descent_to_comodule make_descent_datum"),
+                "check_descent_morphism comodule_to_descent descent_functor "
+                "descent_to_comodule make_cor28 make_descent_datum"),
     ("errors", "errors"),
     ("fixtures", "fixtures"),
 ) for name in names.split()}

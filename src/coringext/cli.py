@@ -10,11 +10,14 @@ fixture names (FIX.D2, FIX.BC2, FIX.GC2, FIX.SW) may be declared as
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
 schema error, 3 size guard exceeded.
 
-Only ``errors``, ``exactla`` and ``_record`` load with this module.  Every
-other layer is reached through the package's lazy names (``lib.Coring``,
+Only ``errors`` and ``exactla`` (with the ``_record`` it uses) load with
+this module, and no function imports anything.  Every other layer is
+reached through the package's lazy names (``lib.Coring``,
 ``lib.make_algebra``, ...), which import a defining module on the first
 access to one of its names.  So a call loads only what its workspace and
-command need: a no-op ``check`` loads no algebra, coring or extension code.
+command need: a no-op ``check`` loads no algebra, coring or extension
+code.  Each object is made and checked by one library constructor, and
+each command is one public call.
 """
 
 import argparse
@@ -23,7 +26,6 @@ import sys
 
 import coringext as lib
 
-from ._record import frozen
 from .errors import (AxiomViolation, CoringError, DimensionMismatch,
                      NonFiniteField, SchemaError, SizeLimit, UnknownReference)
 from .exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM,
@@ -42,14 +44,6 @@ EXIT_CODES = (
       OSError), EXIT_INPUT),
     ((CoringError,), EXIT_MATH),
 )
-
-
-@frozen
-class ColinearMap:
-    # string annotations: defining the class must not import ``coring``
-    source: "Comodule"
-    target: "Comodule"
-    matrix: Mat
 
 
 class Workspace:
@@ -186,9 +180,8 @@ def _parse_object(ws: Workspace, data, path: str):
         return lib.make_comodule(c, lib.RightModule(c.A, dim, act), rho)
     if kind == "colinear_map":
         src, tgt = ref("source", lib.Comodule), ref("target", lib.Comodule)
-        m = mat("matrix", tgt.dim, src.dim)
-        lib.check_colinear(m, src, tgt)
-        return ColinearMap(src, tgt, m)
+        return lib.make_colinear_map(src, tgt,
+                                     mat("matrix", tgt.dim, src.dim))
     if kind == "measuring":
         c, b = ref("coring", lib.Coring), ref("algebra", lib.Algebra)
         return lib.make_measuring(c, b, mat("nu", c.A.dim, c.dim * b.dim))
@@ -214,10 +207,8 @@ def _parse_object(ws: Workspace, data, path: str):
         iota_a = ref("iota_A", lib.AlgebraMap)
         a, b = iota_a.target, iota_a.source
         rho = mat("rho_A", a.dim, a.dim * b.dim)
-        phi = mat("phi_lift", a.dim * a.dim * b.dim, a.dim)
-        data28 = lib.Cor28Data(iota_b, iota_a, rho, phi)
-        lib.check_cor28(data28)
-        return data28
+        return lib.make_cor28(iota_b, iota_a, rho,
+                              mat("phi_lift", a.dim * a.dim * b.dim, a.dim))
     raise SchemaError(f"{path}.type", f"unknown object type {kind!r}")
 
 
@@ -319,13 +310,10 @@ def cmd_induce(ws: Workspace, args) -> dict:
 
 def cmd_apply(ws: Workspace, args) -> dict:
     e = ws.get(args.extension, lib.CoringExtension, "--extension")
-    g = ws.get(args.map, ColinearMap, "--map")
-    # the parser checked g over C; ``apply_functor`` would check it again
-    lib.check_colinear(g.matrix, lib.induced_coaction(e, g.source),
-                       lib.induced_coaction(e, g.target))
+    out = lib.apply_functor(e, ws.get(args.map, lib.ColinearMap, "--map"))
     return {"command": "apply", "extension": args.extension,
             "map": args.map, "ok": True,
-            "matrix": _render(ws.field, g.matrix)}
+            "matrix": _render(ws.field, out.matrix)}
 
 
 def cmd_compose(ws: Workspace, args) -> dict:
@@ -344,8 +332,8 @@ def cmd_descent(ws: Workspace, args) -> dict:
     report = {"command": "descent", "cor28": args.cor28,
               "verdict": "accept"}
     if args.datum is not None:
-        from .descent import _descend  # the parser checked data
-        out = _descend(data, ws.get(args.datum, lib.DescentDatum, "--datum"))
+        out = lib.descent_functor(
+            data, ws.get(args.datum, lib.DescentDatum, "--datum"))
         f = ws.field
         report["datum"] = args.datum
         report["result"] = {"dim": out.M.dim,

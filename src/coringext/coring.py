@@ -131,9 +131,14 @@ class Comodule:
 
 
 def check_comodule(m: Comodule) -> None:
+    check_right_module(m.M)
+    _check_coaction(m)
+
+
+def _check_coaction(m: Comodule) -> None:
+    """``check_comodule`` once M is a right A-module."""
     c = m.coring
     im = Mat.identity(c.A.field, m.dim)
-    check_right_module(m.M)
     if m.rho_lift.rows != m.dim * c.dim or m.rho_lift.cols != m.dim:
         raise DimensionMismatch("coaction lift has wrong shape")
     proj = m.mc().projection
@@ -189,6 +194,15 @@ def cofree_comodule(c: Coring, x: RightModule) -> Comodule:
     return make_comodule(c, RightModule(c.A, xc.quo_dim, act), rho_lift)
 
 
+@frozen
+class ColinearMap:
+    """A right C-colinear map between two comodules over C."""
+
+    source: Comodule
+    target: Comodule
+    matrix: Mat
+
+
 def check_colinear(f: Mat, m: Comodule, n: Comodule) -> None:
     """Pass iff f is right A-linear and rho^N f = (f (x)_A C) rho^M."""
     if m.coring != n.coring:
@@ -201,6 +215,12 @@ def check_colinear(f: Mat, m: Comodule, n: Comodule) -> None:
     proj = n.mc().projection
     _require(proj @ n.rho_lift @ f,
              proj @ f.tensor_id(1, c.dim) @ m.rho_lift, "not-colinear")
+
+
+def make_colinear_map(source: Comodule, target: Comodule,
+                      matrix: Mat) -> ColinearMap:
+    check_colinear(matrix, source, target)
+    return ColinearMap(source, target, matrix)
 
 
 # -- left comodules --------------------------------------------------
@@ -282,13 +302,15 @@ def check_bicomodule(c: Coring, d: Coring, m: Bimodule,
     if m.algL != a or m.algR != b:
         raise DimensionMismatch("bimodule is not an (A,B)-bimodule")
     check_left_comodule(LeftComodule(c, m.left_module(), lambda_lift))
+    check_right_module(m.right_module())
     _check_right_coaction(c, d, m, lambda_lift, sigma_lift)
 
 
 def _check_right_coaction(c: Coring, d: Coring, m: Bimodule,
                           lambda_lift: Mat, sigma_lift: Mat) -> None:
-    """``check_bicomodule`` once M is a left C-comodule under lambda."""
-    check_comodule(Comodule(d, m.right_module(), sigma_lift))
+    """``check_bicomodule`` once M is a left C-comodule under lambda and a
+    right B-module."""
+    _check_coaction(Comodule(d, m.right_module(), sigma_lift))
     p3 = tensor_chain(c.C.right_module(), (m,), d.C.left_module())
     _require(p3 @ lambda_lift.tensor_id(1, d.dim) @ sigma_lift,
              p3 @ sigma_lift.tensor_id(c.dim, 1) @ lambda_lift,

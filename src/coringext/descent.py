@@ -7,6 +7,8 @@ Sweedler coring of iota; a second map D -> B with a compatible descent
 structure on A itself pushes Desc(A|B) forward to Desc(B|D).
 """
 
+from functools import cached_property
+
 from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
@@ -124,14 +126,20 @@ class Cor28Data:
     """Data for pushing Desc(A|B) to Desc(B|D).
 
     ``rho_A`` is a right B-action on A making A a (B, B)-bimodule map
-    target, and ``phi_lift`` a canonical lift of phi: A -> (A (x)_B A)
-    (x)_D B subject to three compatibility diagrams.
+    target, and ``phi_lift`` a lift of phi: A -> (A (x)_B A) (x)_D B
+    subject to three compatibility diagrams.
     """
 
     iota_B: AlgebraMap  # D -> B
     iota_A: AlgebraMap  # B -> A
     rho_A: Mat          # A (x) B -> A
     phi_lift: Mat       # A -> A (x) A (x) B
+
+    @cached_property
+    def extension(self) -> CoringExtension:
+        """The coring extension of the Sweedler corings of the tower,
+        assembled once per record; ``check_cor28`` checks it."""
+        return _assemble(self)
 
     def aab(self) -> Mat:
         """Projection onto (A (x)_B A) (x)_D B.
@@ -206,16 +214,20 @@ def check_cor28(data: Cor28Data) -> None:
              p4c @ a.unit_col.tensor_id(na, na * nb) @ data.phi_lift,
              "diagram-c", (na,))
     try:
-        ext = _assemble(data)
+        ext = data.extension
     except AxiomViolation as exc:
         raise AxiomViolation("assembled-extension-" + exc.kind, exc.witness)
     check_coring_extension(ext)
 
 
-def cor28_extension(data: Cor28Data) -> CoringExtension:
-    """The coring extension of the Sweedler corings of the tower."""
+def make_cor28(iota_B: AlgebraMap, iota_A: AlgebraMap, rho_A: Mat,
+               phi_lift: Mat) -> Cor28Data:
+    """Validated Cor. 2.8 data, with the extension that it checked.  The
+    lift of phi is kept as given: the verdict and the extension depend on
+    phi only."""
+    data = Cor28Data(iota_B, iota_A, rho_A, phi_lift)
     check_cor28(data)
-    return _assemble(data)
+    return data
 
 
 def _assemble(data: Cor28Data) -> CoringExtension:
@@ -242,16 +254,9 @@ def _assemble(data: Cor28Data) -> CoringExtension:
 
 
 def descent_functor(data: Cor28Data, d: DescentDatum) -> DescentDatum:
-    """Push a descent datum for iota_A down to one for iota_B."""
-    check_cor28(data)
-    return _descend(data, d)
-
-
-def _descend(data: Cor28Data, d: DescentDatum) -> DescentDatum:
-    """``descent_functor`` on data that ``check_cor28`` has accepted."""
+    """Push a descent datum for iota_A down to one for iota_B, along the
+    extension of data that ``make_cor28`` has checked."""
     if d.iota != data.iota_A:
         raise DimensionMismatch("descent datum is for a different map")
-    ext = _assemble(data)
-    com = descent_to_comodule(d)
-    pushed = induced_coaction(ext, com)
+    pushed = induced_coaction(data.extension, descent_to_comodule(d))
     return comodule_to_descent(data.iota_B, pushed)

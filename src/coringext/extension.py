@@ -14,8 +14,9 @@ from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule, _holds,
                      _require, check_right_module, make_algebra_map)
-from .coring import (Comodule, Coring, _check_right_coaction, check_colinear,
-                     dual_coords, dual_element, dual_ring, make_comodule)
+from .coring import (ColinearMap, Comodule, Coring, _check_right_coaction,
+                     dual_coords, dual_element, dual_ring, make_colinear_map,
+                     make_comodule)
 from .tensorcat import tensor_over
 from ._search import enumerate_affine
 
@@ -250,11 +251,6 @@ def extension_from_coring_map(gamma: Mat, c: Coring, d: Coring
 # -- the induced functor M^C -> M^D ------------------------------------
 
 
-def induced_action(e: CoringExtension, m: Comodule) -> Mat:
-    """The right B-action of ``induced_coaction(e, m)``, checked with it."""
-    return induced_coaction(e, m).M.act
-
-
 def induced_coaction(e: CoringExtension, m: Comodule) -> Comodule:
     """The image of a right C-comodule under the functor M^C -> M^D: M with
     the right B-action m.b = m_(0) nu(m_(1) (x) b), nu = eps . ract, and
@@ -269,13 +265,11 @@ def induced_coaction(e: CoringExtension, m: Comodule) -> Comodule:
     return make_comodule(d, RightModule(d.A, m.dim, act), rho)
 
 
-def apply_functor(e: CoringExtension, f: Mat, m: Comodule,
-                  n: Comodule) -> Mat:
-    """Transport a C-colinear map along the induced functor (it is the
-    same matrix, re-verified to be D-colinear)."""
-    check_colinear(f, m, n)
-    check_colinear(f, induced_coaction(e, m), induced_coaction(e, n))
-    return f
+def apply_functor(e: CoringExtension, g: ColinearMap) -> ColinearMap:
+    """Transport a C-colinear map along the induced functor: the same
+    matrix between the induced comodules, verified to be D-colinear."""
+    return make_colinear_map(induced_coaction(e, g.source),
+                             induced_coaction(e, g.target), g.matrix)
 
 
 def compose_extensions(e1: CoringExtension,

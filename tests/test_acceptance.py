@@ -21,7 +21,7 @@ from coringext.algmod import (Bimodule, RightModule, enumerate_algebra_maps,
                               right_regular)
 from coringext.coring import (check_comodule, check_coring, cofree_comodule,
                               direct_sum_comodule, dual_ring,
-                              regular_comodule)
+                              make_colinear_map, regular_comodule)
 from coringext.constructions import (DualBasis, base_algebra,
                                      coalgebra_to_coring, comatrix_coring,
                                      entwining_coring,
@@ -30,7 +30,7 @@ from coringext.constructions import (DualBasis, base_algebra,
                                      trivial_coring, twisted_convolution)
 from coringext.descent import (Cor28Data, check_cor28, check_descent_datum,
                                check_descent_morphism, comodule_to_descent,
-                               cor28_extension, descent_to_comodule,
+                               descent_to_comodule, make_cor28,
                                make_descent_datum)
 from coringext.extension import (action_from_measuring,
                                  algebra_map_to_measuring, apply_functor,
@@ -38,8 +38,8 @@ from coringext.extension import (action_from_measuring,
                                  check_right_b_structure, compose_extensions,
                                  enumerate_measurings,
                                  extension_from_coring_map,
-                                 identity_extension, induced_action,
-                                 induced_coaction, measuring_from_action,
+                                 identity_extension, induced_coaction,
+                                 measuring_from_action,
                                  measuring_to_algebra_map)
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
                                 gc2_coring, matrix_algebra_2, sw_coring,
@@ -61,12 +61,11 @@ def measuring_cases():
 def fixture_extensions():
     sw = sw_coring(GF2)
     triv = trivial_coring(d2_algebra(GF2))
-    data = _cor28_fixture()
     return [
         identity_extension(sw),
         identity_extension(triv),
         extension_from_coring_map(sw.eps, sw, triv),
-        cor28_extension(data),
+        _cor28_fixture().extension,
     ]
 
 
@@ -77,7 +76,7 @@ def _cor28_fixture() -> Cor28Data:
     iota_a = unit_map(GF2, a)
     ia = Mat.identity(GF2, a.dim)
     phi = a.unit_col.kron(ia).kron(Mat.identity(GF2, 1))
-    return Cor28Data(iota_b, iota_a, Mat.identity(GF2, a.dim), phi)
+    return make_cor28(iota_b, iota_a, Mat.identity(GF2, a.dim), phi)
 
 
 def comodule_corpus(c):
@@ -128,17 +127,21 @@ def test_criterion_3_induced_functor():
         reg = regular_comodule(e.c)
         ds = direct_sum_comodule(reg, reg)
         ident = Mat.identity(GF2, reg.dim)
-        assert apply_functor(e, ident, reg, reg) == ident
+
+        def transport(f, m, n):
+            return apply_functor(e, make_colinear_map(m, n, f)).matrix
+
+        assert transport(ident, reg, reg) == ident
         inc = Mat.from_cols(GF2, [tuple(
             1 if (i == j or i == j + reg.dim) else 0
             for i in range(2 * reg.dim)) for j in range(reg.dim)])
         pr = Mat.from_rows(GF2, [tuple(
             1 if i == j else 0 for j in range(2 * reg.dim))
             for i in range(reg.dim)])
-        f1 = apply_functor(e, inc, reg, ds)
-        f2 = apply_functor(e, pr, ds, reg)
+        f1 = transport(inc, reg, ds)
+        f2 = transport(pr, ds, reg)
         assert f1 == inc and f2 == pr               # matrices unchanged
-        assert apply_functor(e, pr @ inc, reg, reg) == f2 @ f1
+        assert transport(pr @ inc, reg, reg) == f2 @ f1
     _report(3, "induced coactions pass all axioms over the base coring; "
                "the functor is identity on spaces and morphisms and "
                "preserves identities and composition")
@@ -147,7 +150,7 @@ def test_criterion_3_induced_functor():
 def test_criterion_4_regular_comodule_roundtrip():
     for e in fixture_extensions():
         reg = regular_comodule(e.c)
-        assert induced_action(e, reg) == e.ract
+        assert induced_coaction(e, reg).M.act == e.ract
         assert induced_coaction(e, reg).rho_lift == e.sigma_lift
     _report(4, "the induced structure on the regular comodule reproduces "
                "the extension's action and coaction exactly")
@@ -233,7 +236,7 @@ def test_criterion_6_descent():
     for phi in (wrong_slot, Mat.zero(GF2, 4, 2)):
         with pytest.raises(AxiomViolation):
             check_cor28(Cor28Data(good.iota_B, good.iota_A, good.rho_A, phi))
-    assert check_coring_extension(cor28_extension(good)) is None
+    assert check_coring_extension(good.extension) is None
     _report(6, "descent data and canonical-quotient comodules round-trip "
                "exactly; the chain-of-maps fixtures accept and reject as "
                "expected and acceptance matches extension validity")

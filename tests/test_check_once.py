@@ -12,6 +12,7 @@ import pytest
 
 import coringext
 from coringext import exactla
+from coringext.algmod import RightModule
 from coringext.cli import parse_workspace
 from coringext.constructions import (coalgebra_to_coring, entwining_coring,
                                      flip_entwining, group_coalgebra,
@@ -20,8 +21,7 @@ from coringext.coring import regular_comodule
 from coringext.exactla import GF2, GF3, Mat
 from coringext.extension import (compose_extensions,
                                  extension_from_coring_map,
-                                 identity_extension, induced_action,
-                                 induced_coaction)
+                                 identity_extension, induced_coaction)
 from coringext.fixtures import d2_algebra, gc2_coalgebra, sw_coring, unit_map
 
 
@@ -103,6 +103,22 @@ def test_make_extension_never_checks_left_comodule(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
+def test_each_extension_checks_its_b_module_once(monkeypatch, field):
+    # check_right_b_structure checks it; sigma's coaction is checked
+    # without it
+    builds = extension_builders(field)
+    extensions = count_calls(monkeypatch, "check_coring_extension")
+    modules = count_calls(monkeypatch, "check_right_module")
+    for build in builds:
+        extensions.clear()
+        modules.clear()
+        build()
+        assert extensions
+        assert modules == [(RightModule(e.d.A, e.c.dim, e.ract),)
+                           for (e,) in extensions]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
 def test_induced_coaction_checks_its_module_once(monkeypatch, field):
     c = sw_coring(field)
     t = trivial_coring(d2_algebra(field))
@@ -112,5 +128,3 @@ def test_induced_coaction_checks_its_module_once(monkeypatch, field):
     modules = count_calls(monkeypatch, "check_right_module")
     out = induced_coaction(e, reg)
     assert modules == [(out.M,)]
-    # induced_action reads the action of the same checked image
-    assert induced_action(e, reg) == out.M.act

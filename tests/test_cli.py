@@ -444,11 +444,9 @@ class TestCommands:
         assert json.loads(out)["matrix"] == render(Mat.identity(GF2, 4))
 
     def test_apply_checks_colinearity_twice(self, monkeypatch):
-        # once over C when the parser builds the map, once over D after the
-        # transport; cli reads check_colinear through the package's names
-        import coringext
+        # once over C when the parser makes the map, once over D when
+        # apply_functor makes its image; both through make_colinear_map
         import coringext.coring as coring
-        import coringext.extension as extension
         real = coring.check_colinear
         calls = []
 
@@ -457,8 +455,6 @@ class TestCommands:
             return real(f, m, n)
 
         monkeypatch.setattr(coring, "check_colinear", counting)
-        monkeypatch.setattr(extension, "check_colinear", counting)
-        monkeypatch.setattr(coringext, "check_colinear", counting)
         text = self._extension_ws()
         code, _ = run_cli(["apply", "--extension", "E", "--map", "idmap"],
                           text)
@@ -511,9 +507,8 @@ class TestCommands:
         assert report["result"]["dim"] == 2
 
     def test_descent_checks_cor28_once(self, monkeypatch):
-        # cli reads check_cor28 through the package's names when it parses a
-        # cor28 object
-        import coringext
+        # make_cor28 checks the data when the parser makes it;
+        # descent_functor trusts the made record
         import coringext.descent as descent
         real = descent.check_cor28
         calls = []
@@ -523,7 +518,23 @@ class TestCommands:
             return real(data)
 
         monkeypatch.setattr(descent, "check_cor28", counting)
-        monkeypatch.setattr(coringext, "check_cor28", counting)
+        code, _ = run_cli(["descent", "--cor28", "C28", "--datum", "dat"],
+                          self._descent_ws())
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_descent_assembles_the_extension_once(self, monkeypatch):
+        # check_cor28 assembles it as data.extension, and descent_functor
+        # pushes along that same extension
+        import coringext.descent as descent
+        real = descent._assemble
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(descent, "_assemble", counting)
         code, _ = run_cli(["descent", "--cor28", "C28", "--datum", "dat"],
                           self._descent_ws())
         assert code == 0

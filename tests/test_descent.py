@@ -11,8 +11,8 @@ from coringext.coring import check_comodule, regular_comodule
 from coringext.constructions import base_algebra, sweedler_coring
 from coringext.descent import (Cor28Data, DescentDatum, check_cor28,
                                check_descent_datum, check_descent_morphism,
-                               comodule_to_descent, cor28_extension,
-                               descent_functor, descent_to_comodule,
+                               comodule_to_descent, descent_functor,
+                               descent_to_comodule, make_cor28,
                                make_descent_datum)
 from coringext.extension import check_coring_extension, make_extension
 from coringext.fixtures import c2_group_algebra, d2_algebra, unit_map
@@ -121,6 +121,11 @@ def cor28_collapse():
     return Cor28Data(ident, ident, a.mult_mat, phi)
 
 
+def made(data: Cor28Data) -> Cor28Data:
+    """``data`` as ``make_cor28`` returns it."""
+    return make_cor28(data.iota_B, data.iota_A, data.rho_A, data.phi_lift)
+
+
 class TestCor28:
     def test_accept_fixtures(self):
         for data in (cor28_accept(), cor28_collapse()):
@@ -128,7 +133,7 @@ class TestCor28:
 
     def test_assembled_extension_valid(self):
         for data in (cor28_accept(), cor28_collapse()):
-            ext = cor28_extension(data)
+            ext = made(data).extension
             assert check_coring_extension(ext) is None
 
     def test_reject_wrong_slot(self):
@@ -152,7 +157,7 @@ class TestCor28:
         # extension; rejection raises before assembly
         for data in (cor28_accept(), cor28_collapse()):
             assert check_cor28(data) is None
-            assert check_coring_extension(cor28_extension(data)) is None
+            assert check_coring_extension(data.extension) is None
 
     def test_assembly_failure_is_relabelled(self, monkeypatch):
         import coringext.descent as descent
@@ -181,7 +186,7 @@ class TestCor28:
         monkeypatch.setattr(extension, "check_coring_extension", counting)
         for data in (cor28_accept(), cor28_collapse()):
             calls.clear()
-            ext = cor28_extension(data)
+            ext = made(data).extension
             assert len(calls) == 1
             # sigma comes back in the canonical lift make_extension gives it
             assert ext == make_extension(ext.c, ext.d, ext.ract,
@@ -208,36 +213,36 @@ class TestCor28:
 
 class TestDescentFunctor:
     def test_collapse_is_identity_like(self):
-        data = cor28_collapse()
+        data = made(cor28_collapse())
         d = canonical_datum(data.iota_A)
         out = descent_functor(data, d)
         assert out.M.dim == d.M.dim
         assert out.f_lift == d.f_lift
 
     def test_k_chain_on_d2(self):
-        data = cor28_accept()
+        data = made(cor28_accept())
         d = canonical_datum(data.iota_A)
         out = descent_functor(data, d)
         assert check_descent_datum(out) is None
         assert out.M.dim == d.M.dim  # underlying k-space unchanged
 
     def test_morphisms_carried(self):
-        data = cor28_accept()
+        data = made(cor28_accept())
         d = canonical_datum(data.iota_A)
         out = descent_functor(data, d)
         ident = Mat.identity(GF2, d.M.dim)
         assert check_descent_morphism(out, out, ident) is None
 
     def test_unchecked_data_rejected(self):
+        # descent_functor takes a made record: make_cor28 rejects the data
         good = cor28_accept()
-        bad = Cor28Data(good.iota_B, good.iota_A, good.rho_A,
-                        Mat.zero(GF2, 4, 2))
         with pytest.raises(AxiomViolation) as err:
-            descent_functor(bad, canonical_datum(good.iota_A))
-        assert err.value.kind == "diagram-a"
+            make_cor28(good.iota_B, good.iota_A, good.rho_A,
+                       Mat.zero(GF2, 4, 2))
+        assert (err.value.kind, err.value.witness) == ("diagram-a", (0,))
 
     def test_wrong_iota_rejected(self):
-        data = cor28_accept()
+        data = made(cor28_accept())
         other = canonical_datum(iota_cases()[2])
         with pytest.raises(DimensionMismatch):
             descent_functor(data, other)

@@ -8,10 +8,11 @@ from coringext.errors import AxiomViolation, DimensionMismatch
 from coringext.exactla import GF2, GF3, QQ, Mat, kernel
 from coringext.algmod import (Bimodule, LeftModule, RightModule, _first_diff,
                               enumerate_algebra_maps, make_algebra)
-from coringext.coring import (Comodule, LeftComodule, check_bicomodule,
-                              check_comodule, check_left_comodule, dual_ring,
-                              regular_comodule, direct_sum_comodule,
-                              cofree_comodule)
+from coringext.coring import (ColinearMap, Comodule, LeftComodule,
+                              check_bicomodule, check_comodule,
+                              check_left_comodule, dual_ring,
+                              make_colinear_map, regular_comodule,
+                              direct_sum_comodule, cofree_comodule)
 from coringext.tensorcat import tensor_chain, tensor_over
 from coringext.constructions import base_algebra, trivial_coring
 from coringext.extension import (Measuring, action_from_measuring,
@@ -20,8 +21,8 @@ from coringext.extension import (Measuring, action_from_measuring,
                                  check_right_b_structure, compose_extensions,
                                  enumerate_measurings,
                                  extension_from_coring_map,
-                                 identity_extension, induced_action,
-                                 induced_coaction, make_extension,
+                                 identity_extension, induced_coaction,
+                                 make_extension,
                                  measuring_from_action,
                                  measuring_to_algebra_map)
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
@@ -155,7 +156,7 @@ class TestInducedFunctor:
         # reading the functor on the regular comodule recovers the extension
         for e in fixture_extensions():
             reg = regular_comodule(e.c)
-            assert induced_action(e, reg) == e.ract
+            assert induced_coaction(e, reg).M.act == e.ract
             assert induced_coaction(e, reg).rho_lift == e.sigma_lift
 
     def test_preserves_identity_and_composition(self):
@@ -163,7 +164,15 @@ class TestInducedFunctor:
             reg = regular_comodule(e.c)
             ds = direct_sum_comodule(reg, reg)
             ident = Mat.identity(GF2, reg.dim)
-            assert apply_functor(e, ident, reg, reg) == ident
+
+            def transport(f, m, n):
+                # the same matrix, between the induced comodules
+                out = apply_functor(e, make_colinear_map(m, n, f))
+                assert out == ColinearMap(induced_coaction(e, m),
+                                          induced_coaction(e, n), f)
+                return out.matrix
+
+            assert transport(ident, reg, reg) == ident
             # diagonal embedding followed by first projection
             inc = Mat.from_cols(GF2, [tuple(
                 1 if (i == j or i == j + reg.dim) else 0
@@ -171,16 +180,17 @@ class TestInducedFunctor:
             pr = Mat.from_rows(GF2, [tuple(
                 1 if i == j else 0 for j in range(2 * reg.dim))
                 for i in range(reg.dim)])
-            f1 = apply_functor(e, inc, reg, ds)
-            f2 = apply_functor(e, pr, ds, reg)
-            assert apply_functor(e, pr @ inc, reg, reg) == f2 @ f1
+            f1 = transport(inc, reg, ds)
+            f2 = transport(pr, ds, reg)
+            assert transport(pr @ inc, reg, reg) == f2 @ f1
 
     def test_not_colinear_rejected(self):
+        # apply_functor takes a made map: make_colinear_map rejects it
         e = fixture_extensions()[2]
         reg = regular_comodule(e.c)
         bad = Mat.from_rows(GF2, [[1, 1, 1, 1]] * 4)
         with pytest.raises(AxiomViolation) as err:
-            apply_functor(e, bad, reg, reg)
+            make_colinear_map(reg, reg, bad)
         assert (err.value.kind, err.value.witness) == ("not-A-linear", (0, 0))
 
 

@@ -109,11 +109,13 @@ def test_only_set_guards_takes_a_guard(path):
 # -- one failure channel: a failed axiom raises AxiomViolation --------------
 
 # the result types of the old second channel, the exception types that
-# once reported mathematical failures besides AxiomViolation, and a builder
-# that checked a bimodule its caller's ``make_coring`` checks again
+# once reported mathematical failures besides AxiomViolation, a builder
+# that checked a bimodule its caller's ``make_coring`` checks again, and the
+# wrappers that checked or assembled a made record a second time
 RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "NotCoringMorphism", "NotColinear", "MiddleMismatch",
-           "bimodule_from_actions"}
+           "bimodule_from_actions", "cor28_extension", "_descend",
+           "induced_action"}
 
 
 def _returns_value(fn):
@@ -255,12 +257,9 @@ def test_one_failure_channel(path):
 # -- one lazy-load mechanism: the CLI reaches every layer through the
 # -- package's names ---------------------------------------------------------
 
-# what cli.py may import from the package at module level, and the one
-# import it may make inside a function (the public ``descent_functor`` would
-# check the Cor. 2.8 data a second time)
-CLI_TOP = {"coringext", "coringext._record", "coringext.errors",
-           "coringext.exactla"}
-CLI_NESTED = ("coringext.descent", "_descend")
+# what cli.py may import from the package at module level; it imports
+# nothing inside a function or class
+CLI_TOP = {"coringext", "coringext.errors", "coringext.exactla"}
 
 
 def _absolute(node):
@@ -277,7 +276,7 @@ def _absolute(node):
 def lazy_load_breaches(source: str):
     """Imports of a CLI module besides the package's lazy names: one at
     module level from a package module outside ``CLI_TOP``, and any inside a
-    function or class but ``from .descent import _descend``."""
+    function or class."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
@@ -287,8 +286,7 @@ def lazy_load_breaches(source: str):
         if node in tree.body:
             found += [(node.lineno, m) for m in mods
                       if m.split(".")[0] == "coringext" and m not in CLI_TOP]
-        elif not (mods == [CLI_NESTED[0]] and
-                  [a.name for a in node.names] == [CLI_NESTED[1]]):
+        else:
             found += [(node.lineno, m) for m in mods]
     return sorted(found)
 
@@ -297,13 +295,15 @@ def test_detects_lazy_load_breaches():
     src = ("import json\nimport coringext as lib\n"
            "from .errors import SchemaError\nfrom .algmod import Algebra\n"
            "from . import fixtures\nimport coringext.coring\n"
+           "from ._record import frozen\n"
            "def f():\n    from .descent import _descend\n"
            "    from .descent import Cor28Data\n    import json\n"
            "class K:\n    from .exactla import Mat\n")
     assert lazy_load_breaches(src) == [
         (4, "coringext.algmod"), (5, "coringext.fixtures"),
-        (6, "coringext.coring"), (9, "coringext.descent"), (10, "json"),
-        (12, "coringext.exactla")]
+        (6, "coringext.coring"), (7, "coringext._record"),
+        (9, "coringext.descent"), (10, "coringext.descent"), (11, "json"),
+        (13, "coringext.exactla")]
 
 
 def test_cli_loads_layers_through_the_package():
