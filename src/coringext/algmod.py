@@ -282,6 +282,14 @@ def restrict_left(m: LeftModule, f: AlgebraMap) -> LeftModule:
                       m.act @ f.matrix.tensor_id(1, m.dim))
 
 
+def regular_along(f: AlgebraMap) -> Bimodule:
+    """The target A of f: B -> A as a (B, B)-bimodule, b.x.b' = f(b) x f(b')."""
+    a = f.target
+    return Bimodule(f.source, f.source, a.dim,
+                    restrict_left(left_regular(a), f).act,
+                    restrict_right(right_regular(a), f).act)
+
+
 # -- enumeration -----------------------------------------------------
 
 

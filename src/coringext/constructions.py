@@ -10,9 +10,8 @@ from ._search import affine_solutions, coords, enumerate_affine
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import FieldSpec, Mat, QuotientSpace, memoised, rref
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
-                     _require, left_regular,
-                     make_algebra, make_algebra_map, regular_bimodule,
-                     restrict_left, restrict_right, right_regular)
+                     _require, make_algebra, make_algebra_map,
+                     regular_along, regular_bimodule)
 from .coring import Coring, DualRing, dual_coords, dual_ring, make_coring
 from .tensorcat import descend_map, right_action_on_quotient, tensor_over
 
@@ -33,9 +32,8 @@ def trivial_coring(a: Algebra) -> Coring:
 @memoised
 def sweedler_space(iota: AlgebraMap) -> QuotientSpace:
     """The quotient A (x)_B A underlying the Sweedler coring of iota."""
-    a = iota.target
-    return tensor_over(iota.source, restrict_right(right_regular(a), iota),
-                       restrict_left(left_regular(a), iota))
+    a_bb = regular_along(iota)
+    return tensor_over(iota.source, a_bb.right_module(), a_bb.left_module())
 
 
 def _quotient_coring(name: str, q: QuotientSpace, a: Algebra, lact_x: Mat,

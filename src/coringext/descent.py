@@ -13,8 +13,7 @@ from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (AlgebraMap, Bimodule, RightModule, _require,
-                     check_right_module, left_regular, restrict_left,
-                     restrict_right, right_regular)
+                     check_right_module, regular_along, restrict_right)
 from .coring import Comodule, make_comodule
 from .constructions import sweedler_coring, sweedler_space
 from .extension import (CoringExtension, _cd, check_coring_extension,
@@ -27,7 +26,7 @@ from .tensorcat import (descend_map, right_action_on_quotient, tensor_chain,
 def _ma_space(iota: AlgebraMap, m: RightModule) -> QuotientSpace:
     """M (x)_B A for a right A-module M restricted along iota."""
     return tensor_over(iota.source, restrict_right(m, iota),
-                       restrict_left(left_regular(iota.target), iota))
+                       regular_along(iota).left_module())
 
 
 @frozen
@@ -66,13 +65,8 @@ def check_descent_datum(d: DescentDatum) -> None:
 @memoised
 def _maa_space(iota: AlgebraMap, m: RightModule) -> Mat:
     """Projection onto (M (x)_B A) (x)_B A."""
-    a = iota.target
-    a_b = restrict_right(right_regular(a), iota)
-    b_a = restrict_left(left_regular(a), iota)
-    return tensor_chain(restrict_right(m, iota),
-                        (Bimodule(iota.source, iota.source, a.dim, b_a.act,
-                                  a_b.act),),
-                        b_a)
+    a_bb = regular_along(iota)
+    return tensor_chain(restrict_right(m, iota), (a_bb,), a_bb.left_module())
 
 
 def make_descent_datum(iota: AlgebraMap, m: RightModule,
@@ -152,13 +146,12 @@ class Cor28Data:
 def _ab_factors(iota_B: AlgebraMap, iota_A: AlgebraMap, rho_A: Mat):
     """The factors of (A (x)_B A) (x)_D B: A as a right B-module, A as a
     (B, D)-bimodule through rho_A, and B as a left D-module."""
-    a = iota_A.target
+    a_bb = regular_along(iota_A)
     b = iota_B.target
-    a_d = restrict_right(RightModule(b, a.dim, rho_A), iota_B)
-    return (restrict_right(right_regular(a), iota_A),
-            Bimodule(b, iota_B.source, a.dim,
-                     restrict_left(left_regular(a), iota_A).act, a_d.act),
-            restrict_left(left_regular(b), iota_B))
+    a_d = restrict_right(RightModule(b, a_bb.dim, rho_A), iota_B)
+    return (a_bb.right_module(),
+            Bimodule(b, iota_B.source, a_bb.dim, a_bb.lact, a_d.act),
+            regular_along(iota_B).left_module())
 
 
 @memoised
@@ -172,7 +165,6 @@ def check_cor28(data: Cor28Data) -> None:
     """The three diagrams, plus validity of the assembled extension."""
     a = data.iota_A.target
     b = data.iota_B.target
-    dalg = data.iota_B.source
     na, nb = a.dim, b.dim
     if data.iota_B.target != data.iota_A.source:
         raise DimensionMismatch("the algebra maps do not compose")
@@ -182,7 +174,8 @@ def check_cor28(data: Cor28Data) -> None:
             data.phi_lift.cols != a.dim:
         raise DimensionMismatch("phi has wrong shape")
     check_right_module(RightModule(b, a.dim, data.rho_A))
-    lB = restrict_left(left_regular(a), data.iota_A).act  # b . a on A
+    a_bb = regular_along(data.iota_A)
+    lB = a_bb.lact  # b . a on A
     _require(data.rho_A @ lB.tensor_id(1, nb),
              lB @ data.rho_A.tensor_id(nb, 1), "rho-not-left-linear",
              (nb, na, nb))
@@ -200,15 +193,12 @@ def check_cor28(data: Cor28Data) -> None:
              q2.projection @ a.unit_col.tensor_id(1, na), "diagram-a", (na,))
     # (b): coassociativity-type law in A (x)_B A (x)_D B (x)_D B
     a_b, a_bd, b_d = _ab_factors(data.iota_B, data.iota_A, data.rho_A)
-    b_dd = Bimodule(dalg, dalg, nb, b_d.act,
-                    restrict_right(right_regular(b), data.iota_B).act)
-    p4b = tensor_chain(a_b, (a_bd, b_dd), b_d)
+    p4b = tensor_chain(a_b, (a_bd, regular_along(data.iota_B)), b_d)
     _require(p4b @ a.mult_mat.tensor_id(1, na * nb * nb) @
              data.phi_lift.tensor_id(na, nb) @ data.phi_lift,
              p4b @ b.unit_col.tensor_id(na * na, nb) @ data.phi_lift,
              "diagram-b", (na,))
     # (c): counit-type law in A (x)_B A (x)_B A (x)_D B
-    a_bb = Bimodule(b, b, na, a_bd.lact, a_b.act)
     p4c = tensor_chain(a_b, (a_bb, a_bd), b_d)
     _require(p4c @ a.unit_col.tensor_id(1, na * na * nb) @ data.phi_lift,
              p4c @ a.unit_col.tensor_id(na, na * nb) @ data.phi_lift,

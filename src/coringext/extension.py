@@ -103,8 +103,8 @@ def enumerate_measurings(c: Coring, b: Algebra) -> List[Measuring]:
 
 
 def measuring_to_algebra_map(m: Measuring) -> AlgebraMap:
-    """chi(b) = nu(- (x) b), an algebra map B -> *C."""
-    check_measuring(m)
+    """chi(b) = nu(- (x) b), an algebra map B -> *C, for a measuring that
+    ``make_measuring`` or ``enumerate_measurings`` has checked."""
     c, b = m.coring, m.B
     f = c.A.field
     dr = dual_ring(c)
@@ -251,18 +251,24 @@ def extension_from_coring_map(gamma: Mat, c: Coring, d: Coring
 # -- the induced functor M^C -> M^D ------------------------------------
 
 
+def _induced(e: CoringExtension, act: Mat, rho_lift: Mat):
+    """The right B-action and the lift of the D-coaction that the functor
+    M^C -> M^D of ``e`` gives a right C-comodule M with right A-action
+    ``act`` and coaction lift ``rho_lift``: m.b = m_(0) nu(m_(1) (x) b),
+    nu = eps . ract, and the D-coaction induced by sigma."""
+    c, d, n = e.c, e.d, act.rows
+    nu = c.eps @ e.ract
+    return (act @ nu.tensor_id(n, 1) @ rho_lift.tensor_id(1, d.A.dim),
+            act.tensor_id(1, d.dim) @ c.eps.tensor_id(n, d.dim) @
+            e.sigma_lift.tensor_id(n, 1) @ rho_lift)
+
+
 def induced_coaction(e: CoringExtension, m: Comodule) -> Comodule:
-    """The image of a right C-comodule under the functor M^C -> M^D: M with
-    the right B-action m.b = m_(0) nu(m_(1) (x) b), nu = eps . ract, and
-    the D-coaction induced by sigma."""
+    """The image of a right C-comodule under the functor M^C -> M^D."""
     if m.coring != e.c:
         raise DimensionMismatch("comodule is not over the extended coring")
-    c, d = e.c, e.d
-    nu = c.eps @ e.ract
-    act = m.M.act @ nu.tensor_id(m.dim, 1) @ m.rho_lift.tensor_id(1, d.A.dim)
-    rho = m.M.act.tensor_id(1, d.dim) @ c.eps.tensor_id(m.dim, d.dim) @ \
-        e.sigma_lift.tensor_id(m.dim, 1) @ m.rho_lift
-    return make_comodule(d, RightModule(d.A, m.dim, act), rho)
+    act, rho_lift = _induced(e, m.M.act, m.rho_lift)
+    return make_comodule(e.d, RightModule(e.d.A, m.dim, act), rho_lift)
 
 
 def apply_functor(e: CoringExtension, g: ColinearMap) -> ColinearMap:
@@ -274,14 +280,8 @@ def apply_functor(e: CoringExtension, g: ColinearMap) -> ColinearMap:
 
 def compose_extensions(e1: CoringExtension,
                        e2: CoringExtension) -> CoringExtension:
-    """If D extends C and E extends D then E extends C."""
+    """If D extends C and E extends D then E extends C: C, a right
+    D-comodule through e1, carried along the functor of e2."""
     if e1.d != e2.c:
         raise DimensionMismatch("middle corings do not agree")
-    c, d = e1.c, e1.d
-    ee = e2.d
-    nc, ne = c.dim, ee.dim
-    ract = e1.ract @ d.eps.tensor_id(nc, 1) @ e2.ract.tensor_id(nc, 1) @ \
-        e1.sigma_lift.tensor_id(1, ee.A.dim)
-    sigma = e1.ract.tensor_id(1, ne) @ d.eps.tensor_id(nc, ne) @ \
-        e2.sigma_lift.tensor_id(nc, 1) @ e1.sigma_lift
-    return make_extension(c, ee, ract, sigma)
+    return make_extension(e1.c, e2.d, *_induced(e2, e1.ract, e1.sigma_lift))

@@ -14,14 +14,16 @@ import coringext
 from coringext import exactla
 from coringext.algmod import RightModule
 from coringext.cli import parse_workspace
-from coringext.constructions import (coalgebra_to_coring, entwining_coring,
-                                     flip_entwining, group_coalgebra,
-                                     sweedler_coring, trivial_coring)
+from coringext.constructions import (base_algebra, coalgebra_to_coring,
+                                     entwining_coring, flip_entwining,
+                                     group_coalgebra, sweedler_coring,
+                                     trivial_coring)
 from coringext.coring import regular_comodule
 from coringext.exactla import GF2, GF3, Mat
 from coringext.extension import (compose_extensions,
                                  extension_from_coring_map,
-                                 identity_extension, induced_coaction)
+                                 identity_extension, induced_coaction,
+                                 make_measuring, measuring_to_algebra_map)
 from coringext.fixtures import d2_algebra, gc2_coalgebra, sw_coring, unit_map
 
 
@@ -128,3 +130,12 @@ def test_induced_coaction_checks_its_module_once(monkeypatch, field):
     modules = count_calls(monkeypatch, "check_right_module")
     out = induced_coaction(e, reg)
     assert modules == [(out.M,)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
+def test_measuring_to_algebra_map_trusts_a_made_measuring(monkeypatch, field):
+    c = sw_coring(field)
+    m = make_measuring(c, base_algebra(field), c.eps)
+    measurings = count_calls(monkeypatch, "check_measuring")
+    measuring_to_algebra_map(m)
+    assert measurings == []

@@ -228,6 +228,20 @@ class TestComposition:
         assert left.ract == right.ract
         assert left.sigma_lift == right.sigma_lift
 
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)
+    def test_functor_of_composite_is_composite_of_functors(self, field):
+        sw = sw_coring(field)
+        triv = trivial_coring(d2_algebra(field))
+        e = extension_from_coring_map(sw.eps, sw, triv)
+        pairs = [(identity_extension(sw), e),
+                 (identity_extension(sw), identity_extension(sw)),
+                 (e, identity_extension(triv))]
+        for first, second in pairs:
+            composite = compose_extensions(first, second)
+            for m in comodule_corpus(sw):
+                assert induced_coaction(composite, m) == induced_coaction(
+                    second, induced_coaction(first, m))
+
     def test_middle_mismatch(self):
         sw = sw_coring(GF2)
         triv = trivial_coring(d2_algebra(GF2))

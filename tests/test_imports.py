@@ -1,6 +1,7 @@
 """Lint: no module of the package imports a name it never uses, or imports
-inside a function from a module it already imports at top level, and no
-function but ``set_guards`` takes a size guard as a parameter."""
+inside a function from a module it already imports at top level, no
+function but ``set_guards`` takes a size guard as a parameter, and no
+module but ``algmod`` restricts a regular module by hand."""
 
 import ast
 import pathlib
@@ -309,3 +310,47 @@ def test_detects_lazy_load_breaches():
 def test_cli_loads_layers_through_the_package():
     assert lazy_load_breaches((SRC / "cli.py").read_text(
         encoding="utf-8")) == []
+
+
+# -- one spelling of restriction: A over B along f: B -> A is
+# -- ``algmod.regular_along(f)`` -----------------------------------------------
+
+RESTRICT = {"restrict_left", "restrict_right"}
+REGULAR = {"left_regular", "right_regular"}
+
+
+def _called(node):
+    """The name a call calls, bare or as an attribute, else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else \
+        f.attr if isinstance(f, ast.Attribute) else None
+
+
+def regular_restrictions(source: str):
+    """Calls that restrict a regular module by hand, as
+    ``(line, restriction)``: ``restrict_left`` or ``restrict_right`` whose
+    module is a ``left_regular(...)`` or ``right_regular(...)`` call."""
+    return sorted((node.lineno, _called(node))
+                  for node in ast.walk(ast.parse(source))
+                  if _called(node) in RESTRICT and node.args
+                  and _called(node.args[0]) in REGULAR)
+
+
+def test_detects_regular_restrictions():
+    src = ("a_b = restrict_right(right_regular(a), iota)\n"
+           "b_a = algmod.restrict_left(\n    left_regular(a), iota)\n"
+           "m_b = restrict_right(m, iota)\n"
+           "x = restrict_left(lib.left_regular(b), f).act\n"
+           "y = left_regular(restrict_left(m, f))\n")
+    assert regular_restrictions(src) == [(1, "restrict_right"),
+                                         (2, "restrict_left"),
+                                         (5, "restrict_left")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "algmod.py"],
+                         ids=lambda p: p.name)
+def test_restriction_has_one_spelling(path):
+    assert regular_restrictions(path.read_text(encoding="utf-8")) == []
