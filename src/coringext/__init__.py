@@ -21,8 +21,8 @@ _MODULE_OF = {name: mod for mod, names in (
     ("algmod", "Algebra AlgebraMap Bimodule LeftModule RightModule "
                "check_algebra check_algebra_map check_bimodule "
                "check_left_module check_right_module enumerate_algebra_maps "
-               "is_isomorphism make_algebra make_algebra_map make_bimodule "
-               "opposite regular_bimodule"),
+               "is_isomorphism make_algebra make_algebra_map opposite "
+               "regular_bimodule"),
     ("tensorcat", "tensor_chain tensor_over"),
     ("coring", "ColinearMap Comodule Coring DualRing LeftComodule "
                "check_bicomodule check_colinear check_comodule check_coring "

@@ -99,15 +99,23 @@ class AlgebraMap:
     matrix: Mat
 
 
+def _algebra_map_laws(source: Algebra, target: Algebra):
+    """The laws of an algebra map source -> target, in the order they are
+    checked, each a function of its matrix m that gives the arguments of
+    ``_require``.  The first, the unit law, is affine in m."""
+    return (lambda m: (m @ source.unit_col, target.unit_col,
+                       "unit-not-preserved"),
+            lambda m: (m @ source.mult_mat, target.mult_mat @ m.kron(m),
+                       "not-multiplicative", (source.dim,) * 2))
+
+
 def check_algebra_map(f: AlgebraMap) -> None:
     """Pass iff the matrix is unital and multiplicative on basis pairs."""
     m = f.matrix
     if m.rows != f.target.dim or m.cols != f.source.dim:
         raise DimensionMismatch("algebra map matrix has wrong shape")
-    _require(Mat.column(m.field, m.apply(f.source.unit)), f.target.unit_col,
-             "unit-not-preserved")
-    _require(m @ f.source.mult_mat, f.target.mult_mat @ m.kron(m),
-             "not-multiplicative", (f.source.dim,) * 2)
+    for law in _algebra_map_laws(f.source, f.target):
+        _require(*law(m))
 
 
 def make_algebra_map(source: Algebra, target: Algebra, matrix) -> AlgebraMap:
@@ -239,22 +247,6 @@ def check_bimodule(b: Bimodule) -> None:
              (b.algL.dim, b.dim, b.algR.dim))
 
 
-def make_bimodule(algL: Algebra, algR: Algebra, lact, ract) -> Bimodule:
-    """Validated bimodule from 3-tensors lact[(a,m)->m'], ract[(m,a)->m']."""
-    dim = len(lact[0]) if lact else len(ract[0] if ract else ())
-    f = algL.field
-    lt = _coerce_tensor3(f, lact, algL.dim, dim, dim, "lact")
-    rt = _coerce_tensor3(f, ract, dim, algR.dim, dim, "ract")
-    lcols = [tuple(lt[i][j][m] for m in range(dim))
-             for i in range(algL.dim) for j in range(dim)]
-    rcols = [tuple(rt[j][i][m] for m in range(dim))
-             for j in range(dim) for i in range(algR.dim)]
-    b = Bimodule(algL, algR, dim,
-                 Mat.from_cols(f, lcols), Mat.from_cols(f, rcols))
-    check_bimodule(b)
-    return b
-
-
 def right_regular(a: Algebra) -> RightModule:
     return RightModule(a, a.dim, a.mult_mat)
 
@@ -303,9 +295,15 @@ def enumerate_algebra_maps(b: Algebra, a: Algebra) -> List[AlgebraMap]:
     b.  The maps are ordered lexicographically on row-major matrix entries
     with 0 < 1 < ... < p-1.
     """
-    def keep(m: Mat) -> bool:
-        return _holds(check_algebra_map, AlgebraMap(b, a, m))
+    unit, mult = _algebra_map_laws(b, a)
 
-    mats = enumerate_affine(b.field, (a.dim, b.dim),
-                            lambda m: m @ b.unit_col - a.unit_col, keep)
+    def residual(m: Mat) -> Mat:
+        lhs, rhs, _ = unit(m)
+        return lhs - rhs
+
+    def keep(m: Mat) -> bool:
+        lhs, rhs, *_ = mult(m)
+        return lhs == rhs
+
+    mats = enumerate_affine(b.field, (a.dim, b.dim), residual, keep)
     return [AlgebraMap(b, a, m) for m in mats]

@@ -12,7 +12,7 @@ from functools import cached_property
 from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (AlgebraMap, Bimodule, RightModule, _require,
+from .algmod import (AlgebraMap, Bimodule, LeftModule, RightModule, _require,
                      check_right_module, regular_along, restrict_right)
 from .coring import Comodule, make_comodule
 from .constructions import sweedler_coring, sweedler_space
@@ -135,29 +135,22 @@ class Cor28Data:
         assembled once per record; ``check_cor28`` checks it."""
         return _assemble(self)
 
-    def aab(self) -> Mat:
-        """Projection onto (A (x)_B A) (x)_D B.
 
-        A must be a (B, D)-bimodule: ``check_cor28`` checks that rho_A is
-        left B-linear before it calls this."""
-        return _aab_space(self.iota_B, self.iota_A, self.rho_A)
-
-
-def _ab_factors(iota_B: AlgebraMap, iota_A: AlgebraMap, rho_A: Mat):
-    """The factors of (A (x)_B A) (x)_D B: A as a right B-module, A as a
-    (B, D)-bimodule through rho_A, and B as a left D-module."""
-    a_bb = regular_along(iota_A)
+def _ab_factors(iota_B: AlgebraMap, a_bb: Bimodule, b_dd: Bimodule,
+                rho_A: Mat):
+    """The factors of (A (x)_B A) (x)_D B, from A over B (``a_bb``) and B
+    over D (``b_dd``): A as a right B-module, A as a (B, D)-bimodule through
+    rho_A, and B as a left D-module."""
     b = iota_B.target
     a_d = restrict_right(RightModule(b, a_bb.dim, rho_A), iota_B)
     return (a_bb.right_module(),
             Bimodule(b, iota_B.source, a_bb.dim, a_bb.lact, a_d.act),
-            regular_along(iota_B).left_module())
+            b_dd.left_module())
 
 
 @memoised
-def _aab_space(iota_B: AlgebraMap, iota_A: AlgebraMap, rho_A: Mat) -> Mat:
-    """Projection onto (A (x)_B A) (x)_D B; it does not depend on phi."""
-    a_b, a_bd, b_d = _ab_factors(iota_B, iota_A, rho_A)
+def _aab_space(a_b: RightModule, a_bd: Bimodule, b_d: LeftModule) -> Mat:
+    """Projection onto (A (x)_B A) (x)_D B; its factors do not involve phi."""
     return tensor_chain(a_b, (a_bd,), b_d)
 
 
@@ -175,12 +168,14 @@ def check_cor28(data: Cor28Data) -> None:
         raise DimensionMismatch("phi has wrong shape")
     check_right_module(RightModule(b, a.dim, data.rho_A))
     a_bb = regular_along(data.iota_A)
+    b_dd = regular_along(data.iota_B)
     lB = a_bb.lact  # b . a on A
     _require(data.rho_A @ lB.tensor_id(1, nb),
              lB @ data.rho_A.tensor_id(nb, 1), "rho-not-left-linear",
              (nb, na, nb))
     # phi is a (B, B)-bimodule map
-    pab = data.aab()
+    a_b, a_bd, b_d = _ab_factors(data.iota_B, a_bb, b_dd, data.rho_A)
+    pab = _aab_space(a_b, a_bd, b_d)
     _require(pab @ data.phi_lift @ lB,
              pab @ lB.tensor_id(1, na * nb) @ data.phi_lift.tensor_id(nb, 1),
              "phi-not-left-linear", (nb, na))
@@ -192,8 +187,7 @@ def check_cor28(data: Cor28Data) -> None:
     _require(q2.projection @ data.rho_A.tensor_id(na, 1) @ data.phi_lift,
              q2.projection @ a.unit_col.tensor_id(1, na), "diagram-a", (na,))
     # (b): coassociativity-type law in A (x)_B A (x)_D B (x)_D B
-    a_b, a_bd, b_d = _ab_factors(data.iota_B, data.iota_A, data.rho_A)
-    p4b = tensor_chain(a_b, (a_bd, regular_along(data.iota_B)), b_d)
+    p4b = tensor_chain(a_b, (a_bd, b_dd), b_d)
     _require(p4b @ a.mult_mat.tensor_id(1, na * nb * nb) @
              data.phi_lift.tensor_id(na, nb) @ data.phi_lift,
              p4b @ b.unit_col.tensor_id(na * na, nb) @ data.phi_lift,

@@ -119,10 +119,6 @@ class FieldSpec:
             raise ValueError(f"modulus {self.p} is not prime")
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.p is None else "prime-field"
-
-    @property
     def is_finite(self) -> bool:
         return self.p is not None
 

@@ -5,15 +5,20 @@ subject to a unit law and a twisted multiplicativity law; measurings
 biject with algebra maps B -> *C.  A coring extension equips C with a
 compatible right B-action and right D-coaction, and induces a functor
 from right C-comodules to right D-comodules.
+
+Each measuring law is written once, in ``_measuring_laws``.
+``check_measuring`` requires all three; ``enumerate_measurings`` solves
+the two that are linear in nu exactly and tests only the third on each
+point of their solution space.
 """
 
-from typing import List, Optional
+from typing import List
 
 from ._record import frozen
 from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule, _holds,
-                     _require, check_right_module, make_algebra_map)
+from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule, _require,
+                     check_right_module, make_algebra_map)
 from .coring import (ColinearMap, Comodule, Coring, _check_right_coaction,
                      dual_coords, dual_element, dual_ring, make_colinear_map,
                      make_comodule)
@@ -30,45 +35,33 @@ class Measuring:
     nu: Mat
 
 
-@frozen
-class _MeasuringMaps:
-    """The maps in the measuring diagrams of a coring by an algebra that do
-    not involve nu, built once and shared by every candidate nu."""
+def _measuring_laws(c: Coring, b: Algebra):
+    """The laws of a measuring nu of c by b, in the order they are checked,
+    each a function of nu that gives the arguments of ``_require``.  The
+    maps that do not involve nu are built once.  The first two laws, left
+    A-linearity and the unit diagram, are affine in nu; the third, the
+    multiplication diagram, is not."""
+    na, nb, nc = c.A.dim, b.dim, c.dim
+    lact_b = c.C.lact.tensor_id(1, nb)
+    unit_b = b.unit_col.tensor_id(nc, 1)
+    mult_b = b.mult_mat.tensor_id(nc, 1)
+    ract_b = c.C.ract.tensor_id(1, nb)
+    delta_bb = c.delta_lift.tensor_id(1, nb * nb)
+    return (lambda nu: (nu @ lact_b, c.A.mult_mat @ nu.tensor_id(na, 1),
+                        "not-left-linear", (na, nc, nb)),
+            lambda nu: (nu @ unit_b, c.eps, "unit-diagram", (nc,)),
+            lambda nu: (nu @ mult_b,
+                        nu @ ract_b @ nu.tensor_id(nc, nb) @ delta_bb,
+                        "multiplication-diagram", (nc, nb, nb)))
 
-    lact_b: Mat    # lact (x) B
-    unit_b: Mat    # C (x) unit of B
-    mult_b: Mat    # C (x) mult of B
-    ract_b: Mat    # ract (x) B
-    delta_bb: Mat  # delta_lift (x) B (x) B
 
-
-def _measuring_maps(c: Coring, b: Algebra) -> _MeasuringMaps:
-    nb, nc = b.dim, c.dim
-    return _MeasuringMaps(c.C.lact.tensor_id(1, nb),
-                          b.unit_col.tensor_id(nc, 1),
-                          b.mult_mat.tensor_id(nc, 1),
-                          c.C.ract.tensor_id(1, nb),
-                          c.delta_lift.tensor_id(1, nb * nb))
-
-
-def check_measuring(m: Measuring,
-                    maps: Optional[_MeasuringMaps] = None) -> None:
-    """Left A-linearity plus the unit and multiplicativity diagrams.
-
-    ``maps`` is ``_measuring_maps(m.coring, m.B)``, passed by a sweep that
-    checks many candidates of one coring and algebra.
-    """
+def check_measuring(m: Measuring) -> None:
+    """Left A-linearity plus the unit and multiplicativity diagrams."""
     c, b, nu = m.coring, m.B, m.nu
     if nu.rows != c.A.dim or nu.cols != c.dim * b.dim:
         raise DimensionMismatch("measuring has wrong shape")
-    if maps is None:
-        maps = _measuring_maps(c, b)
-    _require(nu @ maps.lact_b, c.A.mult_mat @ nu.tensor_id(c.A.dim, 1),
-             "not-left-linear", (c.A.dim, c.dim, b.dim))
-    _require(nu @ maps.unit_b, c.eps, "unit-diagram", (c.dim,))
-    _require(nu @ maps.mult_b,
-             nu @ maps.ract_b @ nu.tensor_id(c.dim, b.dim) @ maps.delta_bb,
-             "multiplication-diagram", (c.dim, b.dim, b.dim))
+    for law in _measuring_laws(c, b):
+        _require(*law(nu))
 
 
 def make_measuring(c: Coring, b: Algebra, nu: Mat) -> Measuring:
@@ -80,23 +73,22 @@ def make_measuring(c: Coring, b: Algebra, nu: Mat) -> Measuring:
 def enumerate_measurings(c: Coring, b: Algebra) -> List[Measuring]:
     """All measurings of c by b over a prime field, in canonical order.
 
-    The linear constraints (left A-linearity, unit diagram) are solved
-    exactly; the remaining affine space is swept and filtered by the
-    multiplicativity diagram.
+    The two linear laws are solved exactly, so every candidate of the
+    sweep satisfies them; it is kept iff the multiplication diagram holds.
     """
-    f = c.A.field
-    maps = _measuring_maps(c, b)
+    left_linear, unit, mult = _measuring_laws(c, b)
 
     def residual(nu: Mat) -> Mat:
-        lin = nu @ maps.lact_b - c.A.mult_mat @ nu.tensor_id(c.A.dim, 1)
-        return lin.transpose().stack((nu @ maps.unit_b - c.eps).transpose())
+        (l1, r1, *_), (l2, r2, *_) = left_linear(nu), unit(nu)
+        return (l1 - r1).transpose().stack((l2 - r2).transpose())
 
     def keep(nu: Mat) -> bool:
-        return _holds(check_measuring, Measuring(c, b, nu), maps)
+        lhs, rhs, *_ = mult(nu)
+        return lhs == rhs
 
     shape = (c.A.dim, c.dim * b.dim)
     return [Measuring(c, b, nu)
-            for nu in enumerate_affine(f, shape, residual, keep)]
+            for nu in enumerate_affine(c.A.field, shape, residual, keep)]
 
 
 # -- the bijection with algebra maps B -> *C --------------------------

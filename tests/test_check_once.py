@@ -1,9 +1,10 @@
 """Each structure is checked where its record is made, and nowhere else.
 
-These tests count the calls of a checker while one record is built.  A
-checker is counted through every module of the package that binds it, so
-a call from any layer is seen.  The memos are cleared first, so that a
-result memoised by an earlier test does not hide a call.
+These tests count the calls of a checker while one record is built, or
+while a sweep runs.  A checker is counted through every module of the
+package that binds it, so a call from any layer is seen.  The memos are
+cleared first, so that a result memoised by an earlier test does not hide
+a call.
 """
 
 import sys
@@ -11,8 +12,8 @@ import sys
 import pytest
 
 import coringext
-from coringext import exactla
-from coringext.algmod import RightModule
+from coringext import algmod, exactla
+from coringext.algmod import RightModule, enumerate_algebra_maps
 from coringext.cli import parse_workspace
 from coringext.constructions import (base_algebra, coalgebra_to_coring,
                                      entwining_coring, flip_entwining,
@@ -20,16 +21,18 @@ from coringext.constructions import (base_algebra, coalgebra_to_coring,
                                      trivial_coring)
 from coringext.coring import regular_comodule
 from coringext.exactla import GF2, GF3, Mat
-from coringext.extension import (compose_extensions,
+from coringext.extension import (compose_extensions, enumerate_measurings,
                                  extension_from_coring_map,
                                  identity_extension, induced_coaction,
                                  make_measuring, measuring_to_algebra_map)
-from coringext.fixtures import d2_algebra, gc2_coalgebra, sw_coring, unit_map
+from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
+                                gc2_coring, sw_coring, unit_map)
 
 
-def count_calls(monkeypatch, name):
-    """The argument tuples of every later call of the checker ``name``."""
-    checker = getattr(coringext, name)
+def count_calls(monkeypatch, name, home=coringext):
+    """The argument tuples of every later call of the checker ``name`` of
+    ``home``, the package or one of its modules."""
+    checker = getattr(home, name)
     calls = []
 
     def counted(*args):
@@ -139,3 +142,23 @@ def test_measuring_to_algebra_map_trusts_a_made_measuring(monkeypatch, field):
     measurings = count_calls(monkeypatch, "check_measuring")
     measuring_to_algebra_map(m)
     assert measurings == []
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
+def test_sweeps_check_no_candidate(monkeypatch, field):
+    """A sweep solves its linear laws exactly and compares only the others
+    on each candidate: it calls no ``check_*`` and no ``_holds``."""
+    k, d2, bc2 = base_algebra(field), d2_algebra(field), c2_group_algebra(field)
+    sweeps = [lambda: enumerate_measurings(gc2_coring(field), bc2),
+              lambda: enumerate_measurings(sw_coring(field), k),
+              lambda: enumerate_algebra_maps(d2, bc2),
+              lambda: enumerate_algebra_maps(bc2, d2)]
+    clear_memos()
+    for sweep in sweeps:  # builds the inputs before the count starts
+        sweep()
+    calls = {name: count_calls(monkeypatch, name)
+             for name in coringext.__all__ if name.startswith("check_")}
+    calls["_holds"] = count_calls(monkeypatch, "_holds", algmod)
+    for sweep in sweeps:
+        assert sweep()
+    assert {name: args for name, args in calls.items() if args} == {}

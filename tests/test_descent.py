@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from coringext import algmod, constructions, descent
 from coringext.errors import AxiomViolation, DimensionMismatch
 from coringext.exactla import GF2, GF3, Mat
 from coringext.algmod import _holds, make_algebra_map, right_regular
@@ -209,6 +210,31 @@ class TestCor28:
         for p in changed[:20]:
             _holds(check_cor28, Cor28Data(ident, ident, a.mult_mat, p))
         assert _aab_space.cache_info().currsize == 1
+
+    def test_builds_a_over_b_and_b_over_d_once(self, monkeypatch):
+        # once the Sweedler spaces are memoised, a check builds A over B
+        # along iota_A and B over D along iota_B, and reads every tensor
+        # product of the diagrams from them, on a miss of the (A (x)_B A)
+        # (x)_D B memo as on a hit
+        real = algmod.regular_along
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        for module in (algmod, constructions, descent):
+            if vars(module).get("regular_along") is real:
+                monkeypatch.setattr(module, "regular_along", counting)
+        for data in (cor28_accept(), cor28_collapse()):
+            check_cor28(data)
+            for aab_memoised in (False, True):
+                if not aab_memoised:
+                    descent._aab_space.cache_clear()
+                calls.clear()
+                check_cor28(Cor28Data(data.iota_B, data.iota_A, data.rho_A,
+                                      data.phi_lift))
+                assert calls == [data.iota_A, data.iota_B]
 
 
 class TestDescentFunctor:

@@ -1,7 +1,8 @@
 """Lint: no module of the package imports a name it never uses, or imports
 inside a function from a module it already imports at top level, no
-function but ``set_guards`` takes a size guard as a parameter, and no
-module but ``algmod`` restricts a regular module by hand."""
+function but ``set_guards`` takes a size guard as a parameter, no module
+but ``algmod`` restricts a regular module by hand, and no sweep runs a
+checker on each candidate."""
 
 import ast
 import pathlib
@@ -111,12 +112,15 @@ def test_only_set_guards_takes_a_guard(path):
 
 # the result types of the old second channel, the exception types that
 # once reported mathematical failures besides AxiomViolation, a builder
-# that checked a bimodule its caller's ``make_coring`` checks again, and the
-# wrappers that checked or assembled a made record a second time
+# that checked a bimodule its caller's ``make_coring`` checks again, the
+# wrappers that checked or assembled a made record a second time, a builder
+# that nothing called, the maps that let a sweep re-run ``check_measuring``
+# on each candidate, and an accessor that built A over B a second time
 RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "NotCoringMorphism", "NotColinear", "MiddleMismatch",
            "bimodule_from_actions", "cor28_extension", "_descend",
-           "induced_action"}
+           "induced_action", "make_bimodule", "_MeasuringMaps",
+           "_measuring_maps", "aab"}
 
 
 def _returns_value(fn):
@@ -319,13 +323,15 @@ RESTRICT = {"restrict_left", "restrict_right"}
 REGULAR = {"left_regular", "right_regular"}
 
 
+def _named(node):
+    """The name a ``Name`` or ``Attribute`` node reads, else None."""
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
 def _called(node):
     """The name a call calls, bare or as an attribute, else None."""
-    if not isinstance(node, ast.Call):
-        return None
-    f = node.func
-    return f.id if isinstance(f, ast.Name) else \
-        f.attr if isinstance(f, ast.Attribute) else None
+    return _named(node.func) if isinstance(node, ast.Call) else None
 
 
 def regular_restrictions(source: str):
@@ -354,3 +360,52 @@ def test_detects_regular_restrictions():
                          ids=lambda p: p.name)
 def test_restriction_has_one_spelling(path):
     assert regular_restrictions(path.read_text(encoding="utf-8")) == []
+
+
+# -- a sweep solves its linear laws once: the ``keep`` that a module passes
+# -- to ``enumerate_affine`` tests only the others, and runs no checker ------
+
+CHECKERS = "check_", "_holds"
+
+
+def checking_keeps(source: str):
+    """Names of a ``check_*`` function or of ``_holds`` read in a ``keep``
+    passed to ``enumerate_affine``, as ``(line, name)``.  The keep is the
+    fourth argument or the ``keep`` keyword; a name in it stands for every
+    function of that name that the module defines."""
+    tree = ast.parse(source)
+    defs = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.setdefault(node.name, []).append(node)
+    found = set()
+    for node in ast.walk(tree):
+        if _called(node) != "enumerate_affine":
+            continue
+        keeps = node.args[3:4] + [k.value for k in node.keywords
+                                  if k.arg == "keep"]
+        scopes = keeps + [fn for keep in keeps for n in ast.walk(keep)
+                          for fn in defs.get(_named(n), [])]
+        found |= {(n.lineno, _named(n)) for scope in scopes
+                  for n in ast.walk(scope)
+                  if (_named(n) or "").startswith(CHECKERS)}
+    return sorted(found)
+
+
+def test_detects_checking_keeps():
+    src = ("def f(k, s, r):\n"
+           "    def keep(m):\n        return _holds(check_x, m)\n"
+           "    def plain(m):\n        return m @ m == m\n"
+           "    enumerate_affine(k, s, r, keep)\n"
+           "    enumerate_affine(k, s, r, plain)\n"
+           "    _search.enumerate_affine(k, s, r,\n"
+           "                             keep=lambda m: lib.check_y(m))\n"
+           "    enumerate_affine(k, s, r, check_z)\n"
+           "    check_w(enumerate_affine(k, s, r, plain))\n")
+    assert checking_keeps(src) == [(3, "_holds"), (3, "check_x"),
+                                   (9, "check_y"), (10, "check_z")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sweeps_run_no_checker(path):
+    assert checking_keeps(path.read_text(encoding="utf-8")) == []

@@ -1,12 +1,16 @@
 """Differential tests: the linear-condition solver of ``_search`` against
-the generic pipeline it replaced.
+the generic pipeline it replaced, and the sweeps built on it against their
+full checks.
 
 The reference probes the residual at zero and at each unit matrix, builds
 the coefficient matrix column by column, and calls ``solve`` for the
 particular solution and ``kernel`` for the null space; coordinates are a
-``solve`` against the flattened basis.
+``solve`` against the flattened basis.  A sweep must return exactly the
+matrices of its shape, in row-major lexicographic order, that its full
+``check_*`` accepts.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,8 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coringext._search import _combine, affine_solutions, coords
+from coringext.algmod import (AlgebraMap, _holds, check_algebra_map,
+                              enumerate_algebra_maps)
+from coringext.constructions import base_algebra
 from coringext.errors import DimensionMismatch
 from coringext.exactla import GF2, GF3, QQ, FieldSpec, Mat, kernel, solve
+from coringext.extension import (Measuring, check_measuring,
+                                 enumerate_measurings)
+from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
+                                sw_coring)
 
 FIELDS = [GF2, GF3, FieldSpec(7), QQ]
 
@@ -189,3 +200,36 @@ def test_coords_shape_mismatch():
     basis = [unflatten(GF2, 1, 2, (1, 0))]
     with pytest.raises(DimensionMismatch):
         coords(basis, Mat.zero(GF2, 2, 1))
+
+
+# -- the sweeps against their full checks ------------------------------------
+
+
+def matrix_space(f, rows, cols):
+    """Every rows x cols matrix over a prime field, in row-major
+    lexicographic order."""
+    for vec in itertools.product(f.elements(), repeat=rows * cols):
+        yield unflatten(f, rows, cols, vec)
+
+
+@pytest.mark.parametrize("f", [GF2, GF3], ids=repr)
+def test_enumerate_measurings_is_the_checked_space(f):
+    # gc2 by bc2: 1 x 4 matrices; FIX.SW by k: 2 x 4 matrices
+    for c, b in ((gc2_coring(f), c2_group_algebra(f)),
+                 (sw_coring(f), base_algebra(f))):
+        want = [m for m in (Measuring(c, b, nu) for nu in
+                            matrix_space(f, c.A.dim, c.dim * b.dim))
+                if _holds(check_measuring, m)]
+        assert want
+        assert enumerate_measurings(c, b) == want
+
+
+@pytest.mark.parametrize("f", [GF2, GF3], ids=repr)
+def test_enumerate_algebra_maps_is_the_checked_space(f):
+    algebras = (d2_algebra(f), c2_group_algebra(f))
+    for b, a in itertools.product(algebras, repeat=2):
+        want = [g for g in (AlgebraMap(b, a, m) for m in
+                            matrix_space(f, a.dim, b.dim))
+                if _holds(check_algebra_map, g)]
+        assert want
+        assert enumerate_algebra_maps(b, a) == want

@@ -22,7 +22,7 @@ EXPORTS = {
                "RightModule", "check_algebra", "check_algebra_map",
                "check_bimodule", "check_left_module", "check_right_module",
                "enumerate_algebra_maps", "is_isomorphism", "make_algebra",
-               "make_algebra_map", "make_bimodule", "opposite",
+               "make_algebra_map", "opposite",
                "regular_bimodule"],
     "tensorcat": ["tensor_chain", "tensor_over"],
     "coring": ["ColinearMap", "Comodule", "Coring", "DualRing",

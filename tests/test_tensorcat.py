@@ -12,7 +12,7 @@ from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, QQ, Mat,
                                set_guards)
 from coringext.algmod import (Bimodule, LeftModule, RightModule,
                               left_regular, make_algebra_map,
-                              regular_bimodule, restrict_left,
+                              regular_along, regular_bimodule, restrict_left,
                               restrict_right, right_regular)
 from coringext.tensorcat import (balancing_rows, descend_map, tensor_chain,
                                  tensor_over)
@@ -22,7 +22,7 @@ from coringext.coring import regular_comodule, regular_left_comodule
 from coringext.constructions import (base_algebra, entwining_coring,
                                      flip_entwining, sweedler_space,
                                      trivial_coring)
-from coringext.descent import Cor28Data, make_descent_datum
+from coringext.descent import _aab_space, _ab_factors, make_descent_datum
 from coringext.extension import identity_extension
 
 
@@ -212,10 +212,9 @@ class TestReducedBlocks:
             rho, chains = cor28_chains(iota_b, iota_a)
             for args in chains:
                 assert kernel(tensor_chain(*args)) == ref_kernel(*args)
-            a_ = iota_a.target
-            data = Cor28Data(iota_b, iota_a, rho, Mat.zero(
-                field, a_.dim * a_.dim * iota_b.target.dim, a_.dim))
-            assert kernel(data.aab()) == ref_kernel(*chains[0])
+            factors = _ab_factors(iota_b, regular_along(iota_a),
+                                  regular_along(iota_b), rho)
+            assert kernel(_aab_space(*factors)) == ref_kernel(*chains[0])
 
     def test_guard_checked_before_relations(self, monkeypatch):
         built = []
