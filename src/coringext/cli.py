@@ -1,5 +1,11 @@
 """Command-line front end: JSON workspaces in, deterministic reports out.
 
+Usage: ``coringext [GLOBAL OPTION ...] COMMAND [OPTION ...]``; ``-h`` or
+``--help`` anywhere reports the commands and options.  Each option is
+``--name value`` or ``--name=value``, with its exact name, at most once.  A
+fault in argv is a ``SchemaError`` at ``argv[i]`` or ``argv``, reported
+before the workspace is read.
+
 Workspace schema: ``{"field": {"type": "Fp", "p": <prime>} | {"type": "Q"},
 "objects": {<name>: <object>}}``.  Matrices are row-major nested arrays,
 3-tensors are arrays of matrices indexed by the first slot, and coproducts
@@ -10,17 +16,12 @@ fixture names (FIX.D2, FIX.BC2, FIX.GC2, FIX.SW) may be declared as
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
 schema error, 3 size guard exceeded.
 
-Only ``errors`` and ``exactla`` (with the ``_record`` it uses) load with
-this module, and no function imports anything.  Every other layer is
-reached through the package's lazy names (``lib.Coring``,
-``lib.make_algebra``, ...), which import a defining module on the first
-access to one of its names.  So a call loads only what its workspace and
-command need: a no-op ``check`` loads no algebra, coring or extension
-code.  Each object is made and checked by one library constructor, and
-each command is one public call.
+Only ``errors`` and ``exactla`` load with this module.  Every other layer
+is reached through the package's lazy names (``lib.Coring``, ...), so a
+call loads only what its workspace and command need.  Each object is made
+and checked by one library constructor, and each command is one call.
 """
 
-import argparse
 import json
 import sys
 
@@ -222,13 +223,16 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
-def _parse_int(literal: str) -> int:
-    """A JSON integer of at most 4300 digits, the limit of Python 3.10.7 on;
+def _parse_int(literal: str, path="$",
+               what="invalid JSON: an integer literal") -> int:
+    """An integer of at most 4300 digits, the limit of Python 3.10.7 on;
     earlier versions have none, so the report is the same on every one."""
-    if len(literal.lstrip("-")) > 4300:
-        raise SchemaError("$", "invalid JSON: an integer literal has more "
-                               "than 4300 digits")
-    return int(literal)
+    if len(literal.strip().lstrip("+-")) > 4300:
+        raise SchemaError(path, f"{what} has more than 4300 digits")
+    try:
+        return int(literal)
+    except ValueError:
+        raise SchemaError(path, f"{what} is not an integer")
 
 
 def parse_workspace(text: str) -> Workspace:
@@ -265,132 +269,123 @@ def _render(field, x):
 
 # -- commands ----------------------------------------------------------
 
+# A handler takes the workspace and the options given, by name, and
+# returns the body of its report.
+
 
 def cmd_check(ws: Workspace, args) -> dict:
-    names = sorted(ws.objects) if args.object is None else [args.object]
-    results = []
-    for name in names:
-        if name not in ws.objects:
-            raise UnknownReference("$", name)
-        results.append({"object": name,
-                        "kind": type(ws.objects[name]).__name__,
-                        "ok": True})
-    return {"command": "check", "ok": True, "results": results}
+    names = [args["--object"]] if "--object" in args else sorted(ws.objects)
+    return {"results": [{"object": n, "ok": True,
+                         "kind": type(ws.get(n, object, "$")).__name__}
+                        for n in names]}
 
 
 def cmd_dualring(ws: Workspace, args) -> dict:
-    dr = lib.dual_ring(ws.get(args.coring, lib.Coring, "--coring"))
-    f = ws.field
-    return {"command": "dualring", "coring": args.coring,
-            "dim": dr.dim,
-            "mult": _render(f, dr.alg.mult),
-            "unit": _render(f, dr.alg.unit),
-            "basis": _render(f, dr.basis)}
+    dr = lib.dual_ring(ws.get(args["--coring"], lib.Coring, "--coring"))
+    return {"coring": args["--coring"], "dim": dr.dim,
+            "mult": _render(ws.field, dr.alg.mult),
+            "unit": _render(ws.field, dr.alg.unit),
+            "basis": _render(ws.field, dr.basis)}
 
 
 def cmd_enumerate_measurings(ws: Workspace, args) -> dict:
-    c = ws.get(args.coring, lib.Coring, "--coring")
-    b = ws.get(args.algebra, lib.Algebra, "--algebra")
+    c = ws.get(args["--coring"], lib.Coring, "--coring")
+    b = ws.get(args["--algebra"], lib.Algebra, "--algebra")
     ms = lib.enumerate_measurings(c, b)
-    return {"command": "enumerate-measurings", "coring": args.coring,
-            "algebra": args.algebra, "count": len(ms),
+    return {"coring": args["--coring"], "algebra": args["--algebra"],
+            "count": len(ms),
             "measurings": [_render(ws.field, m.nu) for m in ms]}
 
 
 def cmd_induce(ws: Workspace, args) -> dict:
-    e = ws.get(args.extension, lib.CoringExtension, "--extension")
-    m = ws.get(args.comodule, lib.Comodule, "--comodule")
+    e = ws.get(args["--extension"], lib.CoringExtension, "--extension")
+    m = ws.get(args["--comodule"], lib.Comodule, "--comodule")
     out = lib.induced_coaction(e, m)
     f = ws.field
-    return {"command": "induce", "extension": args.extension,
-            "comodule": args.comodule,
+    return {"extension": args["--extension"], "comodule": args["--comodule"],
             "result": {"dim": out.dim, "act": _render(f, out.M.act),
                        "rho_lift": _render(f, out.rho_lift)}}
 
 
 def cmd_apply(ws: Workspace, args) -> dict:
-    e = ws.get(args.extension, lib.CoringExtension, "--extension")
-    out = lib.apply_functor(e, ws.get(args.map, lib.ColinearMap, "--map"))
-    return {"command": "apply", "extension": args.extension,
-            "map": args.map, "ok": True,
-            "matrix": _render(ws.field, out.matrix)}
+    e = ws.get(args["--extension"], lib.CoringExtension, "--extension")
+    g = ws.get(args["--map"], lib.ColinearMap, "--map")
+    return {"extension": args["--extension"], "map": args["--map"],
+            "matrix": _render(ws.field, lib.apply_functor(e, g).matrix)}
 
 
 def cmd_compose(ws: Workspace, args) -> dict:
-    e1 = ws.get(args.first, lib.CoringExtension, "--first")
-    e2 = ws.get(args.second, lib.CoringExtension, "--second")
+    e1 = ws.get(args["--first"], lib.CoringExtension, "--first")
+    e2 = ws.get(args["--second"], lib.CoringExtension, "--second")
     out = lib.compose_extensions(e1, e2)
-    f = ws.field
-    return {"command": "compose", "first": args.first,
-            "second": args.second,
-            "ract": _render(f, out.ract),
-            "sigma_lift": _render(f, out.sigma_lift)}
+    return {"first": args["--first"], "second": args["--second"],
+            "ract": _render(ws.field, out.ract),
+            "sigma_lift": _render(ws.field, out.sigma_lift)}
 
 
 def cmd_descent(ws: Workspace, args) -> dict:
-    data = ws.get(args.cor28, lib.Cor28Data, "--cor28")
-    report = {"command": "descent", "cor28": args.cor28,
-              "verdict": "accept"}
-    if args.datum is not None:
+    data = ws.get(args["--cor28"], lib.Cor28Data, "--cor28")
+    report = {"cor28": args["--cor28"], "verdict": "accept"}
+    if "--datum" in args:
         out = lib.descent_functor(
-            data, ws.get(args.datum, lib.DescentDatum, "--datum"))
-        f = ws.field
-        report["datum"] = args.datum
+            data, ws.get(args["--datum"], lib.DescentDatum, "--datum"))
+        report["datum"] = args["--datum"]
         report["result"] = {"dim": out.M.dim,
-                            "act": _render(f, out.M.act),
-                            "f_lift": _render(f, out.f_lift)}
+                            "act": _render(ws.field, out.M.act),
+                            "f_lift": _render(ws.field, out.f_lift)}
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="coringext",
-        description="Exact verification of coring and comodule structures.")
-    p.add_argument("--workspace", help="JSON workspace file (default stdin)")
-    p.add_argument("--max-dim", type=int, default=None,
-                   help="ambient dimension guard")
-    p.add_argument("--max-enum", type=int, default=None,
-                   help="brute-force candidate guard")
-    sub = p.add_subparsers(dest="command", required=True)
+# -- argv --------------------------------------------------------------
 
-    c = sub.add_parser("check", help="validate workspace objects")
-    c.add_argument("--object", default=None)
+_GLOBAL_OPTIONS = ("--workspace", "--max-dim", "--max-enum")
 
-    c = sub.add_parser("dualring", help="structure constants of *C")
-    c.add_argument("--coring", required=True)
-
-    c = sub.add_parser("enumerate-measurings",
-                       help="all measurings of a coring by an algebra")
-    c.add_argument("--coring", required=True)
-    c.add_argument("--algebra", required=True)
-
-    c = sub.add_parser("induce", help="induced comodule along an extension")
-    c.add_argument("--extension", required=True)
-    c.add_argument("--comodule", required=True)
-
-    c = sub.add_parser("apply", help="transport a colinear map")
-    c.add_argument("--extension", required=True)
-    c.add_argument("--map", required=True)
-
-    c = sub.add_parser("compose", help="compose two coring extensions")
-    c.add_argument("--first", required=True)
-    c.add_argument("--second", required=True)
-
-    c = sub.add_parser("descent", help="verify and push descent data")
-    c.add_argument("--cor28", required=True)
-    c.add_argument("--datum", default=None)
-    return p
-
-
-COMMANDS = {
-    "check": cmd_check,
-    "dualring": cmd_dualring,
-    "enumerate-measurings": cmd_enumerate_measurings,
-    "induce": cmd_induce,
-    "apply": cmd_apply,
-    "compose": cmd_compose,
-    "descent": cmd_descent,
+# Each command's handler, required options and optional options.
+_COMMAND_TABLE = {
+    "check": (cmd_check, (), ("--object",)),
+    "dualring": (cmd_dualring, ("--coring",), ()),
+    "enumerate-measurings": (cmd_enumerate_measurings,
+                             ("--coring", "--algebra"), ()),
+    "induce": (cmd_induce, ("--extension", "--comodule"), ()),
+    "apply": (cmd_apply, ("--extension", "--map"), ()),
+    "compose": (cmd_compose, ("--first", "--second"), ()),
+    "descent": (cmd_descent, ("--cor28",), ("--datum",)),
 }
+COMMANDS = {name: row[0] for name, row in _COMMAND_TABLE.items()}
+
+
+def _parse_argv(argv, args: dict) -> None:
+    """Read argv into ``args``: each option given, and the command under
+    "command" as soon as it is read, so that a later fault can name it."""
+    known, i = _GLOBAL_OPTIONS, 0
+    while i < len(argv):
+        at, token = f"argv[{i}]", argv[i]
+        i += 1
+        if not token.startswith("-"):
+            if "command" in args:
+                raise SchemaError(at, f"unexpected argument {token!r}")
+            if token not in COMMANDS:
+                raise SchemaError(at, f"unknown command {token!r}")
+            args["command"] = token
+            known = _COMMAND_TABLE[token][1] + _COMMAND_TABLE[token][2]
+            continue
+        name, eq, value = token.partition("=")
+        if name not in known:
+            raise SchemaError(at, f"unknown option {name!r}")
+        if name in args:
+            raise SchemaError(at, f"option {name} is given twice")
+        if not eq:
+            if i == len(argv) or argv[i].startswith("--"):
+                raise SchemaError(at, f"option {name} expects a value")
+            at, value, i = f"argv[{i}]", argv[i], i + 1
+        if name in ("--max-dim", "--max-enum"):
+            value = _parse_int(value, at, f"the value of {name}")
+        args[name] = value
+    if "command" not in args:
+        raise SchemaError("argv", "missing command")
+    for name in _COMMAND_TABLE[args["command"]][1]:
+        if name not in args:
+            raise SchemaError("argv", f"missing option {name}")
 
 
 def _emit(report: dict, stream) -> None:
@@ -430,23 +425,25 @@ def _read_workspace(path, stdin) -> str:
 def run(argv=None, stdin=None, stdout=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        usage = {name: {"required": req, "optional": opt}
+                 for name, (_, req, opt) in _COMMAND_TABLE.items()}
+        _emit({"command": None, "ok": True, "commands": usage,
+               "global_options": _GLOBAL_OPTIONS}, stdout)
+        return EXIT_OK
+    args = {}
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    set_guards(DEFAULT_MAX_DIM if args.max_dim is None else args.max_dim,
-               DEFAULT_MAX_ENUM if args.max_enum is None else args.max_enum)
-    command = args.command
-    try:
-        ws = parse_workspace(_read_workspace(args.workspace, stdin))
-        report = COMMANDS[command](ws, args)
-        report["ok"] = report.get("ok", True)
-        _emit(report, stdout)
+        _parse_argv(argv, args)
+        set_guards(args.get("--max-dim", DEFAULT_MAX_DIM),
+                   args.get("--max-enum", DEFAULT_MAX_ENUM))
+        ws = parse_workspace(_read_workspace(args.get("--workspace"), stdin))
+        report = COMMANDS[args["command"]](ws, args)
+        _emit({"command": args["command"], "ok": True, **report}, stdout)
         return EXIT_OK
     except (CoringError, OSError) as exc:
         code = next(c for types, c in EXIT_CODES if isinstance(exc, types))
-        _emit(_error_report(command, exc, code), stdout)
+        _emit(_error_report(args.get("command"), exc, code), stdout)
         return code
 
 

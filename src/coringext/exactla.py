@@ -433,17 +433,6 @@ class Mat:
                 data[j][i] = x
         return _new(self.field, self.cols, self.rows, data)
 
-    def apply(self, vec) -> tuple:
-        """Apply to a column vector given as a tuple."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
-        f = self.field
-        if f.p is None:
-            return tuple(sum((a * vec[c] for c, a in r.items()), f.zero)
-                         for r in self.sparse_rows)
-        return tuple(sum(a * vec[c] for c, a in r.items()) % f.p
-                     for r in self.sparse_rows)
-
     def col(self, j) -> tuple:
         z = self.field.zero
         return tuple(r.get(j, z) for r in self.sparse_rows)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from coringext.errors import SchemaError, UnknownReference
-from coringext.cli import parse_workspace, run
+from coringext.cli import COMMANDS, parse_workspace, run
 from coringext.exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM, GF2, Mat,
                                set_guards)
 from coringext.fixtures import d2_algebra, sw_coring
@@ -274,6 +274,116 @@ class TestExitCodes:
         code, out = run_cli(["dualring", "--coring", "FIX.NOPE"], MINIMAL)
         assert code == 2
         assert json.loads(out)["error"]["type"] == "UnknownReference"
+
+    def test_check_object_loads_a_fixture(self):
+        # --object resolves a name as every other option does
+        code, out = run_cli(["check", "--object", "FIX.SW"], MINIMAL)
+        assert code == 0
+        assert json.loads(out)["results"] == [
+            {"kind": "Coring", "object": "FIX.SW", "ok": True}]
+
+    def test_check_object_unknown(self):
+        assert run_cli(["check", "--object", "nope"], MINIMAL) == (2, (
+            '{"command":"check","error":{"message":"$: unknown object '
+            '\'nope\'","name":"nope","path":"$","type":"UnknownReference"},'
+            '"exit_code":2,"ok":false}\n'))
+
+
+class NoStdin:
+    """A stdin that fails the test if it is read."""
+
+    def read(self):
+        raise AssertionError("stdin was read")
+
+
+class TestArgv:
+    """Every fault in argv is one JSON report with exit 2, made before the
+    workspace is read."""
+
+    @pytest.mark.parametrize("argv, path, command", [
+        (["bogus"], "argv[0]", None),
+        (["--max-dim", "5", "bogus"], "argv[2]", None),
+        ([], "argv", None),
+        (["--max-dim", "5"], "argv", None),
+        (["dualring", "--nope", "x"], "argv[1]", "dualring"),
+        (["--nope", "check"], "argv[0]", None),
+        (["-x", "check"], "argv[0]", None),
+        (["dualring", "--cor", "sw"], "argv[1]", "dualring"),
+        (["--max-d", "5", "check"], "argv[0]", None),
+        (["check", "--workspace", "ws.json"], "argv[1]", "check"),
+        (["dualring", "--coring"], "argv[1]", "dualring"),
+        (["dualring", "--coring", "--algebra"], "argv[1]", "dualring"),
+        (["dualring"], "argv", "dualring"),
+        (["enumerate-measurings", "--algebra=b"], "argv",
+         "enumerate-measurings"),
+        (["check", "--object", "a", "--object=b"], "argv[3]", "check"),
+        (["--max-dim", "5", "--max-dim", "6", "check"], "argv[2]", None),
+        (["check", "stray"], "argv[1]", "check"),
+        (["dualring", "--coring", "sw", "sw"], "argv[3]", "dualring"),
+        (["--max-dim", "x", "check"], "argv[1]", None),
+        (["--max-enum=x", "check"], "argv[0]", None),
+        (["--max-dim", "7" * 4301, "check"], "argv[1]", None),
+        (["--max-enum=-" + "7" * 4301, "check"], "argv[0]", None),
+    ])
+    def test_fault_report(self, argv, path, command):
+        out = io.StringIO()
+        assert run(argv, stdin=NoStdin(), stdout=out) == 2
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report == {"command": command, "ok": False, "exit_code": 2,
+                          "error": {"type": "SchemaError", "path": path,
+                                    "message": report["error"]["message"]}}
+        assert report["error"]["message"].startswith(path + ": ")
+
+    def test_long_guard_value_same_report_without_int_limit(self):
+        argv = ["--max-dim", "7" * 5000, "check"]
+        first = run_cli(argv, "")
+        assert "more than 4300 digits" in first[1]
+        if hasattr(sys, "set_int_max_str_digits"):
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                assert run_cli(argv, "") == first
+            finally:
+                sys.set_int_max_str_digits(limit)
+
+    def test_both_spellings_and_global_options_before_the_command(
+            self, tmp_path):
+        path = tmp_path / "ws.json"
+        path.write_text(ws(sw={"fixture": "FIX.SW"}))
+        try:
+            runs = [run_cli(argv, "") for argv in (
+                ["--workspace", str(path), "--max-dim", "4",
+                 "dualring", "--coring", "sw"],
+                [f"--workspace={path}", "--max-dim=4",
+                 "dualring", "--coring=sw"])]
+        finally:
+            set_guards(DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM)
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 3
+        code, out = run_cli([f"--workspace={path}", "dualring",
+                             "--coring=sw"], "")
+        assert code == 0 and json.loads(out)["dim"] == 4
+
+    def test_value_with_equals_sign(self):
+        text = ws(**{"a=b": {"fixture": "FIX.SW"}})
+        code, out = run_cli(["dualring", "--coring=a=b"], text)
+        assert code == 0 and json.loads(out)["coring"] == "a=b"
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["check", "-h"], ["bogus", "--help"],
+        ["--max-dim", "x", "-h"]])
+    def test_help(self, argv):
+        out = io.StringIO()
+        assert run(argv, stdin=NoStdin(), stdout=out) == 0
+        report = json.loads(out.getvalue())
+        assert report["ok"] is True
+        assert sorted(report["commands"]) == sorted(COMMANDS)
+        assert report["commands"]["descent"] == {
+            "required": ["--cor28"], "optional": ["--datum"]}
+        assert report["global_options"] == [
+            "--workspace", "--max-dim", "--max-enum"]
 
 
 K = {"type": "algebra", "dim": 1, "mult": [[[1]]], "unit": [1]}

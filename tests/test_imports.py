@@ -120,7 +120,7 @@ RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "NotCoringMorphism", "NotColinear", "MiddleMismatch",
            "bimodule_from_actions", "cor28_extension", "_descend",
            "induced_action", "make_bimodule", "_MeasuringMaps",
-           "_measuring_maps", "aab"}
+           "_measuring_maps", "aab", "apply"}
 
 
 def _returns_value(fn):

@@ -63,16 +63,17 @@ D2 = {"type": "algebra", "dim": 2,
       "mult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "unit": [1, 1]}
 
 
-def cli_in_fresh_process(workspace: dict, argv):
-    """Exit code, report and loaded package modules of one CLI call."""
+def cli_in_fresh_process(workspace: dict, argv, roots="coringext"):
+    """Exit code, report and loaded modules of one CLI call: those of the
+    package, or of the comma-separated top-level names ``roots``."""
     code = ("import io, json, sys; sys.path.insert(0, sys.argv[1]); "
             "import coringext.cli as cli; out = io.StringIO(); "
-            "rc = cli.run(sys.argv[3:], io.StringIO(sys.argv[2]), out); "
+            "rc = cli.run(sys.argv[4:], io.StringIO(sys.argv[3]), out); "
             "mods = sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'coringext'); "
+            "if m.split('.')[0] in sys.argv[2].split(',')); "
             "print(json.dumps([rc, json.loads(out.getvalue()), mods]))")
     # -I -S: no user or site packages; -B: write no bytecode into src/
-    cmd = [sys.executable, "-I", "-S", "-B", "-c", code, SRC,
+    cmd = [sys.executable, "-I", "-S", "-B", "-c", code, SRC, roots,
            json.dumps(workspace), *argv]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True,
                          timeout=60)
@@ -84,6 +85,14 @@ def test_noop_check_loads_only_the_core():
         {"field": {"type": "Q"}, "objects": {}}, ["check"])
     assert (rc, report["results"]) == (0, [])
     assert mods == CORE
+
+
+def test_noop_check_loads_no_argument_parser():
+    # the CLI reads argv itself; argparse would also load gettext
+    rc, _, mods = cli_in_fresh_process(
+        {"field": {"type": "Q"}, "objects": {}}, ["check"],
+        roots="coringext,argparse,gettext")
+    assert (rc, mods) == (0, CORE)
 
 
 def test_algebra_check_loads_no_coring_layers():
