@@ -5,7 +5,7 @@ import itertools
 from typing import Callable, List, Optional
 
 from .errors import DimensionMismatch, SizeLimit
-from .exactla import (FieldSpec, Mat, _addmul, _new, _null_rows,
+from .exactla import (FieldSpec, Mat, _addmul, _new, _null_basis,
                       current_max_enum, rref)
 
 
@@ -17,9 +17,9 @@ def affine_solutions(field: FieldSpec, shape, residual: Callable[[Mat], Mat]):
     The residual is probed at zero and at each unit matrix, and the
     augmented system ``[coeff | -offset]``, one row per residual entry, is
     reduced once.  The particular solution sets the free variables to zero.
-    The basis is the null space of ``coeff`` read off that reduction and
-    brought into reduced echelon form (flattened row-major), as ``kernel``
-    does.  Returns None if the system is inconsistent.
+    The basis is the null space of ``coeff`` read off that reduction by
+    the step ``kernel`` uses, in reduced echelon form (flattened
+    row-major).  Returns None if the system is inconsistent.
     """
     rows, cols = shape
     nvars = rows * cols
@@ -49,16 +49,15 @@ def affine_solutions(field: FieldSpec, shape, residual: Callable[[Mat], Mat]):
             if nvars in r}
     coeff = Mat.from_sparse_rows(field, len(pivots), nvars, [
         {k: x for k, x in r.items() if k != nvars} for r in red.sparse_rows])
-    free, vecs = _null_rows(coeff, pivots)
-    null = rref(Mat.from_sparse_rows(field, len(free), nvars, vecs))[0]
+    null = _null_basis(coeff, pivots)
     return unflatten(part), [unflatten(r) for r in null.sparse_rows]
 
 
 def _combine(m: Mat, coeffs, basis) -> Mat:
     """``m + sum_i coeffs[i] * basis[i]``, accumulated into one set of rows.
 
-    Each nonzero coefficient is coerced into the field, as ``Mat.scale``
-    would.  The basis matrices must have the shape of ``m``.
+    Each nonzero coefficient is coerced into the field.  The basis
+    matrices must have the shape of ``m``.
     """
     f = m.field
     p = f.p

@@ -22,7 +22,7 @@ from typing import List, Optional
 from ._record import frozen
 from ._search import enumerate_affine
 from .errors import AxiomViolation, DimensionMismatch
-from .exactla import FieldSpec, Mat, rank
+from .exactla import FieldSpec, Mat
 
 
 @frozen
@@ -126,18 +126,6 @@ def make_algebra_map(source: Algebra, target: Algebra, matrix) -> AlgebraMap:
     return f
 
 
-def is_isomorphism(f: AlgebraMap) -> bool:
-    return _holds(check_algebra_map, f) and f.source.dim == f.target.dim \
-        and rank(f.matrix) == f.source.dim
-
-
-def opposite(a: Algebra) -> Algebra:
-    """Same space, reversed multiplication; an involution on structure constants."""
-    mult = tuple(tuple(a.mult[j][i] for j in range(a.dim))
-                 for i in range(a.dim))
-    return make_algebra(a.field, a.dim, mult, a.unit)
-
-
 # -- modules ---------------------------------------------------------
 
 
@@ -205,15 +193,6 @@ def _require(m1: Mat, m2: Mat, kind: str, dims=None) -> None:
     w = _first_diff(m1, m2, dims)
     if w is not None:
         raise AxiomViolation(kind, w)
-
-
-def _holds(check, *args) -> bool:
-    """Whether ``check(*args)`` passes, i.e. raises no AxiomViolation."""
-    try:
-        check(*args)
-    except AxiomViolation:
-        return False
-    return True
 
 
 def check_right_module(m: RightModule) -> None:

@@ -1,18 +1,15 @@
 """Named coring constructions: trivial, Sweedler, comatrix and entwining
-corings, coalgebras over the base field, and the twisted convolution
-algebra of an entwining.
-"""
+corings, and coalgebras over the base field."""
 
 from typing import List
 
 from ._record import frozen
-from ._search import affine_solutions, coords, enumerate_affine
+from ._search import affine_solutions, coords
 from .errors import AxiomViolation, DimensionMismatch
-from .exactla import FieldSpec, Mat, QuotientSpace, memoised, rref
+from .exactla import FieldSpec, Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
-                     _require, make_algebra, make_algebra_map,
-                     regular_along, regular_bimodule)
-from .coring import Coring, DualRing, dual_coords, dual_ring, make_coring
+                     _require, make_algebra, regular_along, regular_bimodule)
+from .coring import Coring, make_coring
 from .tensorcat import descend_map, right_action_on_quotient, tensor_over
 
 
@@ -228,7 +225,6 @@ class Entwining:
 def entwining_coring(e: Entwining) -> Coring:
     """The coring A (x) C of an entwining; fails iff psi is not an entwining."""
     a, c = e.A, e.C
-    f = a.field
     if e.psi.rows != a.dim * c.dim or e.psi.cols != c.dim * a.dim:
         raise DimensionMismatch("psi has wrong shape")
     na, nc = a.dim, c.dim
@@ -239,101 +235,3 @@ def entwining_coring(e: Entwining) -> Coring:
     eps = c.eps.tensor_id(na, 1)
     return make_coring(a, Bimodule(a, a, na * nc, lact, ract), delta_lift,
                        eps)
-
-
-def flip_entwining(a: Algebra, c: Coalgebra) -> Entwining:
-    """The trivial entwining c (x) a -> a (x) c."""
-    return Entwining(a, c, Mat.swap(a.field, c.dim, a.dim))
-
-
-@frozen
-class TwistedConvolution:
-    """Hom_k(C, A) with the psi-twisted product, plus its identification
-    with the left dual ring of the entwining coring."""
-
-    alg: Algebra
-    dual: DualRing
-    to_dual: AlgebraMap  # an isomorphism onto dual.alg
-
-
-def _hom_basis(a: Algebra, c: Coalgebra) -> List[Mat]:
-    """The matrix units E_rs, in row-major order of (r, s)."""
-    f = a.field
-    return [Mat.from_sparse_rows(f, a.dim, c.dim, [
-        {s: f.one} if i == r else {} for i in range(a.dim)])
-        for r in range(a.dim) for s in range(c.dim)]
-
-
-def twisted_product(e: Entwining, f: Mat, g: Mat) -> Mat:
-    """(f #_psi g)(c) = sum_alpha f(c_(2))_alpha g(c_(1)^alpha)."""
-    a, c = e.A, e.C
-    return a.mult_mat @ g.tensor_id(a.dim, 1) @ e.psi @ \
-        f.tensor_id(c.dim, 1) @ c.delta
-
-
-def twisted_convolution(e: Entwining) -> TwistedConvolution:
-    """The psi-twisted convolution algebra, verified against *(A (x) C).
-
-    A witness (k,) names the k-th basis element of Hom_k(C, A), the matrix
-    unit E_rs with k = r * C.dim + s: the first whose image in *(A (x) C)
-    is not left A-linear, or lies in the span of the images before it."""
-    a, c = e.A, e.C
-    f = a.field
-    basis = _hom_basis(a, c)
-    n = len(basis)
-    mult = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = twisted_product(e, basis[i], basis[j])
-            row.append(tuple(x for rr in prod.entries for x in rr))
-        mult.append(tuple(row))
-    unitmap = a.unit_col @ c.eps
-    unit = tuple(x for rr in unitmap.entries for x in rr)
-    alg = make_algebra(f, n, tuple(mult), unit)
-    dr = dual_ring(entwining_coring(e))
-    if dr.dim != n:
-        raise DimensionMismatch(f"dual ring has dimension {dr.dim}, not {n}")
-    cols = []
-    for k, bmat in enumerate(basis):
-        nu = a.mult_mat @ bmat.tensor_id(a.dim, 1)  # a (x) c -> a f(c)
-        coords = dual_coords(dr, nu)
-        if coords is None:
-            raise AxiomViolation("hom-tensor-image-not-left-linear", (k,))
-        cols.append(coords)
-    iso = make_algebra_map(alg, dr.alg, Mat.from_cols(f, cols))
-    pivots = rref(iso.matrix)[1]
-    if len(pivots) != n:
-        # the first non-pivot column depends on the columns before it
-        raise AxiomViolation("twisted-convolution-iso-not-bijective",
-                             (min(set(range(n)) - set(pivots)),))
-    return TwistedConvolution(alg, dr, iso)
-
-
-# -- entwined measurings (oracle side of Examples 2.4(4)) -------------
-
-
-def enumerate_entwined_measurings(e: Entwining, b: Algebra) -> List[Mat]:
-    """All k-linear f: C (x) B -> A satisfying the entwined measuring
-    diagrams, enumerated by brute force over the unit-constraint affine
-    space and returned in canonical order."""
-    a, c = e.A, e.C
-    f = a.field
-    na, nb, nc = a.dim, b.dim, c.dim
-    target_unit = a.unit_col @ c.eps
-    unit_b = b.unit_col.tensor_id(nc, 1)
-    mult_b = b.mult_mat.tensor_id(nc, 1)
-    psi_b = e.psi.tensor_id(1, nb)
-    delta_bb = c.delta.tensor_id(1, nb * nb)
-
-    def unit_residual(m: Mat) -> Mat:
-        return m @ unit_b - target_unit
-
-    def is_measuring(m: Mat) -> bool:
-        lhs = m @ mult_b
-        rhs = a.mult_mat @ m.tensor_id(na, 1) @ psi_b @ \
-            m.tensor_id(nc, nb) @ delta_bb
-        return lhs == rhs
-
-    shape = (a.dim, c.dim * b.dim)
-    return enumerate_affine(f, shape, unit_residual, is_measuring)

@@ -11,7 +11,7 @@ map that vanishes on the balancing relations once the checks before it
 pass; so every lift of one coaction gives the same verdict and witness.
 """
 
-from typing import List, Optional
+from typing import List
 
 from ._record import frozen
 from ._search import _combine, affine_solutions, coords, pivots
@@ -45,13 +45,10 @@ class Coring:
         return tensor_over(self.A, self.C.right_module(),
                            self.C.left_module())
 
-    def ccc(self) -> Mat:
-        """Projection of C (x) C (x) C onto (C (x)_A C) (x)_A C."""
-        return _triple(self.C)
-
 
 @memoised
 def _triple(c: Bimodule) -> Mat:
+    """Projection of C (x) C (x) C onto (C (x)_A C) (x)_A C."""
     return tensor_chain(c.right_module(), (c,), c.left_module())
 
 
@@ -90,7 +87,7 @@ def check_coring(c: Coring) -> None:
              proj @ c.C.ract.tensor_id(nc, 1) @ c.delta_lift.tensor_id(1, na),
              "bilinearity", (nc, na))
     # coassociativity in (C (x)_A C) (x)_A C
-    p3 = c.ccc()
+    p3 = _triple(c.C)
     _require(p3 @ c.delta_lift.tensor_id(1, nc) @ c.delta_lift,
              p3 @ c.delta_lift.tensor_id(nc, 1) @ c.delta_lift, "coassoc")
     # counit laws
@@ -326,7 +323,8 @@ class DualRing:
 
     ``basis`` is the canonical basis of Hom_{A-}(C, A): flattened row-major,
     its matrices are in reduced echelon form with lowest-index pivots.
-    ``dual_coords`` relies on this to read coordinates off the pivots.
+    So ``_search.coords(basis, f)`` reads the coordinates of a left
+    A-linear map f off the pivots.
     """
 
     coring: Coring
@@ -339,13 +337,9 @@ class DualRing:
 
 
 def _star_factor(c: Coring, f: Mat) -> Mat:
-    """The map x -> x_(1) f(x_(2)) on C, so that f * g = g @ it."""
+    """The map x -> x_(1) f(x_(2)) on C, so that the product
+    (f * g)(x) = sum g(x_(1) f(x_(2))) of *C is ``g @ _star_factor(c, f)``."""
     return c.C.ract @ f.tensor_id(c.dim, 1) @ c.delta_lift
-
-
-def star_product(c: Coring, f: Mat, g: Mat) -> Mat:
-    """(f * g)(x) = sum g(x_(1) f(x_(2))), computed through the lift."""
-    return g @ _star_factor(c, f)
 
 
 def _left_linear_basis(c: Coring) -> List[Mat]:
@@ -354,11 +348,6 @@ def _left_linear_basis(c: Coring) -> List[Mat]:
     return affine_solutions(
         a.field, (a.dim, c.dim),
         lambda x: x @ c.C.lact - a.mult_mat @ x.tensor_id(a.dim, 1))[1]
-
-
-def dual_coords(dr: DualRing, f: Mat) -> Optional[tuple]:
-    """Coordinates of a left A-linear map in the dual ring basis."""
-    return coords(dr.basis, f)
 
 
 def dual_element(dr: DualRing, coeffs) -> Mat:

@@ -99,6 +99,11 @@ def _is_prime(n: int) -> bool:
 
 _Q0, _Q1 = Fraction(0), Fraction(1)  # immutable, so shared
 _DIGIT_RUN = re.compile(r"[\d_]+")  # int() refuses >4300 digits from 3.10.7
+# The scalar strings, in ASCII digits only: what int() and Fraction() accept
+# beyond these (underscores, whitespace, other digits) varies by version.  A
+# string outside them is rejected with the text int() or Fraction() gives.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]+\.?[0-9]*|\.[0-9]+)")
 
 
 @frozen
@@ -119,10 +124,6 @@ class FieldSpec:
             raise ValueError(f"modulus {self.p} is not prime")
 
     @property
-    def is_finite(self) -> bool:
-        return self.p is not None
-
-    @property
     def zero(self):
         return 0 if self.p is not None else _Q0
 
@@ -133,10 +134,13 @@ class FieldSpec:
     def of(self, x) -> Union[int, Fraction]:
         """Coerce an int, Fraction or string into the field.
 
-        A string is an integer, ``num/den`` or a plain decimal such as
-        ``-1.25``.  Exponent notation (``1e5``) is rejected: parsing it
-        would build the power of ten, so the time would grow with the
-        exponent rather than with the length of the input.
+        A string is an optional sign and ASCII digits; over the rationals
+        also ``num/den`` or a plain decimal such as ``-1.25``, ``.5`` or
+        ``1.``.  Underscores, whitespace and non-ASCII digits are
+        rejected, whatever the Python version would accept.  Exponent
+        notation (``1e5``) is rejected: parsing it would build the power
+        of ten, so the time would grow with the exponent rather than with
+        the length of the input.
         """
         if isinstance(x, str) and len(x) > 4300 and any(
                 len(r) - r.count("_") > 4300 for r in _DIGIT_RUN.findall(x)):
@@ -149,14 +153,20 @@ class FieldSpec:
                     raise ValueError(f"{x} is not an integer")
                 x = x.numerator
             if isinstance(x, str):
+                if not _INTEGER.fullmatch(x):
+                    raise ValueError(
+                        f"invalid literal for int() with base 10: {x!r}")
                 x = int(x)
             if not isinstance(x, int):
                 raise ValueError(f"bad scalar {x!r} for GF({self.p})")
             return x % self.p
         if isinstance(x, bool):
             raise ValueError(f"bad scalar {x!r}")
-        if isinstance(x, str) and ("e" in x or "E" in x):
-            raise ValueError(f"exponent notation in scalar {x!r}")
+        if isinstance(x, str):
+            if "e" in x or "E" in x:
+                raise ValueError(f"exponent notation in scalar {x!r}")
+            if not _RATIONAL.fullmatch(x):
+                raise ValueError(f"Invalid literal for Fraction: {x!r}")
         if isinstance(x, (int, str, Fraction)):
             return Fraction(x)
         raise ValueError(f"bad scalar {x!r} for the rationals")
@@ -220,12 +230,6 @@ def _addmul(acc: dict, c, row: dict, p: Optional[int]) -> None:
             acc[k] = y
         else:
             del acc[k]
-
-
-def _scaled(row: dict, c, p: Optional[int]) -> dict:
-    if p is None:
-        return {k: c * x for k, x in row.items()}
-    return {k: c * x % p for k, x in row.items()}
 
 
 def _int_row(row: dict):
@@ -415,17 +419,6 @@ class Mat:
             out.append(acc)
         return _new(self.field, self.rows, self.cols, tuple(out))
 
-    def __neg__(self) -> "Mat":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Mat":
-        f = self.field
-        c = f.of(c)
-        if not c:
-            return Mat.zero(f, self.rows, self.cols)
-        return _new(f, self.rows, self.cols, tuple(
-            _scaled(r, c, f.p) for r in self.sparse_rows))
-
     def transpose(self) -> "Mat":
         data = tuple({} for _ in range(self.cols))
         for i, r in enumerate(self.sparse_rows):
@@ -436,9 +429,6 @@ class Mat:
     def col(self, j) -> tuple:
         z = self.field.zero
         return tuple(r.get(j, z) for r in self.sparse_rows)
-
-    def row(self, i) -> tuple:
-        return self.entries[i]
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; tensor product of maps in row-major indexing."""
@@ -480,10 +470,6 @@ class Mat:
             raise DimensionMismatch("column mismatch in stack")
         return _new(self.field, self.rows + other.rows, self.cols,
                     self.sparse_rows + other.sparse_rows)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
 
 
 # -- echelon forms ---------------------------------------------------
@@ -535,10 +521,6 @@ def rref(m: Mat):
     return _new(f, len(pivots), m.cols, rows), pivots
 
 
-def rank(m: Mat) -> int:
-    return rref(m)[0].rows
-
-
 def _null_rows(red: Mat, pivots: tuple) -> tuple:
     """Free columns of a reduced matrix and, for each free column fc, the
     null vector with 1 at fc and -red[r][fc] at pivot ``pivots[r]``."""
@@ -553,37 +535,20 @@ def _null_rows(red: Mat, pivots: tuple) -> tuple:
     return free, tuple(vecs[fc] for fc in free)
 
 
+def _null_basis(red: Mat, pivots: tuple) -> Mat:
+    """Canonical basis of the null space of a reduced matrix: its
+    ``_null_rows`` in reduced echelon form with lowest-index pivots."""
+    free, vecs = _null_rows(red, pivots)
+    return rref(_new(red.field, len(free), red.cols, vecs))[0]
+
+
 def kernel(m: Mat) -> Mat:
     """Canonical basis of the null space of ``m``, one row per basis vector.
 
     Rows are returned in reduced echelon form with lowest-index pivots; the
     empty kernel is a 0-row matrix with ``m.cols`` columns.
     """
-    free, vecs = _null_rows(*rref(m))
-    return rref(_new(m.field, len(free), m.cols, vecs))[0]
-
-
-def solve(m: Mat, target) -> Optional[tuple]:
-    """One solution of ``m x = target`` or None if inconsistent.
-
-    The representative is deterministic: free variables are set to zero in
-    echelon order.
-    """
-    if len(target) != m.rows:
-        raise DimensionMismatch("target length mismatch")
-    f = m.field
-    n = m.cols
-    aug = []
-    for r, t in zip(m.sparse_rows, target):
-        t = f.of(t)
-        aug.append({**r, n: t} if t else r)
-    red, pivots = rref(_new(f, m.rows, n + 1, tuple(aug)))
-    if n in pivots:
-        return None
-    x = [f.zero] * n
-    for r, pc in zip(red.sparse_rows, pivots):
-        x[pc] = r.get(n, f.zero)
-    return tuple(x)
+    return _null_basis(*rref(m))
 
 
 @frozen

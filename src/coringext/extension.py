@@ -20,10 +20,10 @@ from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule, _require,
                      check_right_module, make_algebra_map)
 from .coring import (ColinearMap, Comodule, Coring, _check_right_coaction,
-                     dual_coords, dual_element, dual_ring, make_colinear_map,
+                     dual_element, dual_ring, make_colinear_map,
                      make_comodule)
 from .tensorcat import tensor_over
-from ._search import enumerate_affine
+from ._search import coords, enumerate_affine
 
 
 @frozen
@@ -105,10 +105,10 @@ def measuring_to_algebra_map(m: Measuring) -> AlgebraMap:
         nu_j = Mat(f, c.A.dim, c.dim, tuple(
             tuple(m.nu.entries[r][s * b.dim + j] for s in range(c.dim))
             for r in range(c.A.dim)))
-        coords = dual_coords(dr, nu_j)
-        if coords is None:
+        x = coords(dr.basis, nu_j)
+        if x is None:
             raise AxiomViolation("measuring-slice-not-left-linear", (j,))
-        cols.append(coords)
+        cols.append(x)
     return make_algebra_map(b, dr.alg, Mat.from_cols(f, cols))
 
 

@@ -8,9 +8,15 @@ prints, per module, the executable lines reached and their total, then
 every function that no call enters.
 
 A line is executable when the compiled module maps an instruction to it.
-A function is named by its qualified name; a lambda or comprehension is
-not listed.  It is a script, not a test: the three corpora take a few
-minutes under the tracer.
+A function is named by its module and qualified name; a lambda or
+comprehension is not listed.  Every function that no call enters must be
+in ``LEDGER`` with the reason it stays in ``src/``: a ROADMAP item that
+will reach it, or its role.  The script exits 1 when such a function is
+missing from the ledger, or when a ledger entry names a function that a
+call now enters or that is gone (a stale entry).  It needs Python 3.11 or
+later, whose code objects carry the qualified names the ledger uses.  It is
+a script, not a test: the three corpora take a few minutes under the
+tracer.
 
     PYTHONPATH=src python tests/line_reach.py
 """
@@ -18,6 +24,59 @@ minutes under the tracer.
 import os
 import sys
 import types
+
+_ITEM_1 = ("left-comodule family: its memo _ccn is pinned by the memo "
+           "count of perfbench/test_bench.py until ROADMAP item 1")
+_ITEM_5 = "comodule builders and descent morphisms: ROADMAP item 5"
+_DUAL = "the algebra maps B -> *C path of ROADMAP item 3"
+_ENTRY = "entry point, repr or dunder"
+
+LEDGER = {
+    "__init__.__dir__": _ENTRY,
+    "_record.frozen.<locals>.__repr__": _ENTRY,
+    "_record.frozen.<locals>.__setattr__": _ENTRY,
+    "_record.frozen.<locals>.__delattr__": _ENTRY,
+    "algmod.enumerate_algebra_maps": _DUAL,
+    "algmod.enumerate_algebra_maps.<locals>.residual": _DUAL,
+    "algmod.enumerate_algebra_maps.<locals>.keep": _DUAL,
+    "cli.main": _ENTRY,
+    "constructions._right_linear_basis": "comatrix corings: ROADMAP item 12",
+    "constructions.check_dual_basis": "comatrix corings: ROADMAP item 12",
+    "constructions.comatrix_coring": "comatrix corings: ROADMAP item 12",
+    "constructions.comatrix_coring.<locals>.star_coords":
+        "comatrix corings: ROADMAP item 12",
+    "coring._ccn": _ITEM_1,
+    "coring.regular_comodule": _ITEM_5,
+    "coring.direct_sum_comodule": _ITEM_5,
+    "coring.cofree_comodule": _ITEM_5,
+    "coring.LeftComodule.dim": _ITEM_1,
+    "coring.LeftComodule.cn": _ITEM_1,
+    "coring.check_left_comodule": _ITEM_1,
+    "coring.make_left_comodule": _ITEM_1,
+    "coring.regular_left_comodule": _ITEM_1,
+    "coring.cotensor_basis": _ITEM_1,
+    "coring.check_bicomodule": _ITEM_1,
+    "coring.dual_element": _DUAL,
+    "descent.check_descent_morphism": _ITEM_5,
+    "errors.UnknownReference.__init__":
+        "the report on an undeclared name: tests/test_cli.py reaches it, "
+        "no recorded call names one",
+    "exactla.FieldSpec.add": "field arithmetic the test oracles use",
+    "exactla.FieldSpec.mul": "field arithmetic the test oracles use",
+    "exactla.FieldSpec.__repr__": _ENTRY,
+    "exactla.Mat.__repr__": _ENTRY,
+    "exactla.Mat.from_rows": _ENTRY,
+    "exactla.Mat.__add__": _ENTRY,
+    "exactla.Mat.col": _ENTRY,
+    "exactla.kernel": "the null space cotensor_basis reads; " + _ITEM_1,
+    "extension.measuring_to_algebra_map": _DUAL,
+    "extension.algebra_map_to_measuring": _DUAL,
+    "extension.action_from_measuring": "ROADMAP item 11",
+    "extension.measuring_from_action": "ROADMAP item 11",
+    "fixtures.matrix_algebra_2":
+        "a memo, pinned by the memo count of perfbench/test_bench.py until "
+        "ROADMAP item 1",
+}
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.realpath(os.path.join(TESTS, os.pardir, "src", "coringext"))
@@ -98,14 +157,22 @@ def main() -> int:
         total_hit += hit
         total += len(lines)
         print(f"{name:20} {hit:5} of {len(lines):5} lines")
-        unreached += [f"{name[:-3]}.{fn} (line {first})"
+        unreached += [(f"{name[:-3]}.{fn}", first)
                       for fn, first, code in functions
                       if (path, first, code.co_name) not in entered]
     print(f"{'total':20} {total_hit:5} of {total:5} lines")
     print(f"{len(unreached)} functions that no call enters:")
-    for fn in unreached:
-        print(f"  {fn}")
-    return 0
+    for fn, first in unreached:
+        print(f"  {fn} (line {first}): {LEDGER.get(fn, 'NOT IN THE LEDGER')}")
+    missing = [fn for fn, _ in unreached if fn not in LEDGER]
+    stale = sorted(set(LEDGER) - {fn for fn, _ in unreached})
+    if missing:
+        print(f"{len(missing)} functions missing from the ledger")
+    if stale:
+        print(f"{len(stale)} stale ledger entries, entered by a call or gone:")
+        for fn in stale:
+            print(f"  {fn}")
+    return 1 if missing or stale else 0
 
 
 if __name__ == "__main__":

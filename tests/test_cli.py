@@ -175,6 +175,21 @@ class TestExitCodes:
         assert err["type"] == "SchemaError"
         assert err["path"] == "$.objects.k.unit[0]"
 
+    @pytest.mark.parametrize("text", ["1_000/1_000", "1/ 2"])
+    def test_scalar_grammar_report(self, text):
+        # Fraction() of some Python versions accepts these; no report may
+        # depend on the version
+        code, out = run_cli(["check"], ws(
+            field={"type": "Q"},
+            a={"type": "algebra", "dim": 1, "mult": [[[1]]],
+               "unit": [text]}))
+        assert code == 2
+        assert out == (
+            '{"command":"check","error":{"message":"$.objects.a.unit[0]: '
+            'Invalid literal for Fraction: \'%s\'","path":"$.objects.a.'
+            'unit[0]","type":"SchemaError"},"exit_code":2,"ok":false}\n'
+            % text)
+
     def test_huge_prime_accepted(self):
         code, out = run_cli(["check"], ws(
             field={"type": "Fp", "p": 10 ** 18 + 3},

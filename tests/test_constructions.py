@@ -1,28 +1,125 @@
 """Named constructions: trivial, Sweedler, comatrix and entwining corings,
-coalgebras, and twisted convolution algebras."""
+and coalgebras.
+
+The twisted convolution algebra of an entwining and the entwined
+measurings (Examples 2.4(4) of the paper) are kept below as references
+that the entwining coring, its dual ring and its measurings are tested
+against."""
 
 import random
+from collections import namedtuple
 
 import pytest
 
-import coringext.constructions as constructions
+from coringext._search import coords, enumerate_affine
 from coringext.errors import AxiomViolation, DimensionMismatch
-from coringext.exactla import GF2, GF3, QQ, Mat
-from coringext.algmod import Bimodule, is_isomorphism, make_algebra_map
+from coringext.exactla import GF2, GF3, QQ, Mat, rref
+from coringext.algmod import Bimodule, make_algebra, make_algebra_map
 from coringext.coring import check_coring, dual_ring
 from coringext.constructions import (Coalgebra, DualBasis, Entwining,
                                      base_algebra, check_coalgebra,
                                      check_dual_basis, coalgebra_to_coring,
                                      comatrix_coring, entwining_coring,
-                                     enumerate_entwined_measurings,
-                                     flip_entwining, group_coalgebra,
-                                     make_coalgebra, sweedler_coring,
-                                     trivial_coring, twisted_convolution,
-                                     twisted_product)
+                                     group_coalgebra, make_coalgebra,
+                                     sweedler_coring, trivial_coring)
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
                                 matrix_algebra_2, sw_coring, unit_map)
 
-from test_algmod import ref_apply
+from test_algmod import ref_apply, ref_is_isomorphism
+
+
+# -- reference: entwinings, twisted convolution, entwined measurings -------
+
+
+def ref_flip_entwining(a, c):
+    """The trivial entwining c (x) a -> a (x) c."""
+    return Entwining(a, c, Mat.swap(a.field, c.dim, a.dim))
+
+
+# Hom_k(C, A) with the psi-twisted product, plus its identification with
+# the left dual ring of the entwining coring (``to_dual``, an isomorphism
+# onto ``dual.alg``)
+RefTwistedConvolution = namedtuple("RefTwistedConvolution",
+                                   "alg dual to_dual")
+
+
+def ref_hom_basis(a, c):
+    """The matrix units E_rs, in row-major order of (r, s)."""
+    f = a.field
+    return [Mat.from_sparse_rows(f, a.dim, c.dim, [
+        {s: f.one} if i == r else {} for i in range(a.dim)])
+        for r in range(a.dim) for s in range(c.dim)]
+
+
+def ref_twisted_product(e, f, g):
+    """(f #_psi g)(c) = sum_alpha f(c_(2))_alpha g(c_(1)^alpha)."""
+    a, c = e.A, e.C
+    return a.mult_mat @ g.tensor_id(a.dim, 1) @ e.psi @ \
+        f.tensor_id(c.dim, 1) @ c.delta
+
+
+def ref_twisted_convolution(e):
+    """The psi-twisted convolution algebra, verified against *(A (x) C).
+
+    A witness (k,) names the k-th basis element of Hom_k(C, A), the matrix
+    unit E_rs with k = r * C.dim + s: the first whose image in *(A (x) C)
+    is not left A-linear, or lies in the span of the images before it."""
+    a, c = e.A, e.C
+    f = a.field
+    basis = ref_hom_basis(a, c)
+    n = len(basis)
+    mult = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            prod = ref_twisted_product(e, basis[i], basis[j])
+            row.append(tuple(x for rr in prod.entries for x in rr))
+        mult.append(tuple(row))
+    unitmap = a.unit_col @ c.eps
+    unit = tuple(x for rr in unitmap.entries for x in rr)
+    alg = make_algebra(f, n, tuple(mult), unit)
+    dr = dual_ring(entwining_coring(e))
+    if dr.dim != n:
+        raise DimensionMismatch(f"dual ring has dimension {dr.dim}, not {n}")
+    cols = []
+    for k, bmat in enumerate(basis):
+        nu = a.mult_mat @ bmat.tensor_id(a.dim, 1)  # a (x) c -> a f(c)
+        x = coords(dr.basis, nu)
+        if x is None:
+            raise AxiomViolation("hom-tensor-image-not-left-linear", (k,))
+        cols.append(x)
+    iso = make_algebra_map(alg, dr.alg, Mat.from_cols(f, cols))
+    pivots = rref(iso.matrix)[1]
+    if len(pivots) != n:
+        # the first non-pivot column depends on the columns before it
+        raise AxiomViolation("twisted-convolution-iso-not-bijective",
+                             (min(set(range(n)) - set(pivots)),))
+    return RefTwistedConvolution(alg, dr, iso)
+
+
+def ref_enumerate_entwined_measurings(e, b):
+    """All k-linear f: C (x) B -> A satisfying the entwined measuring
+    diagrams, enumerated by brute force over the unit-constraint affine
+    space and returned in canonical order."""
+    a, c = e.A, e.C
+    na, nb, nc = a.dim, b.dim, c.dim
+    target_unit = a.unit_col @ c.eps
+    unit_b = b.unit_col.tensor_id(nc, 1)
+    mult_b = b.mult_mat.tensor_id(nc, 1)
+    psi_b = e.psi.tensor_id(1, nb)
+    delta_bb = c.delta.tensor_id(1, nb * nb)
+
+    def unit_residual(m):
+        return m @ unit_b - target_unit
+
+    def is_measuring(m):
+        lhs = m @ mult_b
+        rhs = a.mult_mat @ m.tensor_id(na, 1) @ psi_b @ \
+            m.tensor_id(nc, nb) @ delta_bb
+        return lhs == rhs
+
+    return enumerate_affine(a.field, (na, nc * nb), unit_residual,
+                            is_measuring)
 
 
 class TestCoalgebra:
@@ -229,7 +326,7 @@ class TestDualBasisIdentity:
 class TestEntwining:
     def test_flip_valid(self):
         for field in (GF2, GF3):
-            e = flip_entwining(d2_algebra(field), gc2_coalgebra(field))
+            e = ref_flip_entwining(d2_algebra(field), gc2_coalgebra(field))
             c = entwining_coring(e)
             assert c.dim == 4
             assert check_coring(c) is None
@@ -242,7 +339,7 @@ class TestEntwining:
             entwining_coring(bad)
 
     def test_flip_coring_equals_tensor_structure(self):
-        e = flip_entwining(base_algebra(GF3), gc2_coalgebra(GF3))
+        e = ref_flip_entwining(base_algebra(GF3), gc2_coalgebra(GF3))
         c = entwining_coring(e)
         other = coalgebra_to_coring(gc2_coalgebra(GF3))
         assert c.delta_lift == other.delta_lift
@@ -252,24 +349,24 @@ class TestEntwining:
 class TestTwistedConvolution:
     def test_iso_to_dual_ring(self):
         for field in (GF2, GF3):
-            e = flip_entwining(d2_algebra(field), gc2_coalgebra(field))
-            tc = twisted_convolution(e)
+            e = ref_flip_entwining(d2_algebra(field), gc2_coalgebra(field))
+            tc = ref_twisted_convolution(e)
             assert tc.alg.dim == 4
-            assert is_isomorphism(tc.to_dual)
+            assert ref_is_isomorphism(tc.to_dual)
 
     def test_unit_element(self):
-        e = flip_entwining(d2_algebra(GF2), gc2_coalgebra(GF2))
-        tc = twisted_convolution(e)
+        e = ref_flip_entwining(d2_algebra(GF2), gc2_coalgebra(GF2))
+        tc = ref_twisted_convolution(e)
         # unit is u_A . eps_C, flattened on the matrix-unit basis
         unitmap = e.A.unit_col @ e.C.eps
         flat = tuple(x for row in unitmap.entries for x in row)
         assert tc.alg.unit == flat
 
     def test_product_formula(self):
-        e = flip_entwining(d2_algebra(GF2), gc2_coalgebra(GF2))
+        e = ref_flip_entwining(d2_algebra(GF2), gc2_coalgebra(GF2))
         f = Mat.from_rows(GF2, [[1, 0], [0, 1]])
         g = Mat.from_rows(GF2, [[0, 1], [1, 0]])
-        prod = twisted_product(e, f, g)
+        prod = ref_twisted_product(e, f, g)
         # for the flip entwining this is pointwise-on-group-likes product
         for x in range(2):
             col = tuple(GF2.one if t == x else GF2.zero for t in range(2))
@@ -281,21 +378,21 @@ class TestTwistedConvolution:
     def test_dual_ring_of_another_dimension(self, monkeypatch):
         # no entwining reaches it: a stand-in dual ring of dimension 2
         # against the 4 basis maps of Hom_k(C, A) compares two sizes
-        e = flip_entwining(d2_algebra(GF3), gc2_coalgebra(GF3))
+        e = ref_flip_entwining(d2_algebra(GF3), gc2_coalgebra(GF3))
         small = dual_ring(trivial_coring(d2_algebra(GF3)))
-        monkeypatch.setattr(constructions, "dual_ring", lambda c: small)
+        monkeypatch.setitem(globals(), "dual_ring", lambda c: small)
         with pytest.raises(DimensionMismatch) as err:
-            twisted_convolution(e)
+            ref_twisted_convolution(e)
         assert str(err.value) == "dual ring has dimension 2, not 4"
 
 
 class TestEntwinedMeasurings:
     def test_match_coring_measurings(self):
         from coringext.extension import enumerate_measurings
-        e = flip_entwining(base_algebra(GF3), gc2_coalgebra(GF3))
+        e = ref_flip_entwining(base_algebra(GF3), gc2_coalgebra(GF3))
         c = entwining_coring(e)
         b = c2_group_algebra(GF3)
-        entwined = enumerate_entwined_measurings(e, b)
+        entwined = ref_enumerate_entwined_measurings(e, b)
         coring_side = enumerate_measurings(c, b)
         assert len(entwined) == len(coring_side) == 4
         assert [m.nu for m in coring_side] == entwined

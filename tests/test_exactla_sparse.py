@@ -12,9 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coringext.exactla import (GF2, GF3, QQ, FieldSpec, Mat, kernel,
-                               quotient, rank, rref, solve)
-
-from test_algmod import ref_apply
+                               quotient, rref)
 
 FIELDS = [GF2, GF3, FieldSpec(7), QQ]
 DENSITIES = [0.05, 0.15, 0.3, 0.6, 1.0]
@@ -104,7 +102,7 @@ def rand_rows(f, nrows, ncols, density, rng):
     def scalar():
         if rng.random() >= density:
             return f.zero
-        if f.is_finite:
+        if f.p is not None:
             return rng.randrange(1, f.p)
         return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
                         rng.randrange(1, 4))
@@ -143,7 +141,7 @@ def test_echelon_forms_match_reference(case):
     ref_red, ref_piv = ref_rref(f, rows, nc)
     assert check_sparse(red).entries == dense(ref_red)
     assert pivots == tuple(ref_piv)
-    assert rank(m) == len(ref_piv)
+    assert red.rows == len(ref_piv)
     assert check_sparse(kernel(m)).entries == dense(ref_kernel(f, rows, nc))
 
     q = quotient(f, nc, m)
@@ -153,25 +151,6 @@ def test_echelon_forms_match_reference(case):
         ref_null(f, ref_red, ref_piv, nc))
     assert check_sparse(q.section).entries == dense(
         [[f.one if i == fc else f.zero for fc in free] for i in range(nc)])
-
-
-@settings(max_examples=150, deadline=None)
-@given(cases())
-def test_solve_matches_reference(case):
-    f, density, (nr, nc, _, _), rng = case
-    rows = rand_rows(f, nr, nc, density, rng)
-    m = Mat(f, nr, nc, dense(rows))
-    xs = rand_rows(f, 1, nc, density, rng)[0]
-    reachable = tuple(r[0] for r in ref_matmul(
-        f, rows, [[x] for x in xs], nc, 1))
-    random_target = tuple(rand_rows(f, 1, nr, density, rng)[0])
-    for target in (reachable, random_target):
-        x = solve(m, target)
-        ref = ref_solve(f, rows, nc, target)
-        assert (x is None) == (ref is None)
-        if ref is not None:
-            assert x == tuple(ref)
-            assert ref_apply(m, x) == target
 
 
 @settings(max_examples=150, deadline=None)
@@ -191,18 +170,12 @@ def test_algebra_matches_reference(case):
         [[f.add(x, y) for x, y in zip(r, s)] for r, s in zip(a, a2)])
     assert check_sparse(ma - ma2).entries == dense(
         [[f.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a, a2)])
-    assert check_sparse(-ma).entries == dense(
-        [[f.neg(x) for x in r] for r in a])
-    assert check_sparse(ma.scale(2)).entries == dense(
-        [[f.mul(f.of(2), x) for x in r] for r in a])
     assert check_sparse(ma.transpose()).entries == dense(
         ref_transpose(a, nc))
     assert check_sparse(ma.stack(ma2)).entries == dense(a + a2)
-    assert check_sparse(ma - ma).is_zero
+    assert check_sparse(ma - ma) == Mat.zero(f, nr, nc)
     for j in range(nc):
         assert ma.col(j) == tuple(r[j] for r in a)
-    for i in range(nr):
-        assert ma.row(i) == tuple(a[i])
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,7 +196,6 @@ def test_equal_matrices_hash_equal(case):
         m + Mat.zero(f, nr, nc),
         m.transpose().transpose(),
         Mat.identity(f, 1).kron(m),
-        -(-m),
     ]
     for other in built:
         assert other == m and hash(other) == hash(m)
@@ -231,7 +203,7 @@ def test_equal_matrices_hash_equal(case):
              Mat(f, nc, nc, tuple(tuple(f.one if i == j else f.zero
                                         for j in range(nc))
                                   for i in range(nc)))]
-    zero = [Mat.zero(f, nr, nc), m - m, m.scale(0),
+    zero = [Mat.zero(f, nr, nc), m - m,
             Mat(f, nr, nc, ((f.zero,) * nc,) * nr)]
     for group in (ident, zero):
         for other in group:
@@ -291,16 +263,6 @@ def test_rationals_with_wide_scalars(case):
     free = [c for c in range(nc) if c not in ref_piv]
     assert check_sparse(q.section).entries == dense(
         [[f.one if i == fc else f.zero for fc in free] for i in range(nc)])
-
-    xs = wide_rows(1, nc, density, rng)[0]
-    reachable = tuple(r[0] for r in ref_matmul(
-        f, rows, [[x] for x in xs], nc, 1))
-    for target in (reachable, tuple(wide_rows(1, nr, density, rng)[0])):
-        x = solve(m, target)
-        ref = ref_solve(f, rows, nc, target)
-        assert (x is None) == (ref is None)
-        if ref is not None:
-            assert x == tuple(ref)
 
     b = wide_rows(nc, nk, density, rng)
     prod = check_sparse(m @ Mat(f, nc, nk, dense(b)))

@@ -115,12 +115,18 @@ def test_only_set_guards_takes_a_guard(path):
 # that checked a bimodule its caller's ``make_coring`` checks again, the
 # wrappers that checked or assembled a made record a second time, a builder
 # that nothing called, the maps that let a sweep re-run ``check_measuring``
-# on each candidate, and an accessor that built A over B a second time
+# on each candidate, an accessor that built A over B a second time, a second
+# linear solver and the helpers no CLI call used, and the oracles that moved
+# into the tests as ``ref_*``
 RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "NotCoringMorphism", "NotColinear", "MiddleMismatch",
            "bimodule_from_actions", "cor28_extension", "_descend",
            "induced_action", "make_bimodule", "_MeasuringMaps",
-           "_measuring_maps", "aab", "apply"}
+           "_measuring_maps", "aab", "apply", "solve", "rank", "scale",
+           "is_zero", "is_finite", "star_product", "dual_coords", "ccc",
+           "opposite", "is_isomorphism", "_holds", "flip_entwining",
+           "twisted_product", "_hom_basis", "TwistedConvolution",
+           "twisted_convolution", "enumerate_entwined_measurings"}
 
 
 def _returns_value(fn):

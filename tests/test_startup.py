@@ -17,29 +17,25 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 # The export list of the package, by defining module, in export order.
 EXPORTS = {
     "exactla": ["GF2", "GF3", "QQ", "FieldSpec", "Mat", "QuotientSpace",
-                "kernel", "quotient", "rank", "rref", "set_guards", "solve"],
+                "kernel", "quotient", "rref", "set_guards"],
     "algmod": ["Algebra", "AlgebraMap", "Bimodule", "LeftModule",
                "RightModule", "check_algebra", "check_algebra_map",
                "check_bimodule", "check_left_module", "check_right_module",
-               "enumerate_algebra_maps", "is_isomorphism", "make_algebra",
-               "make_algebra_map", "opposite",
+               "enumerate_algebra_maps", "make_algebra", "make_algebra_map",
                "regular_bimodule"],
     "tensorcat": ["tensor_chain", "tensor_over"],
     "coring": ["ColinearMap", "Comodule", "Coring", "DualRing",
                "LeftComodule", "check_bicomodule", "check_colinear",
                "check_comodule", "check_coring", "check_left_comodule",
                "cofree_comodule", "cotensor_basis", "direct_sum_comodule",
-               "dual_coords", "dual_element", "dual_ring",
-               "make_colinear_map", "make_comodule", "make_coring",
-               "make_left_comodule", "regular_comodule", "star_product"],
-    "constructions": ["Coalgebra", "DualBasis", "Entwining",
-                      "TwistedConvolution", "base_algebra", "check_coalgebra",
-                      "check_dual_basis", "coalgebra_to_coring",
-                      "comatrix_coring", "entwining_coring",
-                      "enumerate_entwined_measurings", "flip_entwining",
-                      "group_coalgebra", "make_coalgebra", "sweedler_coring",
-                      "trivial_coring", "twisted_convolution",
-                      "twisted_product"],
+               "dual_element", "dual_ring", "make_colinear_map",
+               "make_comodule", "make_coring", "make_left_comodule",
+               "regular_comodule"],
+    "constructions": ["Coalgebra", "DualBasis", "Entwining", "base_algebra",
+                      "check_coalgebra", "check_dual_basis",
+                      "coalgebra_to_coring", "comatrix_coring",
+                      "entwining_coring", "group_coalgebra", "make_coalgebra",
+                      "sweedler_coring", "trivial_coring"],
     "extension": ["CoringExtension", "Measuring", "action_from_measuring",
                   "algebra_map_to_measuring", "apply_functor",
                   "check_coring_extension", "check_measuring",
