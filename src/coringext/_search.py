@@ -5,7 +5,7 @@ import itertools
 from typing import Callable, List, Optional
 
 from .errors import DimensionMismatch, SizeLimit
-from .exactla import (FieldSpec, Mat, _addmul, _new, _null_basis,
+from .exactla import (FieldSpec, Mat, _combine, _null_basis,
                       current_max_enum, rref)
 
 
@@ -51,23 +51,6 @@ def affine_solutions(field: FieldSpec, shape, residual: Callable[[Mat], Mat]):
         {k: x for k, x in r.items() if k != nvars} for r in red.sparse_rows])
     null = _null_basis(coeff, pivots)
     return unflatten(part), [unflatten(r) for r in null.sparse_rows]
-
-
-def _combine(m: Mat, coeffs, basis) -> Mat:
-    """``m + sum_i coeffs[i] * basis[i]``, accumulated into one set of rows.
-
-    Each nonzero coefficient is coerced into the field.  The basis
-    matrices must have the shape of ``m``.
-    """
-    f = m.field
-    p = f.p
-    out = [dict(r) for r in m.sparse_rows]
-    for x, b in zip(coeffs, basis):
-        c = f.of(x) if x else x
-        if c:
-            for acc, row in zip(out, b.sparse_rows):
-                _addmul(acc, c, row, p)
-    return _new(f, m.rows, m.cols, tuple(out))
 
 
 def pivots(basis) -> tuple:

@@ -43,7 +43,7 @@ class Algebra:
 
     @cached_property
     def unit_col(self) -> Mat:
-        return Mat.column(self.field, self.unit)
+        return Mat.from_cols(self.field, [self.unit])
 
 
 def _coerce_tensor3(field, t, d0, d1, d2, what):

@@ -29,7 +29,7 @@ import coringext as lib
 
 from .errors import (AxiomViolation, CoringError, DimensionMismatch,
                      NonFiniteField, SchemaError, SizeLimit, UnknownReference)
-from .exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM,
+from .exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM, _INTEGER,
                       FieldSpec, Mat, set_guards)
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ class Workspace:
         # every reserved fixture name starts with "FIX."
         if obj is None and name.startswith("FIX."):
             fx = lib.fixtures
-            if name in fx.CORING_FIXTURES or name in fx.ALGEBRA_FIXTURES:
+            if name in fx.FIXTURES:
                 obj = self.objects[name] = fx.fixture(name, self.field, path)
         if obj is None:
             raise UnknownReference(path, name)
@@ -171,8 +171,8 @@ def _parse_object(ws: Workspace, data, path: str):
         return lib.coalgebra_to_coring(ref("coalgebra", lib.Coalgebra))
     if kind == "entwining_coring":
         a, cg = ref("algebra", lib.Algebra), ref("coalgebra", lib.Coalgebra)
-        psi = mat("psi", a.dim * cg.dim, cg.dim * a.dim)
-        return lib.entwining_coring(lib.Entwining(a, cg, psi))
+        return lib.entwining_coring(
+            a, cg, mat("psi", a.dim * cg.dim, cg.dim * a.dim))
     if kind == "comodule":
         c = ref("coring", lib.Coring)
         dim = _dim(data, path)
@@ -225,14 +225,14 @@ def _unique_keys(pairs) -> dict:
 
 def _parse_int(literal: str, path="$",
                what="invalid JSON: an integer literal") -> int:
-    """An integer of at most 4300 digits, the limit of Python 3.10.7 on;
-    earlier versions have none, so the report is the same on every one."""
+    """An integer in the scalar grammar ``[+-]?[0-9]+`` of at most 4300
+    digits, the limit of Python 3.10.7 on; earlier versions have none, so
+    the report is the same on every one."""
     if len(literal.strip().lstrip("+-")) > 4300:
         raise SchemaError(path, f"{what} has more than 4300 digits")
-    try:
-        return int(literal)
-    except ValueError:
+    if not _INTEGER.fullmatch(literal):
         raise SchemaError(path, f"{what} is not an integer")
+    return int(literal)
 
 
 def parse_workspace(text: str) -> Workspace:

@@ -1,5 +1,7 @@
 """Named coring constructions: trivial, Sweedler, comatrix and entwining
-corings, and coalgebras over the base field."""
+corings, and coalgebras over the base field.  Each takes its defining data
+as arguments: an entwining as A, C and psi, a dual basis as its elements
+and functionals."""
 
 from typing import List
 
@@ -123,18 +125,6 @@ def coalgebra_to_coring(c: Coalgebra) -> Coring:
 # -- comatrix corings ------------------------------------------------
 
 
-@frozen
-class DualBasis:
-    """Dual basis certificate for a right A-module Sigma.
-
-    ``elements`` are coordinates of e_i in Sigma, ``functionals`` the
-    matrices of the right A-linear maps e*_i: Sigma -> A.
-    """
-
-    elements: tuple     # of coordinate tuples
-    functionals: tuple  # of Mat (A.dim x Sigma.dim)
-
-
 def _right_linear_basis(sigma: Bimodule) -> List[Mat]:
     """Canonical basis of Sigma* = Hom_A(Sigma, A) (right A-linear maps)."""
     a = sigma.algR
@@ -143,24 +133,28 @@ def _right_linear_basis(sigma: Bimodule) -> List[Mat]:
         lambda x: x @ sigma.ract - a.mult_mat @ x.tensor_id(1, a.dim))[1]
 
 
-def check_dual_basis(sigma: Bimodule, db: DualBasis) -> None:
-    """Verify e*_i(s.a) = e*_i(s) a, at the witness (s, a), then sum_i e_i .
-    e*_i(s) = s, as ract @ sum_i (e_i (x) e*_i) = I, at the first basis s
-    of Sigma where it fails."""
+def check_dual_basis(sigma: Bimodule, elements, functionals) -> None:
+    """Verify that (e_i, e*_i) is a dual basis of the right A-module Sigma:
+    ``elements`` are the coordinate tuples of the e_i in Sigma,
+    ``functionals`` the matrices (A.dim x Sigma.dim) of the maps e*_i:
+    Sigma -> A.  First e*_i(s.a) = e*_i(s) a, at the witness (s, a), then
+    sum_i e_i . e*_i(s) = s, as ract @ sum_i (e_i (x) e*_i) = I, at the
+    first basis s of Sigma where it fails."""
     a = sigma.algR
     f = a.field
-    for g in db.functionals:
+    for g in functionals:
         _require(g @ sigma.ract, a.mult_mat @ g.tensor_id(1, a.dim),
                  "functional-not-right-linear", (sigma.dim, a.dim))
     pairing = Mat.zero(f, sigma.dim * a.dim, sigma.dim)
-    for e_i, g in zip(db.elements, db.functionals):
-        pairing = pairing + Mat.column(f, e_i).kron(g)
+    for e_i, g in zip(elements, functionals):
+        pairing = pairing + Mat.from_cols(f, [e_i]).kron(g)
     _require(sigma.ract @ pairing, Mat.identity(f, sigma.dim),
              "dual-basis-identity")
 
 
-def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
-    """Comatrix coring Sigma* (x)_B Sigma of a (B, A)-bimodule Sigma.
+def comatrix_coring(sigma: Bimodule, elements, functionals) -> Coring:
+    """Comatrix coring Sigma* (x)_B Sigma of a (B, A)-bimodule Sigma with
+    the dual basis (``elements``, ``functionals``) of ``check_dual_basis``.
 
     A map that should lie in Sigma* but is not right A-linear is rejected
     as ``not-in-sigma-star`` at its index: (i, t) for a_i . g_t and (t, j)
@@ -168,7 +162,7 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
     """
     b, a = sigma.algL, sigma.algR
     f = a.field
-    check_dual_basis(sigma, db)
+    check_dual_basis(sigma, elements, functionals)
     star = _right_linear_basis(sigma)
     ns = len(star)
 
@@ -182,14 +176,15 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
     ea, eb = Mat.identity(f, a.dim), Mat.identity(f, b.dim)
     lact_cols = []
     for i in range(a.dim):
-        li = a.mult_mat @ Mat.column(f, ea.col(i)).tensor_id(1, a.dim)
+        li = a.mult_mat @ Mat.from_cols(f, [ea.col(i)]).tensor_id(1, a.dim)
         for t in range(ns):
             lact_cols.append(star_coords(li @ star[t], i, t))
     lact_star = Mat.from_cols(f, lact_cols)
     ract_cols = []
     for t in range(ns):
         for j in range(b.dim):
-            bj = sigma.lact @ Mat.column(f, eb.col(j)).tensor_id(1, sigma.dim)
+            bj = sigma.lact @ Mat.from_cols(f, [eb.col(j)]).tensor_id(
+                1, sigma.dim)
             ract_cols.append(star_coords(star[t] @ bj, t, j))
     ract_star = Mat.from_cols(f, ract_cols)
 
@@ -197,9 +192,9 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
                     LeftModule(b, sigma.dim, sigma.lact))
     amb = ns * sigma.dim
     delta_amb = Mat.zero(f, amb * amb, amb)
-    for i, (e_i, g_i) in enumerate(zip(db.elements, db.functionals)):
-        term = Mat.column(f, e_i).kron(
-            Mat.column(f, coords(star, g_i))).tensor_id(ns, sigma.dim)
+    for e_i, g_i in zip(elements, functionals):
+        term = Mat.from_cols(f, [e_i]).kron(
+            Mat.from_cols(f, [coords(star, g_i)])).tensor_id(ns, sigma.dim)
         delta_amb = delta_amb + term
     eval_cols = [star[t].col(j) for t in range(ns) for j in range(sigma.dim)]
     return _quotient_coring("comatrix", q, a, lact_star, sigma.ract,
@@ -209,29 +204,20 @@ def comatrix_coring(sigma: Bimodule, db: DualBasis) -> Coring:
 # -- entwining structures --------------------------------------------
 
 
-@frozen
-class Entwining:
-    """Entwining datum (A, C, psi) with psi: C (x) A -> A (x) C.
+def entwining_coring(a: Algebra, coalgebra: Coalgebra, psi: Mat) -> Coring:
+    """The coring A (x) C of an entwining datum (A, C, psi), with psi:
+    C (x) A -> A (x) C.
 
-    Validity of psi is defined operationally: the coring built on A (x) C
-    must pass all coring axioms.
+    Validity of psi is defined operationally: this fails iff the coring
+    built on A (x) C fails a coring axiom, that is iff psi is not an
+    entwining.
     """
-
-    A: Algebra
-    C: Coalgebra
-    psi: Mat
-
-
-def entwining_coring(e: Entwining) -> Coring:
-    """The coring A (x) C of an entwining; fails iff psi is not an entwining."""
-    a, c = e.A, e.C
-    if e.psi.rows != a.dim * c.dim or e.psi.cols != c.dim * a.dim:
+    na, nc = a.dim, coalgebra.dim
+    if psi.rows != na * nc or psi.cols != nc * na:
         raise DimensionMismatch("psi has wrong shape")
-    na, nc = a.dim, c.dim
     lact = a.mult_mat.tensor_id(1, nc)
-    ract = lact @ e.psi.tensor_id(na, 1)
+    ract = lact @ psi.tensor_id(na, 1)
     delta_lift = a.unit_col.tensor_id(na * nc, nc) @ \
-        c.delta.tensor_id(na, 1)
-    eps = c.eps.tensor_id(na, 1)
+        coalgebra.delta.tensor_id(na, 1)
     return make_coring(a, Bimodule(a, a, na * nc, lact, ract), delta_lift,
-                       eps)
+                       coalgebra.eps.tensor_id(na, 1))

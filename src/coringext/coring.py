@@ -14,9 +14,9 @@ pass; so every lift of one coaction gives the same verdict and witness.
 from typing import List
 
 from ._record import frozen
-from ._search import _combine, affine_solutions, coords, pivots
+from ._search import affine_solutions, coords, pivots
 from .errors import AxiomViolation, DimensionMismatch
-from .exactla import Mat, QuotientSpace, kernel, memoised
+from .exactla import Mat, QuotientSpace, _combine, kernel, memoised
 from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _require,
                      check_bimodule, check_left_module, check_right_module,
                      make_algebra)
@@ -164,15 +164,10 @@ def direct_sum_comodule(m: Comodule, n: Comodule) -> Comodule:
     """Block-diagonal direct sum of two comodules over the same coring."""
     if m.coring != n.coring:
         raise DimensionMismatch("comodules over different corings")
-    f = m.coring.A.field
     a = m.coring.A
-    dm, dn = m.dim, n.dim
-    inc1 = Mat(f, dm + dn, dm, tuple(
-        tuple(f.one if i == j else f.zero for j in range(dm))
-        for i in range(dm + dn)))
-    inc2 = Mat(f, dm + dn, dn, tuple(
-        tuple(f.one if i == dm + j else f.zero for j in range(dn))
-        for i in range(dm + dn)))
+    f, dm, dn = a.field, m.dim, n.dim
+    inc1 = Mat.identity(f, dm).stack(Mat.zero(f, dn, dm))
+    inc2 = Mat.zero(f, dm, dn).stack(Mat.identity(f, dn))
     pr1, pr2 = inc1.transpose(), inc2.transpose()
     na, nc = a.dim, m.coring.dim
     act = inc1 @ m.M.act @ pr1.tensor_id(1, na) + \

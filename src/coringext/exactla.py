@@ -232,6 +232,24 @@ def _addmul(acc: dict, c, row: dict, p: Optional[int]) -> None:
             del acc[k]
 
 
+def _combine(m: "Mat", coeffs, basis) -> "Mat":
+    """``m + sum_i coeffs[i] * basis[i]`` in one set of rows: the one
+    accumulator, behind ``+``, ``-`` and the coordinates and sweeps of
+    ``_search``.  Each nonzero coefficient is coerced into the field; a
+    basis matrix not of the shape of ``m`` is a DimensionMismatch."""
+    f = m.field
+    p = f.p
+    out = [dict(r) for r in m.sparse_rows]
+    for x, b in zip(coeffs, basis):
+        if b.rows != m.rows or b.cols != m.cols:
+            raise DimensionMismatch("shape mismatch")
+        c = f.of(x) if x else x
+        if c:
+            for acc, row in zip(out, b.sparse_rows):
+                _addmul(acc, c, row, p)
+    return _new(f, m.rows, m.cols, tuple(out))
+
+
 def _int_row(row: dict):
     """``(numerators, d)`` with ``row = numerators / d`` over Q, where d is
     the lcm of the denominators of the row's entries."""
@@ -355,10 +373,6 @@ class Mat:
             {i * n + j: one} for j in range(n) for i in range(m)))
 
     @staticmethod
-    def column(field: FieldSpec, vec) -> "Mat":
-        return Mat(field, len(vec), 1, tuple((field.of(x),) for x in vec))
-
-    @staticmethod
     def from_cols(field: FieldSpec, cols) -> "Mat":
         nrows = len(cols[0]) if cols else 0
         data = tuple({} for _ in range(nrows))
@@ -403,21 +417,10 @@ class Mat:
         return _new(self.field, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._combine(other, 1)
+        return _combine(self, (1,), (other,))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "Mat", c) -> "Mat":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch")
-        p = self.field.p
-        out = []
-        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
-            acc = dict(ra)
-            _addmul(acc, c, rb, p)
-            out.append(acc)
-        return _new(self.field, self.rows, self.cols, tuple(out))
+        return _combine(self, (-1,), (other,))
 
     def transpose(self) -> "Mat":
         data = tuple({} for _ in range(self.cols))

@@ -1,7 +1,8 @@
-"""Reserved named fixtures, materialized over any base field."""
+"""Reserved named fixtures in one table, ``FIXTURES``, materialized over
+any base field."""
 
 from .errors import SchemaError
-from .exactla import FieldSpec, Mat, memoised
+from .exactla import FieldSpec, memoised
 from .algmod import Algebra, AlgebraMap, make_algebra, make_algebra_map
 from .coring import Coring
 from .constructions import (Coalgebra, base_algebra, coalgebra_to_coring,
@@ -45,7 +46,7 @@ def matrix_algebra_2(field: FieldSpec) -> Algebra:
 @memoised
 def unit_map(field: FieldSpec, a: Algebra) -> AlgebraMap:
     """The unique algebra map from the base field into a."""
-    return make_algebra_map(base_algebra(field), a, Mat.column(field, a.unit))
+    return make_algebra_map(base_algebra(field), a, a.unit_col)
 
 
 @memoised
@@ -64,22 +65,17 @@ def gc2_coring(field: FieldSpec) -> Coring:
     return coalgebra_to_coring(gc2_coalgebra(field))
 
 
-ALGEBRA_FIXTURES = {
+FIXTURES = {
     "FIX.D2": d2_algebra,
     "FIX.BC2": c2_group_algebra,
-}
-
-CORING_FIXTURES = {
     "FIX.SW": sw_coring,
     "FIX.GC2": gc2_coring,
 }
 
 
 def fixture(name: str, field: FieldSpec, path: str = "$"):
-    """Materialize a reserved fixture by name; algebras, coalgebras and
-    corings share the namespace with the coring reading preferred."""
-    if name in CORING_FIXTURES:
-        return CORING_FIXTURES[name](field)
-    if name in ALGEBRA_FIXTURES:
-        return ALGEBRA_FIXTURES[name](field)
-    raise SchemaError(path, f"unknown fixture {name!r}")
+    """The reserved fixture ``name`` of ``FIXTURES``, materialized over
+    ``field``; SchemaError at ``path`` for a name that is not reserved."""
+    if name not in FIXTURES:
+        raise SchemaError(path, f"unknown fixture {name!r}")
+    return FIXTURES[name](field)

@@ -58,9 +58,6 @@ LEDGER = {
     "coring.check_bicomodule": _ITEM_1,
     "coring.dual_element": _DUAL,
     "descent.check_descent_morphism": _ITEM_5,
-    "errors.UnknownReference.__init__":
-        "the report on an undeclared name: tests/test_cli.py reaches it, "
-        "no recorded call names one",
     "exactla.FieldSpec.add": "field arithmetic the test oracles use",
     "exactla.FieldSpec.mul": "field arithmetic the test oracles use",
     "exactla.FieldSpec.__repr__": _ENTRY,

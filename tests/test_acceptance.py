@@ -21,7 +21,7 @@ from coringext.algmod import (Bimodule, RightModule, enumerate_algebra_maps,
 from coringext.coring import (check_comodule, check_coring, cofree_comodule,
                               direct_sum_comodule, dual_ring,
                               make_colinear_map, regular_comodule)
-from coringext.constructions import (DualBasis, base_algebra,
+from coringext.constructions import (base_algebra,
                                      coalgebra_to_coring, comatrix_coring,
                                      entwining_coring, sweedler_coring,
                                      trivial_coring)
@@ -179,16 +179,15 @@ def test_criterion_5_worked_constructions():
     a = d2_algebra(GF2)
     k = base_algebra(GF2)
     sigma = Bimodule(k, a, a.dim, Mat.identity(GF2, a.dim), a.mult_mat)
-    db = DualBasis(elements=(tuple(a.unit),),
-                   functionals=(Mat.identity(GF2, a.dim),))
-    for c in (sw_coring(GF2), comatrix_coring(sigma, db)):
+    elements, functionals = (tuple(a.unit),), (Mat.identity(GF2, a.dim),)
+    for c in (sw_coring(GF2), comatrix_coring(sigma, elements, functionals)):
         assert _find_iso(m2op, dual_ring(c).alg) is not None
 
     # (4) flip-entwining measurings agree with the plain coalgebra coring
     # measurings, and twisted convolution is the dual ring of the
     # entwined coring via the explicit evaluation map
     e = ref_flip_entwining(base_algebra(GF3), gc2_coalgebra(GF3))
-    c = entwining_coring(e)
+    c = entwining_coring(*e)
     b = c2_group_algebra(GF3)
     entwined = ref_enumerate_entwined_measurings(e, b)
     plain = enumerate_measurings(coalgebra_to_coring(gc2_coalgebra(GF3)), b)
@@ -196,7 +195,7 @@ def test_criterion_5_worked_constructions():
     for field in (GF2, GF3):
         ef = ref_flip_entwining(d2_algebra(field), gc2_coalgebra(field))
         tc = ref_twisted_convolution(ef)
-        assert tc.to_dual.target == dual_ring(entwining_coring(ef)).alg
+        assert tc.to_dual.target == dual_ring(entwining_coring(*ef)).alg
         assert ref_is_isomorphism(tc.to_dual)
     _report(5, "worked constructions: trivial dual ring, comatrix and "
                "canonical-quotient dual rings, flip entwining, and "

@@ -329,7 +329,7 @@ class TestAlgebraMap:
     def test_non_unital_rejected(self):
         k = base_algebra(GF2)
         a = d2_algebra(GF2)
-        bad = AlgebraMap(k, a, Mat.column(GF2, (1, 0)))
+        bad = AlgebraMap(k, a, Mat.from_cols(GF2, [(1, 0)]))
         assert outcome(check_algebra_map, bad) == ("unit-not-preserved",
                                                    (0,))
 

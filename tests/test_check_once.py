@@ -70,7 +70,7 @@ def coring_builders(field):
     coalg = group_coalgebra(field, 2)
     return {"explicit": lambda: explicit_coring(field),
             "sweedler": lambda: sweedler_coring(iota),
-            "entwining": lambda: entwining_coring(ent),
+            "entwining": lambda: entwining_coring(*ent),
             "coalgebra": lambda: coalgebra_to_coring(coalg)}
 
 

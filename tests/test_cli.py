@@ -339,6 +339,12 @@ class TestArgv:
         (["--max-enum=x", "check"], "argv[0]", None),
         (["--max-dim", "7" * 4301, "check"], "argv[1]", None),
         (["--max-enum=-" + "7" * 4301, "check"], "argv[0]", None),
+    ] + [
+        # a guard value follows the scalar grammar [+-]?[0-9]+
+        case for value in ("1_000", " 5", "\u0663")
+        for name in ("--max-dim", "--max-enum")
+        for case in (([name, value, "check"], "argv[1]", None),
+                     ([f"{name}={value}", "check"], "argv[0]", None))
     ])
     def test_fault_report(self, argv, path, command):
         out = io.StringIO()
@@ -362,6 +368,23 @@ class TestArgv:
                 assert run_cli(argv, "") == first
             finally:
                 sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("value", ["05", "+5"])
+    def test_guard_value_with_a_zero_or_a_sign(self, value):
+        text = ws(sw={"fixture": "FIX.SW"}, d2={"fixture": "FIX.D2"})
+        try:
+            runs = [run_cli(argv, text) for argv in (
+                ["--max-dim", value, "dualring", "--coring", "sw"],
+                [f"--max-dim={value}", "dualring", "--coring", "sw"],
+                ["--max-enum", value, "enumerate-measurings", "--coring",
+                 "sw", "--algebra", "d2"])]
+        finally:
+            set_guards(DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM)
+        assert runs[0] == runs[1]
+        for code, out in runs[1:]:
+            message = json.loads(out)["error"]["message"]
+            assert code == 3 and message.endswith(("exceeds 5",
+                                                   "the guard 5"))
 
     def test_both_spellings_and_global_options_before_the_command(
             self, tmp_path):

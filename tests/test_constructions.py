@@ -16,8 +16,7 @@ from coringext.errors import AxiomViolation, DimensionMismatch
 from coringext.exactla import GF2, GF3, QQ, Mat, rref
 from coringext.algmod import Bimodule, make_algebra, make_algebra_map
 from coringext.coring import check_coring, dual_ring
-from coringext.constructions import (Coalgebra, DualBasis, Entwining,
-                                     base_algebra, check_coalgebra,
+from coringext.constructions import (Coalgebra, base_algebra, check_coalgebra,
                                      check_dual_basis, coalgebra_to_coring,
                                      comatrix_coring, entwining_coring,
                                      group_coalgebra, make_coalgebra,
@@ -31,9 +30,14 @@ from test_algmod import ref_apply, ref_is_isomorphism
 # -- reference: entwinings, twisted convolution, entwined measurings -------
 
 
+# an entwining datum: an algebra A, a coalgebra C and psi: C (x) A -> A (x) C;
+# ``entwining_coring(*e)`` is its coring
+RefEntwining = namedtuple("RefEntwining", "A C psi")
+
+
 def ref_flip_entwining(a, c):
     """The trivial entwining c (x) a -> a (x) c."""
-    return Entwining(a, c, Mat.swap(a.field, c.dim, a.dim))
+    return RefEntwining(a, c, Mat.swap(a.field, c.dim, a.dim))
 
 
 # Hom_k(C, A) with the psi-twisted product, plus its identification with
@@ -78,7 +82,7 @@ def ref_twisted_convolution(e):
     unitmap = a.unit_col @ c.eps
     unit = tuple(x for rr in unitmap.entries for x in rr)
     alg = make_algebra(f, n, tuple(mult), unit)
-    dr = dual_ring(entwining_coring(e))
+    dr = dual_ring(entwining_coring(*e))
     if dr.dim != n:
         raise DimensionMismatch(f"dual ring has dimension {dr.dim}, not {n}")
     cols = []
@@ -175,35 +179,33 @@ class TestComatrix:
         a = d2_algebra(field)
         k = base_algebra(field)
         sigma = Bimodule(k, a, a.dim, Mat.identity(field, a.dim), a.mult_mat)
-        db = DualBasis(elements=(tuple(a.unit),),
-                       functionals=(Mat.identity(field, a.dim),))
+        # the dual basis as (elements, functionals)
+        db = ((tuple(a.unit),), (Mat.identity(field, a.dim),))
         return sigma, db
 
     def test_free_rank_one(self):
         for field in (GF2, QQ):
             sigma, db = self._sigma_db(field)
-            c = comatrix_coring(sigma, db)
+            c = comatrix_coring(sigma, *db)
             assert c.dim == 4
             assert check_coring(c) is None
 
     def test_invalid_dual_basis(self):
         sigma, _ = self._sigma_db(GF2)
-        bad = DualBasis(elements=((1, 0),),
-                        functionals=(Mat.identity(GF2, 2),))
+        bad = ((1, 0),), (Mat.identity(GF2, 2),)
         with pytest.raises(AxiomViolation) as err:
-            check_dual_basis(sigma, bad)
+            check_dual_basis(sigma, *bad)
         assert (err.value.kind, err.value.witness) == \
             ("dual-basis-identity", (1,))
         with pytest.raises(AxiomViolation) as err:
-            comatrix_coring(sigma, bad)
+            comatrix_coring(sigma, *bad)
         assert str(err.value) == "dual-basis-identity at (1,)"
 
     def test_non_linear_functional(self):
         sigma, _ = self._sigma_db(GF2)
-        bad = DualBasis(elements=((1, 1),),
-                        functionals=(Mat.from_rows(GF2, [[1, 1], [0, 0]]),))
+        bad = ((1, 1),), (Mat.from_rows(GF2, [[1, 1], [0, 0]]),)
         with pytest.raises(AxiomViolation) as err:
-            check_dual_basis(sigma, bad)
+            check_dual_basis(sigma, *bad)
         # g(e_1 . a_0) = 0, but g(e_1) a_0 = a_0
         assert (err.value.kind, err.value.witness) == \
             ("functional-not-right-linear", (1, 0))
@@ -211,7 +213,7 @@ class TestComatrix:
     def test_matches_sweedler_dual(self):
         # Sigma = A over B = k gives a coring with the same dual ring type
         sigma, db = self._sigma_db(GF2)
-        c = comatrix_coring(sigma, db)
+        c = comatrix_coring(sigma, *db)
         sw = sw_coring(GF2)
         assert dual_ring(c).dim == dual_ring(sw).dim == 4
 
@@ -225,7 +227,7 @@ def outcome(check, *args):
     return None
 
 
-def ref_check_dual_basis(sigma, db):
+def ref_check_dual_basis(sigma, elements, functionals):
     """``check_dual_basis`` as a loop over the basis s of Sigma (and a of
     A), applying each functional and the right action one vector at a
     time: None, or the violated kind and witness."""
@@ -238,7 +240,7 @@ def ref_check_dual_basis(sigma, db):
     def kron(u, v):
         return tuple(f.mul(x, y) for x in u for y in v)
 
-    for g in db.functionals:
+    for g in functionals:
         for s in range(sigma.dim):
             for j in range(a.dim):
                 # g(s . a_j) against g(s) a_j
@@ -249,7 +251,7 @@ def ref_check_dual_basis(sigma, db):
     for s in range(sigma.dim):
         acc = (f.zero,) * sigma.dim
         basis_s = unit(sigma.dim, s)
-        for e_i, g in zip(db.elements, db.functionals):
+        for e_i, g in zip(elements, functionals):
             val = ref_apply(g, basis_s)  # in A
             moved = ref_apply(sigma.ract, kron(e_i, val))
             acc = tuple(f.add(p, q) for p, q in zip(acc, moved))
@@ -273,11 +275,10 @@ def free_rank_two(field):
                      Mat.from_cols(field, cols))
     zero = (0,) * n
     proj = Mat.identity(field, 2 * n)
-    db = DualBasis(
-        elements=(tuple(a.unit) + zero, zero + tuple(a.unit)),
-        functionals=(Mat.from_rows(field, proj.entries[:n]),
-                     Mat.from_rows(field, proj.entries[n:])))
-    return sigma, db
+    elements = (tuple(a.unit) + zero, zero + tuple(a.unit))
+    functionals = (Mat.from_rows(field, proj.entries[:n]),
+                   Mat.from_rows(field, proj.entries[n:]))
+    return sigma, (elements, functionals)
 
 
 def nudged(field, vec, rng):
@@ -298,25 +299,26 @@ class TestDualBasisIdentity:
         rng = random.Random(20041)
         sigmas = [TestComatrix()._sigma_db(field), free_rank_two(field)]
         witnesses = set()
-        for sigma, db in sigmas:
-            assert outcome(check_dual_basis, sigma, db) is None
-            assert ref_check_dual_basis(sigma, db) is None
+        for sigma, (elements, functionals) in sigmas:
+            assert outcome(check_dual_basis, sigma, elements,
+                           functionals) is None
+            assert ref_check_dual_basis(sigma, elements, functionals) is None
             for _ in range(16):
-                i = rng.randrange(len(db.elements))
+                i = rng.randrange(len(elements))
                 if rng.randrange(2):
-                    els = list(db.elements)
+                    els = list(elements)
                     els[i] = nudged(field, els[i], rng)
-                    bad = DualBasis(tuple(els), db.functionals)
+                    bad = (tuple(els), functionals)
                 else:
-                    fns = list(db.functionals)
+                    fns = list(functionals)
                     g = fns[i]
                     rows = [list(r) for r in g.entries]
                     r = rng.randrange(g.rows)
                     rows[r] = list(nudged(field, rows[r], rng))
                     fns[i] = Mat.from_rows(field, rows)
-                    bad = DualBasis(db.elements, tuple(fns))
-                got = outcome(check_dual_basis, sigma, bad)
-                assert got == ref_check_dual_basis(sigma, bad)
+                    bad = (elements, tuple(fns))
+                got = outcome(check_dual_basis, sigma, *bad)
+                assert got == ref_check_dual_basis(sigma, *bad)
                 if got is not None:
                     witnesses.add(got)
         for kind in ("dual-basis-identity", "functional-not-right-linear"):
@@ -327,20 +329,19 @@ class TestEntwining:
     def test_flip_valid(self):
         for field in (GF2, GF3):
             e = ref_flip_entwining(d2_algebra(field), gc2_coalgebra(field))
-            c = entwining_coring(e)
+            c = entwining_coring(*e)
             assert c.dim == 4
             assert check_coring(c) is None
 
     def test_invalid_psi_rejected(self):
         a = d2_algebra(GF2)
         cg = gc2_coalgebra(GF2)
-        bad = Entwining(a, cg, Mat.zero(GF2, 4, 4))
         with pytest.raises(AxiomViolation):
-            entwining_coring(bad)
+            entwining_coring(a, cg, Mat.zero(GF2, 4, 4))
 
     def test_flip_coring_equals_tensor_structure(self):
         e = ref_flip_entwining(base_algebra(GF3), gc2_coalgebra(GF3))
-        c = entwining_coring(e)
+        c = entwining_coring(*e)
         other = coalgebra_to_coring(gc2_coalgebra(GF3))
         assert c.delta_lift == other.delta_lift
         assert c.eps == other.eps
@@ -390,7 +391,7 @@ class TestEntwinedMeasurings:
     def test_match_coring_measurings(self):
         from coringext.extension import enumerate_measurings
         e = ref_flip_entwining(base_algebra(GF3), gc2_coalgebra(GF3))
-        c = entwining_coring(e)
+        c = entwining_coring(*e)
         b = c2_group_algebra(GF3)
         entwined = ref_enumerate_entwined_measurings(e, b)
         coring_side = enumerate_measurings(c, b)

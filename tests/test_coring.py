@@ -152,7 +152,7 @@ class TestDualRing:
     def test_table_is_star_product(self, field):
         corings = (sw_coring(field), gc2_coring(field),
                    trivial_coring(matrix_algebra_2(field)),
-                   entwining_coring(ref_flip_entwining(
+                   entwining_coring(*ref_flip_entwining(
                        d2_algebra(field), gc2_coalgebra(field))))
         for c in corings:
             dr = dual_ring(c)

@@ -21,7 +21,11 @@ Three corpora, each call with its golden exit code and stdout sha256:
   workspaces push descent data along Cor. 2.8 data with B != k, each run
   with ``check`` and ``descent``: D = B = D2 -> A = k^3 over GF(2) and
   GF(3), and a datum on k -> D2 -> M_2 over GF(2) that fails diagram (c).
-  Its golden records are in ``tests/golden_kinds.json``.
+  After all of these come the undeclared references: each copy of a base
+  workspace with one reference field (an object's ``algebra``,
+  ``coring``, ``source``, ...) naming an object that is not declared, run
+  with that workspace's commands.  Its golden records are in
+  ``tests/golden_kinds.json``.
 
 Tier-1 runs a fixed subsample of each, twice in one process, in two
 shuffled orders, so that no report depends on what an earlier call
@@ -71,6 +75,9 @@ KINDS_COMMANDS = (
 KINDS_BASES = (("2", KINDS_COMMANDS), ("3", KINDS_COMMANDS),
                ("cor28-2", DESCENT_COMMANDS), ("cor28-3", DESCENT_COMMANDS),
                ("diagram-c-2", DESCENT_COMMANDS))
+# the fields of an object that name another object
+REFERENCES = ("algebra", "source", "target", "coring", "iota", "iota_A",
+              "iota_B", "c", "d", "coalgebra")
 
 
 def sha256(text: str) -> str:
@@ -133,6 +140,24 @@ def _mutations(ws: dict, p: int):
                 yield path, objects
 
 
+def _base_and_mutations(ws: dict):
+    """A workspace's own objects, then each of its ``_mutations``, as
+    ``(path, objects)``."""
+    yield "base", ws["objects"]
+    yield from _mutations(ws, ws["field"]["p"])
+
+
+def _undeclared(ws: dict):
+    """Every copy of a workspace with one reference field set to a name
+    that no object declares, as ``(path, objects)``, in object and key
+    order."""
+    for name, obj in ws["objects"].items():
+        for key in obj:
+            if key in REFERENCES:
+                objects = {**ws["objects"], name: {**obj, key: "undeclared"}}
+                yield f"$.objects.{name}.{key}", objects
+
+
 def mutated_calls():
     """Every call of the mutated-array corpus, in a fixed order, as
     ``(label, argv, workspace)``."""
@@ -152,18 +177,17 @@ def mutated_calls():
 def kinds_calls():
     """Every call of the each-kind corpus, in a fixed order, as
     ``(label, argv, workspace)``: each base workspace, then its
-    mutations."""
+    mutations; then each base workspace's undeclared references."""
     with open(KINDS_WORKSPACES, encoding="utf-8") as fh:
         bases = json.load(fh)
     calls = []
-    for key, commands in KINDS_BASES:
-        base = bases[key]
-        p = base["field"]["p"]
-        for path, objects in [("base", base["objects"]),
-                              *_mutations(base, p)]:
-            text = json.dumps({**base, "objects": objects},
-                              separators=(",", ":"))
-            calls += [(f"{key} {path}", argv, text) for argv in commands]
+    for changes in (_base_and_mutations, _undeclared):
+        for key, commands in KINDS_BASES:
+            base = bases[key]
+            for path, objects in changes(base):
+                text = json.dumps({**base, "objects": objects},
+                                  separators=(",", ":"))
+                calls += [(f"{key} {path}", argv, text) for argv in commands]
     return calls
 
 
@@ -224,7 +248,7 @@ def test_mutated_arrays_match_golden_records():
 
 def test_each_kind_arrays_match_golden_records():
     calls = golden_calls("kinds")
-    assert len(calls) == 267
+    assert len(calls) == 274
     assert mismatches(calls) == []
 
 

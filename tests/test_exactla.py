@@ -127,6 +127,13 @@ class TestMat:
         with pytest.raises(DimensionMismatch):
             a @ Mat.identity(GF2, 2)
 
+    def test_add_and_sub_shapes(self):
+        a, b = Mat.identity(GF2, 2), Mat.zero(GF2, 2, 3)
+        for op in (a.__add__, a.__sub__, b.__add__, b.__sub__):
+            with pytest.raises(DimensionMismatch) as err:
+                op(Mat.zero(GF2, 3, 2))
+            assert str(err.value) == "shape mismatch"
+
     def test_kron_is_tensor_of_maps(self):
         rng = random.Random(7)
         for field in FIELDS:
@@ -143,7 +150,7 @@ class TestMat:
     def test_apply_matches_column(self):
         m = rand_mat(QQ, 3, 3, random.Random(2))
         v = (Fraction(1), Fraction(2), Fraction(3))
-        assert ref_apply(m, v) == (m @ Mat.column(QQ, v)).col(0)
+        assert ref_apply(m, v) == (m @ Mat.from_cols(QQ, [v])).col(0)
 
 
 class TestEchelon:

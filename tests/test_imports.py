@@ -116,8 +116,9 @@ def test_only_set_guards_takes_a_guard(path):
 # wrappers that checked or assembled a made record a second time, a builder
 # that nothing called, the maps that let a sweep re-run ``check_measuring``
 # on each candidate, an accessor that built A over B a second time, a second
-# linear solver and the helpers no CLI call used, and the oracles that moved
-# into the tests as ``ref_*``
+# linear solver and the helpers no CLI call used, the oracles that moved
+# into the tests as ``ref_*``, the records that only carried arguments, a
+# second column constructor and the second fixture table
 RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "NotCoringMorphism", "NotColinear", "MiddleMismatch",
            "bimodule_from_actions", "cor28_extension", "_descend",
@@ -126,7 +127,9 @@ RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "is_zero", "is_finite", "star_product", "dual_coords", "ccc",
            "opposite", "is_isomorphism", "_holds", "flip_entwining",
            "twisted_product", "_hom_basis", "TwistedConvolution",
-           "twisted_convolution", "enumerate_entwined_measurings"}
+           "twisted_convolution", "enumerate_entwined_measurings",
+           "Entwining", "DualBasis", "column", "ALGEBRA_FIXTURES",
+           "CORING_FIXTURES"}
 
 
 def _returns_value(fn):

@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coringext._search import _combine, affine_solutions, coords
+from coringext._search import affine_solutions, coords
 from coringext.algmod import (AlgebraMap, check_algebra_map,
                               enumerate_algebra_maps)
 from coringext.constructions import base_algebra
 from coringext.errors import DimensionMismatch
-from coringext.exactla import GF2, GF3, QQ, FieldSpec, Mat, kernel
+from coringext.exactla import GF2, GF3, QQ, FieldSpec, Mat, _combine, kernel
 from coringext.extension import (Measuring, check_measuring,
                                  enumerate_measurings)
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
@@ -81,11 +81,15 @@ def ref_affine_solutions(f, shape, residual):
 
 
 def ref_combine(m, coeffs, basis):
-    """The fold ``_combine`` replaced: one scale and one add per term."""
+    """``m + sum_i coeffs[i] * basis[i]`` entry by entry on the dense
+    entries, without ``+``, which is ``_combine`` itself."""
+    f = m.field
+    out = [list(r) for r in m.entries]
     for x, b in zip(coeffs, basis):
-        if x:
-            m = m + ref_scale(b, x)
-    return m
+        for r, row in enumerate(b.entries):
+            for k, y in enumerate(row):
+                out[r][k] = f.add(out[r][k], f.mul(f.of(x), y))
+    return Mat(f, m.rows, m.cols, tuple(map(tuple, out)))
 
 
 def ref_coords(basis, m):
@@ -126,7 +130,7 @@ def systems(draw):
         o = rand_mat(f, rr * rc, 1, rng)
 
     def residual(x):
-        return unflatten(f, rr, rc, flat(k @ Mat.column(f, flat(x)) + o))
+        return unflatten(f, rr, rc, flat(k @ Mat.from_cols(f, [flat(x)]) + o))
 
     return f, (rows, cols), residual
 

@@ -31,11 +31,11 @@ EXPORTS = {
                "dual_element", "dual_ring", "make_colinear_map",
                "make_comodule", "make_coring", "make_left_comodule",
                "regular_comodule"],
-    "constructions": ["Coalgebra", "DualBasis", "Entwining", "base_algebra",
-                      "check_coalgebra", "check_dual_basis",
-                      "coalgebra_to_coring", "comatrix_coring",
-                      "entwining_coring", "group_coalgebra", "make_coalgebra",
-                      "sweedler_coring", "trivial_coring"],
+    "constructions": ["Coalgebra", "base_algebra", "check_coalgebra",
+                      "check_dual_basis", "coalgebra_to_coring",
+                      "comatrix_coring", "entwining_coring",
+                      "group_coalgebra", "make_coalgebra", "sweedler_coring",
+                      "trivial_coring"],
     "extension": ["CoringExtension", "Measuring", "action_from_measuring",
                   "algebra_map_to_measuring", "apply_functor",
                   "check_coring_extension", "check_measuring",
@@ -148,5 +148,5 @@ def test_star_import_resolves_every_name():
 
 def test_reserved_fixture_names_share_the_prefix():
     # the CLI imports ``fixtures`` only for a missing name with this prefix
-    names = set(fixtures.CORING_FIXTURES) | set(fixtures.ALGEBRA_FIXTURES)
+    names = set(fixtures.FIXTURES)
     assert names and all(n.startswith("FIX.") for n in names)

@@ -199,8 +199,8 @@ class TestReducedBlocks:
     def test_iterated_quotients_match_full_blocks(self, field):
         a = d2_algebra(field)
         corings = (sw_coring(field), trivial_coring(a),
-                   entwining_coring(ref_flip_entwining(a,
-                                                       gc2_coalgebra(field))))
+                   entwining_coring(*ref_flip_entwining(
+                       a, gc2_coalgebra(field))))
         for c in corings:
             ra, la = right_regular(c.A), left_regular(c.A)
             cases = [

@@ -23,8 +23,8 @@ from coringext.algmod import (Algebra, AlgebraMap, Bimodule, LeftModule,
                               RightModule, left_regular, make_algebra,
                               make_algebra_map, regular_along,
                               restrict_left, restrict_right, right_regular)
-from coringext.constructions import (Coalgebra, DualBasis,
-                                     _right_linear_basis, base_algebra,
+from coringext.constructions import (Coalgebra, _right_linear_basis,
+                                     base_algebra,
                                      check_coalgebra, coalgebra_to_coring,
                                      comatrix_coring, group_coalgebra,
                                      sweedler_coring, sweedler_space,
@@ -415,11 +415,11 @@ def cor28_fixtures(f):
     ia, ib = Mat.identity(f, 3), Mat.identity(f, 2)
     rho = a.mult_mat @ iota.matrix.tensor_id(3, 1)
     h, h_inv = elementary(f, 3)
-    e = [Mat.column(f, col) for col in ((1, 0), (0, 1))]
+    e = [Mat.from_cols(f, [col]) for col in ((1, 0), (0, 1))]
     separable = Mat.from_cols(f, [
         (a.unit_col.kron(rho @ x.kron(e[0])).kron(e[0]) +
          a.unit_col.kron(rho @ x.kron(e[1])).kron(e[1])).col(0)
-        for x in (Mat.column(f, col) for col in ia.entries)])
+        for x in (Mat.from_cols(f, [col]) for col in ia.entries)])
     c2 = c2_group_algebra(f)
     iota_c2 = make_algebra_map(c2, a, Mat.from_rows(
         f, [[1, 1], [1, -1], [1, -1]]))
@@ -832,7 +832,7 @@ class TestNotBalanced:
                                                   for j in range(n))
                                             for i in range(n)), a0.unit)
                     iota = AlgebraMap(base_algebra(f), a,
-                                      Mat.column(f, a.unit))
+                                      Mat.from_cols(f, [a.unit]))
                     got = outcome(sweedler_coring, iota)
                     if got is None or got[0] in BIMODULE_KINDS:
                         continue
@@ -868,23 +868,23 @@ class TestOtherRejections:
         for f in (GF2, GF3):
             for a in (d2_algebra(f), c2_group_algebra(f)):
                 n = a.dim
-                db = DualBasis((tuple(a.unit),), (Mat.identity(f, n),))
+                db = ((tuple(a.unit),), (Mat.identity(f, n),))
                 for lact in perturbations(f, a.mult_mat):
                     sigma = Bimodule(a, a, n, lact, a.mult_mat)
                     star = _right_linear_basis(sigma)
                     e = Mat.identity(f, n)
                     # a_i . g_t at (i, t), then g_t . b_j at (t, j)
-                    maps = [((i, t), a.mult_mat @ Mat.column(
-                        f, e.col(i)).tensor_id(1, n) @ g)
+                    maps = [((i, t), a.mult_mat @ Mat.from_cols(
+                        f, [e.col(i)]).tensor_id(1, n) @ g)
                         for i in range(n) for t, g in enumerate(star)]
-                    maps += [((t, j), g @ lact @ Mat.column(
-                        f, e.col(j)).tensor_id(1, n))
+                    maps += [((t, j), g @ lact @ Mat.from_cols(
+                        f, [e.col(j)]).tensor_id(1, n))
                         for t, g in enumerate(star) for j in range(n)]
                     # the first that is not right A-linear: h(s a) != h(s) a
                     ref = next((w for w, h in maps if first_failure(
                         f, (n, n), chain(f, a.mult_mat, h),
                         chain(f, (1, h, n), a.mult_mat))), None)
-                    got = outcome(comatrix_coring, sigma, db)
+                    got = outcome(comatrix_coring, sigma, *db)
                     if ref is None:
                         assert got is None or got[0] != "not-in-sigma-star"
                     else:
@@ -906,7 +906,8 @@ class TestOtherRejections:
                 bases = [((tuple(a.unit),), (e,))]
                 if a == d2_algebra(f):
                     bases.append((tuple(e.col(i) for i in range(n)), tuple(
-                        a.mult_mat @ Mat.column(f, e.col(i)).tensor_id(1, n)
+                        a.mult_mat @ Mat.from_cols(f, [e.col(i)]).tensor_id(
+                            1, n)
                         for i in range(n))))
                 for elements, functionals in bases:
                     for i, g in enumerate(functionals):
@@ -914,7 +915,7 @@ class TestOtherRejections:
                             changed = functionals[:i] + (h,) + \
                                 functionals[i + 1:]
                             got = outcome(comatrix_coring, sigma,
-                                          DualBasis(elements, changed))
+                                          elements, changed)
                             assert got is None or \
                                 got[0] != "not-in-sigma-star", got
                             kinds.add(got and got[0])
