@@ -1,10 +1,12 @@
 """Finite-dimensional algebras, algebra maps and (bi)modules.
 
-Everything is presented by structure constants over a fixed base field.
-Each axiom is checked as an identity of linear maps, such as
-``mult @ (mult (x) I) == mult @ (I (x) mult)``, whose first differing
-column names the basis tuple that breaks it: over a field these checks
-are complete, so no randomized testing is needed in the core.
+An algebra is its two maps over a fixed base field, as a coalgebra is its
+coproduct and counit: the multiplication A (x) A -> A and the unit
+k -> A, stored as matrices.  Only the CLI reads and writes the table of
+structure constants.  Each axiom is checked as an identity of linear
+maps, such as ``mult @ (mult (x) I) == mult @ (I (x) mult)``, whose first
+differing column names the basis tuple that breaks it: over a field these
+checks are complete, so no randomized testing is needed in the core.
 
 Every ``check_*`` function of the package returns None when its axioms
 hold and raises ``AxiomViolation(kind, witness)`` at the first one that
@@ -16,7 +18,6 @@ basis tuple of the domain, or of its tensor factors, at which the two
 sides differ.
 """
 
-from functools import cached_property
 from typing import List, Optional
 
 from ._record import frozen
@@ -27,48 +28,26 @@ from .exactla import FieldSpec, Mat
 
 @frozen
 class Algebra:
-    """Associative unital algebra: e_i e_j = sum_l mult[i][j][l] e_l."""
+    """Associative unital algebra as two maps: ``mult_mat``, A (x) A -> A,
+    whose column i*dim + j holds the coordinates of e_i e_j, and
+    ``unit_col``, k -> A, the column of the coordinates of 1."""
 
     field: FieldSpec
     dim: int
-    mult: tuple  # 3-tensor, nested tuples
-    unit: tuple  # coordinates of 1
-
-    @cached_property
-    def mult_mat(self) -> Mat:
-        """Multiplication as a map A (x) A -> A, columns indexed row-major."""
-        cols = [tuple(self.mult[i][j][l] for l in range(self.dim))
-                for i in range(self.dim) for j in range(self.dim)]
-        return Mat.from_cols(self.field, cols)
-
-    @cached_property
-    def unit_col(self) -> Mat:
-        return Mat.from_cols(self.field, [self.unit])
+    mult_mat: Mat
+    unit_col: Mat
 
 
-def _coerce_tensor3(field, t, d0, d1, d2, what):
-    if len(t) != d0:
-        raise DimensionMismatch(f"{what}: expected {d0} slices")
-    out = []
-    for sl in t:
-        if len(sl) != d1:
-            raise DimensionMismatch(f"{what}: expected {d1} rows per slice")
-        rows = []
-        for row in sl:
-            if len(row) != d2:
-                raise DimensionMismatch(f"{what}: expected rows of length {d2}")
-            rows.append(tuple(field.of(x) for x in row))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-def make_algebra(field: FieldSpec, dim: int, mult, unit) -> Algebra:
-    """Validated algebra from structure constants, or AxiomViolation."""
-    mult = _coerce_tensor3(field, mult, dim, dim, dim, "mult")
-    unit = tuple(field.of(x) for x in unit)
-    if len(unit) != dim:
-        raise DimensionMismatch("unit: wrong length")
-    a = Algebra(field, dim, mult, unit)
+def make_algebra(field: FieldSpec, dim: int, mult_mat: Mat,
+                 unit_col: Mat) -> Algebra:
+    """Validated algebra from its multiplication (dim x dim^2) and unit
+    (dim x 1) maps: DimensionMismatch for other shapes, else
+    AxiomViolation unless ``check_algebra`` passes."""
+    if (mult_mat.rows, mult_mat.cols, unit_col.rows, unit_col.cols) != \
+            (dim, dim * dim, dim, 1):
+        raise DimensionMismatch(f"expected a {dim}x{dim * dim} "
+                                f"multiplication and a {dim}x1 unit")
+    a = Algebra(field, dim, mult_mat, unit_col)
     check_algebra(a)
     return a
 
@@ -118,9 +97,8 @@ def check_algebra_map(f: AlgebraMap) -> None:
         _require(*law(m))
 
 
-def make_algebra_map(source: Algebra, target: Algebra, matrix) -> AlgebraMap:
-    if not isinstance(matrix, Mat):
-        matrix = Mat.from_rows(source.field, matrix)
+def make_algebra_map(source: Algebra, target: Algebra,
+                     matrix: Mat) -> AlgebraMap:
     f = AlgebraMap(source, target, matrix)
     check_algebra_map(f)
     return f

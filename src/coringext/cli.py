@@ -7,8 +7,8 @@ fault in argv is a ``SchemaError`` at ``argv[i]`` or ``argv``, reported
 before the workspace is read.
 
 Workspace schema: ``{"field": {"type": "Fp", "p": <prime>} | {"type": "Q"},
-"objects": {<name>: <object>}}``.  Matrices are row-major nested arrays,
-3-tensors are arrays of matrices indexed by the first slot, and coproducts
+"objects": {<name>: <object>}}``.  Matrices are row-major nested arrays;
+only here is an algebra a 3-tensor, ``mult[i][j]`` = e_i e_j.  Coproducts
 and coactions are given as lifts into tensor-over-k coordinates.  Reserved
 fixture names (FIX.D2, FIX.BC2, FIX.GC2, FIX.SW) may be declared as
 ``{"fixture": "FIX.SW"}`` or referenced directly by name.
@@ -147,8 +147,10 @@ def _parse_object(ws: Workspace, data, path: str):
 
     if kind == "algebra":
         dim = _dim(data, path)
-        return lib.make_algebra(f, dim, arr("mult", dim, dim, dim),
-                                arr("unit", dim, typ=list))
+        cols = [c for sl in arr("mult", dim, dim, dim) for c in sl]
+        mult = Mat(f, dim, dim * dim, tuple(zip(*cols)))
+        unit = Mat(f, dim, 1, tuple(zip(arr("unit", dim, typ=list))))
+        return lib.make_algebra(f, dim, mult, unit)
     if kind == "algebra_map":
         src, tgt = ref("source", lib.Algebra), ref("target", lib.Algebra)
         return lib.make_algebra_map(src, tgt, mat("matrix", tgt.dim, src.dim))
@@ -282,10 +284,11 @@ def cmd_check(ws: Workspace, args) -> dict:
 
 def cmd_dualring(ws: Workspace, args) -> dict:
     dr = lib.dual_ring(ws.get(args["--coring"], lib.Coring, "--coring"))
-    return {"coring": args["--coring"], "dim": dr.dim,
-            "mult": _render(ws.field, dr.alg.mult),
-            "unit": _render(ws.field, dr.alg.unit),
-            "basis": _render(ws.field, dr.basis)}
+    n, f, t = dr.dim, ws.field, dr.alg.mult_mat.transpose().entries
+    return {"coring": args["--coring"], "dim": n,
+            "mult": _render(f, tuple(t[i * n:i * n + n] for i in range(n))),
+            "unit": _render(f, dr.alg.unit_col.col(0)),
+            "basis": _render(f, dr.basis)}
 
 
 def cmd_enumerate_measurings(ws: Workspace, args) -> dict:

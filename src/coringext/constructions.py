@@ -18,7 +18,8 @@ from .tensorcat import descend_map, right_action_on_quotient, tensor_over
 @memoised
 def base_algebra(field: FieldSpec) -> Algebra:
     """The base field as a one-dimensional algebra."""
-    return make_algebra(field, 1, (((field.one,),),), (field.one,))
+    one = Mat.identity(field, 1)
+    return make_algebra(field, 1, one, one)
 
 
 def trivial_coring(a: Algebra) -> Coring:
@@ -32,7 +33,7 @@ def trivial_coring(a: Algebra) -> Coring:
 def sweedler_space(iota: AlgebraMap) -> QuotientSpace:
     """The quotient A (x)_B A underlying the Sweedler coring of iota."""
     a_bb = regular_along(iota)
-    return tensor_over(iota.source, a_bb.right_module(), a_bb.left_module())
+    return tensor_over(a_bb.right_module(), a_bb.left_module())
 
 
 def _quotient_coring(name: str, q: QuotientSpace, a: Algebra, lact_x: Mat,
@@ -47,7 +48,7 @@ def _quotient_coring(name: str, q: QuotientSpace, a: Algebra, lact_x: Mat,
         q.section.tensor_id(a.dim, 1)
     ract = right_action_on_quotient(q, nx, ract_y, a)
     cbim = Bimodule(a, a, q.quo_dim, lact, ract)
-    cc = tensor_over(a, cbim.right_module(), cbim.left_module())
+    cc = tensor_over(cbim.right_module(), cbim.left_module())
     delta = descend_map(q, cc.projection @ (
         q.projection.kron(q.projection) @ delta_amb),
         name + "-coproduct-not-balanced", dims)
@@ -188,7 +189,7 @@ def comatrix_coring(sigma: Bimodule, elements, functionals) -> Coring:
             ract_cols.append(star_coords(star[t] @ bj, t, j))
     ract_star = Mat.from_cols(f, ract_cols)
 
-    q = tensor_over(b, RightModule(b, ns, ract_star),
+    q = tensor_over(RightModule(b, ns, ract_star),
                     LeftModule(b, sigma.dim, sigma.lact))
     amb = ns * sigma.dim
     delta_amb = Mat.zero(f, amb * amb, amb)

@@ -42,8 +42,7 @@ class Coring:
 
     def cc(self) -> QuotientSpace:
         """C (x)_A C, the home of the coproduct."""
-        return tensor_over(self.A, self.C.right_module(),
-                           self.C.left_module())
+        return tensor_over(self.C.right_module(), self.C.left_module())
 
 
 @memoised
@@ -123,8 +122,7 @@ class Comodule:
 
     def mc(self) -> QuotientSpace:
         """M (x)_A C, the home of the coaction."""
-        return tensor_over(self.coring.A, self.M,
-                           self.coring.C.left_module())
+        return tensor_over(self.M, self.coring.C.left_module())
 
 
 def check_comodule(m: Comodule) -> None:
@@ -179,7 +177,7 @@ def direct_sum_comodule(m: Comodule, n: Comodule) -> Comodule:
 
 def cofree_comodule(c: Coring, x: RightModule) -> Comodule:
     """X (x)_A C with coaction X (x)_A Delta, for a right A-module X."""
-    xc = tensor_over(c.A, x, c.C.left_module())
+    xc = tensor_over(x, c.C.left_module())
     act = right_action_on_quotient(xc, x.dim, c.C.ract, c.A)
     rho_lift = xc.projection.tensor_id(1, c.dim) @ \
         c.delta_lift.tensor_id(x.dim, 1) @ xc.section
@@ -232,8 +230,7 @@ class LeftComodule:
 
     def cn(self) -> QuotientSpace:
         """C (x)_A N, the home of the coaction."""
-        return tensor_over(self.coring.A, self.coring.C.right_module(),
-                           self.N)
+        return tensor_over(self.coring.C.right_module(), self.N)
 
 
 def check_left_comodule(n: LeftComodule) -> None:
@@ -270,7 +267,7 @@ def cotensor_basis(m: Comodule, n: LeftComodule) -> Mat:
     if m.coring != n.coring:
         raise DimensionMismatch("comodules over different corings")
     c = m.coring
-    mn = tensor_over(c.A, m.M, n.N)
+    mn = tensor_over(m.M, n.N)
     p3 = tensor_chain(m.M, (c.C,), n.N)
     return kernel(p3 @ (m.rho_lift.tensor_id(1, n.dim) -
                         n.lambda_lift.tensor_id(m.dim, 1)) @ mn.section)
@@ -358,18 +355,18 @@ def dual_ring(c: Coring) -> DualRing:
     basis = _left_linear_basis(c)
     piv = pivots(basis)
     n = len(basis)
-    mult = []
+    cols = []  # column i*n + j: the coordinates of b_i * b_j
     for i in range(n):
         factor = _star_factor(c, basis[i])
-        row = []
         for j in range(n):
             x = coords(basis, basis[j] @ factor, piv)
             if x is None:
                 raise AxiomViolation("dual-product-not-linear", (i, j))
-            row.append(x)
-        mult.append(tuple(row))
+            cols.append(x)
     _require(c.eps @ c.C.lact, a.mult_mat @ c.eps.tensor_id(a.dim, 1),
              "counit-not-left-linear", (a.dim, c.dim))
     unit = coords(basis, c.eps, piv)
-    alg = make_algebra(a.field, n, tuple(mult), unit)
+    f = a.field
+    alg = make_algebra(f, n, Mat(f, n, n * n, tuple(zip(*cols))),
+                       Mat(f, n, 1, tuple(zip(unit))))
     return DualRing(c, tuple(basis), alg)

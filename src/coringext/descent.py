@@ -25,7 +25,7 @@ from .tensorcat import (descend_map, right_action_on_quotient, tensor_chain,
 @memoised
 def _ma_space(iota: AlgebraMap, m: RightModule) -> QuotientSpace:
     """M (x)_B A for a right A-module M restricted along iota."""
-    return tensor_over(iota.source, restrict_right(m, iota),
+    return tensor_over(restrict_right(m, iota),
                        regular_along(iota).left_module())
 
 

@@ -182,8 +182,7 @@ class CoringExtension:
 
 @memoised
 def _cd(b: Algebra, ract: Mat, dbim: Bimodule) -> QuotientSpace:
-    return tensor_over(b, RightModule(b, ract.rows, ract),
-                       dbim.left_module())
+    return tensor_over(RightModule(b, ract.rows, ract), dbim.left_module())
 
 
 def check_coring_extension(e: CoringExtension) -> None:

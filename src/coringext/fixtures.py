@@ -1,8 +1,10 @@
 """Reserved named fixtures in one table, ``FIXTURES``, materialized over
 any base field."""
 
+from itertools import product
+
 from .errors import SchemaError
-from .exactla import FieldSpec, memoised
+from .exactla import FieldSpec, Mat, memoised
 from .algmod import Algebra, AlgebraMap, make_algebra, make_algebra_map
 from .coring import Coring
 from .constructions import (Coalgebra, base_algebra, coalgebra_to_coring,
@@ -13,34 +15,27 @@ from .constructions import (Coalgebra, base_algebra, coalgebra_to_coring,
 def d2_algebra(field: FieldSpec) -> Algebra:
     """k x k: two orthogonal idempotents, unit e1 + e2."""
     o, z = field.one, field.zero
-    mult = (((o, z), (z, z)), ((z, z), (z, o)))
-    return make_algebra(field, 2, mult, (o, o))
+    mult = Mat(field, 2, 4, ((o, z, z, z), (z, z, z, o)))
+    return make_algebra(field, 2, mult, Mat(field, 2, 1, ((o,), (o,))))
 
 
 @memoised
 def c2_group_algebra(field: FieldSpec) -> Algebra:
     """Group algebra k[C2]: basis 1, g with g^2 = 1."""
     o, z = field.one, field.zero
-    mult = (((o, z), (z, o)), ((z, o), (o, z)))
-    return make_algebra(field, 2, mult, (o, z))
+    mult = Mat(field, 2, 4, ((o, z, z, o), (z, o, o, z)))
+    return make_algebra(field, 2, mult, Mat(field, 2, 1, ((o,), (z,))))
 
 
 @memoised
 def matrix_algebra_2(field: FieldSpec) -> Algebra:
     """2 x 2 matrices over k, basis E11, E12, E21, E22 (row-major)."""
-    f = field
-    mult = []
-    for r in range(2):
-        for c in range(2):
-            row = []
-            for r2 in range(2):
-                for c2 in range(2):
-                    out = [f.zero] * 4
-                    if c == r2:
-                        out[r * 2 + c2] = f.one
-                    row.append(tuple(out))
-            mult.append(tuple(row))
-    return make_algebra(f, 4, tuple(mult), (f.one, f.zero, f.zero, f.one))
+    o, z = field.one, field.zero
+    mult = [[z] * 16 for _ in range(4)]
+    for r, c, s in product((0, 1), repeat=3):  # E_rc E_cs = E_rs
+        mult[2 * r + s][(2 * r + c) * 4 + 2 * c + s] = o
+    return make_algebra(field, 4, Mat(field, 4, 16, mult),
+                        Mat(field, 4, 1, ((o,), (z,), (z,), (o,))))
 
 
 @memoised
@@ -62,6 +57,7 @@ def sw_coring(field: FieldSpec) -> Coring:
 
 @memoised
 def gc2_coring(field: FieldSpec) -> Coring:
+    """FIX.GC2: the coring over k of the group-like coalgebra on two points."""
     return coalgebra_to_coring(gc2_coalgebra(field))
 
 

@@ -41,14 +41,14 @@ def balancing_rows(ract: Mat, lact: Mat, alg: Algebra) -> Mat:
 
 
 @memoised
-def tensor_over(alg: Algebra, m: RightModule, n: LeftModule) -> QuotientSpace:
-    """M (x)_A N for a right and a left module over ``alg``, as a quotient
-    of the k-tensor ambient M (x) N."""
-    if m.alg != alg or n.alg != alg:
-        raise DimensionMismatch("modules are not over the given algebra")
+def tensor_over(m: RightModule, n: LeftModule) -> QuotientSpace:
+    """M (x)_A N for a right and a left module over one algebra A, as a
+    quotient of the k-tensor ambient M (x) N."""
+    if m.alg != n.alg:
+        raise DimensionMismatch("modules are not over one algebra")
     ambient = m.dim * n.dim
     _check_ambient(ambient)
-    return quotient(alg.field, ambient, balancing_rows(m.act, n.act, alg))
+    return quotient(m.alg.field, ambient, balancing_rows(m.act, n.act, m.alg))
 
 
 def tensor_chain(m: RightModule, mids: tuple, n: LeftModule) -> Mat:
@@ -67,11 +67,11 @@ def tensor_chain(m: RightModule, mids: tuple, n: LeftModule) -> Mat:
     _check_ambient(prod([m.dim, *(b.dim for b in mids), n.dim]))
     proj = Mat.identity(m.alg.field, m.dim)
     for b in mids:
-        q = tensor_over(m.alg, m, b.left_module())
+        q = tensor_over(m, b.left_module())
         proj = q.projection @ proj.tensor_id(1, b.dim)
         m = RightModule(b.algR, q.quo_dim,
                         right_action_on_quotient(q, m.dim, b.ract, b.algR))
-    return tensor_over(m.alg, m, n).projection @ proj.tensor_id(1, n.dim)
+    return tensor_over(m, n).projection @ proj.tensor_id(1, n.dim)
 
 
 def descend_map(q: QuotientSpace, m: Mat, kind: str, dims) -> Mat:

@@ -64,7 +64,6 @@ LEDGER = {
     "exactla.Mat.__repr__": _ENTRY,
     "exactla.Mat.from_rows": _ENTRY,
     "exactla.Mat.__add__": _ENTRY,
-    "exactla.Mat.col": _ENTRY,
     "exactla.kernel": "the null space cotensor_basis reads; " + _ITEM_1,
     "extension.measuring_to_algebra_map": _DUAL,
     "extension.algebra_map_to_measuring": _DUAL,

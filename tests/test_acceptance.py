@@ -42,7 +42,7 @@ from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
                                 gc2_coring, matrix_algebra_2, sw_coring,
                                 unit_map)
 
-from test_algmod import ref_is_isomorphism, ref_opposite
+from test_algmod import ref_is_isomorphism, ref_opposite, ref_unit
 from test_constructions import (ref_enumerate_entwined_measurings,
                                 ref_flip_entwining, ref_twisted_convolution)
 
@@ -179,7 +179,7 @@ def test_criterion_5_worked_constructions():
     a = d2_algebra(GF2)
     k = base_algebra(GF2)
     sigma = Bimodule(k, a, a.dim, Mat.identity(GF2, a.dim), a.mult_mat)
-    elements, functionals = (tuple(a.unit),), (Mat.identity(GF2, a.dim),)
+    elements, functionals = (ref_unit(a),), (Mat.identity(GF2, a.dim),)
     for c in (sw_coring(GF2), comatrix_coring(sigma, elements, functionals)):
         assert _find_iso(m2op, dual_ring(c).alg) is not None
 

@@ -1,7 +1,11 @@
-"""Algebras, algebra maps and modules presented by structure constants.
+"""Algebras, algebra maps and modules.
 
-The axiom checkers are also tested against the dense loop over basis
-tuples that they replaced, which is kept below as the reference.
+An algebra is its multiplication and unit maps.  The tests write small
+algebras as structure constants, mult[i][j][l] the coefficient of e_l in
+e_i e_j, through ``ref_algebra``, and read them back with ``ref_mult`` and
+``ref_unit``.  The axiom checkers are also tested against the dense loop
+over basis tuples that they replaced, which is kept below as the
+reference.
 """
 
 from fractions import Fraction
@@ -30,9 +34,30 @@ from coringext.constructions import base_algebra
 # -- reference: the dense loop over basis tuples --------------------------
 
 
+def ref_algebra(f, dim, mult, unit, make=make_algebra):
+    """The algebra with structure constants ``mult[i][j][l]`` and unit
+    coordinates ``unit``, made by ``make`` (``Algebra`` for an unchecked
+    record): column i*dim + j of its multiplication is ``mult[i][j]``."""
+    cols = [mult[i][j] for i in range(dim) for j in range(dim)]
+    return make(f, dim, Mat.from_cols(f, cols), Mat.from_cols(f, [unit]))
+
+
+def ref_mult(a):
+    """The structure constants of ``a``: ``ref_mult(a)[i][j]`` holds the
+    coordinates of e_i e_j, column i*dim + j of its multiplication."""
+    return tuple(tuple(a.mult_mat.col(i * a.dim + j) for j in range(a.dim))
+                 for i in range(a.dim))
+
+
+def ref_unit(a):
+    """The coordinates of the unit of ``a``."""
+    return a.unit_col.col(0)
+
+
 def ref_product(a, u, v):
     """The product of two coordinate vectors, from the structure constants."""
     f = a.field
+    mult = ref_mult(a)
     out = [f.zero] * a.dim
     for i, x in enumerate(u):
         if x == f.zero:
@@ -42,7 +67,7 @@ def ref_product(a, u, v):
                 continue
             xy = f.mul(x, y)
             for l in range(a.dim):
-                c = a.mult[i][j][l]
+                c = mult[i][j][l]
                 if c != f.zero:
                     out[l] = f.add(out[l], f.mul(xy, c))
     return tuple(out)
@@ -82,9 +107,9 @@ def ref_is_isomorphism(f) -> bool:
 def ref_opposite(a):
     """Same space, reversed multiplication; an involution on structure
     constants."""
-    mult = tuple(tuple(a.mult[j][i] for j in range(a.dim))
-                 for i in range(a.dim))
-    return make_algebra(a.field, a.dim, mult, a.unit)
+    mult = ref_mult(a)
+    opp = tuple(tuple(mult[j][i] for j in range(a.dim)) for i in range(a.dim))
+    return ref_algebra(a.field, a.dim, opp, ref_unit(a))
 
 
 def ref_basis(a):
@@ -95,27 +120,27 @@ def ref_basis(a):
 
 def ref_check_algebra(a):
     """``(kind, witness)`` of the loop's first failure, or None."""
-    e = ref_basis(a)
+    e, mult, unit = ref_basis(a), ref_mult(a), ref_unit(a)
     for i in range(a.dim):
-        if ref_product(a, a.unit, e[i]) != e[i] or \
-                ref_product(a, e[i], a.unit) != e[i]:
+        if ref_product(a, unit, e[i]) != e[i] or \
+                ref_product(a, e[i], unit) != e[i]:
             return "unitality", (i,)
     for i in range(a.dim):
         for j in range(a.dim):
             for l in range(a.dim):
-                if ref_product(a, a.mult[i][j], e[l]) != \
-                        ref_product(a, e[i], a.mult[j][l]):
+                if ref_product(a, mult[i][j], e[l]) != \
+                        ref_product(a, e[i], mult[j][l]):
                     return "associativity", (i, j, l)
     return None
 
 
 def ref_check_algebra_map(fm):
-    m = fm.matrix
-    if ref_apply(m, fm.source.unit) != fm.target.unit:
+    m, mult = fm.matrix, ref_mult(fm.source)
+    if ref_apply(m, ref_unit(fm.source)) != ref_unit(fm.target):
         return "unit-not-preserved", (0,)  # the one basis element of k
     for i in range(fm.source.dim):
         for j in range(fm.source.dim):
-            if ref_apply(m, fm.source.mult[i][j]) != \
+            if ref_apply(m, mult[i][j]) != \
                     ref_product(fm.target, m.col(i), m.col(j)):
                 return "not-multiplicative", (i, j)
     return None
@@ -150,7 +175,7 @@ def outcome(check, *args):
 
 
 def zero_algebra(f):
-    return Algebra(f, 0, (), ())
+    return ref_algebra(f, 0, (), (), Algebra)
 
 
 def c3_group_algebra(f):
@@ -159,7 +184,7 @@ def c3_group_algebra(f):
     o, z = f.one, f.zero
     mult = tuple(tuple(tuple(o if l == (i + j) % 3 else z for l in range(3))
                        for j in range(3)) for i in range(3))
-    return make_algebra(f, 3, mult, (o, z, z))
+    return ref_algebra(f, 3, mult, (o, z, z))
 
 
 ALGEBRAS = [zero_algebra, base_algebra, d2_algebra, c2_group_algebra,
@@ -199,7 +224,7 @@ WHERE = ["none", "any", "off-unit"]
 def perturbed_algebras(draw):
     f = draw(st.sampled_from([GF2, GF3, QQ]))
     a = draw(st.sampled_from(ALGEBRAS))(f)
-    mult, unit, d = a.mult, a.unit, a.dim
+    mult, unit, d = ref_mult(a), ref_unit(a), a.dim
     where = draw(st.sampled_from(WHERE)) if d else "none"
     if where != "none" and draw(st.integers(0, 3)):
         idx = _index(draw, (d, d, d), where, unit)
@@ -207,7 +232,7 @@ def perturbed_algebras(draw):
     elif where != "none":
         unit = _replace(unit, (draw(st.integers(0, d - 1)),),
                         f.of(draw(scalars(f))))
-    return Algebra(f, d, mult, unit)
+    return ref_algebra(f, d, mult, unit, Algebra)
 
 
 def _map_fixtures(f):
@@ -233,7 +258,7 @@ def perturbed_maps(draw):
     where = draw(st.sampled_from(WHERE))
     if where != "none":
         # columns off the source unit keep the unit law intact
-        j, i = _index(draw, (m.cols, m.rows), where, src.unit)
+        j, i = _index(draw, (m.cols, m.rows), where, ref_unit(src))
         rows = [list(r) for r in m.entries]
         rows[i][j] = draw(scalars(f))
         m = Mat.from_rows(f, rows)
@@ -249,15 +274,15 @@ class TestAgainstLoop:
         if got is None:
             return
         kind, w = got
-        e = ref_basis(a)
+        e, mult, unit = ref_basis(a), ref_mult(a), ref_unit(a)
         if kind == "unitality":
             (i,) = w
-            assert ref_product(a, a.unit, e[i]) != e[i] or \
-                ref_product(a, e[i], a.unit) != e[i]
+            assert ref_product(a, unit, e[i]) != e[i] or \
+                ref_product(a, e[i], unit) != e[i]
         else:
             i, j, l = w
-            assert ref_product(a, a.mult[i][j], e[l]) != \
-                ref_product(a, e[i], a.mult[j][l])
+            assert ref_product(a, mult[i][j], e[l]) != \
+                ref_product(a, e[i], mult[j][l])
 
     @settings(max_examples=300, deadline=None)
     @given(perturbed_maps())
@@ -266,10 +291,10 @@ class TestAgainstLoop:
         assert got == ref_check_algebra_map(fm)
         m = fm.matrix
         if got is not None and got[0] == "unit-not-preserved":
-            assert ref_apply(m, fm.source.unit) != fm.target.unit
+            assert ref_apply(m, ref_unit(fm.source)) != ref_unit(fm.target)
         elif got is not None:
             i, j = got[1]
-            assert ref_apply(m, fm.source.mult[i][j]) != \
+            assert ref_apply(m, ref_mult(fm.source)[i][j]) != \
                 ref_product(fm.target, m.col(i), m.col(j))
 
     def test_fixtures_accepted(self):
@@ -284,14 +309,14 @@ class TestAlgebra:
     def test_d2_valid(self):
         a = d2_algebra(GF2)
         assert ref_product(a, (1, 0), (0, 1)) == (0, 0)
-        assert ref_product(a, a.unit, (1, 1)) == (1, 1)
+        assert ref_product(a, ref_unit(a), (1, 1)) == (1, 1)
         assert check_algebra(a) is None
 
     def test_bad_unit_witness(self):
         o, z = 1, 0
         mult = (((o, z), (z, z)), ((z, z), (z, o)))
         with pytest.raises(AxiomViolation) as err:
-            make_algebra(GF2, 2, mult, (o, z))
+            ref_algebra(GF2, 2, mult, (o, z))
         assert err.value.kind == "unitality"
         assert err.value.witness == (1,)
 
@@ -302,7 +327,7 @@ class TestAlgebra:
                 [[0, 1, 0], [0, 0, 1], z],
                 [[0, 0, 1], [1, 0, 0], z]]
         with pytest.raises(AxiomViolation) as err:
-            make_algebra(GF2, 3, mult, (1, 0, 0))
+            ref_algebra(GF2, 3, mult, (1, 0, 0))
         assert err.value.kind == "associativity"
         assert err.value.witness == (1, 1, 1)
 
@@ -318,7 +343,17 @@ class TestAlgebra:
 
     def test_opposite_noncommutative(self):
         a = matrix_algebra_2(GF2)
-        assert ref_opposite(a).mult != a.mult
+        assert ref_opposite(a).mult_mat != a.mult_mat
+
+    def test_maps_of_the_wrong_shape_rejected(self):
+        a = d2_algebra(GF2)
+        m, u = a.mult_mat, a.unit_col
+        for mult, unit in ((m.transpose(), u), (m, u.transpose()),
+                           (Mat.identity(GF2, 2), u), (m, Mat.zero(GF2, 1, 1)),
+                           (m.stack(m), u.stack(u))):
+            with pytest.raises(DimensionMismatch):
+                make_algebra(GF2, 2, mult, unit)
+        assert make_algebra(GF2, 2, m, u) == a
 
 
 class TestAlgebraMap:

@@ -11,7 +11,7 @@ from coringext.errors import SchemaError, UnknownReference
 from coringext.cli import COMMANDS, parse_workspace, run
 from coringext.exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM, GF2, Mat,
                                set_guards)
-from coringext.fixtures import d2_algebra, sw_coring
+from coringext.fixtures import d2_algebra, matrix_algebra_2, sw_coring
 from coringext.coring import regular_comodule
 from coringext.constructions import trivial_coring
 
@@ -56,6 +56,20 @@ class TestParsing:
                               "mult": [[["1/1"]]], "unit": ["2/2"]}}})
         w = parse_workspace(text)
         assert w.field.p is None
+
+    @pytest.mark.parametrize("field", [{"type": "Fp", "p": 2},
+                                       {"type": "Fp", "p": 3}, {"type": "Q"}])
+    def test_m2_tensor_parses_to_the_fixture(self, field):
+        # mult[i][j] holds e_i e_j, E_rc E_cs = E_rs; M_2 is not
+        # commutative, so a reader that swapped i and j would build M_2^op
+        def unit_matrix(r, c):
+            return [int(i == 2 * r + c) for i in range(4)]
+        mult = [[unit_matrix(r, s) if c == c2 else [0] * 4
+                 for c2 in range(2) for s in range(2)]
+                for r in range(2) for c in range(2)]
+        w = parse_workspace(ws(field, m={"type": "algebra", "dim": 4,
+                                         "mult": mult, "unit": [1, 0, 0, 1]}))
+        assert w.objects["m"] == matrix_algebra_2(w.field)
 
     def test_unknown_reference(self):
         with pytest.raises(UnknownReference) as err:
@@ -296,6 +310,21 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["results"] == [
             {"kind": "Coring", "object": "FIX.SW", "ok": True}]
+
+    def test_gc2_is_a_coring(self):
+        # FIX.GC2 names the coring of the group-like coalgebra on two
+        # points, not the coalgebra itself
+        code, out = run_cli(["check", "--object", "FIX.GC2"], MINIMAL)
+        assert code == 0
+        assert json.loads(out)["results"] == [
+            {"kind": "Coring", "object": "FIX.GC2", "ok": True}]
+        code, out = run_cli(["check"], ws(
+            c={"type": "coalgebra_coring", "coalgebra": "FIX.GC2"}))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert (err["type"], err["path"], err["message"]) == (
+            "SchemaError", "$.objects.c",
+            "$.objects.c: 'FIX.GC2' is not a Coalgebra")
 
     def test_check_object_unknown(self):
         assert run_cli(["check", "--object", "nope"], MINIMAL) == (2, (

@@ -7,7 +7,7 @@ import pytest
 from coringext.errors import AxiomViolation, DimensionMismatch
 from coringext.exactla import GF2, GF3, QQ, Mat, kernel
 from coringext.algmod import (Bimodule, LeftModule, RightModule, _first_diff,
-                              enumerate_algebra_maps, make_algebra)
+                              enumerate_algebra_maps)
 from coringext.coring import (ColinearMap, Comodule, LeftComodule,
                               check_bicomodule, check_comodule,
                               check_left_comodule, dual_ring,
@@ -28,6 +28,8 @@ from coringext.extension import (Measuring, action_from_measuring,
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
                                 sw_coring)
 
+from test_algmod import ref_algebra
+
 
 def measuring_cases():
     return [
@@ -35,7 +37,7 @@ def measuring_cases():
         (gc2_coring(GF3), c2_group_algebra(GF3), 4),
         (sw_coring(GF2), base_algebra(GF2), 1),
         # the zero algebra: 1 = 0, so no nu can satisfy nu(x (x) 1) = eps(x)
-        (sw_coring(GF2), make_algebra(GF2, 0, (), ()), 0),
+        (sw_coring(GF2), ref_algebra(GF2, 0, (), ()), 0),
     ]
 
 
@@ -256,11 +258,10 @@ class TestComposition:
 def ref_right_route(c, d, m):
     """Projection of C (x) M (x) D onto C (x)_A (M (x)_B D): M (x)_B D with
     the left A-action induced from M, tensored on the left with C."""
-    md = tensor_over(d.A, m.right_module(), d.C.left_module())
+    md = tensor_over(m.right_module(), d.C.left_module())
     lact = md.projection @ m.lact.tensor_id(1, d.dim) @ \
         md.section.tensor_id(c.A.dim, 1)
-    it = tensor_over(c.A, c.C.right_module(),
-                     LeftModule(c.A, md.quo_dim, lact))
+    it = tensor_over(c.C.right_module(), LeftModule(c.A, md.quo_dim, lact))
     return it.projection @ md.projection.tensor_id(c.dim, 1)
 
 

@@ -129,7 +129,7 @@ RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "twisted_product", "_hom_basis", "TwistedConvolution",
            "twisted_convolution", "enumerate_entwined_measurings",
            "Entwining", "DualBasis", "column", "ALGEBRA_FIXTURES",
-           "CORING_FIXTURES"}
+           "CORING_FIXTURES", "_coerce_tensor3"}
 
 
 def _returns_value(fn):

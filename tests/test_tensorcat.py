@@ -93,7 +93,7 @@ class TestTensorOver:
         # A (x)_A A collapses to A: balancing has full complement rank
         for field in (GF2, GF3, QQ):
             a = d2_algebra(field)
-            t = tensor_over(a, right_regular(a), left_regular(a))
+            t = tensor_over(right_regular(a), left_regular(a))
             assert t.quo_dim == 2
             assert rref(kernel(t.projection))[0].rows == 2
 
@@ -102,21 +102,30 @@ class TestTensorOver:
         a = d2_algebra(GF2)
         k = base_algebra(GF2)
         u = unit_map(GF2, a)
-        t = tensor_over(k, restrict_right(right_regular(a), u),
+        t = tensor_over(restrict_right(right_regular(a), u),
                         restrict_left(left_regular(a), u))
         assert descend_map(t, a.mult_mat, "k", (2, 2)) == a.mult_mat
         assert t.quo_dim == 4
 
     def test_cached_identity(self):
         a = d2_algebra(GF2)
-        t1 = tensor_over(a, right_regular(a), left_regular(a))
-        t2 = tensor_over(a, right_regular(a), left_regular(a))
+        t1 = tensor_over(right_regular(a), left_regular(a))
+        t2 = tensor_over(right_regular(a), left_regular(a))
         assert t1 is t2
 
     def test_projection_section(self):
         a = d2_algebra(GF3)
-        t = tensor_over(a, right_regular(a), left_regular(a))
+        t = tensor_over(right_regular(a), left_regular(a))
         assert t.projection @ t.section == Mat.identity(GF3, t.quo_dim)
+
+    def test_modules_over_different_algebras(self):
+        # the algebra is read off the modules, which must share it
+        a, k = d2_algebra(GF2), base_algebra(GF2)
+        for m, n in ((right_regular(a), left_regular(k)),
+                     (right_regular(k), left_regular(a))):
+            with pytest.raises(DimensionMismatch) as err:
+                tensor_over(m, n)
+            assert str(err.value) == "modules are not over one algebra"
 
 
 class TestOneType:
@@ -127,9 +136,9 @@ class TestOneType:
     def test_homes_are_tensor_over(self, field):
         a = d2_algebra(field)
         for c in (sw_coring(field), gc2_coring(field), trivial_coring(a)):
-            cc = tensor_over(c.A, c.C.right_module(), c.C.left_module())
+            cc = tensor_over(c.C.right_module(), c.C.left_module())
             e = identity_extension(c)
-            cd = tensor_over(c.A, RightModule(c.A, c.dim, e.ract),
+            cd = tensor_over(RightModule(c.A, c.dim, e.ract),
                              c.C.left_module())
             for got, want in ((c.cc(), cc), (regular_comodule(c).mc(), cc),
                               (regular_left_comodule(c).cn(), cc),
@@ -139,7 +148,7 @@ class TestOneType:
         iota = unit_map(field, a)
         a_b = restrict_right(right_regular(a), iota)
         b_a = restrict_left(left_regular(a), iota)
-        ab = tensor_over(iota.source, a_b, b_a)
+        ab = tensor_over(a_b, b_a)
         d = make_descent_datum(iota, right_regular(a), a.unit_col.kron(
             Mat.identity(field, a.dim)))
         for got in (sweedler_space(iota), d.ma()):
@@ -150,7 +159,7 @@ class TestOneType:
 class TestInducedMap:
     def test_descends_iff_relations_preserved(self):
         a = d2_algebra(GF2)
-        t = tensor_over(a, right_regular(a), left_regular(a))
+        t = tensor_over(right_regular(a), left_regular(a))
         ident = Mat.identity(GF2, 4)
         got = descend_map(t, t.projection @ ident, "k", (2, 2))
         assert got == Mat.identity(GF2, t.quo_dim)
@@ -187,8 +196,7 @@ class TestTensorChain:
     def test_no_middle_factor_is_tensor_over(self):
         a = d2_algebra(GF3)
         p = tensor_chain(right_regular(a), (), left_regular(a))
-        assert p == tensor_over(a, right_regular(a),
-                                left_regular(a)).projection
+        assert p == tensor_over(right_regular(a), left_regular(a)).projection
 
 
 class TestReducedBlocks:
@@ -232,7 +240,7 @@ class TestReducedBlocks:
                 tensor_chain(right_regular(a), (bim,), left_regular(a))
             set_guards(max_dim=3)
             with pytest.raises(SizeLimit) as pair:
-                tensor_over(a, right_regular(a), left_regular(a))
+                tensor_over(right_regular(a), left_regular(a))
         finally:
             set_guards(max_dim=DEFAULT_MAX_DIM)
         assert str(err.value) == str(ref.value)

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from coringext.errors import AxiomViolation
 from coringext.exactla import GF2, GF3, QQ, Mat, kernel, rref
 from coringext.algmod import (Algebra, AlgebraMap, Bimodule, LeftModule,
-                              RightModule, left_regular, make_algebra,
-                              make_algebra_map, regular_along,
-                              restrict_left, restrict_right, right_regular)
+                              RightModule, left_regular, make_algebra_map,
+                              regular_along, restrict_left, restrict_right,
+                              right_regular)
 from coringext.constructions import (Coalgebra, _right_linear_basis,
                                      base_algebra,
                                      check_coalgebra, coalgebra_to_coring,
@@ -49,6 +49,7 @@ from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
 from coringext.tensorcat import descend_map, tensor_chain
 
 import test_constructions
+from test_algmod import ref_algebra, ref_unit
 from test_constructions import ref_flip_entwining, ref_twisted_convolution
 
 FIELDS = [GF2, GF3, QQ]
@@ -395,7 +396,7 @@ class TestDescent:
 
 def diagonal(f, n):
     """k^n: n orthogonal idempotents."""
-    return make_algebra(f, n, tuple(tuple(tuple(
+    return ref_algebra(f, n, tuple(tuple(tuple(
         f.one if i == j == l else f.zero for l in range(n))
         for j in range(n)) for i in range(n)), (f.one,) * n)
 
@@ -828,11 +829,8 @@ class TestNotBalanced:
             for a0 in (d2_algebra(f), c2_group_algebra(f)):
                 n = a0.dim
                 for mult in perturbations(f, a0.mult_mat):
-                    a = Algebra(f, n, tuple(tuple(mult.col(i * n + j)
-                                                  for j in range(n))
-                                            for i in range(n)), a0.unit)
-                    iota = AlgebraMap(base_algebra(f), a,
-                                      Mat.from_cols(f, [a.unit]))
+                    a = Algebra(f, n, mult, a0.unit_col)
+                    iota = AlgebraMap(base_algebra(f), a, a.unit_col)
                     got = outcome(sweedler_coring, iota)
                     if got is None or got[0] in BIMODULE_KINDS:
                         continue
@@ -868,7 +866,7 @@ class TestOtherRejections:
         for f in (GF2, GF3):
             for a in (d2_algebra(f), c2_group_algebra(f)):
                 n = a.dim
-                db = ((tuple(a.unit),), (Mat.identity(f, n),))
+                db = ((ref_unit(a),), (Mat.identity(f, n),))
                 for lact in perturbations(f, a.mult_mat):
                     sigma = Bimodule(a, a, n, lact, a.mult_mat)
                     star = _right_linear_basis(sigma)
@@ -903,7 +901,7 @@ class TestOtherRejections:
                 sigma = Bimodule(a, a, n, a.mult_mat, a.mult_mat)
                 e = Mat.identity(f, n)
                 # 1 with the identity; for D2 also e_i with s -> e_i s
-                bases = [((tuple(a.unit),), (e,))]
+                bases = [((ref_unit(a),), (e,))]
                 if a == d2_algebra(f):
                     bases.append((tuple(e.col(i) for i in range(n)), tuple(
                         a.mult_mat @ Mat.from_cols(f, [e.col(i)]).tensor_id(
