@@ -20,13 +20,13 @@ _MODULE_OF = {name: mod for mod, names in (
                 "set_guards"),
     ("algmod", "Algebra AlgebraMap Bimodule LeftModule RightModule "
                "check_algebra check_algebra_map check_bimodule "
-               "check_left_module check_right_module enumerate_algebra_maps "
-               "make_algebra make_algebra_map regular_bimodule"),
+               "check_left_module check_right_module make_algebra "
+               "make_algebra_map regular_bimodule"),
     ("tensorcat", "tensor_chain tensor_over"),
     ("coring", "ColinearMap Comodule Coring DualRing LeftComodule "
                "check_bicomodule check_colinear check_comodule check_coring "
                "check_left_comodule cofree_comodule cotensor_basis "
-               "direct_sum_comodule dual_element dual_ring make_colinear_map "
+               "direct_sum_comodule dual_ring make_colinear_map "
                "make_comodule make_coring make_left_comodule "
                "regular_comodule"),
     ("constructions", "Coalgebra base_algebra check_coalgebra "
@@ -34,13 +34,11 @@ _MODULE_OF = {name: mod for mod, names in (
                       "entwining_coring group_coalgebra make_coalgebra "
                       "sweedler_coring trivial_coring"),
     ("extension", "CoringExtension Measuring action_from_measuring "
-                  "algebra_map_to_measuring apply_functor "
-                  "check_coring_extension check_measuring "
+                  "apply_functor check_coring_extension check_measuring "
                   "check_right_b_structure compose_extensions "
                   "enumerate_measurings extension_from_coring_map "
                   "identity_extension induced_coaction "
-                  "make_extension make_measuring measuring_from_action "
-                  "measuring_to_algebra_map"),
+                  "make_extension make_measuring measuring_from_action"),
     ("descent", "Cor28Data DescentDatum check_cor28 check_descent_datum "
                 "check_descent_morphism comodule_to_descent descent_functor "
                 "descent_to_comodule make_cor28 make_descent_datum"),

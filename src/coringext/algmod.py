@@ -18,12 +18,11 @@ basis tuple of the domain, or of its tensor factors, at which the two
 sides differ.
 """
 
-from typing import List, Optional
+from typing import Optional
 
 from ._record import frozen
-from ._search import enumerate_affine
 from .errors import AxiomViolation, DimensionMismatch
-from .exactla import FieldSpec, Mat
+from .exactla import FieldSpec, Mat, _field_of
 
 
 @frozen
@@ -41,12 +40,14 @@ class Algebra:
 def make_algebra(field: FieldSpec, dim: int, mult_mat: Mat,
                  unit_col: Mat) -> Algebra:
     """Validated algebra from its multiplication (dim x dim^2) and unit
-    (dim x 1) maps: DimensionMismatch for other shapes, else
-    AxiomViolation unless ``check_algebra`` passes."""
+    (dim x 1) maps over ``field``: DimensionMismatch for other shapes or
+    fields, else AxiomViolation unless ``check_algebra`` passes."""
     if (mult_mat.rows, mult_mat.cols, unit_col.rows, unit_col.cols) != \
             (dim, dim * dim, dim, 1):
         raise DimensionMismatch(f"expected a {dim}x{dim * dim} "
                                 f"multiplication and a {dim}x1 unit")
+    if mult_mat.field != field or unit_col.field != field:
+        raise DimensionMismatch(f"expected maps over {field!r}")
     a = Algebra(field, dim, mult_mat, unit_col)
     check_algebra(a)
     return a
@@ -78,23 +79,14 @@ class AlgebraMap:
     matrix: Mat
 
 
-def _algebra_map_laws(source: Algebra, target: Algebra):
-    """The laws of an algebra map source -> target, in the order they are
-    checked, each a function of its matrix m that gives the arguments of
-    ``_require``.  The first, the unit law, is affine in m."""
-    return (lambda m: (m @ source.unit_col, target.unit_col,
-                       "unit-not-preserved"),
-            lambda m: (m @ source.mult_mat, target.mult_mat @ m.kron(m),
-                       "not-multiplicative", (source.dim,) * 2))
-
-
 def check_algebra_map(f: AlgebraMap) -> None:
     """Pass iff the matrix is unital and multiplicative on basis pairs."""
-    m = f.matrix
-    if m.rows != f.target.dim or m.cols != f.source.dim:
+    m, source, target = f.matrix, f.source, f.target
+    if m.rows != target.dim or m.cols != source.dim:
         raise DimensionMismatch("algebra map matrix has wrong shape")
-    for law in _algebra_map_laws(f.source, f.target):
-        _require(*law(m))
+    _require(m @ source.unit_col, target.unit_col, "unit-not-preserved")
+    _require(m @ source.mult_mat, target.mult_mat @ m.kron(m),
+             "not-multiplicative", (source.dim,) * 2)
 
 
 def make_algebra_map(source: Algebra, target: Algebra,
@@ -145,17 +137,16 @@ class Bimodule:
 def _first_diff(m1: Mat, m2: Mat, dims=None) -> Optional[tuple]:
     """The witness where two maps differ: their first differing column,
     as ``(column,)`` or decoded as a row-major multi-index over ``dims``.
-    None if the maps agree; DimensionMismatch if their shapes differ."""
+    None if the maps agree; DimensionMismatch if their shapes or fields
+    differ."""
     if (m1.rows, m1.cols) != (m2.rows, m2.cols):
         raise DimensionMismatch(f"cannot compare a {m1.rows}x{m1.cols} map "
                                 f"with a {m2.rows}x{m2.cols} map")
+    _field_of(m1, m2)
     if m1 == m2:
         return None
-    c = min((j for r1, r2 in zip(m1.sparse_rows, m2.sparse_rows) if r1 != r2
-             for j in r1.keys() | r2.keys() if r1.get(j) != r2.get(j)),
-            default=None)
-    if c is None:  # equal entries over different fields
-        return None
+    c = min(j for r1, r2 in zip(m1.sparse_rows, m2.sparse_rows) if r1 != r2
+            for j in r1.keys() | r2.keys() if r1.get(j) != r2.get(j))
     if dims is None:
         return (c,)
     idx = []
@@ -237,30 +228,3 @@ def regular_along(f: AlgebraMap) -> Bimodule:
     return Bimodule(f.source, f.source, a.dim,
                     restrict_left(left_regular(a), f).act,
                     restrict_right(right_regular(a), f).act)
-
-
-# -- enumeration -----------------------------------------------------
-
-
-def enumerate_algebra_maps(b: Algebra, a: Algebra) -> List[AlgebraMap]:
-    """All algebra maps b -> a over a prime field, in lexicographic order.
-
-    The unit law ``f(1) = 1`` is linear, so the sweep runs over its affine
-    solution space only and keeps the multiplicative candidates.  The
-    guard ``max_enum`` of ``set_guards`` bounds that sweep: p to the power
-    of the dimension of the linear maps b -> a that vanish on the unit of
-    b.  The maps are ordered lexicographically on row-major matrix entries
-    with 0 < 1 < ... < p-1.
-    """
-    unit, mult = _algebra_map_laws(b, a)
-
-    def residual(m: Mat) -> Mat:
-        lhs, rhs, _ = unit(m)
-        return lhs - rhs
-
-    def keep(m: Mat) -> bool:
-        lhs, rhs, *_ = mult(m)
-        return lhs == rhs
-
-    mats = enumerate_affine(b.field, (a.dim, b.dim), residual, keep)
-    return [AlgebraMap(b, a, m) for m in mats]

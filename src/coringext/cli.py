@@ -383,6 +383,8 @@ def _parse_argv(argv, args: dict) -> None:
             at, value, i = f"argv[{i}]", argv[i], i + 1
         if name in ("--max-dim", "--max-enum"):
             value = _parse_int(value, at, f"the value of {name}")
+            if value < 0:
+                raise SchemaError(at, f"the value of {name} is negative")
         args[name] = value
     if "command" not in args:
         raise SchemaError("argv", "missing command")

@@ -87,6 +87,8 @@ def check_coalgebra(c: Coalgebra) -> None:
         raise DimensionMismatch("coproduct has wrong shape")
     if c.eps.rows != 1 or c.eps.cols != n:
         raise DimensionMismatch("counit has wrong shape")
+    if c.delta.field != c.field or c.eps.field != c.field:
+        raise DimensionMismatch(f"expected maps over {c.field!r}")
     _require(c.delta.tensor_id(1, n) @ c.delta,
              c.delta.tensor_id(n, 1) @ c.delta, "coassoc", (n,))
     # stacked, the two counit laws first differ at the lower of their witnesses

@@ -16,7 +16,7 @@ from typing import List
 from ._record import frozen
 from ._search import affine_solutions, coords, pivots
 from .errors import AxiomViolation, DimensionMismatch
-from .exactla import Mat, QuotientSpace, _combine, kernel, memoised
+from .exactla import Mat, QuotientSpace, kernel, memoised
 from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _require,
                      check_bimodule, check_left_module, check_right_module,
                      make_algebra)
@@ -340,12 +340,6 @@ def _left_linear_basis(c: Coring) -> List[Mat]:
     return affine_solutions(
         a.field, (a.dim, c.dim),
         lambda x: x @ c.C.lact - a.mult_mat @ x.tensor_id(a.dim, 1))[1]
-
-
-def dual_element(dr: DualRing, coeffs) -> Mat:
-    """The left A-linear map with coordinates ``coeffs`` in the basis."""
-    c = dr.coring
-    return _combine(Mat.zero(c.A.field, c.A.dim, c.dim), coeffs, dr.basis)
 
 
 @memoised

@@ -15,7 +15,8 @@ Linear maps follow the column-vector convention: a map V -> W with
 dim V = n and dim W = m is an m x n matrix, and composition is ``@``.
 Tensor indices are flattened row-major, so ``kron`` realises the tensor
 product of maps; ``tensor_id`` forms ``I (x) X (x) I`` by moving indices,
-without multiplying a scalar.
+without multiplying a scalar.  Operands over two fields, like operands of
+mismatched shapes, are a DimensionMismatch.
 """
 
 import re
@@ -232,17 +233,26 @@ def _addmul(acc: dict, c, row: dict, p: Optional[int]) -> None:
             del acc[k]
 
 
+def _field_of(a: "Mat", b: "Mat") -> FieldSpec:
+    """The field of two operands: DimensionMismatch if theirs differ."""
+    f = a.field
+    if b.field is not f and b.field != f:
+        raise DimensionMismatch(f"operands over {f!r} and {b.field!r}")
+    return f
+
+
 def _combine(m: "Mat", coeffs, basis) -> "Mat":
     """``m + sum_i coeffs[i] * basis[i]`` in one set of rows: the one
     accumulator, behind ``+``, ``-`` and the coordinates and sweeps of
     ``_search``.  Each nonzero coefficient is coerced into the field; a
-    basis matrix not of the shape of ``m`` is a DimensionMismatch."""
+    basis matrix of another shape or field is a DimensionMismatch."""
     f = m.field
     p = f.p
     out = [dict(r) for r in m.sparse_rows]
     for x, b in zip(coeffs, basis):
         if b.rows != m.rows or b.cols != m.cols:
             raise DimensionMismatch("shape mismatch")
+        _field_of(m, b)
         c = f.of(x) if x else x
         if c:
             for acc, row in zip(out, b.sparse_rows):
@@ -390,7 +400,7 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with "
                 f"{other.rows}x{other.cols}")
-        p = self.field.p
+        p = _field_of(self, other).p
         brows = other.sparse_rows
         if p is None:
             # row j of other as integers n_j over d_j: a * b_j = a / d_j * n_j
@@ -435,7 +445,7 @@ class Mat:
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; tensor product of maps in row-major indexing."""
-        p = self.field.p
+        p = _field_of(self, other).p
         oc = other.cols
         out = []
         for r1 in self.sparse_rows:
@@ -471,7 +481,7 @@ class Mat:
     def stack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise DimensionMismatch("column mismatch in stack")
-        return _new(self.field, self.rows + other.rows, self.cols,
+        return _new(_field_of(self, other), self.rows + other.rows, self.cols,
                     self.sparse_rows + other.sparse_rows)
 
 

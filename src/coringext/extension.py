@@ -1,10 +1,12 @@
 """Measurings, their classification, and coring extensions.
 
 A measuring of an A-coring C by an algebra B is a map nu: C (x) B -> A
-subject to a unit law and a twisted multiplicativity law; measurings
-biject with algebra maps B -> *C.  A coring extension equips C with a
-compatible right B-action and right D-coaction, and induces a functor
-from right C-comodules to right D-comodules.
+subject to a unit law and a twisted multiplicativity law.  Measurings
+biject with the algebra maps B -> *C into the dual ring, nu |-> (b |->
+nu(- (x) b)); ``tests/test_extension.py::TestBijection`` checks
+``enumerate_measurings`` through this bijection.  A coring extension
+equips C with a compatible right B-action and right D-coaction, and
+induces a functor from right C-comodules to right D-comodules.
 
 Each measuring law is written once, in ``_measuring_laws``.
 ``check_measuring`` requires all three; ``enumerate_measurings`` solves
@@ -15,15 +17,14 @@ point of their solution space.
 from typing import List
 
 from ._record import frozen
-from .errors import AxiomViolation, DimensionMismatch
+from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (Algebra, AlgebraMap, Bimodule, RightModule, _require,
-                     check_right_module, make_algebra_map)
+from .algmod import (Algebra, Bimodule, RightModule, _require,
+                     check_right_module)
 from .coring import (ColinearMap, Comodule, Coring, _check_right_coaction,
-                     dual_element, dual_ring, make_colinear_map,
-                     make_comodule)
+                     make_colinear_map, make_comodule)
 from .tensorcat import tensor_over
-from ._search import coords, enumerate_affine
+from ._search import enumerate_affine
 
 
 @frozen
@@ -89,42 +90,6 @@ def enumerate_measurings(c: Coring, b: Algebra) -> List[Measuring]:
     shape = (c.A.dim, c.dim * b.dim)
     return [Measuring(c, b, nu)
             for nu in enumerate_affine(c.A.field, shape, residual, keep)]
-
-
-# -- the bijection with algebra maps B -> *C --------------------------
-
-
-def measuring_to_algebra_map(m: Measuring) -> AlgebraMap:
-    """chi(b) = nu(- (x) b), an algebra map B -> *C, for a measuring that
-    ``make_measuring`` or ``enumerate_measurings`` has checked."""
-    c, b = m.coring, m.B
-    f = c.A.field
-    dr = dual_ring(c)
-    cols = []
-    for j in range(b.dim):
-        nu_j = Mat(f, c.A.dim, c.dim, tuple(
-            tuple(m.nu.entries[r][s * b.dim + j] for s in range(c.dim))
-            for r in range(c.A.dim)))
-        x = coords(dr.basis, nu_j)
-        if x is None:
-            raise AxiomViolation("measuring-slice-not-left-linear", (j,))
-        cols.append(x)
-    return make_algebra_map(b, dr.alg, Mat.from_cols(f, cols))
-
-
-def algebra_map_to_measuring(c: Coring, chi: AlgebraMap) -> Measuring:
-    """nu(x (x) b) = chi(b)(x), the inverse of measuring_to_algebra_map."""
-    dr = dual_ring(c)
-    if chi.target != dr.alg:
-        raise DimensionMismatch("map does not land in the dual ring")
-    f = c.A.field
-    b = chi.source
-    cols = []
-    slices = [dual_element(dr, chi.matrix.col(j)) for j in range(b.dim)]
-    for s in range(c.dim):
-        for j in range(b.dim):
-            cols.append(slices[j].col(s))
-    return make_measuring(c, b, Mat.from_cols(f, cols))
 
 
 # -- the equivalence with right B-structures on C ----------------------

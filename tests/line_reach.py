@@ -28,7 +28,6 @@ import types
 _ITEM_1 = ("left-comodule family: its memo _ccn is pinned by the memo "
            "count of perfbench/test_bench.py until ROADMAP item 1")
 _ITEM_5 = "comodule builders and descent morphisms: ROADMAP item 5"
-_DUAL = "the algebra maps B -> *C path of ROADMAP item 3"
 _ENTRY = "entry point, repr or dunder"
 
 LEDGER = {
@@ -36,9 +35,6 @@ LEDGER = {
     "_record.frozen.<locals>.__repr__": _ENTRY,
     "_record.frozen.<locals>.__setattr__": _ENTRY,
     "_record.frozen.<locals>.__delattr__": _ENTRY,
-    "algmod.enumerate_algebra_maps": _DUAL,
-    "algmod.enumerate_algebra_maps.<locals>.residual": _DUAL,
-    "algmod.enumerate_algebra_maps.<locals>.keep": _DUAL,
     "cli.main": _ENTRY,
     "constructions._right_linear_basis": "comatrix corings: ROADMAP item 12",
     "constructions.check_dual_basis": "comatrix corings: ROADMAP item 12",
@@ -56,7 +52,6 @@ LEDGER = {
     "coring.regular_left_comodule": _ITEM_1,
     "coring.cotensor_basis": _ITEM_1,
     "coring.check_bicomodule": _ITEM_1,
-    "coring.dual_element": _DUAL,
     "descent.check_descent_morphism": _ITEM_5,
     "exactla.FieldSpec.add": "field arithmetic the test oracles use",
     "exactla.FieldSpec.mul": "field arithmetic the test oracles use",
@@ -65,8 +60,6 @@ LEDGER = {
     "exactla.Mat.from_rows": _ENTRY,
     "exactla.Mat.__add__": _ENTRY,
     "exactla.kernel": "the null space cotensor_basis reads; " + _ITEM_1,
-    "extension.measuring_to_algebra_map": _DUAL,
-    "extension.algebra_map_to_measuring": _DUAL,
     "extension.action_from_measuring": "ROADMAP item 11",
     "extension.measuring_from_action": "ROADMAP item 11",
     "fixtures.matrix_algebra_2":

@@ -22,13 +22,14 @@ from coringext.algmod import (Algebra, AlgebraMap, Bimodule, LeftModule,
                               check_algebra, check_algebra_map,
                               check_bimodule,
                               check_left_module, check_right_module,
-                              enumerate_algebra_maps, make_algebra,
-                              make_algebra_map, regular_bimodule,
+                              make_algebra, make_algebra_map,
+                              regular_bimodule,
                               restrict_left, restrict_right, right_regular,
                               left_regular)
 from coringext.fixtures import (c2_group_algebra, d2_algebra,
-                                matrix_algebra_2, unit_map)
+                                matrix_algebra_2, sw_coring, unit_map)
 from coringext.constructions import base_algebra
+from coringext.extension import enumerate_measurings
 
 
 # -- reference: the dense loop over basis tuples --------------------------
@@ -498,38 +499,55 @@ class TestWitness:
 
 
 class TestEnumeration:
+    """The oracle ``ref_enumerate_algebra_maps`` of ``test_extension``,
+    imported in each test because that module imports this one."""
+
     def test_maps_from_group_algebra(self):
+        from test_extension import ref_enumerate_algebra_maps
         b = c2_group_algebra(GF3)
         a = base_algebra(GF3)
-        maps = enumerate_algebra_maps(b, a)
+        maps = ref_enumerate_algebra_maps(b, a)
         # g can map to either square root of 1 in F3
         assert len(maps) == 2
         mats = [m.matrix.entries for m in maps]
         assert mats == sorted(mats)
 
     def test_maps_to_d2(self):
+        from test_extension import ref_enumerate_algebra_maps
         k = base_algebra(GF2)
         a = d2_algebra(GF2)
-        assert len(enumerate_algebra_maps(k, a)) == 1
+        assert len(ref_enumerate_algebra_maps(k, a)) == 1
 
     def test_guard(self):
-        a = matrix_algebra_2(GF3)
+        from test_extension import ref_enumerate_algebra_maps
         set_guards(max_enum=100)
         try:
             with pytest.raises(SizeLimit):
-                enumerate_algebra_maps(a, a)
-        finally:
-            set_guards(max_enum=DEFAULT_MAX_ENUM)
-
-    def test_guard_counts_unit_constraint_space(self):
-        # 2^12 unital linear maps of M_2(GF2), not 2^16 linear ones
-        a = matrix_algebra_2(GF2)
-        set_guards(max_enum=5000)
-        try:
-            maps = enumerate_algebra_maps(a, a)
+                ref_enumerate_algebra_maps(matrix_algebra_2(GF3),
+                                           matrix_algebra_2(GF3))
+            # 2^12 unital linear maps of M_2(GF2), not 2^16 linear ones
+            set_guards(max_enum=5000)
+            a = matrix_algebra_2(GF2)
+            maps = ref_enumerate_algebra_maps(a, a)
         finally:
             set_guards(max_enum=DEFAULT_MAX_ENUM)
         assert len(maps) == 6  # the automorphisms, PGL_2(GF2) = S_3
         assert all(ref_is_isomorphism(m) for m in maps)
         mats = [m.matrix.entries for m in maps]
         assert mats == sorted(mats)
+
+    def test_guard_counts_unit_constraint_space(self):
+        # a measuring sweep of FIX.SW by D2 counts the 2^4 solutions of its
+        # two linear laws, the unit diagram and left A-linearity, not the
+        # 2^16 linear maps C (x) B -> A
+        c, b = sw_coring(GF2), d2_algebra(GF2)
+        set_guards(max_enum=15)
+        try:
+            with pytest.raises(SizeLimit) as err:
+                enumerate_measurings(c, b)
+            set_guards(max_enum=16)
+            ms = enumerate_measurings(c, b)
+        finally:
+            set_guards(max_enum=DEFAULT_MAX_ENUM)
+        assert str(err.value) == "16 candidates exceed the guard 15"
+        assert len(ms) == 8

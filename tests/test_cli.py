@@ -374,6 +374,12 @@ class TestArgv:
         for name in ("--max-dim", "--max-enum")
         for case in (([name, value, "check"], "argv[1]", None),
                      ([f"{name}={value}", "check"], "argv[0]", None))
+    ] + [
+        # a guard is a count: a negative value is refused before stdin is
+        # read, and 0 stays a guard
+        case for name in ("--max-dim", "--max-enum")
+        for case in (([name, "-1", "check"], "argv[1]", None),
+                     ([f"{name}=-1", "check"], "argv[0]", None))
     ])
     def test_fault_report(self, argv, path, command):
         out = io.StringIO()

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from coringext.errors import (AxiomViolation, DimensionMismatch,
                               NonFiniteField, SizeLimit)
 from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, MAX_PRIME, QQ,
-                               FieldSpec, Mat, kernel, quotient, rref,
-                               set_guards)
+                               FieldSpec, Mat, _combine, kernel, quotient,
+                               rref, set_guards)
+from coringext.algmod import _first_diff, make_algebra
+from coringext.constructions import make_coalgebra
+from coringext.fixtures import d2_algebra, gc2_coalgebra
 from coringext.tensorcat import descend_map
 
 from test_algmod import ref_apply
@@ -151,6 +154,29 @@ class TestMat:
         m = rand_mat(QQ, 3, 3, random.Random(2))
         v = (Fraction(1), Fraction(2), Fraction(3))
         assert ref_apply(m, v) == (m @ Mat.from_cols(QQ, [v])).col(0)
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x @ y,
+        lambda x, y: x.kron(y),
+        lambda x, y: x.stack(y),
+        lambda x, y: _combine(x, (1,), (y,)),
+        lambda x, y: _first_diff(x, y),
+        # the records: maps over GF(2) given for an algebra or a
+        # coalgebra over GF(3)
+        lambda x, y: make_algebra(GF3, 2, d2_algebra(GF2).mult_mat,
+                                  d2_algebra(GF2).unit_col),
+        lambda x, y: make_coalgebra(GF3, 2, gc2_coalgebra(GF2).delta,
+                                    gc2_coalgebra(GF2).eps),
+    ], ids=["add", "sub", "matmul", "kron", "stack", "combine", "first_diff",
+            "make_algebra", "make_coalgebra"])
+    def test_operands_over_another_field_rejected(self, op):
+        # the identity over GF(2) and over Q: equal entries, two fields
+        gf2, qq = Mat.identity(GF2, 2), Mat.identity(QQ, 2)
+        for x, y in ((gf2, qq), (qq, gf2)):
+            with pytest.raises(DimensionMismatch, match="over"):
+                op(x, y)
 
 
 class TestEchelon:

@@ -1,13 +1,22 @@
-"""Measurings, the bijection with dual-ring maps, and coring extensions."""
+"""Measurings, the bijection with dual-ring maps, and coring extensions.
+
+The algebra maps B -> *C into the dual ring, and the bijection between
+them and the measurings of C by B, are test oracles here
+(``ref_enumerate_algebra_maps``, ``ref_measuring_to_algebra_map`` and
+``ref_algebra_map_to_measuring``): ``enumerate_measurings`` is checked
+against them by count and through the bijection.
+"""
 
 import random
 
 import pytest
 
+from coringext._search import coords, enumerate_affine
 from coringext.errors import AxiomViolation, DimensionMismatch
-from coringext.exactla import GF2, GF3, QQ, Mat, kernel
-from coringext.algmod import (Bimodule, LeftModule, RightModule, _first_diff,
-                              enumerate_algebra_maps)
+from coringext.exactla import GF2, GF3, QQ, Mat, _combine, kernel
+from coringext.algmod import (AlgebraMap, Bimodule, LeftModule, RightModule,
+                              _first_diff, make_algebra_map)
+from coringext.cli import parse_workspace
 from coringext.coring import (ColinearMap, Comodule, LeftComodule,
                               check_bicomodule, check_comodule,
                               check_left_comodule, dual_ring,
@@ -16,19 +25,84 @@ from coringext.coring import (ColinearMap, Comodule, LeftComodule,
 from coringext.tensorcat import tensor_chain, tensor_over
 from coringext.constructions import base_algebra, trivial_coring
 from coringext.extension import (Measuring, action_from_measuring,
-                                 algebra_map_to_measuring, apply_functor,
-                                 check_coring_extension, check_measuring,
-                                 check_right_b_structure, compose_extensions,
-                                 enumerate_measurings,
+                                 apply_functor, check_coring_extension,
+                                 check_measuring, check_right_b_structure,
+                                 compose_extensions, enumerate_measurings,
                                  extension_from_coring_map,
                                  identity_extension, induced_coaction,
-                                 make_extension,
-                                 measuring_from_action,
-                                 measuring_to_algebra_map)
+                                 make_extension, make_measuring,
+                                 measuring_from_action)
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
                                 sw_coring)
 
 from test_algmod import ref_algebra
+from test_corpus import load_gen
+
+
+# -- reference: algebra maps B -> *C and the bijection ----------------------
+
+
+def ref_enumerate_algebra_maps(b, a):
+    """All algebra maps b -> a over a prime field, ordered by their
+    row-major matrix entries.  The unit law f(1) = 1 is affine in the
+    matrix, so the sweep runs over its solutions only and keeps the
+    multiplicative ones."""
+    def residual(m):
+        return m @ b.unit_col - a.unit_col
+
+    def keep(m):
+        return m @ b.mult_mat == a.mult_mat @ m.kron(m)
+
+    return [AlgebraMap(b, a, m) for m in
+            enumerate_affine(b.field, (a.dim, b.dim), residual, keep)]
+
+
+def ref_dual_element(dr, coeffs):
+    """The left A-linear map C -> A with coordinates ``coeffs`` in the
+    basis of the dual ring ``dr``."""
+    c = dr.coring
+    return _combine(Mat.zero(c.A.field, c.A.dim, c.dim), coeffs, dr.basis)
+
+
+def ref_measuring_to_algebra_map(m):
+    """chi(b) = nu(- (x) b), the algebra map B -> *C of a measuring."""
+    c, b = m.coring, m.B
+    f = c.A.field
+    dr = dual_ring(c)
+    cols = []
+    for j in range(b.dim):
+        nu_j = Mat(f, c.A.dim, c.dim, tuple(
+            tuple(m.nu.entries[r][s * b.dim + j] for s in range(c.dim))
+            for r in range(c.A.dim)))
+        x = coords(dr.basis, nu_j)
+        assert x is not None, f"slice {j} of nu is not left A-linear"
+        cols.append(x)
+    return make_algebra_map(b, dr.alg, Mat.from_cols(f, cols))
+
+
+def ref_algebra_map_to_measuring(c, chi):
+    """nu(x (x) b) = chi(b)(x), the measuring of an algebra map B -> *C."""
+    dr = dual_ring(c)
+    assert chi.target == dr.alg
+    b = chi.source
+    slices = [ref_dual_element(dr, chi.matrix.col(j)) for j in range(b.dim)]
+    return make_measuring(c, b, Mat.from_cols(c.A.field, [
+        slices[j].col(s) for s in range(c.dim) for j in range(b.dim)]))
+
+
+def assert_bijection(c, ms, chis):
+    """The two reference maps are mutually inverse bijections between the
+    measurings ``ms`` and the algebra maps ``chis``, both in canonical
+    order."""
+    assert len(ms) == len(chis)
+    to_maps = [ref_measuring_to_algebra_map(m) for m in ms]
+    assert sorted(to_maps, key=lambda chi: chi.matrix.entries) == chis
+    for m, chi in zip(ms, to_maps):
+        assert ref_algebra_map_to_measuring(c, chi) == m
+    to_measurings = [ref_algebra_map_to_measuring(c, chi) for chi in chis]
+    assert sorted(to_measurings, key=lambda m: m.nu.entries) == ms
+    for chi, m in zip(chis, to_measurings):
+        assert ref_measuring_to_algebra_map(m) == chi
 
 
 def measuring_cases():
@@ -74,18 +148,29 @@ class TestBijection:
     def test_counts_match_algebra_maps(self):
         for c, b, expected in measuring_cases():
             dr = dual_ring(c)
-            chis = enumerate_algebra_maps(b, dr.alg)
+            chis = ref_enumerate_algebra_maps(b, dr.alg)
             assert len(chis) == expected
 
     def test_mutually_inverse(self):
         for c, b, _ in measuring_cases():
-            for m in enumerate_measurings(c, b):
-                chi = measuring_to_algebra_map(m)
-                assert algebra_map_to_measuring(c, chi).nu == m.nu
-            dr = dual_ring(c)
-            for chi in enumerate_algebra_maps(b, dr.alg):
-                m = algebra_map_to_measuring(c, chi)
-                assert measuring_to_algebra_map(m).matrix == chi.matrix
+            assert_bijection(c, enumerate_measurings(c, b),
+                             ref_enumerate_algebra_maps(b, dual_ring(c).alg))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bench_enumerations_match_algebra_maps(self, seed):
+        # the enumeration calls of the cli-mix workload, with their counts
+        calls = {call.label: call for call in load_gen().cli_mix(seed)}
+        for label, count in (("gc6-by-k2", 64), ("gc5-by-k3", 243),
+                             ("sw-by-bc2", 32)):
+            call = calls[label]
+            assert call.argv == ("enumerate-measurings", "--coring", "c",
+                                 "--algebra", "b")
+            ws = parse_workspace(call.workspace)
+            c, b = ws.objects["c"], ws.objects["b"]
+            ms = enumerate_measurings(c, b)
+            chis = ref_enumerate_algebra_maps(b, dual_ring(c).alg)
+            assert len(ms) == len(chis) == count
+            assert_bijection(c, ms, chis)
 
 
 class TestActionEquivalence:

@@ -129,7 +129,9 @@ RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "twisted_product", "_hom_basis", "TwistedConvolution",
            "twisted_convolution", "enumerate_entwined_measurings",
            "Entwining", "DualBasis", "column", "ALGEBRA_FIXTURES",
-           "CORING_FIXTURES", "_coerce_tensor3"}
+           "CORING_FIXTURES", "_coerce_tensor3", "enumerate_algebra_maps",
+           "dual_element", "measuring_to_algebra_map",
+           "algebra_map_to_measuring", "_algebra_map_laws"}
 
 
 def _returns_value(fn):
