@@ -10,12 +10,17 @@ checks are complete, so no randomized testing is needed in the core.
 
 Every ``check_*`` function of the package returns None when its axioms
 hold and raises ``AxiomViolation(kind, witness)`` at the first one that
-fails.  A structure is checked once, where its record is made: a
-``make_*`` checks the record it is given, and a part such as the bimodule
-of a coring is built unchecked for the ``make_*`` that receives it.
-Identities are compared with ``_require``: a rejection names the first
-basis tuple of the domain, or of its tensor factors, at which the two
-sides differ.
+fails.  Data is checked where it enters: a ``make_*`` checks the record it
+is given (a part, such as the bimodule of a coring, only within it), and
+a construction its own parameters (iota, gamma, psi, a dual basis).  A
+construction whose output is valid by a theorem builds its record
+directly, with the canonical lift a ``make_*`` stores: the Sweedler,
+comatrix, trivial and coalgebra corings, the algebra of ``dual_ring``,
+the identity, coring-map and composed extensions, ``induced_coaction``,
+``apply_functor``, and both ways between descent data and Sweedler
+comodules.  The tests prove each theorem.  Identities are compared with
+``_require``: a rejection names the first basis tuple of the domain, or
+of its tensor factors, at which the two sides differ.
 """
 
 from typing import Optional

@@ -261,12 +261,12 @@ def parse_workspace(text: str) -> Workspace:
 
 
 def _render(field, x):
-    """JSON form of a scalar, or of a ``Mat`` or tuple, entry by entry."""
+    """JSON form of a ``Mat``, or of tuples of them, of rows or of scalars."""
     if isinstance(x, Mat):
         x = x.entries
-    if isinstance(x, tuple):
+    if x and isinstance(x[0], (tuple, Mat)):
         return [_render(field, y) for y in x]
-    return field.render(x)
+    return [field.render(y) for y in x]
 
 
 # -- commands ----------------------------------------------------------

@@ -24,9 +24,10 @@ def base_algebra(field: FieldSpec) -> Algebra:
 
 def trivial_coring(a: Algebra) -> Coring:
     """A as a coring over itself: Delta the inverse of A (x)_A A = A, eps = id."""
+    cbim, eps = regular_bimodule(a), Mat.identity(a.field, a.dim)
     delta_lift = a.unit_col.tensor_id(1, a.dim)  # x -> 1 (x) x
-    return make_coring(a, regular_bimodule(a), delta_lift,
-                       Mat.identity(a.field, a.dim))
+    return Coring(a, cbim, Coring(a, cbim, delta_lift, eps).cc()
+                  .canonical_lift(delta_lift), eps)
 
 
 @memoised
@@ -53,7 +54,7 @@ def _quotient_coring(name: str, q: QuotientSpace, a: Algebra, lact_x: Mat,
         q.projection.kron(q.projection) @ delta_amb),
         name + "-coproduct-not-balanced", dims)
     eps = descend_map(q, eps_amb, name + "-counit-not-balanced", dims)
-    return make_coring(a, cbim, cc.section @ delta, eps)
+    return Coring(a, cbim, cc.canonical_lift(cc.section @ delta), eps)
 
 
 @memoised
@@ -122,7 +123,9 @@ def coalgebra_to_coring(c: Coalgebra) -> Coring:
     """View a coalgebra as a coring over the one-dimensional base algebra."""
     k = base_algebra(c.field)
     ic = Mat.identity(c.field, c.dim)
-    return make_coring(k, Bimodule(k, k, c.dim, ic, ic), c.delta, c.eps)
+    cbim = Bimodule(k, k, c.dim, ic, ic)
+    return Coring(k, cbim, Coring(k, cbim, c.delta, c.eps).cc()
+                  .canonical_lift(c.delta), c.eps)
 
 
 # -- comatrix corings ------------------------------------------------

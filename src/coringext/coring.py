@@ -15,11 +15,10 @@ from typing import List
 
 from ._record import frozen
 from ._search import affine_solutions, coords, pivots
-from .errors import AxiomViolation, DimensionMismatch
+from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, kernel, memoised
 from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _require,
-                     check_bimodule, check_left_module, check_right_module,
-                     make_algebra)
+                     check_bimodule, check_left_module, check_right_module)
 from .tensorcat import right_action_on_quotient, tensor_chain, tensor_over
 
 
@@ -328,12 +327,6 @@ class DualRing:
         return self.alg.dim
 
 
-def _star_factor(c: Coring, f: Mat) -> Mat:
-    """The map x -> x_(1) f(x_(2)) on C, so that the product
-    (f * g)(x) = sum g(x_(1) f(x_(2))) of *C is ``g @ _star_factor(c, f)``."""
-    return c.C.ract @ f.tensor_id(c.dim, 1) @ c.delta_lift
-
-
 def _left_linear_basis(c: Coring) -> List[Mat]:
     """Canonical basis of Hom_{A-}(C, A) as the null space of linearity."""
     a = c.A
@@ -344,23 +337,16 @@ def _left_linear_basis(c: Coring) -> List[Mat]:
 
 @memoised
 def dual_ring(c: Coring) -> DualRing:
-    """The left dual ring *C = Hom_{A-}(C, A) as a validated algebra."""
-    a = c.A
+    """The left dual ring *C = Hom_{A-}(C, A), an algebra with unit eps."""
     basis = _left_linear_basis(c)
     piv = pivots(basis)
     n = len(basis)
-    cols = []  # column i*n + j: the coordinates of b_i * b_j
-    for i in range(n):
-        factor = _star_factor(c, basis[i])
-        for j in range(n):
-            x = coords(basis, basis[j] @ factor, piv)
-            if x is None:
-                raise AxiomViolation("dual-product-not-linear", (i, j))
-            cols.append(x)
-    _require(c.eps @ c.C.lact, a.mult_mat @ c.eps.tensor_id(a.dim, 1),
-             "counit-not-left-linear", (a.dim, c.dim))
+    # the product (f * g)(x) = sum g(x_(1) f(x_(2))) is g @ F_f for the map
+    # F_f: x -> x_(1) f(x_(2)); column i*n + j holds the coordinates of b_i b_j
+    factors = [c.C.ract @ b.tensor_id(c.dim, 1) @ c.delta_lift for b in basis]
+    cols = [coords(basis, g @ fac, piv) for fac in factors for g in basis]
     unit = coords(basis, c.eps, piv)
-    f = a.field
-    alg = make_algebra(f, n, Mat(f, n, n * n, tuple(zip(*cols))),
-                       Mat(f, n, 1, tuple(zip(unit))))
+    f = c.A.field
+    alg = Algebra(f, n, Mat(f, n, n * n, tuple(zip(*cols))),
+                  Mat(f, n, 1, tuple(zip(unit))))
     return DualRing(c, tuple(basis), alg)

@@ -14,7 +14,7 @@ from .errors import AxiomViolation, DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (AlgebraMap, Bimodule, LeftModule, RightModule, _require,
                      check_right_module, regular_along, restrict_right)
-from .coring import Comodule, make_comodule
+from .coring import Comodule
 from .constructions import sweedler_coring, sweedler_space
 from .extension import (CoringExtension, _cd, check_coring_extension,
                         induced_coaction)
@@ -99,7 +99,8 @@ def descent_to_comodule(d: DescentDatum) -> Comodule:
     q = sweedler_space(d.iota)
     rho_lift = (q.projection @ a.unit_col.tensor_id(1, a.dim)).tensor_id(
         d.M.dim, 1) @ d.f_lift
-    return make_comodule(c, d.M, rho_lift)
+    out = Comodule(c, d.M, rho_lift)
+    return Comodule(c, d.M, out.mc().canonical_lift(rho_lift))
 
 
 def comodule_to_descent(iota: AlgebraMap, m: Comodule) -> DescentDatum:
@@ -109,7 +110,7 @@ def comodule_to_descent(iota: AlgebraMap, m: Comodule) -> DescentDatum:
     q = sweedler_space(iota)
     f_lift = m.M.act.tensor_id(1, iota.target.dim) @ \
         q.section.tensor_id(m.dim, 1) @ m.rho_lift
-    return make_descent_datum(iota, m.M, f_lift)
+    return DescentDatum(iota, m.M, _ma_space(iota, m.M).canonical_lift(f_lift))
 
 
 # -- pushing descent data down a tower D -> B -> A ---------------------

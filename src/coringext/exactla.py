@@ -172,14 +172,8 @@ class FieldSpec:
             return Fraction(x)
         raise ValueError(f"bad scalar {x!r} for the rationals")
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
-
     def sub(self, a, b):
         return (a - b) % self.p if self.p is not None else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
 
     def neg(self, a):
         return (-a) % self.p if self.p is not None else -a
@@ -599,6 +593,8 @@ def quotient(field: FieldSpec, ambient_dim: int, relations: Mat
     """Quotient of F^ambient_dim by the row space of ``relations``."""
     if relations.cols != ambient_dim:
         raise DimensionMismatch("relations do not live in the ambient space")
+    if relations.field != field:
+        raise DimensionMismatch(f"relations are not over {field!r}")
     _check_ambient(ambient_dim)
     f = field
     red, pivots = rref(relations)

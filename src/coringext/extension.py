@@ -21,8 +21,7 @@ from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (Algebra, Bimodule, RightModule, _require,
                      check_right_module)
-from .coring import (ColinearMap, Comodule, Coring, _check_right_coaction,
-                     make_colinear_map, make_comodule)
+from .coring import ColinearMap, Comodule, Coring, _check_right_coaction
 from .tensorcat import tensor_over
 from ._search import enumerate_affine
 
@@ -155,7 +154,7 @@ def check_coring_extension(e: CoringExtension) -> None:
 
     C must be a (C, D)-bicomodule: the regular left C-coaction and sigma
     must commute, with sigma a B-linear coassociative counital coaction.
-    The left coaction is C's coproduct, which ``make_coring`` checked.
+    The left coaction is C's coproduct, a coaction because C is a coring.
     """
     c, d = e.c, e.d
     if c.A.field != d.A.field:
@@ -174,7 +173,8 @@ def make_extension(c: Coring, d: Coring, ract: Mat,
 
 def identity_extension(c: Coring) -> CoringExtension:
     """Every coring is an extension of itself via its own coproduct."""
-    return make_extension(c, c, c.C.ract, c.delta_lift)
+    return CoringExtension(c, c, c.C.ract, _cd(c.A, c.C.ract, c.C)
+                           .canonical_lift(c.delta_lift))
 
 
 def extension_from_coring_map(gamma: Mat, c: Coring, d: Coring
@@ -201,7 +201,8 @@ def extension_from_coring_map(gamma: Mat, c: Coring, d: Coring
     _require(proj @ d.delta_lift @ gamma, proj @ gamma.kron(gamma) @
              c.delta_lift, "coring-map-coproduct", (nc,))
     sigma_lift = gamma.tensor_id(c.dim, 1) @ c.delta_lift
-    return make_extension(c, d, c.C.ract, sigma_lift)
+    return CoringExtension(c, d, c.C.ract, _cd(d.A, c.C.ract, d.C)
+                           .canonical_lift(sigma_lift))
 
 
 # -- the induced functor M^C -> M^D ------------------------------------
@@ -224,14 +225,15 @@ def induced_coaction(e: CoringExtension, m: Comodule) -> Comodule:
     if m.coring != e.c:
         raise DimensionMismatch("comodule is not over the extended coring")
     act, rho_lift = _induced(e, m.M.act, m.rho_lift)
-    return make_comodule(e.d, RightModule(e.d.A, m.dim, act), rho_lift)
+    out = Comodule(e.d, RightModule(e.d.A, m.dim, act), rho_lift)
+    return Comodule(e.d, out.M, out.mc().canonical_lift(rho_lift))
 
 
 def apply_functor(e: CoringExtension, g: ColinearMap) -> ColinearMap:
     """Transport a C-colinear map along the induced functor: the same
-    matrix between the induced comodules, verified to be D-colinear."""
-    return make_colinear_map(induced_coaction(e, g.source),
-                             induced_coaction(e, g.target), g.matrix)
+    matrix between the induced comodules."""
+    return ColinearMap(induced_coaction(e, g.source),
+                       induced_coaction(e, g.target), g.matrix)
 
 
 def compose_extensions(e1: CoringExtension,
@@ -240,4 +242,6 @@ def compose_extensions(e1: CoringExtension,
     D-comodule through e1, carried along the functor of e2."""
     if e1.d != e2.c:
         raise DimensionMismatch("middle corings do not agree")
-    return make_extension(e1.c, e2.d, *_induced(e2, e1.ract, e1.sigma_lift))
+    ract, sigma_lift = _induced(e2, e1.ract, e1.sigma_lift)
+    return CoringExtension(e1.c, e2.d, ract, _cd(e2.d.A, ract, e2.d.C)
+                           .canonical_lift(sigma_lift))

@@ -53,8 +53,6 @@ LEDGER = {
     "coring.cotensor_basis": _ITEM_1,
     "coring.check_bicomodule": _ITEM_1,
     "descent.check_descent_morphism": _ITEM_5,
-    "exactla.FieldSpec.add": "field arithmetic the test oracles use",
-    "exactla.FieldSpec.mul": "field arithmetic the test oracles use",
     "exactla.FieldSpec.__repr__": _ENTRY,
     "exactla.Mat.__repr__": _ENTRY,
     "exactla.Mat.from_rows": _ENTRY,

@@ -35,6 +35,16 @@ from coringext.extension import enumerate_measurings
 # -- reference: the dense loop over basis tuples --------------------------
 
 
+def ref_add(f, a, b):
+    """a + b in the field ``f``: the field arithmetic of the oracles."""
+    return (a + b) % f.p if f.p is not None else a + b
+
+
+def ref_mul(f, a, b):
+    """a * b in the field ``f``."""
+    return (a * b) % f.p if f.p is not None else a * b
+
+
 def ref_algebra(f, dim, mult, unit, make=make_algebra):
     """The algebra with structure constants ``mult[i][j][l]`` and unit
     coordinates ``unit``, made by ``make`` (``Algebra`` for an unchecked
@@ -66,11 +76,11 @@ def ref_product(a, u, v):
         for j, y in enumerate(v):
             if y == f.zero:
                 continue
-            xy = f.mul(x, y)
+            xy = ref_mul(f, x, y)
             for l in range(a.dim):
                 c = mult[i][j][l]
                 if c != f.zero:
-                    out[l] = f.add(out[l], f.mul(xy, c))
+                    out[l] = ref_add(f, out[l], ref_mul(f, xy, c))
     return tuple(out)
 
 
@@ -84,7 +94,7 @@ def ref_apply(m, vec):
     for row in m.entries:
         acc = f.zero
         for a, x in zip(row, vec):
-            acc = f.add(acc, f.mul(a, x))
+            acc = ref_add(f, acc, ref_mul(f, a, x))
         out.append(acc)
     return tuple(out)
 

@@ -1,4 +1,10 @@
-"""Each structure is checked where its record is made, and nowhere else.
+"""Data is checked where it enters the library, and nowhere else.
+
+A structure given from outside (a workspace object, a ``make_*`` call, a
+construction's own parameters) is checked once, where its record is made.
+A construction whose output is valid by a theorem, once its inputs are
+made, builds its record unchecked; ``tests/test_theorems.py`` proves each
+such theorem on its outputs.
 
 These tests count the calls of a checker while one record is built, or
 while a sweep runs.  A checker is counted through every module of the
@@ -16,17 +22,21 @@ from coringext import exactla
 from coringext.algmod import RightModule
 from coringext.cli import parse_workspace
 from coringext.constructions import (base_algebra, coalgebra_to_coring,
-                                     entwining_coring, group_coalgebra,
-                                     sweedler_coring, trivial_coring)
-from coringext.coring import regular_comodule
-from coringext.exactla import GF2, GF3, Mat
-from coringext.extension import (compose_extensions, enumerate_measurings,
+                                     comatrix_coring, entwining_coring,
+                                     group_coalgebra, sweedler_coring,
+                                     trivial_coring)
+from coringext.coring import dual_ring, make_colinear_map, regular_comodule
+from coringext.descent import comodule_to_descent, descent_to_comodule
+from coringext.exactla import GF2, GF3, QQ, Mat
+from coringext.extension import (apply_functor, compose_extensions,
+                                 enumerate_measurings,
                                  extension_from_coring_map,
-                                 identity_extension, induced_coaction)
+                                 identity_extension, induced_coaction,
+                                 make_extension)
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
                                 gc2_coring, sw_coring, unit_map)
 
-from test_constructions import ref_flip_entwining
+from test_constructions import free_rank_two, ref_flip_entwining
 
 
 def count_calls(monkeypatch, name):
@@ -46,6 +56,17 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_checkers(monkeypatch):
+    """The calls of every ``check_*`` of the package, by name."""
+    return {name: count_calls(monkeypatch, name)
+            for name in coringext.__all__ if name.startswith("check_")}
+
+
+def made(calls):
+    """The checkers that were called, with their argument tuples."""
+    return {name: args for name, args in calls.items() if args}
+
+
 def clear_memos():
     for cached in exactla._MEMOS:
         cached.cache_clear()
@@ -63,19 +84,15 @@ def explicit_coring(field):
 
 
 def coring_builders(field):
-    """Each coring builder, on inputs built before the count starts."""
-    iota = unit_map(field, d2_algebra(field))
+    """Each coring builder whose bimodule enters from outside, on inputs
+    built before the count starts."""
     ent = ref_flip_entwining(d2_algebra(field), gc2_coalgebra(field))
-    coalg = group_coalgebra(field, 2)
     return {"explicit": lambda: explicit_coring(field),
-            "sweedler": lambda: sweedler_coring(iota),
-            "entwining": lambda: entwining_coring(*ent),
-            "coalgebra": lambda: coalgebra_to_coring(coalg)}
+            "entwining": lambda: entwining_coring(*ent)}
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
-@pytest.mark.parametrize("builder",
-                         ["explicit", "sweedler", "entwining", "coalgebra"])
+@pytest.mark.parametrize("builder", ["explicit", "entwining"])
 def test_each_coring_builder_checks_its_bimodule_once(monkeypatch, builder,
                                                       field):
     build = coring_builders(field)[builder]
@@ -87,23 +104,76 @@ def test_each_coring_builder_checks_its_bimodule_once(monkeypatch, builder,
     assert left == [(c.C.left_module(),)]
 
 
-def extension_builders(field):
-    """Each extension builder, on corings built before the count starts."""
+def theorem_builders(field):
+    """Each construction that builds its record unchecked, on inputs made
+    before the count starts, with the checks it runs on its own
+    parameters."""
+    d2 = d2_algebra(field)
+    iota = unit_map(field, d2)
+    sw = sweedler_coring(iota)
+    t = trivial_coring(d2)
+    e = extension_from_coring_map(sw.eps, sw, t)
+    e_id = identity_extension(sw)
+    reg = regular_comodule(sw)
+    idmap = make_colinear_map(reg, reg, Mat.identity(field, sw.dim))
+    datum = comodule_to_descent(iota, reg)
+    coalg = group_coalgebra(field, 2)
+    sigma, (elements, functionals) = free_rank_two(field)
+    base_algebra(field)  # a made input of coalgebra_to_coring
+    return {
+        "sweedler": (lambda: sweedler_coring(iota), {}),
+        "comatrix": (lambda: comatrix_coring(sigma, elements, functionals),
+                     {"check_dual_basis": [(sigma, elements, functionals)]}),
+        "trivial": (lambda: trivial_coring(d2), {}),
+        "coalgebra": (lambda: coalgebra_to_coring(coalg), {}),
+        "dual_ring": (lambda: dual_ring(sw), {}),
+        "identity_extension": (lambda: identity_extension(sw), {}),
+        "extension_from_coring_map": (
+            lambda: extension_from_coring_map(sw.eps, sw, t), {}),
+        "compose_extensions": (lambda: compose_extensions(e_id, e), {}),
+        "induced_coaction": (lambda: induced_coaction(e, reg), {}),
+        "apply_functor": (lambda: apply_functor(e, idmap), {}),
+        "descent_to_comodule": (lambda: descent_to_comodule(datum), {}),
+        "comodule_to_descent": (lambda: comodule_to_descent(iota, reg), {}),
+    }
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)
+@pytest.mark.parametrize("builder", [
+    "sweedler", "comatrix", "trivial", "coalgebra", "dual_ring",
+    "identity_extension", "extension_from_coring_map", "compose_extensions",
+    "induced_coaction", "apply_functor", "descent_to_comodule",
+    "comodule_to_descent"])
+def test_theorem_backed_builder_runs_no_check(monkeypatch, builder, field):
+    """A construction valid by a theorem checks no more than its own
+    parameters: of the list, only the comatrix coring checks its dual
+    basis."""
+    build, expected = theorem_builders(field)[builder]
+    clear_memos()
+    base_algebra(field)
+    calls = count_checkers(monkeypatch)
+    build()
+    assert made(calls) == expected
+
+
+def extension_data(field):
+    """The data of three extensions, as a workspace ``extension`` object
+    gives them to ``make_extension``: the identity, the counit onto the
+    trivial coring, and their composite."""
     c = sw_coring(field)
     t = trivial_coring(d2_algebra(field))
-    gamma = Mat.from_rows(field, [[1, 0, 0, 0], [0, 0, 0, 1]])
-    e = extension_from_coring_map(gamma, c, t)
-    return [lambda: identity_extension(c),
-            lambda: extension_from_coring_map(gamma, c, t),
-            lambda: compose_extensions(identity_extension(c), e)]
+    e = extension_from_coring_map(c.eps, c, t)
+    return [(e.c, e.d, e.ract, e.sigma_lift) for e in (
+        identity_extension(c), e, compose_extensions(identity_extension(c),
+                                                     e))]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
 def test_make_extension_never_checks_left_comodule(monkeypatch, field):
-    builds = extension_builders(field)
+    data = extension_data(field)
     left_comodules = count_calls(monkeypatch, "check_left_comodule")
-    for build in builds:
-        build()
+    for args in data:
+        make_extension(*args)
     assert left_comodules == []
 
 
@@ -111,28 +181,16 @@ def test_make_extension_never_checks_left_comodule(monkeypatch, field):
 def test_each_extension_checks_its_b_module_once(monkeypatch, field):
     # check_right_b_structure checks it; sigma's coaction is checked
     # without it
-    builds = extension_builders(field)
+    data = extension_data(field)
     extensions = count_calls(monkeypatch, "check_coring_extension")
     modules = count_calls(monkeypatch, "check_right_module")
-    for build in builds:
+    for args in data:
         extensions.clear()
         modules.clear()
-        build()
+        make_extension(*args)
         assert extensions
         assert modules == [(RightModule(e.d.A, e.c.dim, e.ract),)
                            for (e,) in extensions]
-
-
-@pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
-def test_induced_coaction_checks_its_module_once(monkeypatch, field):
-    c = sw_coring(field)
-    t = trivial_coring(d2_algebra(field))
-    e = extension_from_coring_map(
-        Mat.from_rows(field, [[1, 0, 0, 0], [0, 0, 0, 1]]), c, t)
-    reg = regular_comodule(c)
-    modules = count_calls(monkeypatch, "check_right_module")
-    out = induced_coaction(e, reg)
-    assert modules == [(out.M,)]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
@@ -145,8 +203,7 @@ def test_sweeps_check_no_candidate(monkeypatch, field):
     clear_memos()
     for sweep in sweeps:  # builds the inputs before the count starts
         sweep()
-    calls = {name: count_calls(monkeypatch, name)
-             for name in coringext.__all__ if name.startswith("check_")}
+    calls = count_checkers(monkeypatch)
     for sweep in sweeps:
         assert sweep()
-    assert {name: args for name, args in calls.items() if args} == {}
+    assert made(calls) == {}

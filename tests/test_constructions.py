@@ -24,7 +24,8 @@ from coringext.constructions import (Coalgebra, base_algebra, check_coalgebra,
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
                                 matrix_algebra_2, sw_coring, unit_map)
 
-from test_algmod import ref_algebra, ref_apply, ref_is_isomorphism, ref_unit
+from test_algmod import (ref_add, ref_algebra, ref_apply, ref_is_isomorphism,
+                        ref_mul, ref_unit)
 
 
 # -- reference: entwinings, twisted convolution, entwined measurings -------
@@ -238,7 +239,7 @@ def ref_check_dual_basis(sigma, elements, functionals):
         return tuple(f.one if t == i else f.zero for t in range(n))
 
     def kron(u, v):
-        return tuple(f.mul(x, y) for x in u for y in v)
+        return tuple(ref_mul(f, x, y) for x in u for y in v)
 
     for g in functionals:
         for s in range(sigma.dim):
@@ -254,26 +255,26 @@ def ref_check_dual_basis(sigma, elements, functionals):
         for e_i, g in zip(elements, functionals):
             val = ref_apply(g, basis_s)  # in A
             moved = ref_apply(sigma.ract, kron(e_i, val))
-            acc = tuple(f.add(p, q) for p, q in zip(acc, moved))
+            acc = tuple(ref_add(f, p, q) for p, q in zip(acc, moved))
         if acc != basis_s:
             return "dual-basis-identity", (s,)
     return None
 
 
-def free_rank_two(field):
-    """Sigma = A (+) A over A = D_2, with the two coordinate projections as
-    dual basis of the two unit vectors."""
-    a = d2_algebra(field)
+def free_rank_two(field, a=None):
+    """Sigma = A (+) A over A (D_2 unless given), with the two coordinate
+    projections as dual basis of the two unit vectors."""
+    a = a or d2_algebra(field)
     k = base_algebra(field)
     n = a.dim
+    zero = (0,) * n
     cols = []
     for s in range(2 * n):
         for j in range(n):
             col = a.mult_mat.col((s % n) * n + j)
-            cols.append((*col, 0, 0) if s < n else (0, 0, *col))
+            cols.append((*col, *zero) if s < n else (*zero, *col))
     sigma = Bimodule(k, a, 2 * n, Mat.identity(field, 2 * n),
                      Mat.from_cols(field, cols))
-    zero = (0,) * n
     proj = Mat.identity(field, 2 * n)
     elements = (ref_unit(a) + zero, zero + ref_unit(a))
     functionals = (Mat.from_rows(field, proj.entries[:n]),
@@ -285,8 +286,8 @@ def nudged(field, vec, rng):
     """``vec`` with one coordinate moved by a nonzero scalar."""
     out = list(vec)
     i = rng.randrange(len(out))
-    out[i] = field.add(field.of(out[i]), field.of(rng.randrange(1, 3)) or
-                       field.one)
+    out[i] = ref_add(field, field.of(out[i]),
+                     field.of(rng.randrange(1, 3)) or field.one)
     return tuple(out)
 
 
@@ -373,7 +374,7 @@ class TestTwistedConvolution:
             col = tuple(GF2.one if t == x else GF2.zero for t in range(2))
             fx, gx = ref_apply(f, col), ref_apply(g, col)
             expected = ref_apply(e.A.mult_mat, 
-                tuple(GF2.mul(a, b) for a in fx for b in gx))
+                tuple(ref_mul(GF2, a, b) for a in fx for b in gx))
             assert ref_apply(prod, col) == expected
 
     def test_dual_ring_of_another_dimension(self, monkeypatch):

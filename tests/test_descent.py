@@ -18,7 +18,7 @@ from coringext.descent import (Cor28Data, DescentDatum, check_cor28,
 from coringext.extension import check_coring_extension, make_extension
 from coringext.fixtures import c2_group_algebra, d2_algebra, unit_map
 
-from test_algmod import ref_holds
+from test_algmod import ref_add, ref_holds
 
 
 def iota_cases():
@@ -207,7 +207,7 @@ class TestCor28:
         for r, c, d in itertools.product(range(phi.rows), range(phi.cols),
                                          (1, 2)):
             rows = [list(x) for x in phi.entries]
-            rows[r][c] = GF3.add(rows[r][c], GF3.of(d))
+            rows[r][c] = ref_add(GF3, rows[r][c], GF3.of(d))
             changed.append(Mat.from_rows(GF3, rows))
         for p in changed[:20]:
             ref_holds(check_cor28, Cor28Data(ident, ident, a.mult_mat, p))

@@ -35,7 +35,7 @@ from coringext.extension import (Measuring, action_from_measuring,
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
                                 sw_coring)
 
-from test_algmod import ref_algebra
+from test_algmod import ref_add, ref_algebra
 from test_corpus import load_gen
 
 
@@ -381,7 +381,7 @@ def perturbed(f, m, rng):
     """``m`` with one entry moved by a nonzero scalar."""
     rows = [dict(r) for r in m.sparse_rows]
     i, j = rng.randrange(m.rows), rng.randrange(m.cols)
-    x = f.add(rows[i].get(j, f.zero), f.of(rng.randrange(1, 3)) or f.one)
+    x = ref_add(f, rows[i].get(j, f.zero), f.of(rng.randrange(1, 3)) or f.one)
     rows[i].pop(j, None)
     if x:
         rows[i][j] = x

@@ -44,9 +44,12 @@ def cases(key: str):
 
 def invertible(f, n: int, rng: random.Random):
     """A seeded invertible matrix: lower times upper unitriangular, times
-    a monomial matrix."""
+    a monomial matrix.  Over Q the entries below the diagonal are in
+    -2..2."""
     def entry(i, j):
-        return f.of(rng.randrange(f.p) if j < i else int(i == j))
+        if j >= i:
+            return f.of(int(i == j))
+        return f.of(rng.randrange(f.p) if f.p else rng.randrange(-2, 3))
     lower = [[entry(i, j) for j in range(n)] for i in range(n)]
     upper = [list(col) for col in zip(*[[entry(i, j) for j in range(n)]
                                         for i in range(n)])]

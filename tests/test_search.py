@@ -28,7 +28,7 @@ from coringext.extension import (Measuring, check_measuring,
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
                                 sw_coring)
 
-from test_algmod import ref_holds
+from test_algmod import ref_add, ref_holds, ref_mul
 from test_exactla_sparse import ref_solve
 from test_extension import ref_enumerate_algebra_maps
 
@@ -58,7 +58,7 @@ def ref_scale(m, x):
     f = m.field
     c = f.of(x)
     return Mat(f, m.rows, m.cols,
-               tuple(tuple(f.mul(c, y) for y in r) for r in m.entries))
+               tuple(tuple(ref_mul(f, c, y) for y in r) for r in m.entries))
 
 
 def ref_affine_solutions(f, shape, residual):
@@ -88,7 +88,7 @@ def ref_combine(m, coeffs, basis):
     for x, b in zip(coeffs, basis):
         for r, row in enumerate(b.entries):
             for k, y in enumerate(row):
-                out[r][k] = f.add(out[r][k], f.mul(f.of(x), y))
+                out[r][k] = ref_add(f, out[r][k], ref_mul(f, f.of(x), y))
     return Mat(f, m.rows, m.cols, tuple(map(tuple, out)))
 
 

@@ -1,0 +1,308 @@
+"""The theorems that let a construction build its record unchecked.
+
+A construction whose output is valid by a theorem, once its inputs are
+made, runs no ``check_*`` (``tests/test_check_once.py`` counts them).  The
+proof lives here: for each such construction, over GF(2), GF(3) and Q,
+its output on seeded inputs equals the record that the ``make_*`` of its
+kind returns for the same data.  The ``make_*`` runs the full check and
+stores the canonical lift, so the equality says both that the output is
+valid and that its lift is the canonical one.
+
+The inputs are fixtures moved along seeded invertible changes of basis
+(``invertible`` of ``tests/test_metamorphic.py`` and ``change_algebra`` and
+``change_coalgebra`` of ``perfbench/gen.py``): unit maps into D_2 and
+k[C_2], the inclusion D_2 -> M_2, trivial corings, corings of group-like
+coalgebras, comatrix corings of a free module of rank two, and entwining
+corings.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coringext.algmod import (Bimodule, make_algebra, make_algebra_map,
+                              right_regular)
+from coringext.constructions import (base_algebra, coalgebra_to_coring,
+                                     comatrix_coring, entwining_coring,
+                                     group_coalgebra, make_coalgebra,
+                                     sweedler_coring, trivial_coring)
+from coringext.coring import (dual_ring, make_colinear_map, make_comodule,
+                              make_coring, regular_comodule)
+from coringext.descent import (comodule_to_descent, descent_to_comodule,
+                               make_descent_datum)
+from coringext.exactla import GF2, GF3, QQ, Mat
+from coringext.extension import (apply_functor, compose_extensions,
+                                 extension_from_coring_map,
+                                 identity_extension, induced_coaction,
+                                 make_extension)
+from coringext.fixtures import c2_group_algebra, d2_algebra, matrix_algebra_2
+
+from test_constructions import free_rank_two, ref_flip_entwining
+from test_metamorphic import gen, invertible
+
+FIELDS = pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)
+EXAMPLES = settings(max_examples=6, deadline=None)
+
+
+def rows(m: Mat):
+    return [list(r) for r in m.entries]
+
+
+def change(field, n: int, rng: random.Random):
+    """A seeded invertible n x n matrix and its inverse, as row lists."""
+    gf = gen.Field(field.p)
+    t = invertible(gf, n, rng)
+    return t, gen.inverse(gf, t)
+
+
+def moved_algebra(a, t):
+    """The algebra ``a`` in the basis of the columns of t, made."""
+    f = a.field
+    mult, unit = gen.change_algebra(gen.Field(f.p), (
+        rows(a.mult_mat), list(a.unit_col.col(0))), t)
+    return make_algebra(f, a.dim, Mat.from_rows(f, mult),
+                        Mat.from_cols(f, [unit]))
+
+
+def moved_coalgebra(c, s):
+    f = c.field
+    delta, eps = gen.change_coalgebra(gen.Field(f.p), (
+        rows(c.delta), rows(c.eps)), s)
+    return make_coalgebra(f, c.dim, Mat.from_rows(f, delta),
+                          Mat.from_rows(f, eps))
+
+
+ALGEBRAS = {"D2": d2_algebra, "k[C2]": c2_group_algebra,
+            "M2": matrix_algebra_2}
+
+
+def moved(field, name: str, rng):
+    """The fixture algebra ``name`` moved along a seeded change of basis,
+    with the change and its inverse."""
+    a = ALGEBRAS[name](field)
+    t, t_inv = change(field, a.dim, rng)
+    return moved_algebra(a, t), t, t_inv
+
+
+MAPS = ("k -> D2", "k -> k[C2]", "D2 -> M2")
+
+
+def algebra_map(field, kind: str, rng):
+    """A unit map k -> A, or the inclusion D2 -> M2 of the diagonal, in
+    moved bases."""
+    source, target = kind.split(" -> ")
+    a, t, t_inv = moved(field, target, rng)
+    if source == "k":
+        return make_algebra_map(base_algebra(field), a, a.unit_col)
+    d2, s, _ = moved(field, source, rng)
+    incl = [[1, 0], [0, 0], [0, 0], [0, 1]]  # e_1 -> E_11, e_2 -> E_22
+    gf = gen.Field(field.p)
+    return make_algebra_map(d2, a, Mat.from_rows(field, gen.matmul(
+        gf, t_inv, gen.matmul(gf, incl, s))))
+
+
+def comatrix_inputs(field, over: str, rng):
+    """Sigma = A (+) A over A = k or a moved D_2, itself moved along a
+    change of basis P, with its dual basis moved with it."""
+    a = base_algebra(field) if over == "k" else moved(field, over, rng)[0]
+    sigma, (elements, functionals) = free_rank_two(field, a)
+    p, p_inv = (Mat.from_rows(field, m)
+                for m in change(field, sigma.dim, rng))
+    moved_sigma = Bimodule(sigma.algL, a, sigma.dim, sigma.lact,
+                           p_inv @ sigma.ract @ p.tensor_id(1, a.dim))
+    return (moved_sigma, tuple((p_inv @ Mat.from_cols(field, [e])).col(0)
+                               for e in elements),
+            tuple(g @ p for g in functionals))
+
+
+def group_like(field, n: int, rng):
+    """The coalgebra of n group-likes, moved."""
+    return moved_coalgebra(group_coalgebra(field, n),
+                           change(field, n, rng)[0])
+
+
+CORINGS = tuple(f"sweedler {m}" for m in MAPS) + (
+    "comatrix over k", "trivial k[C2]", "trivial M2", "group-like 2",
+    "group-like 3", "entwining D2", "entwining k[C2]")
+# the 16-dim comatrix coring of A (+) A over D2 is drawn only by
+# test_comatrix_coring and test_dual_ring: its extensions take seconds
+# over Q
+
+
+def coring(field, kind: str, rng):
+    """The coring ``kind`` on moved inputs; all but the entwining corings
+    are built unchecked."""
+    name, arg = kind.split(" ", 1)
+    if name == "sweedler":
+        return sweedler_coring(algebra_map(field, arg, rng))
+    if name == "comatrix":
+        return comatrix_coring(*comatrix_inputs(field, arg[5:], rng))
+    if name == "trivial":
+        return trivial_coring(moved(field, arg, rng)[0])
+    if name == "group-like":
+        return coalgebra_to_coring(group_like(field, int(arg), rng))
+    return entwining_coring(*ref_flip_entwining(
+        moved(field, arg, rng)[0], group_like(field, 2, rng)))
+
+
+def remade_coring(c):
+    return make_coring(c.A, c.C, c.delta_lift, c.eps)
+
+
+def remade_extension(e):
+    return make_extension(e.c, e.d, e.ract, e.sigma_lift)
+
+
+def remade_comodule(m):
+    return make_comodule(m.coring, m.M, m.rho_lift)
+
+
+def extensions(c):
+    """The identity extension of c, and the extension by its counit onto
+    the trivial coring of its algebra (the counit is a coring map)."""
+    return [identity_extension(c),
+            extension_from_coring_map(c.eps, c, trivial_coring(c.A))]
+
+
+def drawn(kinds):
+    """A seeded draw of one input kind of ``kinds``."""
+    return given(st.sampled_from(kinds), st.integers(0, 2 ** 32 - 1))
+
+
+# -- corings -----------------------------------------------------------------
+
+
+@FIELDS
+@EXAMPLES
+@drawn(MAPS)
+def test_sweedler_coring(field, kind, seed):
+    c = sweedler_coring(algebra_map(field, kind, random.Random(seed)))
+    assert remade_coring(c) == c
+
+
+@FIELDS
+@EXAMPLES
+@drawn(("k", "D2"))
+def test_comatrix_coring(field, over, seed):
+    c = comatrix_coring(*comatrix_inputs(field, over, random.Random(seed)))
+    assert remade_coring(c) == c
+
+
+@FIELDS
+@EXAMPLES
+@drawn(tuple(ALGEBRAS))
+def test_trivial_coring(field, name, seed):
+    c = trivial_coring(moved(field, name, random.Random(seed))[0])
+    assert remade_coring(c) == c
+
+
+@FIELDS
+@EXAMPLES
+@drawn((1, 2, 3))
+def test_coalgebra_to_coring(field, n, seed):
+    c = coalgebra_to_coring(group_like(field, n, random.Random(seed)))
+    assert remade_coring(c) == c
+
+
+@FIELDS
+@EXAMPLES
+@drawn(CORINGS + ("comatrix over D2",))
+def test_dual_ring(field, kind, seed):
+    alg = dual_ring(coring(field, kind, random.Random(seed))).alg
+    assert make_algebra(field, alg.dim, alg.mult_mat, alg.unit_col) == alg
+
+
+# -- extensions --------------------------------------------------------------
+
+
+@FIELDS
+@EXAMPLES
+@drawn(CORINGS)
+def test_identity_extension(field, kind, seed):
+    e = identity_extension(coring(field, kind, random.Random(seed)))
+    assert remade_extension(e) == e
+
+
+@FIELDS
+@EXAMPLES
+@drawn(CORINGS)
+def test_extension_from_coring_map(field, kind, seed):
+    # the counit onto the trivial coring, and the identity
+    c = coring(field, kind, random.Random(seed))
+    for gamma, d in ((c.eps, trivial_coring(c.A)),
+                     (Mat.identity(field, c.dim), c)):
+        e = extension_from_coring_map(gamma, c, d)
+        assert remade_extension(e) == e
+
+
+@FIELDS
+@EXAMPLES
+@drawn(CORINGS)
+def test_compose_extensions(field, kind, seed):
+    e_id, e_eps = extensions(coring(field, kind, random.Random(seed)))
+    for e1, e2 in ((e_id, e_eps), (e_eps, identity_extension(e_eps.d)),
+                   (e_id, e_id)):
+        e = compose_extensions(e1, e2)
+        assert remade_extension(e) == e
+
+
+# -- the functor M^C -> M^D --------------------------------------------------
+
+
+@FIELDS
+@EXAMPLES
+@drawn(CORINGS)
+def test_induced_coaction(field, kind, seed):
+    c = coring(field, kind, random.Random(seed))
+    for e in extensions(c):
+        out = induced_coaction(e, regular_comodule(c))
+        assert remade_comodule(out) == out
+
+
+@FIELDS
+@EXAMPLES
+@drawn(CORINGS)
+def test_apply_functor(field, kind, seed):
+    # left multiplication by a basis element of A is a colinear
+    # endomorphism of the regular comodule
+    c = coring(field, kind, random.Random(seed))
+    m = regular_comodule(c)
+    ea = Mat.identity(field, c.A.dim)
+    maps = [make_colinear_map(m, m, c.C.lact @ Mat.from_cols(
+        field, [ea.col(i)]).tensor_id(1, c.dim)) for i in range(c.A.dim)]
+    for e in extensions(c):
+        for g in maps:
+            out = apply_functor(e, g)
+            assert make_colinear_map(out.source, out.target,
+                                     out.matrix) == out
+
+
+# -- descent data ------------------------------------------------------------
+
+
+@FIELDS
+@EXAMPLES
+@drawn(MAPS)
+def test_descent_to_comodule(field, kind, seed):
+    # A as a descent datum, a |-> 1 (x) a, there and back
+    iota = algebra_map(field, kind, random.Random(seed))
+    a = iota.target
+    d = make_descent_datum(iota, right_regular(a),
+                           a.unit_col.tensor_id(1, a.dim))
+    m = descent_to_comodule(d)
+    assert remade_comodule(m) == m
+    assert comodule_to_descent(iota, m) == d
+
+
+@FIELDS
+@EXAMPLES
+@drawn(MAPS)
+def test_comodule_to_descent(field, kind, seed):
+    # the regular comodule of the Sweedler coring, there and back
+    iota = algebra_map(field, kind, random.Random(seed))
+    m = regular_comodule(sweedler_coring(iota))
+    d = comodule_to_descent(iota, m)
+    assert make_descent_datum(iota, d.M, d.f_lift) == d
+    assert descent_to_comodule(d) == m
