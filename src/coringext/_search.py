@@ -63,21 +63,25 @@ def pivots(basis) -> tuple:
                       if row) for b in basis)
 
 
-def coords(basis, m: Mat, piv=None) -> Optional[tuple]:
+def at_pivots(piv, m: Mat) -> tuple:
+    """The entries of ``m`` at ``piv``, the pivots of a basis: the
+    coordinates of ``m`` in that basis if ``m`` lies in its span."""
+    z = m.field.zero
+    return tuple(m.sparse_rows[r].get(c, z) for r, c in piv)
+
+
+def coords(basis, m: Mat) -> Optional[tuple]:
     """Coordinates of ``m`` in ``basis``, or None if ``m`` is not in its span.
 
     The basis matrices, flattened row-major, must be in reduced echelon
     form with lowest-index pivots, as ``affine_solutions`` returns them:
     then each coordinate is the entry of ``m`` at a basis pivot, and one
-    recombination decides membership.  ``piv`` is ``pivots(basis)``,
-    passed by a caller that reads many matrices in one basis.
+    recombination decides membership.
     """
-    if piv is None:
-        piv = pivots(basis)
+    piv = pivots(basis)
     if basis and (basis[0].rows, basis[0].cols) != (m.rows, m.cols):
         raise DimensionMismatch("matrix and basis shapes differ")
-    z = m.field.zero
-    out = tuple(m.sparse_rows[r].get(c, z) for r, c in piv)
+    out = at_pivots(piv, m)
     if _combine(Mat.zero(m.field, m.rows, m.cols), out, basis) != m:
         return None
     return out
@@ -89,19 +93,22 @@ def enumerate_affine(field: FieldSpec, shape, residual: Callable[[Mat], Mat],
     order by row-major flattened entries.
 
     The guard ``max_enum`` of ``set_guards`` bounds the number of
-    candidates, p to the power of the dimension of the solution space.
+    candidates, p to the power of the dimension d of the solution space,
+    before any is built; a count of more than 4300 digits reads ``p^d``.
     """
     sol = affine_solutions(field, shape, residual)
     if sol is None:
         return []
     part, basis = sol
-    elems = tuple(field.elements())  # raises NonFiniteField over Q
+    elems = field.elements()  # raises NonFiniteField over Q
+    n = len(basis)
     max_enum = current_max_enum()
-    total = len(elems) ** len(basis)
+    total = field.p ** n
     if total > max_enum:
-        raise SizeLimit(f"{total} candidates exceed the guard {max_enum}")
+        count = f"{field.p}^{n}" if total >= 10 ** 4300 else total
+        raise SizeLimit(f"{count} candidates exceed the guard {max_enum}")
     out = []
-    for coeffs in itertools.product(elems, repeat=len(basis)):
+    for coeffs in itertools.product(elems, repeat=n):
         m = _combine(part, coeffs, basis)
         if keep(m):
             out.append(m)

@@ -14,7 +14,7 @@ pass; so every lift of one coaction gives the same verdict and witness.
 from typing import List
 
 from ._record import frozen
-from ._search import affine_solutions, coords, pivots
+from ._search import affine_solutions, at_pivots, pivots
 from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, kernel, memoised
 from .algmod import (Algebra, Bimodule, LeftModule, RightModule, _require,
@@ -313,9 +313,8 @@ class DualRing:
     """Left dual ring *C: left A-linear maps C -> A with convolution-type product.
 
     ``basis`` is the canonical basis of Hom_{A-}(C, A): flattened row-major,
-    its matrices are in reduced echelon form with lowest-index pivots.
-    So ``_search.coords(basis, f)`` reads the coordinates of a left
-    A-linear map f off the pivots.
+    its matrices are in reduced echelon form with lowest-index pivots, so
+    the coordinates of a left A-linear map are its entries at the pivots.
     """
 
     coring: Coring
@@ -337,16 +336,17 @@ def _left_linear_basis(c: Coring) -> List[Mat]:
 
 @memoised
 def dual_ring(c: Coring) -> DualRing:
-    """The left dual ring *C = Hom_{A-}(C, A), an algebra with unit eps."""
+    """The left dual ring *C = Hom_{A-}(C, A), an algebra with unit eps.
+
+    *C holds eps and its products, so their coordinates are read at pivots."""
     basis = _left_linear_basis(c)
     piv = pivots(basis)
     n = len(basis)
     # the product (f * g)(x) = sum g(x_(1) f(x_(2))) is g @ F_f for the map
     # F_f: x -> x_(1) f(x_(2)); column i*n + j holds the coordinates of b_i b_j
     factors = [c.C.ract @ b.tensor_id(c.dim, 1) @ c.delta_lift for b in basis]
-    cols = [coords(basis, g @ fac, piv) for fac in factors for g in basis]
-    unit = coords(basis, c.eps, piv)
+    cols = [at_pivots(piv, g @ fac) for fac in factors for g in basis]
     f = c.A.field
     alg = Algebra(f, n, Mat(f, n, n * n, tuple(zip(*cols))),
-                  Mat(f, n, 1, tuple(zip(unit))))
+                  Mat(f, n, 1, tuple(zip(at_pivots(piv, c.eps)))))
     return DualRing(c, tuple(basis), alg)

@@ -10,7 +10,7 @@ structure on A itself pushes Desc(A|B) forward to Desc(B|D).
 from functools import cached_property
 
 from ._record import frozen
-from .errors import AxiomViolation, DimensionMismatch
+from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
 from .algmod import (AlgebraMap, Bimodule, LeftModule, RightModule, _require,
                      check_right_module, regular_along, restrict_right)
@@ -18,8 +18,7 @@ from .coring import Comodule
 from .constructions import sweedler_coring, sweedler_space
 from .extension import (CoringExtension, _cd, check_coring_extension,
                         induced_coaction)
-from .tensorcat import (descend_map, right_action_on_quotient, tensor_chain,
-                        tensor_over)
+from .tensorcat import right_action_on_quotient, tensor_chain, tensor_over
 
 
 @memoised
@@ -198,11 +197,7 @@ def check_cor28(data: Cor28Data) -> None:
     _require(p4c @ a.unit_col.tensor_id(1, na * na * nb) @ data.phi_lift,
              p4c @ a.unit_col.tensor_id(na, na * nb) @ data.phi_lift,
              "diagram-c", (na,))
-    try:
-        ext = data.extension
-    except AxiomViolation as exc:
-        raise AxiomViolation("assembled-extension-" + exc.kind, exc.witness)
-    check_coring_extension(ext)
+    check_coring_extension(data.extension)
 
 
 def make_cor28(iota_B: AlgebraMap, iota_A: AlgebraMap, rho_A: Mat,
@@ -218,9 +213,10 @@ def make_cor28(iota_B: AlgebraMap, iota_A: AlgebraMap, rho_A: Mat,
 def _assemble(data: Cor28Data) -> CoringExtension:
     """The extension of ``data``, with sigma's canonical lift, unchecked.
 
-    sigma is read in C (x)_B D, so it depends on phi, not on phi's lift; it
-    is balanced once phi is left B-linear, so ``check_cor28`` cannot reach
-    ``coaction-not-balanced``."""
+    sigma is read in C (x)_B D, so it depends on phi, not on phi's lift.
+    Its map g on the ambient A (x) A vanishes on the balancing relations of
+    C = A (x)_B A once phi is left B-linear, so g descends through the
+    section of C."""
     a = data.iota_A.target
     b = data.iota_B.target
     na, nb = a.dim, b.dim
@@ -230,12 +226,10 @@ def _assemble(data: Cor28Data) -> CoringExtension:
     qd = sweedler_space(data.iota_B)
     ract = right_action_on_quotient(qc, na, data.rho_A, b)
     cd = _cd(b, ract, d.C)
-    # sigma on the ambient A (x) A, into C (x)_B D, then descended through qc
     g = cd.projection @ \
         qc.projection.kron(qd.projection @ b.unit_col.tensor_id(1, nb)) @ \
         a.mult_mat.tensor_id(1, na * nb) @ data.phi_lift.tensor_id(na, 1)
-    sigma = descend_map(qc, g, "coaction-not-balanced", (na, na))
-    return CoringExtension(c, d, ract, cd.section @ sigma)
+    return CoringExtension(c, d, ract, cd.section @ (g @ qc.section))
 
 
 def descent_functor(data: Cor28Data, d: DescentDatum) -> DescentDatum:

@@ -149,6 +149,8 @@ class FieldSpec:
         if self.p is not None:
             if type(x) is int:
                 return x % self.p
+            if isinstance(x, bool):
+                raise ValueError(f"bad scalar {x!r} for GF({self.p})")
             if isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")

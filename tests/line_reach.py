@@ -41,6 +41,9 @@ LEDGER = {
     "constructions.comatrix_coring": "comatrix corings: ROADMAP item 12",
     "constructions.comatrix_coring.<locals>.star_coords":
         "comatrix corings: ROADMAP item 12",
+    "_search.coords":
+        "coordinates with a membership test, for comatrix corings: ROADMAP "
+        "item 12",
     "coring._ccn": _ITEM_1,
     "coring.regular_comodule": _ITEM_5,
     "coring.direct_sum_comodule": _ITEM_5,

@@ -162,19 +162,6 @@ class TestCor28:
             assert check_cor28(data) is None
             assert check_coring_extension(data.extension) is None
 
-    def test_assembly_failure_is_relabelled(self, monkeypatch):
-        import coringext.descent as descent
-
-        def broken(data):
-            raise AxiomViolation("coaction-not-balanced", (1, 0))
-
-        monkeypatch.setattr(descent, "_assemble", broken)
-        with pytest.raises(AxiomViolation) as err:
-            check_cor28(cor28_accept())
-        kind = "assembled-extension-coaction-not-balanced"
-        assert (err.value.kind, err.value.witness, str(err.value)) == \
-            (kind, (1, 0), kind + " at (1, 0)")
-
     def test_extension_checked_once(self, monkeypatch):
         import coringext.descent as descent
         import coringext.extension as extension

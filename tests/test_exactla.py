@@ -96,6 +96,14 @@ class TestField:
                 got = field.of(text)
                 assert got == want and type(got) is type(want)
 
+    def test_bool_is_not_a_scalar(self):
+        # bool is a subclass of int, and 1 == True; neither field takes it
+        for field, message in ((GF3, "bad scalar True for GF(3)"),
+                               (QQ, "bad scalar True")):
+            with pytest.raises(ValueError) as exc:
+                field.of(True)
+            assert str(exc.value) == message
+
     def test_elements_order(self):
         assert list(GF3.elements()) == [0, 1, 2]
         with pytest.raises(NonFiniteField):

@@ -7,21 +7,23 @@ the coefficient matrix column by column, and calls the dense textbook
 ``ref_solve`` for the particular solution and ``kernel`` for the null
 space; coordinates are a ``ref_solve`` against the flattened basis.  A
 sweep must return exactly the matrices of its shape, in row-major
-lexicographic order, that its full ``check_*`` accepts.
+lexicographic order, that its full ``check_*`` accepts, and its guard must
+trip before it lists the field.
 """
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coringext._search import affine_solutions, coords
+from coringext._search import affine_solutions, coords, enumerate_affine
 from coringext.algmod import AlgebraMap, check_algebra_map
-from coringext.constructions import base_algebra
-from coringext.errors import DimensionMismatch
+from coringext.constructions import base_algebra, trivial_coring
+from coringext.errors import DimensionMismatch, SizeLimit
 from coringext.exactla import GF2, GF3, QQ, FieldSpec, Mat, _combine, kernel
 from coringext.extension import (Measuring, check_measuring,
                                  enumerate_measurings)
@@ -256,3 +258,53 @@ def test_enumerate_algebra_maps_is_the_checked_space(f):
                 if ref_holds(check_algebra_map, g)]
         assert want
         assert ref_enumerate_algebra_maps(b, a) == want
+
+
+# -- the guard of a sweep ----------------------------------------------------
+
+
+BIG = FieldSpec(1000003)
+
+
+def sweep_peak(c, b):
+    """The sweep of c by b, and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        try:
+            out = enumerate_measurings(c, b)
+        except SizeLimit as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_guard_trips_before_field_elements_are_built():
+    # 1000003^4 candidates; listing the field first took 53 MiB
+    out, peak = sweep_peak(sw_coring(BIG), d2_algebra(BIG))
+    assert str(out) == (f"{BIG.p ** 4} candidates exceed the guard "
+                        "2000000")
+    assert peak < 5 * 2 ** 20
+
+
+def test_one_candidate_builds_no_field_elements():
+    # the trivial coring of k, measured by k: nu is fixed by the unit law
+    k = base_algebra(BIG)
+    out, peak = sweep_peak(trivial_coring(k), k)
+    assert [m.nu for m in out] == [Mat.identity(BIG, 1)]
+    assert peak < 5 * 2 ** 20
+
+
+def test_a_count_of_more_than_4300_digits_is_a_power():
+    # str() refuses an int of more than 4300 digits from Python 3.10.7 on
+    def zero(m):
+        return Mat.zero(BIG, 1, 1)
+
+    def keep(m):
+        raise AssertionError("a candidate was built")
+
+    assert len(str(BIG.p ** 716)) == 4297  # and 1000003^717 has 4303
+    for n, count in ((716, str(BIG.p ** 716)), (717, f"{BIG.p}^717")):
+        with pytest.raises(SizeLimit) as exc:
+            enumerate_affine(BIG, (1, n), zero, keep)
+        assert str(exc.value) == f"{count} candidates exceed the guard 2000000"

@@ -12,8 +12,14 @@ The inputs are fixtures moved along seeded invertible changes of basis
 (``invertible`` of ``tests/test_metamorphic.py`` and ``change_algebra`` and
 ``change_coalgebra`` of ``perfbench/gen.py``): unit maps into D_2 and
 k[C_2], the inclusion D_2 -> M_2, trivial corings, corings of group-like
-coalgebras, comatrix corings of a free module of rank two, and entwining
-corings.
+coalgebras, comatrix corings of a free module of rank two, entwining
+corings, and the Cor. 2.8 data of ``tests/test_witness.py``.
+
+Two records are read off, not built from a ``make_*``: the table of
+``dual_ring`` at the pivots of its basis, since *C is closed under its
+product, and the coaction of the Cor. 2.8 extension, induced from a map
+on A (x) A that is balanced because phi is left B-linear.  Their tests
+state those two facts.
 """
 
 import random
@@ -22,25 +28,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coringext._search import coords
 from coringext.algmod import (Bimodule, make_algebra, make_algebra_map,
                               right_regular)
 from coringext.constructions import (base_algebra, coalgebra_to_coring,
                                      comatrix_coring, entwining_coring,
                                      group_coalgebra, make_coalgebra,
-                                     sweedler_coring, trivial_coring)
+                                     sweedler_coring, sweedler_space,
+                                     trivial_coring)
 from coringext.coring import (dual_ring, make_colinear_map, make_comodule,
                               make_coring, regular_comodule)
 from coringext.descent import (comodule_to_descent, descent_to_comodule,
-                               make_descent_datum)
+                               make_cor28, make_descent_datum)
 from coringext.exactla import GF2, GF3, QQ, Mat
-from coringext.extension import (apply_functor, compose_extensions,
+from coringext.extension import (_cd, apply_functor, compose_extensions,
                                  extension_from_coring_map,
                                  identity_extension, induced_coaction,
                                  make_extension)
 from coringext.fixtures import c2_group_algebra, d2_algebra, matrix_algebra_2
 
 from test_constructions import free_rank_two, ref_flip_entwining
+from test_coring import ref_star_product
 from test_metamorphic import gen, invertible
+from test_witness import cor28_fixtures, cor28_identities, ref_outcome
 
 FIELDS = pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)
 EXAMPLES = settings(max_examples=6, deadline=None)
@@ -210,8 +220,19 @@ def test_coalgebra_to_coring(field, n, seed):
 @EXAMPLES
 @drawn(CORINGS + ("comatrix over D2",))
 def test_dual_ring(field, kind, seed):
-    alg = dual_ring(coring(field, kind, random.Random(seed))).alg
+    c = coring(field, kind, random.Random(seed))
+    dr = dual_ring(c)
+    alg = dr.alg
     assert make_algebra(field, alg.dim, alg.mult_mat, alg.unit_col) == alg
+    # *C is closed under its product and holds eps, so the entries at the
+    # pivots are the coordinates of each product and of the unit
+    n = dr.dim
+    for i, f in enumerate(dr.basis):
+        for j, g in enumerate(dr.basis):
+            x = coords(dr.basis, ref_star_product(c, f, g))
+            assert x is not None and x == alg.mult_mat.col(i * n + j)
+    x = coords(dr.basis, c.eps)
+    assert x is not None and x == alg.unit_col.col(0)
 
 
 # -- extensions --------------------------------------------------------------
@@ -306,3 +327,54 @@ def test_comodule_to_descent(field, kind, seed):
     d = comodule_to_descent(iota, m)
     assert make_descent_datum(iota, d.M, d.f_lift) == d
     assert descent_to_comodule(d) == m
+
+
+# -- Cor. 2.8 ----------------------------------------------------------------
+
+
+def moved_cor28(data, rng):
+    """Cor. 2.8 data with A moved along a seeded change of basis, made."""
+    a, b = data.iota_A.target, data.iota_B.target
+    f = a.field
+    rows_t, rows_t_inv = change(f, a.dim, rng)
+    t, t_inv = Mat.from_rows(f, rows_t), Mat.from_rows(f, rows_t_inv)
+    iota = make_algebra_map(data.iota_A.source, moved_algebra(a, rows_t),
+                            t_inv @ data.iota_A.matrix)
+    ib = Mat.identity(f, b.dim)
+    return make_cor28(data.iota_B, iota, t_inv @ data.rho_A @ t.kron(ib),
+                      t_inv.kron(t_inv).kron(ib) @ data.phi_lift @ t)
+
+
+def sigma_on_ambient(data):
+    """g(a (x) a') = a phi(a'), with phi(a') in A (x) A (x) B read in
+    C (x)_B D through b |-> 1 (x) b: the map on A (x) A that induces
+    sigma."""
+    a, b = data.iota_A.target, data.iota_B.target
+    qd = sweedler_space(data.iota_B)
+    e = data.extension
+    ab_to_cd = sweedler_space(data.iota_A).projection.kron(
+        qd.projection @ b.unit_col.tensor_id(1, b.dim))
+    return _cd(b, e.ract, e.d.C).projection @ ab_to_cd @ \
+        a.mult_mat.tensor_id(1, a.dim * b.dim) @ \
+        data.phi_lift.tensor_id(a.dim, 1)
+
+
+@FIELDS
+@EXAMPLES
+@given(st.integers(0, 2 ** 32 - 1))
+def test_assembled_coaction_descends(field, seed):
+    # phi is left B-linear, so g vanishes on the balancing relations of
+    # C = A (x)_B A: g = g @ section @ projection, where g @ section is the
+    # sigma of the record
+    rng = random.Random(seed)
+    # the fixtures that satisfy the six identities of the reference loop
+    made = [make_cor28(d.iota_B, d.iota_A, d.rho_A, d.phi_lift)
+            for d in cor28_fixtures(field)
+            if ref_outcome(field, cor28_identities(d)) is None]
+    assert len(made) >= 2
+    for data in made + [moved_cor28(d, rng) for d in made]:
+        e = data.extension
+        qc = sweedler_space(data.iota_A)
+        g = sigma_on_ambient(data)
+        assert g == _cd(data.iota_B.target, e.ract, e.d.C).projection @ \
+            e.sigma_lift @ qc.projection
