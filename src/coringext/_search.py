@@ -2,7 +2,7 @@
 canonical basis, and brute-force enumeration over affine solution spaces."""
 
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from .errors import DimensionMismatch, SizeLimit
 from .exactla import (FieldSpec, Mat, _combine, _null_basis,
@@ -68,23 +68,6 @@ def at_pivots(piv, m: Mat) -> tuple:
     coordinates of ``m`` in that basis if ``m`` lies in its span."""
     z = m.field.zero
     return tuple(m.sparse_rows[r].get(c, z) for r, c in piv)
-
-
-def coords(basis, m: Mat) -> Optional[tuple]:
-    """Coordinates of ``m`` in ``basis``, or None if ``m`` is not in its span.
-
-    The basis matrices, flattened row-major, must be in reduced echelon
-    form with lowest-index pivots, as ``affine_solutions`` returns them:
-    then each coordinate is the entry of ``m`` at a basis pivot, and one
-    recombination decides membership.
-    """
-    piv = pivots(basis)
-    if basis and (basis[0].rows, basis[0].cols) != (m.rows, m.cols):
-        raise DimensionMismatch("matrix and basis shapes differ")
-    out = at_pivots(piv, m)
-    if _combine(Mat.zero(m.field, m.rows, m.cols), out, basis) != m:
-        return None
-    return out
 
 
 def enumerate_affine(field: FieldSpec, shape, residual: Callable[[Mat], Mat],

@@ -278,7 +278,7 @@ def _render(field, x):
 def cmd_check(ws: Workspace, args) -> dict:
     names = [args["--object"]] if "--object" in args else sorted(ws.objects)
     return {"results": [{"object": n, "ok": True,
-                         "kind": type(ws.get(n, object, "$")).__name__}
+                         "kind": type(ws.get(n, object, "--object")).__name__}
                         for n in names]}
 
 

@@ -6,11 +6,12 @@ and functionals."""
 from typing import List
 
 from ._record import frozen
-from ._search import affine_solutions, coords
-from .errors import AxiomViolation, DimensionMismatch
+from ._search import affine_solutions, at_pivots, pivots
+from .errors import DimensionMismatch
 from .exactla import FieldSpec, Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
-                     _require, make_algebra, regular_along, regular_bimodule)
+                     _require, check_bimodule, make_algebra, regular_along,
+                     regular_bimodule)
 from .coring import Coring, make_coring
 from .tensorcat import descend_map, right_action_on_quotient, tensor_over
 
@@ -162,45 +163,35 @@ def comatrix_coring(sigma: Bimodule, elements, functionals) -> Coring:
     """Comatrix coring Sigma* (x)_B Sigma of a (B, A)-bimodule Sigma with
     the dual basis (``elements``, ``functionals``) of ``check_dual_basis``.
 
-    A map that should lie in Sigma* but is not right A-linear is rejected
-    as ``not-in-sigma-star`` at its index: (i, t) for a_i . g_t and (t, j)
-    for g_t . b_j, where g_t is the t-th basis element of Sigma*.
+    Sigma is checked as a bimodule, then its dual basis.  Sigma* is then
+    an (A, B)-bimodule, so a.g, g.b and the functionals lie in it, and
+    their coordinates are their entries at its pivots.
     """
     b, a = sigma.algL, sigma.algR
     f = a.field
+    check_bimodule(sigma)
     check_dual_basis(sigma, elements, functionals)
     star = _right_linear_basis(sigma)
+    piv = pivots(star)
     ns = len(star)
-
-    def star_coords(g: Mat, *index) -> tuple:
-        x = coords(star, g)
-        if x is None:
-            raise AxiomViolation("not-in-sigma-star", index)
-        return x
 
     # (A, B)-bimodule structure on Sigma*: (a.g)(s) = a g(s), (g.b)(s) = g(b.s)
     ea, eb = Mat.identity(f, a.dim), Mat.identity(f, b.dim)
-    lact_cols = []
-    for i in range(a.dim):
-        li = a.mult_mat @ Mat.from_cols(f, [ea.col(i)]).tensor_id(1, a.dim)
-        for t in range(ns):
-            lact_cols.append(star_coords(li @ star[t], i, t))
-    lact_star = Mat.from_cols(f, lact_cols)
-    ract_cols = []
-    for t in range(ns):
-        for j in range(b.dim):
-            bj = sigma.lact @ Mat.from_cols(f, [eb.col(j)]).tensor_id(
-                1, sigma.dim)
-            ract_cols.append(star_coords(star[t] @ bj, t, j))
-    ract_star = Mat.from_cols(f, ract_cols)
-
+    lefts = [a.mult_mat @ Mat.from_cols(f, [x]).tensor_id(1, a.dim)
+             for x in ea.entries]
+    rights = [sigma.lact @ Mat.from_cols(f, [x]).tensor_id(1, sigma.dim)
+              for x in eb.entries]
+    lact_star = Mat.from_cols(f, [at_pivots(piv, li @ g)
+                                  for li in lefts for g in star])
+    ract_star = Mat.from_cols(f, [at_pivots(piv, g @ rj)
+                                  for g in star for rj in rights])
     q = tensor_over(RightModule(b, ns, ract_star),
                     LeftModule(b, sigma.dim, sigma.lact))
     amb = ns * sigma.dim
     delta_amb = Mat.zero(f, amb * amb, amb)
     for e_i, g_i in zip(elements, functionals):
         term = Mat.from_cols(f, [e_i]).kron(
-            Mat.from_cols(f, [coords(star, g_i)])).tensor_id(ns, sigma.dim)
+            Mat.from_cols(f, [at_pivots(piv, g_i)])).tensor_id(ns, sigma.dim)
         delta_amb = delta_amb + term
     eval_cols = [star[t].col(j) for t in range(ns) for j in range(sigma.dim)]
     return _quotient_coring("comatrix", q, a, lact_star, sigma.ract,

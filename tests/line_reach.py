@@ -27,7 +27,7 @@ import types
 
 _ITEM_1 = ("left-comodule family: its memo _ccn is pinned by the memo "
            "count of perfbench/test_bench.py until ROADMAP item 1")
-_ITEM_5 = "comodule builders and descent morphisms: ROADMAP item 5"
+_ITEM_5 = "comodule builders: ROADMAP item 5"
 _ENTRY = "entry point, repr or dunder"
 
 LEDGER = {
@@ -39,11 +39,6 @@ LEDGER = {
     "constructions._right_linear_basis": "comatrix corings: ROADMAP item 12",
     "constructions.check_dual_basis": "comatrix corings: ROADMAP item 12",
     "constructions.comatrix_coring": "comatrix corings: ROADMAP item 12",
-    "constructions.comatrix_coring.<locals>.star_coords":
-        "comatrix corings: ROADMAP item 12",
-    "_search.coords":
-        "coordinates with a membership test, for comatrix corings: ROADMAP "
-        "item 12",
     "coring._ccn": _ITEM_1,
     "coring.regular_comodule": _ITEM_5,
     "coring.direct_sum_comodule": _ITEM_5,
@@ -55,7 +50,6 @@ LEDGER = {
     "coring.regular_left_comodule": _ITEM_1,
     "coring.cotensor_basis": _ITEM_1,
     "coring.check_bicomodule": _ITEM_1,
-    "descent.check_descent_morphism": _ITEM_5,
     "exactla.FieldSpec.__repr__": _ENTRY,
     "exactla.Mat.__repr__": _ENTRY,
     "exactla.Mat.from_rows": _ENTRY,

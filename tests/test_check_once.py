@@ -26,7 +26,8 @@ from coringext.constructions import (base_algebra, coalgebra_to_coring,
                                      group_coalgebra, sweedler_coring,
                                      trivial_coring)
 from coringext.coring import dual_ring, make_colinear_map, regular_comodule
-from coringext.descent import comodule_to_descent, descent_to_comodule
+from coringext.descent import (check_cor28, comodule_to_descent,
+                               descent_to_comodule, make_cor28)
 from coringext.exactla import GF2, GF3, QQ, Mat
 from coringext.extension import (apply_functor, compose_extensions,
                                  enumerate_measurings,
@@ -37,6 +38,7 @@ from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
                                 gc2_coring, sw_coring, unit_map)
 
 from test_constructions import free_rank_two, ref_flip_entwining
+from test_witness import cor28_fixtures, outcome
 
 
 def count_calls(monkeypatch, name):
@@ -123,7 +125,10 @@ def theorem_builders(field):
     return {
         "sweedler": (lambda: sweedler_coring(iota), {}),
         "comatrix": (lambda: comatrix_coring(sigma, elements, functionals),
-                     {"check_dual_basis": [(sigma, elements, functionals)]}),
+                     {"check_bimodule": [(sigma,)],
+                      "check_left_module": [(sigma.left_module(),)],
+                      "check_right_module": [(sigma.right_module(),)],
+                      "check_dual_basis": [(sigma, elements, functionals)]}),
         "trivial": (lambda: trivial_coring(d2), {}),
         "coalgebra": (lambda: coalgebra_to_coring(coalg), {}),
         "dual_ring": (lambda: dual_ring(sw), {}),
@@ -146,14 +151,29 @@ def theorem_builders(field):
     "comodule_to_descent"])
 def test_theorem_backed_builder_runs_no_check(monkeypatch, builder, field):
     """A construction valid by a theorem checks no more than its own
-    parameters: of the list, only the comatrix coring checks its dual
-    basis."""
+    parameters: of the list, only the comatrix coring checks them, Sigma
+    as a bimodule and its dual basis."""
     build, expected = theorem_builders(field)[builder]
     clear_memos()
     base_algebra(field)
     calls = count_checkers(monkeypatch)
     build()
     assert made(calls) == expected
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)
+def test_make_cor28_trusts_its_extension(monkeypatch, field):
+    """``make_cor28`` checks the data; the extension they assemble is valid
+    by Cor. 2.8, so neither making the record nor assembling its extension
+    checks the extension."""
+    accepted = [d for d in cor28_fixtures(field)
+                if outcome(check_cor28, d) is None]
+    assert len(accepted) >= 2
+    clear_memos()
+    extensions = count_calls(monkeypatch, "check_coring_extension")
+    for d in accepted:
+        assert make_cor28(d.iota_B, d.iota_A, d.rho_A, d.phi_lift).extension
+    assert extensions == []
 
 
 def extension_data(field):

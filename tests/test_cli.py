@@ -8,7 +8,7 @@ import time
 import pytest
 
 from coringext.errors import SchemaError, UnknownReference
-from coringext.cli import COMMANDS, parse_workspace, run
+from coringext.cli import COMMANDS, _COMMAND_TABLE, parse_workspace, run
 from coringext.exactla import (DEFAULT_MAX_DIM, DEFAULT_MAX_ENUM, GF2, Mat,
                                set_guards)
 from coringext.fixtures import d2_algebra, matrix_algebra_2, sw_coring
@@ -335,9 +335,21 @@ class TestExitCodes:
 
     def test_check_object_unknown(self):
         assert run_cli(["check", "--object", "nope"], MINIMAL) == (2, (
-            '{"command":"check","error":{"message":"$: unknown object '
-            '\'nope\'","name":"nope","path":"$","type":"UnknownReference"},'
-            '"exit_code":2,"ok":false}\n'))
+            '{"command":"check","error":{"message":"--object: unknown object '
+            '\'nope\'","name":"nope","path":"--object",'
+            '"type":"UnknownReference"},"exit_code":2,"ok":false}\n'))
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_TABLE))
+    def test_unknown_object_names_its_option(self, command):
+        # each command resolves its first option first, and reports an
+        # unknown name at that option
+        _, required, optional = _COMMAND_TABLE[command]
+        options = required or optional
+        argv = [command, *(x for option in options for x in (option, "nope"))]
+        code, out = run_cli(argv, MINIMAL)
+        err = json.loads(out)["error"]
+        assert (code, err["type"], err["path"]) == (
+            2, "UnknownReference", options[0])
 
 
 class NoStdin:
@@ -713,8 +725,8 @@ class TestCommands:
         assert len(calls) == 1
 
     def test_descent_assembles_the_extension_once(self, monkeypatch):
-        # check_cor28 assembles it as data.extension, and descent_functor
-        # pushes along that same extension
+        # descent_functor assembles it as data.extension and pushes along
+        # it; check_cor28 does not assemble it
         import coringext.descent as descent
         real = descent._assemble
         calls = []

@@ -11,7 +11,7 @@ from collections import namedtuple
 
 import pytest
 
-from coringext._search import coords, enumerate_affine
+from coringext._search import enumerate_affine
 from coringext.errors import AxiomViolation, DimensionMismatch
 from coringext.exactla import GF2, GF3, QQ, Mat, rref
 from coringext.algmod import Bimodule, make_algebra_map
@@ -26,6 +26,7 @@ from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
 
 from test_algmod import (ref_add, ref_algebra, ref_apply, ref_is_isomorphism,
                         ref_mul, ref_unit)
+from test_exactla_sparse import ref_coords
 
 
 # -- reference: entwinings, twisted convolution, entwined measurings -------
@@ -89,7 +90,7 @@ def ref_twisted_convolution(e):
     cols = []
     for k, bmat in enumerate(basis):
         nu = a.mult_mat @ bmat.tensor_id(a.dim, 1)  # a (x) c -> a f(c)
-        x = coords(dr.basis, nu)
+        x = ref_coords(dr.basis, nu)
         if x is None:
             raise AxiomViolation("hom-tensor-image-not-left-linear", (k,))
         cols.append(x)

@@ -13,12 +13,12 @@ from coringext.coring import (Coring, check_colinear, check_comodule,
 from coringext.constructions import (base_algebra, coalgebra_to_coring,
                                      entwining_coring, group_coalgebra,
                                      trivial_coring)
-from coringext._search import coords
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
                                 gc2_coring, matrix_algebra_2, sw_coring)
 
 from test_algmod import ref_apply, ref_mul, ref_mult, ref_unit
 from test_constructions import ref_flip_entwining
+from test_exactla_sparse import ref_coords
 from test_extension import ref_dual_element
 
 
@@ -143,7 +143,7 @@ class TestDualRing:
         c = sw_coring(GF2)
         dr = dual_ring(c)
         for i, b in enumerate(dr.basis):
-            assert ref_dual_element(dr, coords(dr.basis, b)) == b
+            assert ref_dual_element(dr, ref_coords(dr.basis, b)) == b
 
     def test_trivial_dual_dim(self):
         a = matrix_algebra_2(GF2)
@@ -161,4 +161,4 @@ class TestDualRing:
             for i, f in enumerate(dr.basis):
                 for j, g in enumerate(dr.basis):
                     prod = ref_star_product(c, f, g)
-                    assert mult[i][j] == coords(dr.basis, prod)
+                    assert mult[i][j] == ref_coords(dr.basis, prod)

@@ -73,6 +73,18 @@ def ref_solve(f, rows, ncols, target):
     return x
 
 
+def ref_coords(basis, m):
+    """The coordinates of ``m`` in ``basis``, independent matrices of its
+    shape, by ``ref_solve`` on their flattened entries; None if ``m`` is
+    not in their span."""
+    cols = m.cols
+    rows = [[b.entries[k // cols][k % cols] for b in basis]
+            for k in range(m.rows * cols)]
+    x = ref_solve(m.field, rows, len(basis),
+                  [y for row in m.entries for y in row])
+    return None if x is None else tuple(x)
+
+
 def ref_matmul(f, a, b, inner, ncols):
     out = []
     for row in a:

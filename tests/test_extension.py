@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from coringext._search import coords, enumerate_affine
+from coringext._search import enumerate_affine
 from coringext.errors import AxiomViolation, DimensionMismatch
 from coringext.exactla import GF2, GF3, QQ, Mat, _combine, kernel
 from coringext.algmod import (AlgebraMap, Bimodule, LeftModule, RightModule,
@@ -37,6 +37,7 @@ from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
 
 from test_algmod import ref_add, ref_algebra
 from test_corpus import load_gen
+from test_exactla_sparse import ref_coords
 
 
 # -- reference: algebra maps B -> *C and the bijection ----------------------
@@ -74,7 +75,7 @@ def ref_measuring_to_algebra_map(m):
         nu_j = Mat(f, c.A.dim, c.dim, tuple(
             tuple(m.nu.entries[r][s * b.dim + j] for s in range(c.dim))
             for r in range(c.A.dim)))
-        x = coords(dr.basis, nu_j)
+        x = ref_coords(dr.basis, nu_j)
         assert x is not None, f"slice {j} of nu is not left A-linear"
         cols.append(x)
     return make_algebra_map(b, dr.alg, Mat.from_cols(f, cols))

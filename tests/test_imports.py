@@ -118,8 +118,10 @@ def test_only_set_guards_takes_a_guard(path):
 # on each candidate, an accessor that built A over B a second time, a second
 # linear solver and the helpers no CLI call used, the oracles that moved
 # into the tests as ``ref_*``, the records that only carried arguments, a
-# second column constructor, the second fixture table and the field
-# arithmetic only the oracles used (``FieldSpec.add`` and ``mul``)
+# second column constructor, the second fixture table, the field
+# arithmetic only the oracles used (``FieldSpec.add`` and ``mul``), the
+# coordinate reader that tested membership in Sigma*, which a checked Sigma
+# makes a theorem, and the morphism check that ``check_colinear`` is
 RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "NotCoringMorphism", "NotColinear", "MiddleMismatch",
            "bimodule_from_actions", "cor28_extension", "_descend",
@@ -132,7 +134,8 @@ RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "Entwining", "DualBasis", "column", "ALGEBRA_FIXTURES",
            "CORING_FIXTURES", "_coerce_tensor3", "enumerate_algebra_maps",
            "dual_element", "measuring_to_algebra_map",
-           "algebra_map_to_measuring", "_algebra_map_laws", "add", "mul"}
+           "algebra_map_to_measuring", "_algebra_map_laws", "add", "mul",
+           "coords", "star_coords", "check_descent_morphism"}
 
 
 def _returns_value(fn):
@@ -283,6 +286,19 @@ def test_one_failure_channel(path):
     source = path.read_text(encoding="utf-8")
     assert second_channel(source) == []
     assert witnessless_raises(source) == []
+
+
+# the kinds of the Sigma* membership test, a theorem once Sigma is checked,
+# and of the descent-morphism check, which check_colinear reports as
+# not-colinear
+RETIRED_KINDS = {"not-in-sigma-star", "not-descent-map"}
+
+
+def test_no_retired_kind():
+    found = [(path.name, node.value) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and node.value in RETIRED_KINDS]
+    assert found == []
 
 
 # -- one lazy-load mechanism: the CLI reaches every layer through the

@@ -44,9 +44,9 @@ EXPORTS = {
                   "make_extension", "make_measuring",
                   "measuring_from_action"],
     "descent": ["Cor28Data", "DescentDatum", "check_cor28",
-                "check_descent_datum", "check_descent_morphism",
-                "comodule_to_descent", "descent_functor",
-                "descent_to_comodule", "make_cor28", "make_descent_datum"],
+                "check_descent_datum", "comodule_to_descent",
+                "descent_functor", "descent_to_comodule", "make_cor28",
+                "make_descent_datum"],
     "errors": ["errors"],
     "fixtures": ["fixtures"],
 }

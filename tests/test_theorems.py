@@ -15,11 +15,15 @@ k[C_2], the inclusion D_2 -> M_2, trivial corings, corings of group-like
 coalgebras, comatrix corings of a free module of rank two, entwining
 corings, and the Cor. 2.8 data of ``tests/test_witness.py``.
 
-Two records are read off, not built from a ``make_*``: the table of
+Some records are read off, not built from a ``make_*``: the table of
 ``dual_ring`` at the pivots of its basis, since *C is closed under its
-product, and the coaction of the Cor. 2.8 extension, induced from a map
-on A (x) A that is balanced because phi is left B-linear.  Their tests
-state those two facts.
+product; the actions on Sigma* of a comatrix coring at the pivots of
+Sigma*, which holds a.g and g.b once Sigma is a checked bimodule; and the
+coaction of the Cor. 2.8 extension, induced from a map on A (x) A that is
+balanced because phi is left B-linear.  Their tests state those facts.
+Two notions are read through a theorem: the Cor. 2.8 extension is valid
+once its data pass ``check_cor28``, and a morphism of descent data is a
+colinear map of the Sweedler comodules.
 """
 
 import random
@@ -28,15 +32,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coringext._search import coords
+from coringext import constructions
+from coringext._search import at_pivots
 from coringext.algmod import (Bimodule, make_algebra, make_algebra_map,
                               right_regular)
-from coringext.constructions import (base_algebra, coalgebra_to_coring,
-                                     comatrix_coring, entwining_coring,
-                                     group_coalgebra, make_coalgebra,
-                                     sweedler_coring, sweedler_space,
-                                     trivial_coring)
-from coringext.coring import (dual_ring, make_colinear_map, make_comodule,
+from coringext.constructions import (_right_linear_basis, base_algebra,
+                                     coalgebra_to_coring, comatrix_coring,
+                                     entwining_coring, group_coalgebra,
+                                     make_coalgebra, sweedler_coring,
+                                     sweedler_space, trivial_coring)
+from coringext.coring import (check_colinear, direct_sum_comodule,
+                              dual_ring, make_colinear_map, make_comodule,
                               make_coring, regular_comodule)
 from coringext.descent import (comodule_to_descent, descent_to_comodule,
                                make_cor28, make_descent_datum)
@@ -49,8 +55,10 @@ from coringext.fixtures import c2_group_algebra, d2_algebra, matrix_algebra_2
 
 from test_constructions import free_rank_two, ref_flip_entwining
 from test_coring import ref_star_product
+from test_exactla_sparse import ref_coords
 from test_metamorphic import gen, invertible
-from test_witness import cor28_fixtures, cor28_identities, ref_outcome
+from test_witness import (cor28_fixtures, cor28_identities,
+                          morphism_identities, outcome, ref_outcome)
 
 FIELDS = pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)
 EXAMPLES = settings(max_examples=6, deadline=None)
@@ -202,6 +210,32 @@ def test_comatrix_coring(field, over, seed):
 
 @FIELDS
 @EXAMPLES
+@drawn(("k", "D2"))
+def test_comatrix_reads_sigma_star_at_pivots(field, over, seed):
+    # once Sigma is a checked (B, A)-bimodule, a.g, g.b and the
+    # functionals lie in Sigma*: their entries at its pivots are their
+    # coordinates
+    sigma, elements, functionals = comatrix_inputs(field, over,
+                                                   random.Random(seed))
+    star = _right_linear_basis(sigma)
+    reads = []
+
+    def read(piv, m):
+        reads.append((piv, m))
+        return at_pivots(piv, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "at_pivots", read)
+        comatrix_coring(sigma, elements, functionals)
+    assert len(reads) == len(star) * (sigma.algR.dim + sigma.algL.dim) + \
+        len(functionals)
+    for piv, m in reads:
+        x = ref_coords(star, m)
+        assert x is not None and at_pivots(piv, m) == x
+
+
+@FIELDS
+@EXAMPLES
 @drawn(tuple(ALGEBRAS))
 def test_trivial_coring(field, name, seed):
     c = trivial_coring(moved(field, name, random.Random(seed))[0])
@@ -229,9 +263,9 @@ def test_dual_ring(field, kind, seed):
     n = dr.dim
     for i, f in enumerate(dr.basis):
         for j, g in enumerate(dr.basis):
-            x = coords(dr.basis, ref_star_product(c, f, g))
+            x = ref_coords(dr.basis, ref_star_product(c, f, g))
             assert x is not None and x == alg.mult_mat.col(i * n + j)
-    x = coords(dr.basis, c.eps)
+    x = ref_coords(dr.basis, c.eps)
     assert x is not None and x == alg.unit_col.col(0)
 
 
@@ -329,6 +363,42 @@ def test_comodule_to_descent(field, kind, seed):
     assert descent_to_comodule(d) == m
 
 
+@FIELDS
+@EXAMPLES
+@drawn(MAPS)
+def test_descent_morphisms_are_colinear_maps(field, kind, seed):
+    # Desc(A|B) is the category of comodules over the Sweedler coring, and
+    # M (x)_B A = M (x)_A (A (x)_B A) sends column m to column m: a map
+    # fails the identities of a morphism of descent data, read in
+    # M2 (x)_B A, first where check_colinear fails on the comodules.  The
+    # maps: the identity, left multiplication by each basis element of A
+    # (a morphism iff the element lies in B), a seeded matrix, and the
+    # inclusion and projection of the first summand of A (+) A
+    rng = random.Random(seed)
+    iota = algebra_map(field, kind, rng)
+    a = iota.target
+    n = a.dim
+    d = make_descent_datum(iota, right_regular(a), a.unit_col.tensor_id(1, n))
+    com = descent_to_comodule(d)
+    dd = comodule_to_descent(iota, direct_sum_comodule(com, com))
+    ea = Mat.identity(field, n)
+    inc = ea.stack(Mat.zero(field, n, n))
+    vals = range(field.p) if field.p is not None else range(-2, 3)
+    seeded = Mat.from_rows(field, [[rng.choice(vals) for _ in range(n)]
+                                   for _ in range(n)])
+    cases = [(d, d, a.mult_mat @ Mat.from_cols(field, [x]).tensor_id(1, n))
+             for x in ea.entries]
+    cases += [(d, d, ea), (d, d, seeded), (d, dd, inc),
+              (dd, d, inc.transpose())]
+    kinds = set()
+    for d1, d2, g in cases:
+        got = outcome(check_colinear, g, descent_to_comodule(d1),
+                      descent_to_comodule(d2))
+        assert got == ref_outcome(field, morphism_identities(d1, d2, g))
+        kinds.add(got and got[0])
+    assert {None, "not-colinear"} <= kinds
+
+
 # -- Cor. 2.8 ----------------------------------------------------------------
 
 
@@ -359,6 +429,29 @@ def sigma_on_ambient(data):
         data.phi_lift.tensor_id(a.dim, 1)
 
 
+def cor28_records(field, rng):
+    """The Cor. 2.8 fixtures of ``tests/test_witness.py`` that satisfy the
+    six identities of its reference loop, made by ``make_cor28``, and each
+    also moved along a seeded change of basis of A."""
+    made = [make_cor28(d.iota_B, d.iota_A, d.rho_A, d.phi_lift)
+            for d in cor28_fixtures(field)
+            if ref_outcome(field, cor28_identities(d)) is None]
+    assert len(made) >= 2
+    return made + [moved_cor28(d, rng) for d in made]
+
+
+@FIELDS
+@EXAMPLES
+@given(st.integers(0, 2 ** 32 - 1))
+def test_cor28_extension(field, seed):
+    # Cor. 2.8: data that pass check_cor28 assemble a coring extension of
+    # the Sweedler corings; make_extension checks it with
+    # check_coring_extension and keeps sigma's canonical lift
+    for data in cor28_records(field, random.Random(seed)):
+        e = data.extension
+        assert remade_extension(e) == e
+
+
 @FIELDS
 @EXAMPLES
 @given(st.integers(0, 2 ** 32 - 1))
@@ -366,13 +459,7 @@ def test_assembled_coaction_descends(field, seed):
     # phi is left B-linear, so g vanishes on the balancing relations of
     # C = A (x)_B A: g = g @ section @ projection, where g @ section is the
     # sigma of the record
-    rng = random.Random(seed)
-    # the fixtures that satisfy the six identities of the reference loop
-    made = [make_cor28(d.iota_B, d.iota_A, d.rho_A, d.phi_lift)
-            for d in cor28_fixtures(field)
-            if ref_outcome(field, cor28_identities(d)) is None]
-    assert len(made) >= 2
-    for data in made + [moved_cor28(d, rng) for d in made]:
+    for data in cor28_records(field, random.Random(seed)):
         e = data.extension
         qc = sweedler_space(data.iota_A)
         g = sigma_on_ambient(data)

@@ -2,7 +2,9 @@
 
 For corings, right and left comodules, colinear maps, coring maps,
 measurings, right B-structures on a coring, coalgebras, descent data,
-descent morphisms and Cor. 2.8 data, each identity the checker compares is
+descent morphisms (colinear maps of the Sweedler comodules), the
+bimodule of a comatrix coring and Cor. 2.8 data, each identity the
+checker compares is
 restated here as a chain of maps ``I_pre (x) m (x) I_post``, applied to
 basis vectors one at a time by a plain loop.  The loop over basis tuples in
 row-major order is the reference: its first failure must be the reported
@@ -37,9 +39,9 @@ from coringext.coring import (Comodule, Coring, LeftComodule, _ccn, _mcc,
                               regular_comodule, regular_left_comodule)
 from coringext.descent import (Cor28Data, DescentDatum, _aab_space,
                                _ab_factors, _maa_space, check_cor28,
-                               check_descent_morphism, check_descent_datum,
-                               comodule_to_descent, descent_functor,
-                               descent_to_comodule, make_descent_datum)
+                               check_descent_datum, comodule_to_descent,
+                               descent_functor, descent_to_comodule,
+                               make_descent_datum)
 from coringext.extension import (Measuring, action_from_measuring,
                                  check_measuring, check_right_b_structure,
                                  enumerate_measurings,
@@ -347,15 +349,24 @@ def descent_identities(d):
 
 
 def morphism_identities(d1, d2, g):
+    """A morphism of descent data, in M2 (x)_B A: g is A-linear and
+    commutes with the descent maps.  ``check_colinear`` on the Sweedler
+    comodules must fail first at the same tuple, since M (x)_B A =
+    M (x)_A (A (x)_B A) sends column m to column m."""
     f, na, n1 = g.field, d1.iota.target.dim, d1.M.dim
     proj = d2.ma().projection
     return [
         ("not-A-linear", (n1, na),
          lambda: (chain(f, d1.M.act, g), chain(f, (1, g, na), d2.M.act))),
-        ("not-descent-map", (n1,),
+        ("not-colinear", (n1,),
          lambda: (chain(f, g, d2.f_lift, proj),
                   chain(f, d1.f_lift, (1, g, na), proj))),
     ]
+
+
+def descent_morphism(d1, d2, g):
+    """``check_colinear`` on the comodules of two descent data."""
+    check_colinear(g, descent_to_comodule(d1), descent_to_comodule(d2))
 
 
 class TestDescent:
@@ -377,14 +388,13 @@ class TestDescent:
         for f in FIELDS:
             for d, dd in free_data(f):
                 n = d.M.dim
-                first = Mat.identity(f, n).kron(Mat.from_rows(f, [[1, 0]]))
+                first = Mat.identity(f, n).stack(Mat.zero(f, n, n)).transpose()
                 for d1, d2, m in ((d, d, Mat.identity(f, n)),
                                   (dd, d, first)):
-                    cases += [(check_descent_morphism, (d1, d2, g), f,
+                    cases += [(descent_morphism, (d1, d2, g), f,
                                morphism_identities(d1, d2, g))
                               for g in [m, *perturbations(f, m)]]
-        assert against_loop(cases) == {None, "not-A-linear",
-                                       "not-descent-map"}
+        assert against_loop(cases) == {None, "not-A-linear", "not-colinear"}
 
 
 # -- Cor. 2.8 data -----------------------------------------------------------
@@ -587,6 +597,27 @@ def test_lifts_of_an_accepted_phi_are_accepted(f, which, seed):
 
 
 BIMODULE_KINDS = {"unital", "left-assoc", "right-assoc", "commuting-actions"}
+
+
+def bimodule_identities(s):
+    """The left module, the right module, then the commuting actions."""
+    b, a = s.algL, s.algR
+    f, nb, n, na = a.field, b.dim, s.dim, a.dim
+    return [
+        ("unital", (n,),
+         lambda: (chain(f, (1, b.unit_col, n), s.lact), ident)),
+        ("left-assoc", (nb, nb, n),
+         lambda: (chain(f, (1, b.mult_mat, n), s.lact),
+                  chain(f, (nb, s.lact, 1), s.lact))),
+        ("unital", (n,),
+         lambda: (chain(f, (n, a.unit_col, 1), s.ract), ident)),
+        ("right-assoc", (n, na, na),
+         lambda: (chain(f, (1, s.ract, na), s.ract),
+                  chain(f, (n, a.mult_mat, 1), s.ract))),
+        ("commuting-actions", (nb, n, na),
+         lambda: (chain(f, (1, s.lact, na), s.ract),
+                  chain(f, (nb, s.ract, 1), s.lact))),
+    ]
 
 
 def corings(f):
@@ -838,40 +869,36 @@ class TestNotBalanced:
 
 class TestOtherRejections:
     def test_not_in_sigma_star(self):
-        # Sigma = A as an unchecked (A, A)-bimodule whose left action has
-        # one entry changed: g_t . b_j need not be right A-linear
+        # Sigma = A as an unchecked (A, A)-bimodule with one entry of an
+        # action changed, or with actions that do not commute, so that a.g
+        # or g.b need not lie in Sigma*: the comatrix coring checks Sigma
+        # first, and rejects it at the reference loop's witness
         seen = set()
-        for f in (GF2, GF3):
+        for f in FIELDS:
             for a in (d2_algebra(f), c2_group_algebra(f)):
                 n = a.dim
                 db = ((ref_unit(a),), (Mat.identity(f, n),))
-                for lact in perturbations(f, a.mult_mat):
-                    sigma = Bimodule(a, a, n, lact, a.mult_mat)
-                    star = _right_linear_basis(sigma)
-                    e = Mat.identity(f, n)
-                    # a_i . g_t at (i, t), then g_t . b_j at (t, j)
-                    maps = [((i, t), a.mult_mat @ Mat.from_cols(
-                        f, [e.col(i)]).tensor_id(1, n) @ g)
-                        for i in range(n) for t, g in enumerate(star)]
-                    maps += [((t, j), g @ lact @ Mat.from_cols(
-                        f, [e.col(j)]).tensor_id(1, n))
-                        for t, g in enumerate(star) for j in range(n)]
-                    # the first that is not right A-linear: h(s a) != h(s) a
-                    ref = next((w for w, h in maps if first_failure(
-                        f, (n, n), chain(f, a.mult_mat, h),
-                        chain(f, (1, h, n), a.mult_mat))), None)
+                sigmas = [Bimodule(a, a, n, lact, a.mult_mat)
+                          for lact in perturbations(f, a.mult_mat)]
+                sigmas += [Bimodule(a, a, n, a.mult_mat, ract)
+                           for ract in perturbations(f, a.mult_mat)]
+                # the right action moved along I + E_01: a right module
+                # whose action does not commute with the left one
+                h, h_inv = elementary(f, n)
+                sigmas.append(Bimodule(a, a, n, a.mult_mat, h_inv @
+                                       a.mult_mat @ h.tensor_id(1, n)))
+                for sigma in sigmas:
                     got = outcome(comatrix_coring, sigma, *db)
-                    if ref is None:
-                        assert got is None or got[0] != "not-in-sigma-star"
-                    else:
-                        assert got == ("not-in-sigma-star", ref)
-                        seen.add(ref)
-        assert len(seen) > 1
+                    ref = ref_outcome(f, bimodule_identities(sigma))
+                    assert got == ref, (sigma, got, ref)
+                    seen.add(got[0])
+        assert seen == BIMODULE_KINDS
 
     def test_dual_basis_functionals_lie_in_sigma_star(self):
-        # check_dual_basis has required each functional to be right
-        # A-linear, so no functional is rejected as not in Sigma*: a
-        # one-index not-in-sigma-star never comes
+        # check_dual_basis requires each functional to be right A-linear,
+        # that is to lie in Sigma*, before its coordinates are read at the
+        # pivots of Sigma*: a one-entry change of a functional is rejected
+        # there or accepted
         kinds = set()
         for f in (GF2, GF3):
             for a in (d2_algebra(f), c2_group_algebra(f)):
@@ -892,8 +919,6 @@ class TestOtherRejections:
                                 functionals[i + 1:]
                             got = outcome(comatrix_coring, sigma,
                                           elements, changed)
-                            assert got is None or \
-                                got[0] != "not-in-sigma-star", got
                             kinds.add(got and got[0])
         assert kinds == {None, "functional-not-right-linear",
                          "dual-basis-identity"}
@@ -902,14 +927,15 @@ class TestOtherRejections:
         # no entwining reaches these kinds; a stand-in dual ring reader
         # and algebra map show which basis index each names
         e = ref_flip_entwining(d2_algebra(GF3), group_coalgebra(GF3, 3))
-        real_coords = test_constructions.coords
+        real_coords = test_constructions.ref_coords
         calls = []
 
         def coords_failing_at_4(basis, nu):
             calls.append(nu)
             return None if len(calls) == 5 else real_coords(basis, nu)
 
-        monkeypatch.setattr(test_constructions, "coords", coords_failing_at_4)
+        monkeypatch.setattr(test_constructions, "ref_coords",
+                            coords_failing_at_4)
         assert outcome(ref_twisted_convolution, e) == \
             ("hom-tensor-image-not-left-linear", (4,))
 
@@ -923,7 +949,7 @@ class TestOtherRejections:
             made.append(Mat.from_cols(GF3, cols))
             return AlgebraMap(source, target, made[-1])
 
-        monkeypatch.setattr(test_constructions, "coords", real_coords)
+        monkeypatch.setattr(test_constructions, "ref_coords", real_coords)
         monkeypatch.setattr(test_constructions, "make_algebra_map", singular)
         got = outcome(ref_twisted_convolution, e)
         # the witness is the first column in the span of those before it
