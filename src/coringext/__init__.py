@@ -29,10 +29,10 @@ _MODULE_OF = {name: mod for mod, names in (
                "direct_sum_comodule dual_ring make_colinear_map "
                "make_comodule make_coring make_left_comodule "
                "regular_comodule"),
-    ("constructions", "Coalgebra base_algebra check_coalgebra "
-                      "check_dual_basis coalgebra_to_coring comatrix_coring "
-                      "entwining_coring group_coalgebra make_coalgebra "
-                      "sweedler_coring trivial_coring"),
+    ("constructions", "Coalgebra base_algebra check_dual_basis "
+                      "coalgebra_to_coring comatrix_coring entwining_coring "
+                      "group_coalgebra make_coalgebra sweedler_coring "
+                      "trivial_coring"),
     ("extension", "CoringExtension Measuring action_from_measuring "
                   "apply_functor check_coring_extension check_measuring "
                   "check_right_b_structure compose_extensions "

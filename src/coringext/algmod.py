@@ -15,12 +15,16 @@ is given (a part, such as the bimodule of a coring, only within it), and
 a construction its own parameters (iota, gamma, psi, a dual basis).  A
 construction whose output is valid by a theorem builds its record
 directly, with the canonical lift a ``make_*`` stores: the Sweedler,
-comatrix, trivial and coalgebra corings, the algebra of ``dual_ring``,
-the identity, coring-map and composed extensions, ``induced_coaction``,
-``apply_functor``, and both ways between descent data and Sweedler
-comodules.  The tests prove each theorem.  Identities are compared with
+comatrix, trivial and coalgebra corings, the group coalgebras, the
+algebra of ``dual_ring``, the identity, coring-map and composed
+extensions, ``induced_coaction``, ``apply_functor``, and both ways
+between descent data and Sweedler comodules.  The tests prove each
+theorem.  Identities are compared with
 ``_require``: a rejection names the first basis tuple of the domain, or
-of its tensor factors, at which the two sides differ.
+of its tensor factors, at which the two sides differ.  Each law is stated
+once: the commuting of a left and a right action is required only by
+``_check_right_action``, the right half of ``check_bimodule``, which
+also checks an extension's right B-action and the rho_A of Cor. 2.8.
 """
 
 from typing import Optional
@@ -193,8 +197,13 @@ def check_left_module(m: LeftModule) -> None:
 
 def check_bimodule(b: Bimodule) -> None:
     check_left_module(b.left_module())
+    _check_right_action(b)
+
+
+def _check_right_action(b: Bimodule) -> None:
+    """``check_bimodule`` once M is a left module: the right module laws,
+    then (a.m).b == a.(m.b) on A_L (x) M (x) A_R."""
     check_right_module(b.right_module())
-    # (a.m).b == a.(m.b) on A_L (x) M (x) A_R
     _require(b.ract @ b.lact.tensor_id(1, b.algR.dim),
              b.lact @ b.ract.tensor_id(b.algL.dim, 1), "commuting-actions",
              (b.algL.dim, b.dim, b.algR.dim))

@@ -1,7 +1,9 @@
 """Named coring constructions: trivial, Sweedler, comatrix and entwining
 corings, and coalgebras over the base field.  Each takes its defining data
 as arguments: an entwining as A, C and psi, a dual basis as its elements
-and functionals."""
+and functionals.  A coalgebra is a coring over k: ``make_coalgebra``
+checks it as its coring, with the coring's kinds and size guards, and a
+group coalgebra is valid by a theorem, so it is built unchecked."""
 
 from typing import List
 
@@ -12,7 +14,7 @@ from .exactla import FieldSpec, Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
                      _require, check_bimodule, make_algebra, regular_along,
                      regular_bimodule)
-from .coring import Coring, make_coring
+from .coring import Coring, check_coring, make_coring
 from .tensorcat import descend_map, right_action_on_quotient, tensor_over
 
 
@@ -82,26 +84,19 @@ class Coalgebra:
     eps: Mat    # C -> k, a 1 x dim matrix
 
 
-def check_coalgebra(c: Coalgebra) -> None:
-    n = c.dim
-    ic = Mat.identity(c.field, n)
-    if c.delta.rows != n * n or c.delta.cols != n:
-        raise DimensionMismatch("coproduct has wrong shape")
-    if c.eps.rows != 1 or c.eps.cols != n:
-        raise DimensionMismatch("counit has wrong shape")
-    if c.delta.field != c.field or c.eps.field != c.field:
-        raise DimensionMismatch(f"expected maps over {c.field!r}")
-    _require(c.delta.tensor_id(1, n) @ c.delta,
-             c.delta.tensor_id(n, 1) @ c.delta, "coassoc", (n,))
-    # stacked, the two counit laws first differ at the lower of their witnesses
-    _require((c.eps.tensor_id(1, n) @ c.delta).stack(
-        c.eps.tensor_id(n, 1) @ c.delta), ic.stack(ic), "counit", (n,))
-
-
 def make_coalgebra(field: FieldSpec, dim: int, delta: Mat, eps: Mat
                    ) -> Coalgebra:
+    """Validated coalgebra: DimensionMismatch for maps of other shapes or
+    fields, else checked as its coring over k, with the coring's kinds
+    and size guards."""
+    if delta.rows != dim * dim or delta.cols != dim:
+        raise DimensionMismatch("coproduct has wrong shape")
+    if eps.rows != 1 or eps.cols != dim:
+        raise DimensionMismatch("counit has wrong shape")
+    if delta.field != field or eps.field != field:
+        raise DimensionMismatch(f"expected maps over {field!r}")
     c = Coalgebra(field, dim, delta, eps)
-    check_coalgebra(c)
+    check_coring(coalgebra_to_coring(c))
     return c
 
 
@@ -115,9 +110,8 @@ def group_coalgebra(field: FieldSpec, n: int) -> Coalgebra:
         col = [f.zero] * (n * n)
         col[g * n + g] = f.one
         delta_cols.append(tuple(col))
-    delta = Mat.from_cols(f, delta_cols)
-    eps = Mat(f, 1, n, ((f.one,) * n,))
-    return make_coalgebra(f, n, delta, eps)
+    return Coalgebra(f, n, Mat.from_cols(f, delta_cols),
+                     Mat(f, 1, n, ((f.one,) * n,)))
 
 
 def coalgebra_to_coring(c: Coalgebra) -> Coring:

@@ -15,8 +15,9 @@ from functools import cached_property
 from ._record import frozen
 from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (AlgebraMap, Bimodule, LeftModule, RightModule, _require,
-                     check_right_module, regular_along, restrict_right)
+from .algmod import (AlgebraMap, Bimodule, LeftModule, RightModule,
+                     _check_right_action, _require, check_right_module,
+                     regular_along, restrict_right)
 from .coring import Comodule
 from .constructions import sweedler_coring, sweedler_space
 from .extension import CoringExtension, _cd, induced_coaction
@@ -157,13 +158,10 @@ def check_cor28(data: Cor28Data) -> None:
     if data.phi_lift.rows != a.dim * a.dim * b.dim or \
             data.phi_lift.cols != a.dim:
         raise DimensionMismatch("phi has wrong shape")
-    check_right_module(RightModule(b, a.dim, data.rho_A))
     a_bb = regular_along(data.iota_A)
     b_dd = regular_along(data.iota_B)
     lB = a_bb.lact  # b . a on A
-    _require(data.rho_A @ lB.tensor_id(1, nb),
-             lB @ data.rho_A.tensor_id(nb, 1), "rho-not-left-linear",
-             (nb, na, nb))
+    _check_right_action(Bimodule(b, b, na, lB, data.rho_A))
     # phi is a (B, B)-bimodule map
     a_b, a_bd, b_d = _ab_factors(data.iota_B, a_bb, b_dd, data.rho_A)
     pab = _aab_space(a_b, a_bd, b_d)

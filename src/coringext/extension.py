@@ -19,8 +19,8 @@ from typing import List
 from ._record import frozen
 from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, memoised
-from .algmod import (Algebra, Bimodule, RightModule, _require,
-                     check_right_module)
+from .algmod import (Algebra, Bimodule, RightModule, _check_right_action,
+                     _require)
 from .coring import ColinearMap, Comodule, Coring, _check_right_coaction
 from .tensorcat import tensor_over
 from ._search import enumerate_affine
@@ -96,12 +96,7 @@ def enumerate_measurings(c: Coring, b: Algebra) -> List[Measuring]:
 
 def check_right_b_structure(c: Coring, b: Algebra, ract_b: Mat) -> None:
     """Pass iff ract_b makes C an (A, B)-bimodule with B-bilinear coproduct."""
-    if ract_b.rows != c.dim or ract_b.cols != c.dim * b.dim:
-        raise DimensionMismatch("right action has wrong shape")
-    check_right_module(RightModule(b, c.dim, ract_b))
-    _require(c.C.lact @ ract_b.tensor_id(c.A.dim, 1),
-             ract_b @ c.C.lact.tensor_id(1, b.dim), "actions-do-not-commute",
-             (c.A.dim, c.dim, b.dim))
+    _check_right_action(Bimodule(c.A, b, c.dim, c.C.lact, ract_b))
     proj = c.cc().projection
     _require(proj @ c.delta_lift @ ract_b,
              proj @ ract_b.tensor_id(c.dim, 1) @

@@ -23,8 +23,8 @@ from coringext.algmod import RightModule
 from coringext.cli import parse_workspace
 from coringext.constructions import (base_algebra, coalgebra_to_coring,
                                      comatrix_coring, entwining_coring,
-                                     group_coalgebra, sweedler_coring,
-                                     trivial_coring)
+                                     group_coalgebra, make_coalgebra,
+                                     sweedler_coring, trivial_coring)
 from coringext.coring import dual_ring, make_colinear_map, regular_comodule
 from coringext.descent import (check_cor28, comodule_to_descent,
                                descent_to_comodule, make_cor28)
@@ -131,6 +131,7 @@ def theorem_builders(field):
                       "check_dual_basis": [(sigma, elements, functionals)]}),
         "trivial": (lambda: trivial_coring(d2), {}),
         "coalgebra": (lambda: coalgebra_to_coring(coalg), {}),
+        "group_coalgebra": (lambda: group_coalgebra(field, 3), {}),
         "dual_ring": (lambda: dual_ring(sw), {}),
         "identity_extension": (lambda: identity_extension(sw), {}),
         "extension_from_coring_map": (
@@ -145,7 +146,8 @@ def theorem_builders(field):
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)
 @pytest.mark.parametrize("builder", [
-    "sweedler", "comatrix", "trivial", "coalgebra", "dual_ring",
+    "sweedler", "comatrix", "trivial", "coalgebra", "group_coalgebra",
+    "dual_ring",
     "identity_extension", "extension_from_coring_map", "compose_extensions",
     "induced_coaction", "apply_functor", "descent_to_comodule",
     "comodule_to_descent"])
@@ -159,6 +161,21 @@ def test_theorem_backed_builder_runs_no_check(monkeypatch, builder, field):
     calls = count_checkers(monkeypatch)
     build()
     assert made(calls) == expected
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)
+def test_make_coalgebra_checks_its_coring_once(monkeypatch, field):
+    """A coalgebra is checked as its coring over k, by ``check_coring``
+    alone: its bimodule, k acting by scalars, is checked within it."""
+    data = group_coalgebra(field, 3)
+    clear_memos()
+    base_algebra(field)
+    calls = count_checkers(monkeypatch)
+    c = make_coalgebra(field, data.dim, data.delta, data.eps)
+    assert {name: len(args) for name, args in made(calls).items()} == {
+        "check_coring": 1, "check_bimodule": 1, "check_left_module": 1,
+        "check_right_module": 1}
+    assert calls["check_coring"] == [(coalgebra_to_coring(c),)]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)

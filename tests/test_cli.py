@@ -501,8 +501,8 @@ REJECTS = {
         '"witness":[0]},"exit_code":1,"ok":false}\n'),
     "coalgebra": (
         ws(c={"type": "coalgebra", "dim": 2, **GROUP2}),
-        '{"command":"check","error":{"kind":"counit",'
-        '"message":"counit at (1,)","type":"AxiomViolation",'
+        '{"command":"check","error":{"kind":"counit-left",'
+        '"message":"counit-left at (1,)","type":"AxiomViolation",'
         '"witness":[1]},"exit_code":1,"ok":false}\n'),
     "coring": (
         ws(k=K, c={"type": "coring", "algebra": "k", "dim": 2,

@@ -24,7 +24,12 @@ Three corpora, each call with its golden exit code and stdout sha256:
   After all of these come the undeclared references: each copy of a base
   workspace with one reference field (an object's ``algebra``,
   ``coring``, ``source``, ...) naming an object that is not declared, run
-  with that workspace's commands.  Its golden records are in
+  with that workspace's commands.  Last come six literal workspaces, run
+  as given with ``check``, each over GF(2) and GF(3): each reaches a law
+  of a right B-action that no change of the bases reaches, an extension
+  of FIX.SW whose D2-action does not commute with its left action,
+  Cor. 2.8 data whose rho_A does not, and an extension whose coproduct is
+  not right B-linear.  Its golden records are in
   ``tests/golden_kinds.json``.
 
 Tier-1 runs a fixed subsample of each, twice in one process, in two
@@ -75,6 +80,10 @@ KINDS_COMMANDS = (
 KINDS_BASES = (("2", KINDS_COMMANDS), ("3", KINDS_COMMANDS),
                ("cor28-2", DESCENT_COMMANDS), ("cor28-3", DESCENT_COMMANDS),
                ("diagram-c-2", DESCENT_COMMANDS))
+# the literal workspaces of tests/kinds_workspaces.json, run as given
+KINDS_LITERALS = ("commuting-sw-2", "commuting-sw-3", "commuting-cor28-2",
+                  "commuting-cor28-3", "right-linear-sw-2",
+                  "right-linear-sw-3")
 # the fields of an object that name another object
 REFERENCES = ("algebra", "source", "target", "coring", "iota", "iota_A",
               "iota_B", "c", "d", "coalgebra")
@@ -177,7 +186,8 @@ def mutated_calls():
 def kinds_calls():
     """Every call of the each-kind corpus, in a fixed order, as
     ``(label, argv, workspace)``: each base workspace, then its
-    mutations; then each base workspace's undeclared references."""
+    mutations; then each base workspace's undeclared references; then
+    each literal workspace."""
     with open(KINDS_WORKSPACES, encoding="utf-8") as fh:
         bases = json.load(fh)
     calls = []
@@ -188,6 +198,9 @@ def kinds_calls():
                 text = json.dumps({**base, "objects": objects},
                                   separators=(",", ":"))
                 calls += [(f"{key} {path}", argv, text) for argv in commands]
+    for key in KINDS_LITERALS:
+        calls.append((f"{key} base", ("check",),
+                      json.dumps(bases[key], separators=(",", ":"))))
     return calls
 
 
@@ -249,6 +262,13 @@ def test_mutated_arrays_match_golden_records():
 def test_each_kind_arrays_match_golden_records():
     calls = golden_calls("kinds")
     assert len(calls) == 274
+    assert mismatches(calls) == []
+
+
+def test_literal_workspaces_match_golden_records():
+    calls = golden_calls("kinds", 1)[-len(KINDS_LITERALS):]
+    assert [label for label, *_ in calls] == [
+        f"{key} base" for key in KINDS_LITERALS]
     assert mismatches(calls) == []
 
 

@@ -135,7 +135,8 @@ RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "CORING_FIXTURES", "_coerce_tensor3", "enumerate_algebra_maps",
            "dual_element", "measuring_to_algebra_map",
            "algebra_map_to_measuring", "_algebra_map_laws", "add", "mul",
-           "coords", "star_coords", "check_descent_morphism"}
+           "coords", "star_coords", "check_descent_morphism",
+           "check_coalgebra"}
 
 
 def _returns_value(fn):
@@ -289,16 +290,29 @@ def test_one_failure_channel(path):
 
 
 # the kinds of the Sigma* membership test, a theorem once Sigma is checked,
-# and of the descent-morphism check, which check_colinear reports as
-# not-colinear
-RETIRED_KINDS = {"not-in-sigma-star", "not-descent-map"}
+# of the descent-morphism check, which check_colinear reports as
+# not-colinear, and of the commuting of an extension's B-action and of
+# Cor. 2.8's rho_A with the left action, which the bimodule check reports
+# as commuting-actions
+RETIRED_KINDS = {"not-in-sigma-star", "not-descent-map",
+                 "actions-do-not-commute", "rho-not-left-linear"}
+
+
+def _kind_constants():
+    return [(path.name, node.value) for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)]
 
 
 def test_no_retired_kind():
-    found = [(path.name, node.value) for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Constant) and node.value in RETIRED_KINDS]
-    assert found == []
+    assert [c for c in _kind_constants() if c[1] in RETIRED_KINDS] == []
+
+
+def test_commuting_actions_stated_once():
+    # algmod._check_right_action is the one place two actions commute
+    assert [c for c in _kind_constants() if c[1] == "commuting-actions"] \
+        == [("algmod.py", "commuting-actions")]
 
 
 # -- one lazy-load mechanism: the CLI reaches every layer through the

@@ -30,8 +30,8 @@ EXPORTS = {
                "dual_ring", "make_colinear_map",
                "make_comodule", "make_coring", "make_left_comodule",
                "regular_comodule"],
-    "constructions": ["Coalgebra", "base_algebra", "check_coalgebra",
-                      "check_dual_basis", "coalgebra_to_coring",
+    "constructions": ["Coalgebra", "base_algebra", "check_dual_basis",
+                      "coalgebra_to_coring",
                       "comatrix_coring", "entwining_coring",
                       "group_coalgebra", "make_coalgebra", "sweedler_coring",
                       "trivial_coring"],

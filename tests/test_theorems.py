@@ -11,8 +11,8 @@ valid and that its lift is the canonical one.
 The inputs are fixtures moved along seeded invertible changes of basis
 (``invertible`` of ``tests/test_metamorphic.py`` and ``change_algebra`` and
 ``change_coalgebra`` of ``perfbench/gen.py``): unit maps into D_2 and
-k[C_2], the inclusion D_2 -> M_2, trivial corings, corings of group-like
-coalgebras, comatrix corings of a free module of rank two, entwining
+k[C_2], the inclusion D_2 -> M_2, trivial corings, group-like coalgebras
+and their corings, comatrix corings of a free module of rank two, entwining
 corings, and the Cor. 2.8 data of ``tests/test_witness.py``.
 
 Some records are read off, not built from a ``make_*``: the table of
@@ -240,6 +240,13 @@ def test_comatrix_reads_sigma_star_at_pivots(field, over, seed):
 def test_trivial_coring(field, name, seed):
     c = trivial_coring(moved(field, name, random.Random(seed))[0])
     assert remade_coring(c) == c
+
+
+@FIELDS
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_group_coalgebra(field, n):
+    c = group_coalgebra(field, n)
+    assert make_coalgebra(field, n, c.delta, c.eps) == c
 
 
 @FIELDS

@@ -14,28 +14,29 @@ entry and every nonzero change in turn.
 """
 
 import itertools
+import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coringext.errors import AxiomViolation
-from coringext.exactla import GF2, GF3, QQ, Mat, kernel, rref
+from coringext.exactla import GF2, GF3, QQ, FieldSpec, Mat, kernel, rref
 from coringext.algmod import (Algebra, AlgebraMap, Bimodule, LeftModule,
                               RightModule, left_regular, make_algebra_map,
                               regular_along, restrict_left, restrict_right,
                               right_regular)
 from coringext.constructions import (Coalgebra, _right_linear_basis,
-                                     base_algebra,
-                                     check_coalgebra, coalgebra_to_coring,
+                                     base_algebra, coalgebra_to_coring,
                                      comatrix_coring, group_coalgebra,
-                                     sweedler_coring, sweedler_space,
-                                     trivial_coring)
+                                     make_coalgebra, sweedler_coring,
+                                     sweedler_space, trivial_coring)
 from coringext.coring import (Comodule, Coring, LeftComodule, _ccn, _mcc,
                               _triple,
                               check_colinear, check_comodule, check_coring,
                               check_left_comodule, cofree_comodule,
-                              direct_sum_comodule,
+                              direct_sum_comodule, make_coring,
                               regular_comodule, regular_left_comodule)
 from coringext.descent import (Cor28Data, DescentDatum, _aab_space,
                                _ab_factors, _maa_space, check_cor28,
@@ -53,6 +54,7 @@ from coringext.tensorcat import descend_map, tensor_chain
 import test_constructions
 from test_algmod import ref_add, ref_algebra, ref_mul, ref_unit
 from test_constructions import ref_flip_entwining, ref_twisted_convolution
+from test_corpus import KINDS_WORKSPACES
 
 FIELDS = [GF2, GF3, QQ]
 
@@ -200,7 +202,7 @@ def right_b_identities(c, b, ract):
     f, na, nb, nc = c.A.field, c.A.dim, b.dim, c.dim
     proj = c.cc().projection
     return [
-        ("actions-do-not-commute", (na, nc, nb),
+        ("commuting-actions", (na, nc, nb),
          lambda: (chain(f, (na, ract, 1), c.C.lact),
                   chain(f, (1, c.C.lact, nb), ract))),
         ("coproduct-not-right-linear", (nc, nb),
@@ -253,7 +255,7 @@ class TestMeasurings:
                 cases.append((check_right_b_structure, (c, b, ract),
                               c.A.field, right_b_identities(c, b, ract)))
         assert against_loop(cases, prechecks={"unital", "right-assoc"}) == {
-            None, "actions-do-not-commute", "coproduct-not-right-linear"}
+            None, "commuting-actions", "coproduct-not-right-linear"}
 
 
 # -- coalgebras --------------------------------------------------------------
@@ -268,19 +270,23 @@ def divided_powers(f, n):
 
 
 def coalgebra_identities(c):
+    """The laws of a coring over k, stated on the coalgebra's own maps."""
     f, n = c.field, c.dim
-
-    def counit_laws():
-        left = chain(f, c.delta, (1, c.eps, n))
-        right = chain(f, c.delta, (n, c.eps, 1))
-        return (lambda e: left(e) + right(e)), (lambda e: e + e)
-
     return [
         ("coassoc", (n,),
          lambda: (chain(f, c.delta, (1, c.delta, n)),
                   chain(f, c.delta, (n, c.delta, 1)))),
-        ("counit", (n,), counit_laws),
+        ("counit-left", (n,), lambda: (chain(f, c.delta, (1, c.eps, n)),
+                                       ident)),
+        ("counit-right", (n,), lambda: (chain(f, c.delta, (n, c.eps, 1)),
+                                        ident)),
     ]
+
+
+def coalgebra_case(c):
+    """``make_coalgebra`` on the data of ``c``, with the loop's laws."""
+    return (make_coalgebra, (c.field, c.dim, c.delta, c.eps), c.field,
+            coalgebra_identities(c))
 
 
 class TestCoalgebra:
@@ -289,22 +295,50 @@ class TestCoalgebra:
         for f in FIELDS:
             for c in (group_coalgebra(f, 2), group_coalgebra(f, 3),
                       divided_powers(f, 3)):
-                for delta in perturbations(f, c.delta):
-                    bad = Coalgebra(f, c.dim, delta, c.eps)
-                    cases.append((check_coalgebra, (bad,), f,
-                                  coalgebra_identities(bad)))
-                for eps in perturbations(f, c.eps):
-                    bad = Coalgebra(f, c.dim, c.delta, eps)
-                    cases.append((check_coalgebra, (bad,), f,
-                                  coalgebra_identities(bad)))
-        assert against_loop(cases) == {None, "coassoc", "counit"}
+                cases += [coalgebra_case(Coalgebra(f, c.dim, delta, c.eps))
+                          for delta in perturbations(f, c.delta)]
+                cases += [coalgebra_case(Coalgebra(f, c.dim, c.delta, eps))
+                          for eps in perturbations(f, c.eps)]
+        assert against_loop(cases) == {None, "coassoc", "counit-left"}
 
-    def test_stacked_counit_laws(self):
-        # group-likes with eps = (1, 0): the left and right counit laws
-        # both fail first at e_1, so the stacked comparison reports (1,)
-        c = group_coalgebra(GF3, 2)
-        bad = Coalgebra(GF3, 2, c.delta, Mat.from_rows(GF3, [[1, 0]]))
-        assert outcome(check_coalgebra, bad) == ("counit", (1,))
+    def test_counit_laws(self):
+        # group-likes with eps = (1, 0) break both counit laws first at
+        # e_1, and the left law is checked first; delta(x) = e_0 (x) x is
+        # coassociative and left counital, but x (x) e_0 != x at x = e_1
+        f = GF3
+        c = group_coalgebra(f, 2)
+        left = Coalgebra(f, 2, c.delta, Mat.from_rows(f, [[1, 0]]))
+        right = Coalgebra(f, 2, Mat.from_cols(f, [(1, 0, 0, 0),
+                                                   (0, 1, 0, 0)]), c.eps)
+        cases = [coalgebra_case(left), coalgebra_case(right)]
+        assert [outcome(check, *args) for check, args, *_ in cases] == [
+            ("counit-left", (1,)), ("counit-right", (1,))]
+        assert against_loop(cases) == {"counit-left", "counit-right"}
+
+    @pytest.mark.parametrize("key", ["2", "3"])
+    def test_coalgebra_is_its_coring_over_k(self, key):
+        # each coalgebra of an each-kind workspace and each one-entry
+        # change of it: make_coalgebra and make_coring of the same data
+        # over k pass together, or raise the same kind and witness
+        with open(KINDS_WORKSPACES, encoding="utf-8") as fh:
+            base = json.load(fh)[key]
+        f = FieldSpec(base["field"]["p"])
+        k = base_algebra(f)
+        outcomes = set()
+        for obj in base["objects"].values():
+            if obj["type"] != "coalgebra":
+                continue
+            n = obj["dim"]
+            cbim = Bimodule(k, k, n, Mat.identity(f, n), Mat.identity(f, n))
+            data = (Mat.from_rows(f, obj["delta"]),
+                    Mat.from_rows(f, obj["eps"]))
+            for i, m in enumerate(data):
+                for bad in [m, *perturbations(f, m)]:
+                    delta, eps = data[:i] + (bad,) + data[i + 1:]
+                    got = outcome(make_coalgebra, f, n, delta, eps)
+                    assert got == outcome(make_coring, k, cbim, delta, eps)
+                    outcomes.add(got and got[0])
+        assert outcomes == {None, "coassoc", "counit-left"}
 
 
 # -- descent data and their morphisms ---------------------------------------
@@ -518,7 +552,7 @@ def cor28_identities(data):
                 chain(f, phi, (na, a.unit_col, na * nb), p4c))
 
     return [
-        ("rho-not-left-linear", (nb, na, nb),
+        ("commuting-actions", (nb, na, nb),
          lambda: (chain(f, (1, lB, nb), rho), chain(f, (nb, rho, 1), lB))),
         ("phi-not-left-linear", (nb, na), phi_left),
         ("phi-not-right-linear", (na, nb), phi_right),
@@ -544,7 +578,7 @@ class TestCor28:
                           for bad in bads]
         seen = against_loop(cases, prechecks={"unital", "right-assoc"})
         # (c) is reached through diagram_c_datum; with D = B, (a) implies it
-        assert seen == {None, "rho-not-left-linear", "phi-not-left-linear",
+        assert seen == {None, "commuting-actions", "phi-not-left-linear",
                         "phi-not-right-linear", "diagram-a", "diagram-b",
                         "diagram-c"}
 
