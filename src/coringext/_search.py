@@ -78,12 +78,14 @@ def enumerate_affine(field: FieldSpec, shape, residual: Callable[[Mat], Mat],
     The guard ``max_enum`` of ``set_guards`` bounds the number of
     candidates, p to the power of the dimension d of the solution space,
     before any is built; a count of more than 4300 digits reads ``p^d``.
+    Over Q, NonFiniteField is raised before anything is solved, also where
+    the laws have no solution.
     """
+    elems = field.elements()  # raises NonFiniteField over Q
     sol = affine_solutions(field, shape, residual)
     if sol is None:
         return []
     part, basis = sol
-    elems = field.elements()  # raises NonFiniteField over Q
     n = len(basis)
     max_enum = current_max_enum()
     total = field.p ** n

@@ -174,9 +174,6 @@ class FieldSpec:
             return Fraction(x)
         raise ValueError(f"bad scalar {x!r} for the rationals")
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
-
     def neg(self, a):
         return (-a) % self.p if self.p is not None else -a
 

@@ -1,7 +1,9 @@
 """Tensor products over an algebra.
 
 M (x)_A N is the quotient of the k-tensor ambient space M (x) N by the
-balancing relations: :func:`tensor_over` (memoised) returns that
+balancing relations, the image of the one map R = ract (x) I_N - I_M (x)
+lact: M (x) A (x) N -> M (x) N (:func:`balancing_rows` gives its
+transpose).  :func:`tensor_over` (memoised) returns that
 ``QuotientSpace``, and its ``projection``/``section`` pair and
 ``quo_dim`` present every balanced product in the package.  A product of
 several factors, such as C (x)_A C (x)_A C or A (x)_B A (x)_D B, is
@@ -18,26 +20,15 @@ from .exactla import Mat, QuotientSpace, _check_ambient, memoised, quotient
 from .algmod import Algebra, LeftModule, RightModule, _require
 
 
-def balancing_rows(ract: Mat, lact: Mat, alg: Algebra) -> Mat:
-    """Rows spanning { (x.a)(x)y - x(x)(a.y) } inside X (x) Y.
+def balancing_rows(ract: Mat, lact: Mat) -> Mat:
+    """The transpose of R = ract (x) I_Y - I_X (x) lact: X (x) A (x) Y ->
+    X (x) Y, whose image spans the balancing relations of X (x)_A Y.
 
-    ``ract``: X (x) A -> X and ``lact``: A (x) Y -> Y.
+    ``ract``: X (x) A -> X and ``lact``: A (x) Y -> Y.  Row (i, j, k) is
+    (x_i.a_j)(x)y_k - x_i(x)(a_j.y_k).
     """
-    f = alg.field
-    dx = ract.rows
-    dy = lact.rows
-    rcols = ract.transpose().sparse_rows
-    lcols = lact.transpose().sparse_rows
-    rows = []
-    for i in range(dx):
-        for j in range(alg.dim):
-            xa = rcols[i * alg.dim + j]
-            for k in range(dy):
-                row = {m * dy + k: c for m, c in xa.items()}
-                for n, c in lcols[j * dy + k].items():
-                    row[i * dy + n] = f.sub(row.get(i * dy + n, 0), c)
-                rows.append(row)
-    return Mat.from_sparse_rows(f, len(rows), dx * dy, rows)
+    return (ract.tensor_id(1, lact.rows) -
+            lact.tensor_id(ract.rows, 1)).transpose()
 
 
 @memoised
@@ -48,7 +39,7 @@ def tensor_over(m: RightModule, n: LeftModule) -> QuotientSpace:
         raise DimensionMismatch("modules are not over one algebra")
     ambient = m.dim * n.dim
     _check_ambient(ambient)
-    return quotient(m.alg.field, ambient, balancing_rows(m.act, n.act, m.alg))
+    return quotient(m.alg.field, ambient, balancing_rows(m.act, n.act))
 
 
 def tensor_chain(m: RightModule, mids: tuple, n: LeftModule) -> Mat:

@@ -45,6 +45,11 @@ def ref_mul(f, a, b):
     return (a * b) % f.p if f.p is not None else a * b
 
 
+def ref_sub(f, a, b):
+    """a - b in the field ``f``."""
+    return (a - b) % f.p if f.p is not None else a - b
+
+
 def ref_algebra(f, dim, mult, unit, make=make_algebra):
     """The algebra with structure constants ``mult[i][j][l]`` and unit
     coordinates ``unit``, made by ``make`` (``Algebra`` for an unchecked

@@ -119,9 +119,10 @@ def test_only_set_guards_takes_a_guard(path):
 # linear solver and the helpers no CLI call used, the oracles that moved
 # into the tests as ``ref_*``, the records that only carried arguments, a
 # second column constructor, the second fixture table, the field
-# arithmetic only the oracles used (``FieldSpec.add`` and ``mul``), the
-# coordinate reader that tested membership in Sigma*, which a checked Sigma
-# makes a theorem, and the morphism check that ``check_colinear`` is
+# arithmetic only the oracles used (``FieldSpec.add``, ``mul`` and ``sub``,
+# which the balancing relations no longer read), the coordinate reader
+# that tested membership in Sigma*, which a checked Sigma makes a theorem,
+# and the morphism check that ``check_colinear`` is
 RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "NotCoringMorphism", "NotColinear", "MiddleMismatch",
            "bimodule_from_actions", "cor28_extension", "_descend",
@@ -136,7 +137,7 @@ RETIRED = {"Verdict", "Failure", "raise_if_failed", "DualBasisInvalid",
            "dual_element", "measuring_to_algebra_map",
            "algebra_map_to_measuring", "_algebra_map_laws", "add", "mul",
            "coords", "star_coords", "check_descent_morphism",
-           "check_coalgebra"}
+           "check_coalgebra", "sub"}
 
 
 def _returns_value(fn):
@@ -266,10 +267,12 @@ def test_detects_witnessless_raise():
 def test_detects_retired_field_arithmetic():
     src = ("class FieldSpec:\n    def add(self, a, b):\n        pass\n"
            "    def mul(self, a, b):\n        pass\n"
-           "def f(field, s):\n    s.add(1)\n    return field.mul(2, 3)\n")
+           "def f(field, s):\n    s.add(1)\n    return field.mul(2, 3)\n"
+           "def g(f, row):\n    return f.sub(row.get(0, 0), 1)\n")
     assert second_channel(src) == [(2, "add", "retired"),
                                    (4, "mul", "retired"),
-                                   (8, "mul", "retired")]
+                                   (8, "mul", "retired"),
+                                   (10, "sub", "retired")]
 
 
 def test_detects_retired_exceptions():

@@ -21,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coringext import _search
 from coringext._search import (affine_solutions, at_pivots,
                                enumerate_affine, pivots)
 from coringext.algmod import AlgebraMap, check_algebra_map
 from coringext.constructions import base_algebra, trivial_coring
-from coringext.errors import DimensionMismatch, SizeLimit
+from coringext.errors import DimensionMismatch, NonFiniteField, SizeLimit
 from coringext.exactla import GF2, GF3, QQ, FieldSpec, Mat, _combine, kernel
 from coringext.extension import (Measuring, check_measuring,
                                  enumerate_measurings)
@@ -307,3 +308,28 @@ def test_a_count_of_more_than_4300_digits_is_a_power():
         with pytest.raises(SizeLimit) as exc:
             enumerate_affine(BIG, (1, n), zero, keep)
         assert str(exc.value) == f"{count} candidates exceed the guard 2000000"
+
+
+# -- an enumeration over Q is refused before anything is solved -------------
+
+
+def test_enumeration_over_q_solves_nothing(monkeypatch):
+    def solve(*args):
+        raise AssertionError("a linear law was solved")
+
+    def zero(m):
+        return Mat.zero(QQ, 1, 1)
+
+    def inconsistent(m):
+        # the constant 1 == 0 has no solution
+        return Mat.identity(QQ, 1)
+
+    def keep(m):
+        raise AssertionError("a candidate was built")
+
+    monkeypatch.setattr(_search, "affine_solutions", solve)
+    for residual in (zero, inconsistent):
+        with pytest.raises(NonFiniteField):
+            enumerate_affine(QQ, (1, 2), residual, keep)
+    with pytest.raises(NonFiniteField):
+        enumerate_measurings(sw_coring(QQ), d2_algebra(QQ))

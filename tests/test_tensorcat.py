@@ -1,6 +1,8 @@
 """Tensor products over an algebra, and iterated tensor products checked
 against the quotient by all balancing relations at once."""
 
+import itertools
+import random
 from math import prod
 
 import pytest
@@ -24,7 +26,28 @@ from coringext.constructions import (base_algebra, entwining_coring,
 from coringext.descent import _aab_space, _ab_factors, make_descent_datum
 from coringext.extension import identity_extension
 
+from test_algmod import ref_sub
 from test_constructions import ref_flip_entwining
+from test_exactla_sparse import check_sparse, dense, rand_rows
+
+
+def ref_balancing_rows(ract, lact, dim_a):
+    """Rows spanning { (x.a)(x)y - x(x)(a.y) } inside X (x) Y, one per
+    (i, j, k), built entry by entry from the actions' columns."""
+    f = ract.field
+    dx, dy = ract.rows, lact.rows
+    rows = []
+    for i in range(dx):
+        for j in range(dim_a):
+            for k in range(dy):
+                row = [f.zero] * (dx * dy)
+                for m in range(dx):
+                    row[m * dy + k] = ract.entries[m][i * dim_a + j]
+                for n in range(dy):
+                    row[i * dy + n] = ref_sub(
+                        f, row[i * dy + n], lact.entries[n][j * dy + k])
+                rows.append(row)
+    return Mat(f, len(rows), dx * dy, tuple(map(tuple, rows)))
 
 
 def ref_relations(field, dims, balancings):
@@ -32,9 +55,9 @@ def ref_relations(field, dims, balancings):
     lifted by ``I_pre (x) rows (x) I_post`` through ``kron``, in echelon
     form."""
     rel = Mat.zero(field, 0, prod(dims))
-    for s, (ract, lact, alg) in sorted(balancings.items()):
+    for s, (ract, lact, dim_a) in sorted(balancings.items()):
         block = Mat.identity(field, prod(dims[:s])).kron(
-            balancing_rows(ract, lact, alg)).kron(
+            ref_balancing_rows(ract, lact, dim_a)).kron(
             Mat.identity(field, prod(dims[s + 2:])))
         rel = rel.stack(block)
     return rref(rel)[0]
@@ -42,12 +65,13 @@ def ref_relations(field, dims, balancings):
 
 def slots_of(m, mids, n):
     """``tensor_chain``'s factors as ``ref_relations`` arguments:
-    the factor dimensions and the balancing actions of each adjacent pair."""
+    the factor dimensions and the balancing actions of each adjacent pair,
+    with the dimension of the algebra between them."""
     dims = (m.dim, *(b.dim for b in mids), n.dim)
-    racts = [(m.act, m.alg)] + [(b.ract, b.algR) for b in mids]
+    racts = [(m.act, m.alg.dim)] + [(b.ract, b.algR.dim) for b in mids]
     lacts = [b.lact for b in mids] + [n.act]
-    return dims, {s: (ract, lact, alg)
-                  for s, ((ract, alg), lact) in enumerate(zip(racts, lacts))}
+    return dims, {s: (ract, lact, dim_a)
+                  for s, ((ract, dim_a), lact) in enumerate(zip(racts, lacts))}
 
 
 def ref_kernel(m, mids, n):
@@ -86,6 +110,20 @@ def cor28_chains(iota_b, iota_a):
     b_d = LeftModule(d, nb, lact_d)
     return rho, [(a_b, (a_bd,), b_d), (a_b, (a_bd, b_dd), b_d),
                  (a_b, (a_bb, a_bd), b_d)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=repr)
+def test_balancing_rows_match_reference(field):
+    # any ract: X (x) A -> X and lact: A (x) Y -> Y, not only module actions
+    rng = random.Random(0)
+    for dx, dy, na in itertools.product(range(4), repeat=3):
+        for density in (0.2, 0.5, 1.0):
+            ract = Mat(field, dx, dx * na,
+                       dense(rand_rows(field, dx, dx * na, density, rng)))
+            lact = Mat(field, dy, na * dy,
+                       dense(rand_rows(field, dy, na * dy, density, rng)))
+            assert check_sparse(balancing_rows(ract, lact)) == \
+                ref_balancing_rows(ract, lact, na)
 
 
 class TestTensorOver:
