@@ -12,14 +12,16 @@ Every ``check_*`` function of the package returns None when its axioms
 hold and raises ``AxiomViolation(kind, witness)`` at the first one that
 fails.  Data is checked where it enters: a ``make_*`` checks the record it
 is given (a part, such as the bimodule of a coring, only within it), and
-a construction its own parameters (iota, gamma, psi, a dual basis).  A
-construction whose output is valid by a theorem builds its record
-directly, with the canonical lift a ``make_*`` stores: the Sweedler,
-comatrix, trivial and coalgebra corings, the group coalgebras, the
-algebra of ``dual_ring``, the identity, coring-map and composed
-extensions, ``induced_coaction``, ``apply_functor``, and both ways
-between descent data and Sweedler comodules.  The tests prove each
-theorem.  Identities are compared with
+a construction its own parameters (iota, gamma, psi, a dual basis, the
+module of a cofree comodule, a right B-action).  A construction whose
+output is valid by a theorem builds its record directly, with the
+canonical lift a ``make_*`` stores: the fixtures and the base algebra,
+the Sweedler, comatrix, trivial and coalgebra corings, the group
+coalgebras, the regular, direct-sum and cofree comodules, the algebra of
+``dual_ring``, both ways between measurings and right B-structures, the
+identity, coring-map and composed extensions, ``induced_coaction``,
+``apply_functor``, and both ways between descent data and Sweedler
+comodules.  The tests prove each theorem.  Identities are compared with
 ``_require``: a rejection names the first basis tuple of the domain, or
 of its tensor factors, at which the two sides differ.  Each law is stated
 once: the commuting of a left and a right action is required only by

@@ -2,8 +2,10 @@
 corings, and coalgebras over the base field.  Each takes its defining data
 as arguments: an entwining as A, C and psi, a dual basis as its elements
 and functionals.  A coalgebra is a coring over k: ``make_coalgebra``
-checks it as its coring, with the coring's kinds and size guards, and a
-group coalgebra is valid by a theorem, so it is built unchecked."""
+checks it as its coring, with the coring's kinds and size guards.  The
+other records but the entwining coring are valid by a theorem, proved in
+the tests, so they are built unchecked; a Sweedler or comatrix coring
+reads Delta and eps through the section of its quotient."""
 
 from typing import List
 
@@ -12,17 +14,16 @@ from ._search import affine_solutions, at_pivots, pivots
 from .errors import DimensionMismatch
 from .exactla import FieldSpec, Mat, QuotientSpace, memoised
 from .algmod import (Algebra, AlgebraMap, Bimodule, LeftModule, RightModule,
-                     _require, check_bimodule, make_algebra, regular_along,
-                     regular_bimodule)
+                     _require, check_bimodule, regular_along, regular_bimodule)
 from .coring import Coring, check_coring, make_coring
-from .tensorcat import descend_map, right_action_on_quotient, tensor_over
+from .tensorcat import right_action_on_quotient, tensor_over
 
 
 @memoised
 def base_algebra(field: FieldSpec) -> Algebra:
     """The base field as a one-dimensional algebra."""
     one = Mat.identity(field, 1)
-    return make_algebra(field, 1, one, one)
+    return Algebra(field, 1, one, one)
 
 
 def trivial_coring(a: Algebra) -> Coring:
@@ -40,24 +41,22 @@ def sweedler_space(iota: AlgebraMap) -> QuotientSpace:
     return tensor_over(a_bb.right_module(), a_bb.left_module())
 
 
-def _quotient_coring(name: str, q: QuotientSpace, a: Algebra, lact_x: Mat,
+def _quotient_coring(q: QuotientSpace, a: Algebra, lact_x: Mat,
                      ract_y: Mat, delta_amb: Mat, eps_amb: Mat) -> Coring:
     """The A-coring on q = X (x)_B Y.  Its actions are induced from the left
     action ``lact_x`` on X and the right action ``ract_y`` on Y; Delta and
     eps from ``delta_amb``: X (x) Y -> (X (x) Y)^(x)2 and ``eps_amb``:
-    X (x) Y -> A, or AxiomViolation ``<name>-coproduct-not-balanced`` or
-    ``<name>-counit-not-balanced`` names where one is not balanced."""
-    dims = nx, ny = lact_x.rows, ract_y.rows
+    X (x) Y -> A, read through ``q.section``: by each caller's theorem,
+    eps_amb and delta_amb into C (x)_A C vanish on q's relations."""
+    nx, ny = lact_x.rows, ract_y.rows
     lact = q.projection @ lact_x.tensor_id(1, ny) @ \
         q.section.tensor_id(a.dim, 1)
     ract = right_action_on_quotient(q, nx, ract_y, a)
     cbim = Bimodule(a, a, q.quo_dim, lact, ract)
     cc = tensor_over(cbim.right_module(), cbim.left_module())
-    delta = descend_map(q, cc.projection @ (
-        q.projection.kron(q.projection) @ delta_amb),
-        name + "-coproduct-not-balanced", dims)
-    eps = descend_map(q, eps_amb, name + "-counit-not-balanced", dims)
-    return Coring(a, cbim, cc.canonical_lift(cc.section @ delta), eps)
+    delta = cc.projection @ (q.projection.kron(q.projection) @ delta_amb)
+    return Coring(a, cbim, cc.section @ (delta @ q.section),
+                  eps_amb @ q.section)
 
 
 @memoised
@@ -67,8 +66,8 @@ def sweedler_coring(iota: AlgebraMap) -> Coring:
     n = a.dim
     u = a.unit_col
     insert = u.kron(u).tensor_id(n, n)  # x (x) y -> x (x) 1 (x) 1 (x) y
-    return _quotient_coring("sweedler", sweedler_space(iota), a, a.mult_mat,
-                            a.mult_mat, insert, a.mult_mat)
+    return _quotient_coring(sweedler_space(iota), a, a.mult_mat, a.mult_mat,
+                            insert, a.mult_mat)
 
 
 # -- coalgebras ------------------------------------------------------
@@ -188,8 +187,8 @@ def comatrix_coring(sigma: Bimodule, elements, functionals) -> Coring:
             Mat.from_cols(f, [at_pivots(piv, g_i)])).tensor_id(ns, sigma.dim)
         delta_amb = delta_amb + term
     eval_cols = [star[t].col(j) for t in range(ns) for j in range(sigma.dim)]
-    return _quotient_coring("comatrix", q, a, lact_star, sigma.ract,
-                            delta_amb, Mat.from_cols(f, eval_cols))
+    return _quotient_coring(q, a, lact_star, sigma.ract, delta_amb,
+                            Mat.from_cols(f, eval_cols))
 
 
 # -- entwining structures --------------------------------------------

@@ -153,8 +153,8 @@ def make_comodule(c: Coring, m: RightModule, rho_lift: Mat) -> Comodule:
 
 
 def regular_comodule(c: Coring) -> Comodule:
-    """(C, Delta) as a right comodule over itself."""
-    return make_comodule(c, c.C.right_module(), c.delta_lift)
+    """(C, Delta) as a right comodule over itself, with Delta's lift."""
+    return Comodule(c, c.C.right_module(), c.delta_lift)
 
 
 def direct_sum_comodule(m: Comodule, n: Comodule) -> Comodule:
@@ -171,16 +171,19 @@ def direct_sum_comodule(m: Comodule, n: Comodule) -> Comodule:
         inc2 @ n.M.act @ pr2.tensor_id(1, na)
     rho = inc1.tensor_id(1, nc) @ m.rho_lift @ pr1 + \
         inc2.tensor_id(1, nc) @ n.rho_lift @ pr2
-    return make_comodule(m.coring, RightModule(a, dm + dn, act), rho)
+    out = Comodule(m.coring, RightModule(a, dm + dn, act), rho)
+    return Comodule(m.coring, out.M, out.mc().canonical_lift(rho))
 
 
 def cofree_comodule(c: Coring, x: RightModule) -> Comodule:
     """X (x)_A C with coaction X (x)_A Delta, for a right A-module X."""
+    check_right_module(x)
     xc = tensor_over(x, c.C.left_module())
     act = right_action_on_quotient(xc, x.dim, c.C.ract, c.A)
     rho_lift = xc.projection.tensor_id(1, c.dim) @ \
         c.delta_lift.tensor_id(x.dim, 1) @ xc.section
-    return make_comodule(c, RightModule(c.A, xc.quo_dim, act), rho_lift)
+    out = Comodule(c, RightModule(c.A, xc.quo_dim, act), rho_lift)
+    return Comodule(c, out.M, out.mc().canonical_lift(rho_lift))
 
 
 @frozen

@@ -1,11 +1,12 @@
 """Reserved named fixtures in one table, ``FIXTURES``, materialized over
-any base field."""
+any base field.  Each fixture is valid by a theorem, proved in
+``tests/test_theorems.py``, so its record is built unchecked."""
 
 from itertools import product
 
 from .errors import SchemaError
 from .exactla import FieldSpec, Mat, memoised
-from .algmod import Algebra, AlgebraMap, make_algebra, make_algebra_map
+from .algmod import Algebra, AlgebraMap
 from .coring import Coring
 from .constructions import (Coalgebra, base_algebra, coalgebra_to_coring,
                             group_coalgebra, sweedler_coring)
@@ -16,7 +17,7 @@ def d2_algebra(field: FieldSpec) -> Algebra:
     """k x k: two orthogonal idempotents, unit e1 + e2."""
     o, z = field.one, field.zero
     mult = Mat(field, 2, 4, ((o, z, z, z), (z, z, z, o)))
-    return make_algebra(field, 2, mult, Mat(field, 2, 1, ((o,), (o,))))
+    return Algebra(field, 2, mult, Mat(field, 2, 1, ((o,), (o,))))
 
 
 @memoised
@@ -24,7 +25,7 @@ def c2_group_algebra(field: FieldSpec) -> Algebra:
     """Group algebra k[C2]: basis 1, g with g^2 = 1."""
     o, z = field.one, field.zero
     mult = Mat(field, 2, 4, ((o, z, z, o), (z, o, o, z)))
-    return make_algebra(field, 2, mult, Mat(field, 2, 1, ((o,), (z,))))
+    return Algebra(field, 2, mult, Mat(field, 2, 1, ((o,), (z,))))
 
 
 @memoised
@@ -34,14 +35,14 @@ def matrix_algebra_2(field: FieldSpec) -> Algebra:
     mult = [[z] * 16 for _ in range(4)]
     for r, c, s in product((0, 1), repeat=3):  # E_rc E_cs = E_rs
         mult[2 * r + s][(2 * r + c) * 4 + 2 * c + s] = o
-    return make_algebra(field, 4, Mat(field, 4, 16, mult),
-                        Mat(field, 4, 1, ((o,), (z,), (z,), (o,))))
+    return Algebra(field, 4, Mat(field, 4, 16, mult),
+                   Mat(field, 4, 1, ((o,), (z,), (z,), (o,))))
 
 
 @memoised
 def unit_map(field: FieldSpec, a: Algebra) -> AlgebraMap:
     """The unique algebra map from the base field into a."""
-    return make_algebra_map(base_algebra(field), a, a.unit_col)
+    return AlgebraMap(base_algebra(field), a, a.unit_col)
 
 
 @memoised

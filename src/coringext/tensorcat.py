@@ -10,14 +10,17 @@ several factors, such as C (x)_A C (x)_A C or A (x)_B A (x)_D B, is
 formed one factor at a time by :func:`tensor_chain`: each partial product
 carries the right action induced from its last factor and is tensored
 with the next one.  The coring, comodule and descent checkers compare
-composites in these iterated quotients.
+composites in these iterated quotients.  A map m on the ambient that
+vanishes on the relations induces ``m @ section`` on the quotient; where
+the package reads a map so, a theorem says it vanishes, and the tests
+check it as ``m == m @ section @ projection``.
 """
 
 from math import prod
 
 from .errors import DimensionMismatch
 from .exactla import Mat, QuotientSpace, _check_ambient, memoised, quotient
-from .algmod import Algebra, LeftModule, RightModule, _require
+from .algmod import Algebra, LeftModule, RightModule
 
 
 def balancing_rows(ract: Mat, lact: Mat) -> Mat:
@@ -63,19 +66,6 @@ def tensor_chain(m: RightModule, mids: tuple, n: LeftModule) -> Mat:
         m = RightModule(b.algR, q.quo_dim,
                         right_action_on_quotient(q, m.dim, b.ract, b.algR))
     return tensor_over(m, n).projection @ proj.tensor_id(1, n.dim)
-
-
-def descend_map(q: QuotientSpace, m: Mat, kind: str, dims) -> Mat:
-    """The map that ``m`` on the ambient of ``q`` induces on the quotient.
-
-    The vectors v - section(projection(v)) span the relations, so ``m``
-    vanishes on them iff ``m == m @ section @ projection``; if not,
-    AxiomViolation(kind) names the first ambient tuple, over the factors
-    ``dims``, where the two differ.
-    """
-    out = m @ q.section
-    _require(m, out @ q.projection, kind, dims)
-    return out
 
 
 def right_action_on_quotient(q: QuotientSpace, dim_m: int, ract_n: Mat,

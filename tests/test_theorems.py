@@ -20,7 +20,11 @@ Some records are read off, not built from a ``make_*``: the table of
 product; the actions on Sigma* of a comatrix coring at the pivots of
 Sigma*, which holds a.g and g.b once Sigma is a checked bimodule; and the
 coaction of the Cor. 2.8 extension, induced from a map on A (x) A that is
-balanced because phi is left B-linear.  Their tests state those facts.
+balanced because phi is left B-linear; and the coproduct and counit of a
+Sweedler or comatrix coring, induced from maps on the ambient of its
+quotient that are balanced.  Their tests state those facts.  The two
+builders between measurings and right B-structures are proved by the
+paper's first example: a measuring is an extension by a trivial coring.
 Two notions are read through a theorem: the Cor. 2.8 extension is valid
 once its data pass ``check_cor28``, and a morphism of descent data is a
 colinear map of the Sweedler comodules.
@@ -41,17 +45,21 @@ from coringext.constructions import (_right_linear_basis, base_algebra,
                                      entwining_coring, group_coalgebra,
                                      make_coalgebra, sweedler_coring,
                                      sweedler_space, trivial_coring)
-from coringext.coring import (check_colinear, direct_sum_comodule,
-                              dual_ring, make_colinear_map, make_comodule,
-                              make_coring, regular_comodule)
+from coringext.coring import (check_colinear, cofree_comodule,
+                              direct_sum_comodule, dual_ring,
+                              make_colinear_map, make_comodule, make_coring,
+                              regular_comodule)
 from coringext.descent import (comodule_to_descent, descent_to_comodule,
                                make_cor28, make_descent_datum)
 from coringext.exactla import GF2, GF3, QQ, Mat
-from coringext.extension import (_cd, apply_functor, compose_extensions,
+from coringext.extension import (_cd, action_from_measuring, apply_functor,
+                                 compose_extensions, enumerate_measurings,
                                  extension_from_coring_map,
                                  identity_extension, induced_coaction,
-                                 make_extension)
-from coringext.fixtures import c2_group_algebra, d2_algebra, matrix_algebra_2
+                                 make_extension, make_measuring,
+                                 measuring_from_action)
+from coringext.fixtures import (c2_group_algebra, d2_algebra,
+                                matrix_algebra_2, sw_coring, unit_map)
 
 from test_constructions import free_rank_two, ref_flip_entwining
 from test_coring import ref_star_product
@@ -189,6 +197,25 @@ def drawn(kinds):
     return given(st.sampled_from(kinds), st.integers(0, 2 ** 32 - 1))
 
 
+# -- algebras ----------------------------------------------------------------
+
+
+@FIELDS
+@EXAMPLES
+@drawn(tuple(ALGEBRAS))
+def test_fixture_algebras(field, name, seed):
+    # the fixture algebras and the base field are associative and unital,
+    # and the unit map into each, and into each moved fixture, is an
+    # algebra map
+    k = base_algebra(field)
+    assert make_algebra(field, 1, k.mult_mat, k.unit_col) == k
+    a = ALGEBRAS[name](field)
+    assert make_algebra(field, a.dim, a.mult_mat, a.unit_col) == a
+    for target in (a, moved(field, name, random.Random(seed))[0]):
+        assert make_algebra_map(k, target, target.unit_col) == \
+            unit_map(field, target)
+
+
 # -- corings -----------------------------------------------------------------
 
 
@@ -206,6 +233,44 @@ def test_sweedler_coring(field, kind, seed):
 def test_comatrix_coring(field, over, seed):
     c = comatrix_coring(*comatrix_inputs(field, over, random.Random(seed)))
     assert remade_coring(c) == c
+
+
+def quotient_coring_call(field, kind: str, rng):
+    """The arguments of the ``_quotient_coring`` call that builds the
+    Sweedler or comatrix coring ``kind`` on moved inputs, and the coring."""
+    calls = []
+    build = constructions._quotient_coring
+
+    def record(*args):
+        calls.append((args, build(*args)))
+        return calls[-1][1]
+
+    name, arg = kind.split(" ", 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_quotient_coring", record)
+        if name == "sweedler":  # past the memo, so that the call is made
+            sweedler_coring.__wrapped__(algebra_map(field, arg, rng))
+        else:
+            comatrix_coring(*comatrix_inputs(field, arg[5:], rng))
+    (call,) = calls
+    return call
+
+
+@FIELDS
+@EXAMPLES
+@drawn(tuple(f"sweedler {m}" for m in MAPS) + ("comatrix over k",
+                                               "comatrix over D2"))
+def test_quotient_coring_maps_descend(field, kind, seed):
+    # the ambient Delta and eps of a coring on q = X (x)_B Y vanish on the
+    # balancing relations of q: m = m @ section @ projection, where
+    # m @ section is the record's map
+    (q, _, _, _, delta_amb, eps_amb), c = quotient_coring_call(
+        field, kind, random.Random(seed))
+    cc = c.cc()
+    delta = cc.projection @ (q.projection.kron(q.projection) @ delta_amb)
+    for m, got in ((delta, cc.projection @ c.delta_lift), (eps_amb, c.eps)):
+        assert m == m @ q.section @ q.projection
+        assert got == m @ q.section
 
 
 @FIELDS
@@ -308,6 +373,42 @@ def test_compose_extensions(field, kind, seed):
                    (e_id, e_id)):
         e = compose_extensions(e1, e2)
         assert remade_extension(e) == e
+
+
+@pytest.mark.parametrize("field, algebra, count", [
+    (GF2, d2_algebra, 8), (GF2, c2_group_algebra, 4),
+    (GF3, d2_algebra, 14), (GF3, c2_group_algebra, 14)],
+    ids=["D2-GF(2)", "k[C2]-GF(2)", "D2-GF(3)", "k[C2]-GF(3)"])
+def test_measuring_is_extension_by_trivial_coring(field, algebra, count):
+    # a measuring nu of C by B is the extension of C by the trivial
+    # B-coring with the right B-action x.b = x_(1) nu(x_(2) (x) b) and
+    # sigma(x) = x (x) 1, and nu = eps . ract gives it back
+    sw, b = sw_coring(field), algebra(field)
+    ms = enumerate_measurings(sw, b)
+    assert len(ms) == count
+    for m in ms:
+        assert make_measuring(sw, b, m.nu) == m
+        ract = action_from_measuring(m)
+        make_extension(sw, trivial_coring(b), ract,
+                       b.unit_col.tensor_id(sw.dim, 1))
+        assert measuring_from_action(sw, b, ract) == m
+
+
+# -- comodules ---------------------------------------------------------------
+
+
+@FIELDS
+@EXAMPLES
+@drawn(CORINGS)
+def test_comodule_builders(field, kind, seed):
+    # the regular comodule, its direct sum with itself, and the cofree
+    # comodules on C and on A as right A-modules
+    c = coring(field, kind, random.Random(seed))
+    reg = regular_comodule(c)
+    for m in (reg, direct_sum_comodule(reg, reg),
+              cofree_comodule(c, c.C.right_module()),
+              cofree_comodule(c, right_regular(c.A))):
+        assert remade_comodule(m) == m
 
 
 # -- the functor M^C -> M^D --------------------------------------------------

